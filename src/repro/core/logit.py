@@ -45,6 +45,29 @@ __all__ = [
 ]
 
 
+def check_beta(beta: float) -> float:
+    """Validate the inverse noise of a fixed-``beta`` logit rule, as a float.
+
+    Rejects negative, NaN and infinite values at construction.  At
+    ``beta = inf`` the softmax has no finite form: ``inf * 0`` turns whole
+    rows into NaN and the inverse-CDF sampler maps NaN rows to strategy 0,
+    so the engine would silently simulate a different chain.  The ``beta
+    -> inf`` limit of the logit dynamics is the best-response chain, which
+    has its own class.
+    """
+    beta = float(beta)
+    if np.isnan(beta):
+        raise ValueError("beta must be a number, got nan")
+    if beta < 0:
+        raise ValueError("beta must be non-negative")
+    if np.isinf(beta):
+        raise ValueError(
+            "beta = inf has no logit softmax; the beta -> inf limit of the "
+            "logit dynamics is BestResponseDynamics (repro.core.variants)"
+        )
+    return beta
+
+
 def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     """Softmax ``exp(beta u) / sum exp(beta u)`` computed in log space.
 
@@ -109,18 +132,24 @@ class LogitRule:
         return logit_update_distribution(utilities, self.beta)
 
     def update_distribution_rowwise(
-        self, players: np.ndarray, profiles: np.ndarray
+        self,
+        players: np.ndarray,
+        profiles: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched rule with a *different mover per row*.
 
-        Row ``j`` is ``sigma_{players[j]}(. | x_j)``.  Requires the game to
-        expose ``utility_deviations_rowwise`` (uniform strategy counts);
-        the engine's matrix state backend uses this to advance replicas
-        with distinct movers in one vectorised call instead of one group
-        per player — the fast path that makes ``R ~ n`` sequential steps
-        cheap on local-interaction games.
+        Row ``j`` is ``sigma_{players[j]}(. | x_j)`` with ``x_j =
+        profiles[j]``, or ``profiles[rows[j]]`` when ``rows`` is given —
+        how the engine's level schedule reads the live ``(R, n)`` strategy
+        matrix without copying rows.  Requires the game to expose
+        ``utility_deviations_rowwise`` (uniform strategy counts); the
+        engine's matrix state backend uses this to advance replicas with
+        distinct movers in one vectorised call instead of one group per
+        player — the fast path that makes ``R ~ n`` sequential steps cheap
+        on local-interaction games.
         """
-        utilities = self.game.utility_deviations_rowwise(players, profiles)
+        utilities = self.game.utility_deviations_rowwise(players, profiles, rows)
         return logit_update_distribution(utilities, self.beta)
 
     def player_update_matrix(self, player: int) -> np.ndarray:
@@ -243,14 +272,13 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
         :class:`~repro.games.PotentialGame` the Gibbs measure is used as the
         (exact) stationary distribution of the chain.
     beta:
-        Inverse noise / rationality parameter, ``beta >= 0``.
+        Inverse noise / rationality parameter, a finite ``beta >= 0``
+        (``beta -> inf`` is :class:`~repro.core.variants.BestResponseDynamics`).
     """
 
     def __init__(self, game: Game, beta: float):
-        if beta < 0:
-            raise ValueError("beta must be non-negative")
         self.game = game
-        self.beta = float(beta)
+        self.beta = check_beta(beta)
         self._matrix: np.ndarray | None = None
         self._sparse = None
         self._chain: MarkovChain | None = None

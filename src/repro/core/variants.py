@@ -53,6 +53,7 @@ from .logit import (
     EngineBackedDynamics,
     LogitDynamics,
     LogitRule,
+    check_beta,
     logit_update_distribution,
 )
 
@@ -78,10 +79,8 @@ class ParallelLogitDynamics(LogitRule, EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, beta: float):
-        if beta < 0:
-            raise ValueError("beta must be non-negative")
         self.game = game
-        self.beta = float(beta)
+        self.beta = check_beta(beta)
         self._matrix: np.ndarray | None = None
 
     # -- update rule (the engine's rule contract) --------------------------
@@ -187,13 +186,11 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, beta: float, p: float = 1.0):
-        if beta < 0:
-            raise ValueError("beta must be non-negative")
         p = float(p)
         if not 0.0 < p <= 1.0:
             raise ValueError("the update probability p must lie in (0, 1]")
         self.game = game
-        self.beta = float(beta)
+        self.beta = check_beta(beta)
         self.p = p
         self._matrix: np.ndarray | None = None
 
@@ -343,11 +340,17 @@ class BestResponseDynamics(EngineBackedDynamics):
         )
 
     def update_distribution_rowwise(
-        self, players: np.ndarray, profiles: np.ndarray
+        self,
+        players: np.ndarray,
+        profiles: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Batched rule with a different mover per row (matrix state fast path)."""
+        """Batched rule with a different mover per row (matrix state fast path).
+
+        ``rows`` as in :meth:`repro.core.logit.LogitRule.update_distribution_rowwise`.
+        """
         return self._best_response_probs(
-            self.game.utility_deviations_rowwise(players, profiles)
+            self.game.utility_deviations_rowwise(players, profiles, rows)
         )
 
     def player_update_matrix(self, player: int) -> np.ndarray:
@@ -607,10 +610,8 @@ class RoundRobinLogitDynamics(LogitRule, EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, beta: float):
-        if beta < 0:
-            raise ValueError("beta must be non-negative")
         self.game = game
-        self.beta = float(beta)
+        self.beta = check_beta(beta)
 
     # -- update rule (the engine's rule contract) --------------------------
 

@@ -48,6 +48,17 @@ and two execution modes:
 Replicas are statistically independent: grouping them by moving player
 within a step is exact, not an approximation, because each replica receives
 exactly the moves its kernel prescribes per step.
+
+Sequential runs on the row-wise path go further.  The sequential kernel
+draws a run's whole ``(steps, R)`` block of movers and uniforms up front,
+and on a CSR-structured game an update reads only its mover's closed
+neighbourhood, so updates whose movers are at graph distance 2 or more
+commute.  :meth:`EnsembleSimulator.run` hands the kernel blocks of at most
+:data:`LEVEL_BLOCK_UPDATES` updates that end at recording boundaries, and
+the kernel runs each conflict-free *level* of a block as one row-wise call
+(:func:`repro.engine.kernels.dependency_levels`): the step-by-step
+trajectory, bit for bit, in a few calls per block instead of about a
+hundred per step.
 """
 
 from __future__ import annotations
@@ -74,6 +85,11 @@ __all__ = ["EnsembleSimulator"]
 #: Target predicate for first-passage observables: maps a ``(k, n)``
 #: strategy-profile array to a ``(k,)`` boolean membership mask.
 ProfilePredicate = Callable[[np.ndarray], np.ndarray]
+
+#: most replica-updates one ``run_block`` call receives from
+#: :meth:`EnsembleSimulator.run`; bounds the level schedule's temporaries (a
+#: few int64 arrays per closed-neighbourhood entry of a block) to a few MB
+LEVEL_BLOCK_UPDATES = 1 << 15
 
 
 class EnsembleSimulator:
@@ -273,6 +289,17 @@ class EnsembleSimulator:
             self._fused_probabilistic = self.backend.fused_probabilistic_stepper(
                 self.game, rule
             )
+        # Level schedule: on the numpy row-wise path of a CSR-structured game
+        # an update reads only its mover's closed neighbourhood, so
+        # SequentialKernel.run_block runs a pre-drawn block level by level
+        # (kernels.dependency_levels); the neighbourhoods are built on the
+        # first such run
+        self._levelled = (
+            self._rowwise_rule is not None
+            and self._fused_rowwise is None
+            and callable(getattr(self.game, "csr_arrays", None))
+        )
+        self._neighbourhoods = None
         self._rows_all = np.arange(self.num_replicas, dtype=np.int64)
         if self.tracer.enabled:
             self.tracer.event(
@@ -499,6 +526,20 @@ class EnsembleSimulator:
                 chosen = sample_inverse_cdf(probs, uniforms[group])
             state.put(sel, state.set_strategies(batch, player, chosen))
 
+    def _advance_level(
+        self, rows: np.ndarray, players: np.ndarray, uniforms: np.ndarray
+    ) -> None:
+        """Apply one level of the level schedule as a batch of row-wise moves.
+
+        Replica ``rows[j]`` revises ``players[j]`` with ``uniforms[j]``.
+        Every row reads the live strategy matrix (no row copies) and no row
+        of a level reads what another writes, so one row-wise rule call,
+        one inverse-CDF sample and one column write apply them all.
+        """
+        probs = self._rowwise_rule(players, self.state.matrix, rows)
+        chosen = sample_inverse_cdf(probs, uniforms)
+        self.state.set_strategies_rowwise(rows, players, chosen)
+
     def step(self) -> None:
         """Advance every replica by one step of the dynamics."""
         self.kernel.step(self)
@@ -514,7 +555,13 @@ class EnsembleSimulator:
         and the variant ``simulate_loop`` methods) under the same generator
         state.  Recording only copies the state array; it never touches the
         kernel's bookkeeping (round-robin cursor, annealed step counter), so
-        snapshots cannot desync the dynamics.
+        snapshots cannot desync the dynamics.  The kernel advances the steps
+        in blocks (:meth:`~repro.engine.kernels.UpdateKernel.run_block`) of
+        at most :data:`LEVEL_BLOCK_UPDATES` replica-updates that end at
+        recording boundaries; on the numpy row-wise path of a CSR-structured
+        game the sequential kernel runs each block level by level
+        (:func:`~repro.engine.kernels.dependency_levels`), with the same
+        trajectory, bit for bit, as stepping.
 
         Returns ``None`` when ``record_every`` is ``None``; otherwise the
         recorded snapshots as a ``(k, R, n)`` int array whose first entry is
@@ -530,9 +577,15 @@ class EnsembleSimulator:
         if record_every is not None:
             record_every = max(int(record_every), 1)
             snapshots = [self.state.snapshot()]
-        for t in range(num_steps):
-            self.kernel.run_step(self, t, draws)
-            if snapshots is not None and (t + 1) % record_every == 0:
+        block = max(1, LEVEL_BLOCK_UPDATES // self.num_replicas)
+        start = 0
+        while start < num_steps:
+            stop = min(num_steps, start + block)
+            if snapshots is not None:
+                stop = min(stop, (start // record_every + 1) * record_every)
+            self.kernel.run_block(self, draws, start, stop)
+            start = stop
+            if snapshots is not None and stop % record_every == 0:
                 snapshots.append(self.state.snapshot())
         if tracer.enabled:
             tracer.count("engine.replica_steps", int(num_steps) * self.num_replicas)

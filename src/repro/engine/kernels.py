@@ -29,14 +29,18 @@ A kernel subclasses :class:`UpdateKernel` and implements:
     per-step randomness from ``sim.rng``.  ``where`` is an optional array of
     replica positions (first-passage runs retire replicas one by one).
 
-``begin_run(sim, num_steps) -> draws | None`` and
-``run_step(sim, t, draws)``
+``begin_run(sim, num_steps) -> draws | None``, ``run_step(sim, t, draws)``
+and ``run_block(sim, draws, start, stop)``
     Optional bulk-drawing hooks used by :meth:`EnsembleSimulator.run`.  The
     sequential kernels pre-draw every player selection and uniform for the
     whole run (players first, then uniforms) so that a single-replica run
     is bit-for-bit identical to the scalar reference loops; kernels that
     don't pre-draw inherit the default (``begin_run`` returns ``None`` and
-    ``run_step`` falls through to :meth:`step`).
+    ``run_step`` falls through to :meth:`step`).  ``run`` hands the steps
+    to ``run_block`` in blocks that end at recording boundaries; the
+    default block calls ``run_step`` once per step, while
+    :class:`SequentialKernel` runs a block level by level on the row-wise
+    path (:func:`dependency_levels`).
 
 ``init_state(sim) -> dict``
     Per-simulator mutable state, stored by the simulator and reset together
@@ -89,6 +93,8 @@ __all__ = [
     "SeededProbabilisticKernel",
     "RoundRobinKernel",
     "AnnealedKernel",
+    "closed_neighbourhoods",
+    "dependency_levels",
     "require_sequential_dynamics",
     "seeded_kernel_for",
 ]
@@ -154,6 +160,11 @@ class UpdateKernel(abc.ABC):
     def run_step(self, sim, t: int, draws) -> None:
         """Advance all replicas at run step ``t`` (default: per-step draws)."""
         self.step(sim)
+
+    def run_block(self, sim, draws, start: int, stop: int) -> None:
+        """Advance all replicas through run steps ``start .. stop - 1``."""
+        for t in range(start, stop):
+            self.run_step(sim, t, draws)
 
     def remaining_steps(self, sim) -> int | None:
         """How many more steps this kernel can take (``None`` = unbounded).
@@ -234,6 +245,132 @@ def _concurrent_sweep(sim, where, old, mask, uniforms) -> None:
     state.put(where, new)
 
 
+def closed_neighbourhoods(game) -> tuple[np.ndarray, np.ndarray]:
+    """Every player's closed neighbourhood, as CSR ``(offsets, players)``.
+
+    Player ``i``'s entries are ``players[offsets[i]:offsets[i + 1]]``:
+    ``i`` itself first, then its neighbours in the order of
+    ``game.csr_arrays()`` (self-loops dropped, so ``i`` appears once).  On
+    a CSR-structured game that is everything a single-site update of ``i``
+    reads or writes.
+    """
+    csr_offsets, neighbours = game.csr_arrays()[:2]
+    n = csr_offsets.size - 1
+    players = np.arange(n, dtype=np.int64)
+    owners = np.repeat(players, np.diff(csr_offsets))
+    keep = neighbours != owners
+    src = np.concatenate([players, owners[keep]])
+    dst = np.concatenate([players, neighbours[keep]])
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    # stable: each player's own entry, concatenated first, leads its row
+    return offsets, dst[np.argsort(src, kind="stable")]
+
+
+def _conflict_edges(
+    movers: np.ndarray, num_replicas: int, neighbourhoods
+) -> tuple[np.ndarray, np.ndarray]:
+    """Precedence edges ``(src, dst)`` between conflicting updates of a block.
+
+    ``movers`` is the block flattened step-major (update ``u = t * R + r``).
+    Every update contributes one entry per player of its mover's closed
+    neighbourhood, keyed ``replica * n + player``: the mover's own entry
+    writes, the others read.  Within one key, in step order, a write must
+    come after every earlier entry and before every later read; the edges
+    say exactly that, from each entry to the next write of its key and from
+    each write to the reads that follow it.
+    """
+    offsets, members = neighbourhoods
+    n = offsets.size - 1
+    counts = offsets[movers + 1] - offsets[movers]
+    ends = np.cumsum(counts)
+    entries = int(ends[-1])
+    firsts = ends - counts
+    update = np.repeat(np.arange(movers.size), counts)
+    player = members[np.arange(entries) + np.repeat(offsets[movers] - firsts, counts)]
+    keys = (update % num_replicas) * n + player
+    # one sort of (key, position) pairs: entries run step-major, so the
+    # entries of one key come out in step order.  Packing both into one
+    # int64 lets a plain value sort do it, several times faster than a
+    # stable argsort; the argsort is the fallback when the packing overflows.
+    if num_replicas * n * entries < 2**62:
+        packed = np.sort(keys * entries + np.arange(entries))
+        keys, order = np.divmod(packed, entries)
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    repeated = keys[1:] == keys[:-1]
+    shared = np.zeros(entries, dtype=bool)
+    shared[1:] = repeated
+    shared[:-1] |= repeated
+    # an entry alone under its key conflicts with nothing
+    order, keys = order[shared], keys[shared]
+    update = update[order]
+    writes = order == firsts[update]
+    m = keys.size
+    position = np.arange(m)
+    # latest write at or before each entry, and first write after it
+    last = np.maximum.accumulate(np.where(writes, position, -1))
+    after = np.full(m, m)
+    after[:-1] = np.minimum.accumulate(np.where(writes, position, m)[::-1])[::-1][1:]
+    prior = np.maximum(last, 0)
+    reads = ~writes & (last >= 0) & (keys[prior] == keys)
+    following = np.minimum(after, m - 1)
+    waits = (after < m) & (keys[following] == keys)
+    src = np.concatenate([update[prior[reads]], update[waits]])
+    dst = np.concatenate([update[reads], update[following[waits]]])
+    return src, dst
+
+
+def dependency_levels(movers: np.ndarray, num_replicas: int, neighbourhoods):
+    """Yield the updates of a pre-drawn sequential block, level by level.
+
+    ``movers`` is the ``(steps, R)`` block of moving players a
+    :class:`SequentialKernel` run drew; update ``u = t * R + r`` is
+    replica ``r``'s move at step ``t``.  On a CSR-structured game an update
+    of player ``i`` reads and writes only ``i``'s closed neighbourhood
+    (``neighbourhoods``, from :func:`closed_neighbourhoods`), so two
+    updates of one replica *conflict* when one mover lies in the other's
+    closed neighbourhood, while updates whose movers are at graph distance
+    2 or more commute — the independent-moves argument of the
+    concurrent-update analysis (arXiv 1207.2908).  An update's *level* is
+    one above the highest level of any earlier conflicting update of its
+    replica, 0 if there is none.  No two updates of a level conflict and
+    every update sits above all earlier updates it conflicts with, so
+    applying the levels in order, each as one batch, reproduces the
+    step-by-step trajectory exactly.
+
+    Yields one ``(k,)`` array of update ids per level, in level order.  One
+    sort of the block's closed-neighbourhood keys finds the conflicts
+    (:func:`_conflict_edges`); the levels are then peeled off the
+    conflict graph one layer at a time (Kahn's algorithm), so a block with
+    hundreds of levels — a star's hub, a small ring — costs one small step
+    per level, not a pass over the whole block per level.
+    """
+    size = movers.size
+    if movers.shape[0] == 1:
+        # one step's updates belong to different replicas: no conflicts
+        yield np.arange(size)
+        return
+    src, dst = _conflict_edges(movers.ravel(), num_replicas, neighbourhoods)
+    pending = np.bincount(dst, minlength=size)
+    out_degree = np.bincount(src, minlength=size)
+    stops = np.cumsum(out_degree)
+    successors = dst[np.argsort(src, kind="stable")]
+    level = np.flatnonzero(pending == 0)
+    while level.size:
+        yield level
+        counts = out_degree[level]
+        total = int(counts.sum())
+        if total == 0:
+            return
+        nxt = successors[
+            np.arange(total) + np.repeat(stops[level] - np.cumsum(counts), counts)
+        ]
+        np.subtract.at(pending, nxt, 1)
+        level = np.unique(nxt[pending[nxt] == 0])
+
+
 class SequentialKernel(UpdateKernel):
     """One uniformly random player revises per step (the paper's dynamics).
 
@@ -254,6 +391,28 @@ class SequentialKernel(UpdateKernel):
     def run_step(self, sim, t: int, draws) -> None:
         players, uniforms = draws
         sim._advance_batch(players[t], uniforms[t])
+
+    def run_block(self, sim, draws, start: int, stop: int) -> None:
+        """Advance all replicas through run steps ``start .. stop - 1``.
+
+        On the simulator's levelled path (numpy row-wise stepping of a
+        CSR-structured game) the block runs level by level
+        (:func:`dependency_levels`), one row-wise call per level over the
+        live strategy matrix, which reproduces the step-by-step trajectory
+        bit for bit; elsewhere it runs one step at a time.
+        """
+        if not sim._levelled:
+            super().run_block(sim, draws, start, stop)
+            return
+        if sim._neighbourhoods is None:
+            sim._neighbourhoods = closed_neighbourhoods(sim.game)
+        players, uniforms = draws
+        movers = players[start:stop]
+        flat = movers.ravel()
+        chances = uniforms[start:stop].ravel()
+        R = sim.num_replicas
+        for level in dependency_levels(movers, R, sim._neighbourhoods):
+            sim._advance_level(level % R, flat[level], chances[level])
 
     def step(self, sim, where: np.ndarray | None = None) -> None:
         k = sim.num_replicas if where is None else where.size

@@ -119,42 +119,54 @@ def _edge_potential_consistent_stack(
 
 
 class _RowwiseScratch:
-    """Reusable buffers for one row-wise deviation batch of ``k`` movers.
+    """Grow-only buffers for row-wise deviation batches of ``k`` movers.
 
-    Steady-state stepping calls :meth:`LocalInteractionGame.
-    utility_deviations_rowwise` once per step with the same batch size, so
-    every intermediate of the padded gather lives here and is reused —
-    the hot path allocates nothing after the first step.  Buffers are laid
-    out slot-major (``(D, k)``: padding slot first) so that the per-slot
-    gathers are contiguous writes and the final per-strategy reduction runs
-    over the leading axis — numpy accumulates leading-axis reductions
-    sequentially, which keeps the summation order (and hence the floats)
-    identical to the pre-scratch implementation for every degree.
+    :meth:`LocalInteractionGame.utility_deviations_rowwise` runs once per
+    engine step with a fixed batch size, or once per level of the engine's
+    level schedule with a size that changes from level to level.  Every
+    intermediate of the padded gather therefore lives in flat buffers that
+    only ever grow, and a call of size ``k`` works on contiguous views of
+    their leading entries: any ``k`` up to the capacity reuses the same
+    memory.  Views are laid out slot-major (``(D, k)``: padding slot
+    first) so that the per-slot gathers are contiguous writes.
     """
 
-    def __init__(self, k: int, D: int, n: int, m: int):
-        self.k = k
-        shape = (D, k)
-        self.nbr = np.empty(shape, dtype=np.int64)
-        self.eid = np.empty(shape, dtype=np.int64)
-        self.base = np.empty(shape, dtype=np.int64)
-        self.flat = np.empty(shape, dtype=np.int64)
-        self.strat = np.empty(shape, dtype=np.int64)
-        self.mask = np.empty(shape, dtype=float)
-        self.pick = np.empty(shape, dtype=float)
-        self.util = np.empty((k, m), dtype=float)
-        self.field = np.empty((k, m), dtype=float)
-        #: row start of each profile row in the flattened (k, n) matrix
-        self.row_offsets = (np.arange(k, dtype=np.int64) * n)[None, :]
-        self._strat_raw: dict[np.dtype, np.ndarray] = {}
+    def __init__(self, D: int, n: int, m: int):
+        self.D, self.n, self.m = D, n, m
+        self.capacity = -1
+        self.k = -1
 
-    def strat_raw(self, dtype: np.dtype) -> np.ndarray:
-        """Gather buffer matching the profile matrix dtype (int8/int16/...)."""
-        buf = self._strat_raw.get(dtype)
+    def fit(self, k: int) -> None:
+        """Point the views at the leading entries for a batch of ``k`` movers."""
+        if k == self.k:
+            return
+        D, m = self.D, self.m
+        if k > self.capacity:
+            self._ints = np.empty((4, D * k), dtype=np.int64)
+            self._floats = np.empty((3, D * k), dtype=float)
+            self._rows = np.empty((2, k * m), dtype=float)
+            #: row start of each profile row in a flattened (k, n) matrix
+            self._identity = np.arange(k, dtype=np.int64) * self.n
+            self._offsets = np.empty(k, dtype=np.int64)
+            self._gathered: dict[np.dtype, np.ndarray] = {}
+            self.capacity = k
+        self.nbr, self.eid, self.base, self.flat = (
+            buf[: D * k].reshape(D, k) for buf in self._ints
+        )
+        self.mask, self.pick, self.running = (
+            buf[: D * k].reshape(D, k) for buf in self._floats
+        )
+        self.util, self.field = (buf[: k * m].reshape(k, m) for buf in self._rows)
+        self.identity = self._identity[:k]
+        self.offsets = self._offsets[:k]
+        self.k = k
+
+    def gathered(self, dtype: np.dtype) -> np.ndarray:
+        """``(D, k)`` neighbour-strategy buffer in the profile matrix dtype."""
+        buf = self._gathered.get(dtype)
         if buf is None:
-            buf = np.empty(self.nbr.shape, dtype=dtype)
-            self._strat_raw[dtype] = buf
-        return buf
+            buf = self._gathered[dtype] = np.empty(self.D * self.capacity, dtype)
+        return buf[: self.D * self.k].reshape(self.D, self.k)
 
 
 class LocalInteractionGame(PotentialGame):
@@ -428,7 +440,10 @@ class LocalInteractionGame(PotentialGame):
         return utilities
 
     def utility_deviations_rowwise(
-        self, players: np.ndarray, profiles: np.ndarray
+        self,
+        players: np.ndarray,
+        profiles: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """``(k, m)`` deviation utilities, a *different mover per row*.
 
@@ -441,59 +456,69 @@ class LocalInteractionGame(PotentialGame):
         number of replicas is comparable to ``n`` (distinct movers almost
         everywhere).  Summation order per row matches the CSR order of
         :meth:`utility_deviations_profiles` (padding contributes exact
-        zeros at the tail), so both paths produce identical floats.
+        zeros at the tail), so both paths produce identical floats: the sum
+        over the slots is a running sum, sequential in slot order for every
+        ``k`` (a plain reduction over one row's slots would switch to
+        numpy's pairwise summation at ``k = 1``).
+
+        ``rows`` (``(k,)`` row indices) lets each mover read another row:
+        row ``j`` is then evaluated at ``profiles[rows[j]]``, and
+        ``profiles`` may have any number of rows.  The engine's level
+        schedule passes the live ``(R, n)`` strategy matrix this way, so a
+        level of ``k`` updates copies no ``(k, n)`` rows.
 
         Only games with a uniform strategy count per player can offer this
         (all rows share the ``m`` axis) — which local-interaction games do
         by construction.
 
-        The returned ``(k, m)`` array is a reusable per-game scratch buffer
-        (:class:`_RowwiseScratch`) — steady-state stepping is allocation-
-        free, and the values are only valid until the next call; copy them
-        to keep them across steps.
+        The returned ``(k, m)`` array is a view of a grow-only per-game
+        scratch buffer (:class:`_RowwiseScratch`) — steady-state stepping
+        reuses it, and the values are only valid until the next call; copy
+        them to keep them across steps.
         """
         p = np.asarray(players, dtype=np.int64)
         prof = np.asarray(profiles)
         k = p.shape[0]
         n = self.space.num_players
-        if prof.shape != (k, n):
+        if rows is None:
+            if prof.shape != (k, n):
+                raise ValueError(
+                    f"profiles must have shape ({k}, {n}), got {prof.shape}"
+                )
+        elif prof.ndim != 2 or prof.shape[1] != n or np.shape(rows) != (k,):
             raise ValueError(
-                f"profiles must have shape ({k}, {n}), got {prof.shape}"
+                f"with rows, profiles must have shape (R, {n}) and rows shape "
+                f"({k},); got {prof.shape} and {np.shape(rows)}"
             )
         if self.num_edges == 0:
             # nothing to gather (padding would index an empty edge stack)
             return self._field[p]
         m = int(self.space.num_strategies[0])
         s = self._rowwise_scratch
-        if s is None or s.k != k:
-            s = self._rowwise_scratch = _RowwiseScratch(
-                k, self._pad_nbr.shape[1], n, m
-            )
+        if s is None:
+            s = self._rowwise_scratch = _RowwiseScratch(self._pad_nbr.shape[1], n, m)
+        s.fit(k)
         # slot-major gathers of the movers' padded adjacency rows
         np.take(self._pad_nbr_t, p, axis=1, out=s.nbr)
         np.take(self._pad_edge_t, p, axis=1, out=s.eid)
         np.take(self._pad_mask_t, p, axis=1, out=s.mask)
-        # neighbor strategies: strat[d, j] = prof[j, nbr[d, j]], gathered
-        # through the flattened profile matrix (upcast through a dtype-
-        # matched raw buffer when the engine hands int8/int16 rows)
-        np.add(s.nbr, s.row_offsets, out=s.flat)
-        flat_prof = prof.ravel()
-        if prof.dtype == np.int64:
-            np.take(flat_prof, s.flat, out=s.strat)
-        else:
-            raw = s.strat_raw(prof.dtype)
-            np.take(flat_prof, s.flat, out=raw)
-            np.copyto(s.strat, raw)
+        # neighbor strategies: gathered[d, j] = prof[rows[j], nbr[d, j]]
+        # (rows[j] = j without rows), through the flattened profile matrix
+        offsets = s.identity if rows is None else np.multiply(rows, n, out=s.offsets)
+        np.add(s.nbr, offsets, out=s.flat)
+        gathered = s.gathered(prof.dtype)
+        np.take(prof.ravel(), s.flat, out=gathered)
         # flat payoff index of (edge, s, neighbor strategy) is
         # e*m*m + s*m + t; base holds the s = 0 plane
         np.multiply(s.eid, m * m, out=s.base)
-        np.add(s.base, s.strat, out=s.base)
+        np.add(s.base, gathered, out=s.base)
         for strategy in range(m):
-            # pick[d, j] = edge_payoffs[eid[d, j], strategy, strat[d, j]]
+            # pick[d, j] = edge_payoffs[eid[d, j], strategy, gathered[d, j]]
             np.add(s.base, strategy * m, out=s.flat)
             np.take(self._edge_payoffs_flat, s.flat, out=s.pick)
             np.multiply(s.pick, s.mask, out=s.pick)
-            np.sum(s.pick, axis=0, out=s.util[:, strategy])
+            np.add.accumulate(s.pick, axis=0, out=s.running)
+            s.util[:, strategy] = s.running[-1]
         np.take(self._field, p, axis=0, out=s.field)
         np.add(s.util, s.field, out=s.util)
         # the returned buffer is reused by the next call — callers that keep

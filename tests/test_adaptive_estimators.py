@@ -400,6 +400,19 @@ class TestStationaryWelfareEstimator:
         with pytest.raises(ValueError, match="precision"):
             estimate_stationary_welfare(ring6_game, 0.5, precision=0.0)
 
+    def test_tracer_and_backend_knobs_leave_samples_unchanged(self, ring6_game):
+        from repro.obs import Tracer
+
+        common = dict(num_steps=100, seed=4, num_replicas=24, chunk_size=8)
+        bare = estimate_stationary_welfare(ring6_game, 0.5, **common)
+        tracer = Tracer()
+        traced = estimate_stationary_welfare(
+            ring6_game, 0.5, tracer=tracer, backend="numpy", **common
+        )
+        np.testing.assert_array_equal(bare.samples, traced.samples)
+        assert tracer.counters["driver.samples"] == 24
+        assert tracer.counters["driver.chunks"] == 3
+
 
 class TestSweepPropagation:
     def test_hitting_size_sweep_adaptive_extras(self):

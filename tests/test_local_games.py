@@ -111,30 +111,41 @@ class TestUtilityPaths:
             )
 
     def test_rowwise_reuses_scratch_allocation_free(self, game, rng):
-        # perf regression guard: the padded-gather scratch must be hoisted
-        # into a per-state buffer — repeat same-batch-size calls return the
-        # same (reused) array object, with values identical to a fresh
-        # compute.  Callers consume the result before the next step, so
-        # aliasing is part of the documented contract.
-        k = 17
-        players = rng.integers(0, game.num_players, size=k)
-        profiles = game.space.decode_many(rng.integers(0, game.space.size, size=k))
+        # perf regression guard: the padded-gather scratch is hoisted into
+        # grow-only per-game buffers — a call with any batch size up to the
+        # largest seen so far works in the same memory, with values
+        # identical to a fresh per-player compute.  Callers consume the
+        # result before the next call, so aliasing is part of the
+        # documented contract.
+        n, capacity = game.num_players, 17
+
+        def fresh(players, profiles):
+            return np.stack([
+                game.utility_deviations_profiles(int(i), row[None, :])[0]
+                for i, row in zip(players, profiles)
+            ])
+
+        players = rng.integers(0, n, size=capacity)
+        profiles = game.space.decode_many(
+            rng.integers(0, game.space.size, size=capacity)
+        )
         first = game.utility_deviations_rowwise(players, profiles)
-        expected = first.copy()
-        players2 = rng.integers(0, game.num_players, size=k)
-        profiles2 = game.space.decode_many(
-            rng.integers(0, game.space.size, size=k)
-        )
-        second = game.utility_deviations_rowwise(players2, profiles2)
-        assert second is first  # scratch reused, not reallocated
-        third = game.utility_deviations_rowwise(players, profiles)
-        np.testing.assert_array_equal(third, expected)
-        # int8 strategy rows (what MatrixState stores) hit the same scratch
-        fourth = game.utility_deviations_rowwise(
-            players, profiles.astype(np.int8)
-        )
-        assert fourth is first
-        np.testing.assert_array_equal(fourth, expected)
+        np.testing.assert_array_equal(first, fresh(players, profiles))
+        for k in (1, 5, 16, capacity):
+            p = rng.integers(0, n, size=k)
+            prof = game.space.decode_many(rng.integers(0, game.space.size, size=k))
+            # int8 strategy rows (what MatrixState stores) use the same memory
+            for dtype in (np.int64, np.int8):
+                out = game.utility_deviations_rowwise(p, prof.astype(dtype))
+                assert out.shape == (k, 2)
+                assert np.shares_memory(out, first)  # reused, not reallocated
+                np.testing.assert_array_equal(out, fresh(p, prof))
+        # rows= reads each mover's row of a taller matrix, in the same memory
+        rows = rng.integers(0, capacity, size=9)
+        p = rng.integers(0, n, size=9)
+        out = game.utility_deviations_rowwise(p, profiles.astype(np.int8), rows)
+        assert np.shares_memory(out, first)
+        np.testing.assert_array_equal(out, fresh(p, profiles[rows]))
 
     def test_utility_profile_many_matches_scalar(self, game, rng):
         idx = rng.integers(0, game.space.size, size=9)

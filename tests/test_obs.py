@@ -302,6 +302,31 @@ def _bare_run(sim, num_steps):
         sim.kernel.run_step(sim, t, draws)
 
 
+class TestUniformKnobs:
+    def test_every_executor_entry_point_takes_tracer(self):
+        """Any public callable of ``repro`` that shards work (``executor=``)
+        can also trace it (``tracer=``)."""
+        import inspect
+
+        import repro
+
+        takers, missing = [], []
+        for name in repro.__all__:
+            obj = getattr(repro, name)
+            if not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):
+                continue
+            if "executor" in params:
+                takers.append(name)
+                if "tracer" not in params:
+                    missing.append(name)
+        assert "estimate_stationary_welfare" in takers
+        assert not missing, f"take executor= but not tracer=: {missing}"
+
+
 class TestNoOpOverhead:
     def test_default_tracer_is_the_null_singleton(self):
         game = IsingGame(nx.cycle_graph(16), coupling=1.0)

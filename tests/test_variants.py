@@ -9,16 +9,19 @@ from repro.core import LogitDynamics, gibbs_measure
 from repro.core.variants import (
     AnnealedLogitDynamics,
     BestResponseDynamics,
+    ConcurrentLogitDynamics,
     ParallelLogitDynamics,
     RoundRobinLogitDynamics,
 )
 from repro.games import (
     AnonymousDominantGame,
     CoordinationParams,
+    IsingGame,
     NormalFormGame,
     TwoPlayerCoordinationGame,
     TwoWellGame,
 )
+from repro.graphs import ring_graph
 from repro.markov.chain import is_stochastic_matrix
 
 
@@ -70,6 +73,40 @@ class TestParallelLogitDynamics:
     def test_negative_beta_rejected(self, ring5_ising_game):
         with pytest.raises(ValueError):
             ParallelLogitDynamics(ring5_ising_game, -1.0)
+
+
+class TestBetaValidation:
+    @pytest.mark.parametrize(
+        "dynamics",
+        [
+            LogitDynamics,
+            ParallelLogitDynamics,
+            ConcurrentLogitDynamics,
+            RoundRobinLogitDynamics,
+        ],
+    )
+    @pytest.mark.parametrize("beta", [-0.5, np.nan, np.inf, -np.inf])
+    def test_fixed_beta_dynamics_reject_negative_and_non_finite_beta(
+        self, ring5_ising_game, dynamics, beta
+    ):
+        with pytest.raises(ValueError, match="beta"):
+            dynamics(ring5_ising_game, beta)
+
+    def test_ising_ring_at_infinite_beta_fails_loud_instead_of_drifting(self):
+        """At beta = inf the softmax rows were NaN and the sampler mapped
+        them to strategy 0: a 6-ring Ising game started at the all-ones
+        strict equilibrium drifted to all-zeros within 200 steps."""
+        game = IsingGame(ring_graph(6), coupling=1.0)
+        with pytest.raises(ValueError, match="BestResponseDynamics"):
+            LogitDynamics(game, np.inf)
+        # the chain beta = inf stands for keeps the equilibrium absorbing
+        for state in ("index", "matrix"):
+            sim = BestResponseDynamics(game).ensemble(
+                16, start=np.ones(6, dtype=np.int64),
+                rng=np.random.default_rng(0), state=state,
+            )
+            sim.run(200)
+            assert np.all(sim.profiles == 1)
 
 
 class TestBestResponseDynamics:
