@@ -26,7 +26,6 @@ import numpy as np
 
 from ..core.logit import LogitDynamics
 from ..core.samplers import BurnInWelfareSampler
-from ..engine.backend import resolve_backend
 from ..engine.kernels import require_sequential_dynamics
 from ..games.base import Game, pure_nash_equilibria
 from ..games.space import DENSE_PROFILE_CAP
@@ -96,7 +95,6 @@ def estimate_stationary_welfare(
     executor=None,
     q: float | None = None,
     precision_quantile: float | None = None,
-    backend="numpy",
     tracer=None,
 ) -> StreamingEstimate:
     """Sampled ``E[W(X_T)]`` with an anytime-valid confidence interval.
@@ -139,17 +137,14 @@ def estimate_stationary_welfare(
     makes the tail interval a stopping target as well; both need a
     bounded ``support``.
 
-    ``backend`` (the engine's array backend) and ``tracer`` (telemetry,
-    :mod:`repro.obs`) work as on the sibling estimators
-    (:func:`~repro.core.metastability.empirical_hitting_times`): the
-    backend is resolved once here, so a numba-unavailable fallback warns
-    once and in this process, and the tracer receives the sample driver's
-    chunk and sample counters.  Neither changes a sample.
+    ``tracer`` (telemetry, :mod:`repro.obs`) works as on the sibling
+    estimators (:func:`~repro.core.metastability.empirical_hitting_times`):
+    it receives the sample driver's chunk and sample counters and never
+    changes a sample.
     """
     if dynamics is None:
         dynamics = LogitDynamics(game, beta)
     require_sequential_dynamics(dynamics)
-    backend = resolve_backend(backend, tracer=tracer)
     if precision is not None and precision <= 0:
         raise ValueError("precision must be positive (absolute welfare units)")
     if precision_quantile is not None and precision_quantile <= 0:
@@ -191,7 +186,7 @@ def estimate_stationary_welfare(
         cs = NormalMixtureCS(alpha=alpha)
     adaptive = precision is not None or precision_quantile is not None
     return run_until_width(
-        BurnInWelfareSampler(game, dynamics, start, int(num_steps), backend),
+        BurnInWelfareSampler(game, dynamics, start, int(num_steps)),
         target_width=float(precision) if precision is not None else 0.0,
         alpha=alpha,
         max_n=max_replicas if adaptive else num_replicas,

@@ -138,17 +138,13 @@ class BurnInWelfareSampler:
     dynamics: object
     start: object
     num_steps: int
-    #: the *resolved* array backend, as on the first-passage samplers
-    backend: object = "numpy"
 
     def __call__(self, children) -> np.ndarray:
         # imported lazily: analysis imports core, so a module-level import
         # here would be a cycle
         from ..analysis.welfare import welfare_of_profiles
 
-        sim = EnsembleSimulator.seeded(
-            self.dynamics, children, start=self.start, backend=self.backend
-        )
+        sim = EnsembleSimulator.seeded(self.dynamics, children, start=self.start)
         sim.run(self.num_steps)
         if self.game.space.fits_int64:
             return self.game.utility_profile_many(sim.indices).sum(axis=1)

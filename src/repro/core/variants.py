@@ -521,10 +521,17 @@ class AnnealedLogitDynamics(EngineBackedDynamics):
         return logit_update_distribution(utilities, beta)
 
     def update_distribution_rowwise_at(
-        self, beta: float, players: np.ndarray, profiles: np.ndarray
+        self,
+        beta: float,
+        players: np.ndarray,
+        profiles: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Batched logit rule at ``beta`` with a different mover per row."""
-        utilities = self.game.utility_deviations_rowwise(players, profiles)
+        """Batched logit rule at ``beta`` with a different mover per row.
+
+        ``rows`` as in :meth:`repro.core.logit.LogitRule.update_distribution_rowwise`.
+        """
+        utilities = self.game.utility_deviations_rowwise(players, profiles, rows)
         return logit_update_distribution(utilities, beta)
 
     def kernel(self) -> AnnealedKernel:

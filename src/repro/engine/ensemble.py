@@ -54,11 +54,11 @@ draws a run's whole ``(steps, R)`` block of movers and uniforms up front,
 and on a CSR-structured game an update reads only its mover's closed
 neighbourhood, so updates whose movers are at graph distance 2 or more
 commute.  :meth:`EnsembleSimulator.run` hands the kernel blocks of at most
-:data:`LEVEL_BLOCK_UPDATES` updates that end at recording boundaries, and
-the kernel runs each conflict-free *level* of a block as one row-wise call
-(:func:`repro.engine.kernels.dependency_levels`): the step-by-step
-trajectory, bit for bit, in a few calls per block instead of about a
-hundred per step.
+:data:`LEVEL_BLOCK_SLOTS` closed-neighbourhood slots that end at recording
+boundaries, and the kernel runs each conflict-free *level* of a block as
+one row-wise call (:func:`repro.engine.kernels.dependency_levels`): the
+step-by-step trajectory, bit for bit, in a few calls per block instead of
+about a hundred per step.
 """
 
 from __future__ import annotations
@@ -86,10 +86,15 @@ __all__ = ["EnsembleSimulator"]
 #: strategy-profile array to a ``(k,)`` boolean membership mask.
 ProfilePredicate = Callable[[np.ndarray], np.ndarray]
 
-#: most replica-updates one ``run_block`` call receives from
-#: :meth:`EnsembleSimulator.run`; bounds the level schedule's temporaries (a
-#: few int64 arrays per closed-neighbourhood entry of a block) to a few MB
-LEVEL_BLOCK_UPDATES = 1 << 15
+#: most closed-neighbourhood slots one ``run_block`` call of
+#: :meth:`EnsembleSimulator.run` spans: a block of ``steps`` steps over ``R``
+#: replicas whose updates touch at most ``w`` players each (mover plus
+#: padded neighbours) has ``steps * R * w`` of them.  The level schedule's
+#: temporaries — about fifteen int64 arrays per closed-neighbourhood entry,
+#: and the row-wise scratch's padded ``(max_degree, k)`` buffers for a level
+#: of ``k`` updates — are linear in the slots, so a block stays within
+#: about 20 MB on any graph
+LEVEL_BLOCK_SLOTS = 1 << 17
 
 
 class EnsembleSimulator:
@@ -293,12 +298,17 @@ class EnsembleSimulator:
         # an update reads only its mover's closed neighbourhood, so
         # SequentialKernel.run_block runs a pre-drawn block level by level
         # (kernels.dependency_levels); the neighbourhoods are built on the
-        # first such run
+        # first such run.  An update there spans its mover's slot plus the
+        # padded neighbour slots, which sizes run's blocks
         self._levelled = (
             self._rowwise_rule is not None
             and self._fused_rowwise is None
             and callable(getattr(self.game, "csr_arrays", None))
         )
+        self._update_slots = 1
+        if self._levelled:
+            csr_offsets = self.game.csr_arrays()[0]
+            self._update_slots = 1 + int(np.diff(csr_offsets).max(initial=0))
         self._neighbourhoods = None
         self._rows_all = np.arange(self.num_replicas, dtype=np.int64)
         if self.tracer.enabled:
@@ -501,13 +511,8 @@ class EnsembleSimulator:
                     return
             rowwise = self._rowwise_rule if at_beta is None else self._rowwise_rule_at
             if rowwise is not None:
-                batch = state.rowwise_view(where)
-                if at_beta is None:
-                    probs = rowwise(players, batch)
-                else:
-                    probs = rowwise(at_beta, players, batch)
-                chosen = sample_inverse_cdf(probs, uniforms)
-                state.set_strategies_rowwise(where, players, chosen)
+                rows = self._rows_all if where is None else where
+                self._advance_rows(rows, players, uniforms, at_beta)
                 return
             order = np.argsort(players, kind="stable")
             boundaries = np.flatnonzero(np.diff(players[order])) + 1
@@ -526,17 +531,27 @@ class EnsembleSimulator:
                 chosen = sample_inverse_cdf(probs, uniforms[group])
             state.put(sel, state.set_strategies(batch, player, chosen))
 
-    def _advance_level(
-        self, rows: np.ndarray, players: np.ndarray, uniforms: np.ndarray
+    def _advance_rows(
+        self,
+        rows: np.ndarray,
+        players: np.ndarray,
+        uniforms: np.ndarray,
+        at_beta: float | None = None,
     ) -> None:
-        """Apply one level of the level schedule as a batch of row-wise moves.
+        """Apply a batch of row-wise moves (one step, or one level).
 
         Replica ``rows[j]`` revises ``players[j]`` with ``uniforms[j]``.
         Every row reads the live strategy matrix (no row copies) and no row
-        of a level reads what another writes, so one row-wise rule call,
-        one inverse-CDF sample and one column write apply them all.
+        of the batch reads what another writes — distinct replicas in a
+        step, conflict-free updates in a level of the level schedule — so
+        one row-wise rule call, one inverse-CDF sample and one column write
+        apply them all.  ``at_beta`` as in :meth:`_advance_batch`.
         """
-        probs = self._rowwise_rule(players, self.state.matrix, rows)
+        matrix = self.state.matrix
+        if at_beta is None:
+            probs = self._rowwise_rule(players, matrix, rows)
+        else:
+            probs = self._rowwise_rule_at(at_beta, players, matrix, rows)
         chosen = sample_inverse_cdf(probs, uniforms)
         self.state.set_strategies_rowwise(rows, players, chosen)
 
@@ -556,9 +571,10 @@ class EnsembleSimulator:
         state.  Recording only copies the state array; it never touches the
         kernel's bookkeeping (round-robin cursor, annealed step counter), so
         snapshots cannot desync the dynamics.  The kernel advances the steps
-        in blocks (:meth:`~repro.engine.kernels.UpdateKernel.run_block`) of
-        at most :data:`LEVEL_BLOCK_UPDATES` replica-updates that end at
-        recording boundaries; on the numpy row-wise path of a CSR-structured
+        in blocks (:meth:`~repro.engine.kernels.UpdateKernel.run_block`)
+        that end at recording boundaries and span at most
+        :data:`LEVEL_BLOCK_SLOTS` closed-neighbourhood slots (one step at
+        least); on the numpy row-wise path of a CSR-structured
         game the sequential kernel runs each block level by level
         (:func:`~repro.engine.kernels.dependency_levels`), with the same
         trajectory, bit for bit, as stepping.
@@ -577,7 +593,8 @@ class EnsembleSimulator:
         if record_every is not None:
             record_every = max(int(record_every), 1)
             snapshots = [self.state.snapshot()]
-        block = max(1, LEVEL_BLOCK_UPDATES // self.num_replicas)
+        step_slots = self.num_replicas * self._update_slots
+        block = max(1, LEVEL_BLOCK_SLOTS // step_slots)
         start = 0
         while start < num_steps:
             stop = min(num_steps, start + block)

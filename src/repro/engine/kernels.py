@@ -412,7 +412,7 @@ class SequentialKernel(UpdateKernel):
         chances = uniforms[start:stop].ravel()
         R = sim.num_replicas
         for level in dependency_levels(movers, R, sim._neighbourhoods):
-            sim._advance_level(level % R, flat[level], chances[level])
+            sim._advance_rows(level % R, flat[level], chances[level])
 
     def step(self, sim, where: np.ndarray | None = None) -> None:
         k = sim.num_replicas if where is None else where.size

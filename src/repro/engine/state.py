@@ -331,8 +331,9 @@ class MatrixState(EngineState):
     def matrix(self) -> np.ndarray:
         """The live ``(R, n)`` strategy matrix (a view, not a copy).
 
-        Fused backend kernels mutate this in place; everything else should
-        go through :meth:`profiles_at` / :meth:`snapshot`, which copy.
+        Fused backend kernels mutate this in place and the row-wise rules
+        read it (without mutating it); everything else should go through
+        :meth:`profiles_at` / :meth:`snapshot`, which copy.
         """
         return self._matrix
 
@@ -380,18 +381,11 @@ class MatrixState(EngineState):
     #
     # When every selected replica revises its *own* player (the sequential
     # kernels with R distinct movers), per-player grouping degenerates into
-    # ~R groups of one replica each and Python overhead dominates.  These
-    # two hooks let the simulator read the live rows without copying and
-    # write each replica's mover column in one fancy assignment — a row
-    # only ever writes itself, so no take/put round-trip is needed.
-
-    def rowwise_view(self, where: np.ndarray | None) -> np.ndarray:
-        """Rows of the selected replicas for read-only rule evaluation.
-
-        A *view* of the live matrix when ``where`` is ``None`` (rules must
-        not mutate it), a fancy-indexed copy otherwise.
-        """
-        return self._matrix if where is None else self._matrix[where]
+    # ~R groups of one replica each and Python overhead dominates.  The
+    # simulator reads the live rows through ``matrix`` (the row-wise rules
+    # take the row each mover reads) and writes each replica's mover column
+    # in one fancy assignment — a row only ever writes itself, so no
+    # take/put round-trip is needed.
 
     def set_strategies_rowwise(
         self, where: np.ndarray | None, players: np.ndarray, strategies: np.ndarray

@@ -400,14 +400,14 @@ class TestStationaryWelfareEstimator:
         with pytest.raises(ValueError, match="precision"):
             estimate_stationary_welfare(ring6_game, 0.5, precision=0.0)
 
-    def test_tracer_and_backend_knobs_leave_samples_unchanged(self, ring6_game):
+    def test_tracer_knob_leaves_samples_unchanged(self, ring6_game):
         from repro.obs import Tracer
 
         common = dict(num_steps=100, seed=4, num_replicas=24, chunk_size=8)
         bare = estimate_stationary_welfare(ring6_game, 0.5, **common)
         tracer = Tracer()
         traced = estimate_stationary_welfare(
-            ring6_game, 0.5, tracer=tracer, backend="numpy", **common
+            ring6_game, 0.5, tracer=tracer, **common
         )
         np.testing.assert_array_equal(bare.samples, traced.samples)
         assert tracer.counters["driver.samples"] == 24

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,16 @@ from hypothesis import strategies as st
 
 from repro.core import LogitDynamics, logit_update_distribution
 from repro.engine import ensemble as ensemble_module
-from repro.engine.kernels import closed_neighbourhoods, dependency_levels
+from repro.engine.kernels import (
+    SequentialKernel,
+    closed_neighbourhoods,
+    dependency_levels,
+)
 from repro.engine.sampling import sample_inverse_cdf
 from repro.games import IsingGame, LocalInteractionGame
 from repro.graphs import (
     caterpillar_graph,
+    clique_graph,
     preferential_attachment_graph,
     ring_graph,
     small_world_graph,
@@ -127,10 +133,12 @@ def test_levelled_run_matches_scalar_loop(topology, family, replicas):
 
 @pytest.mark.parametrize("record_every", [None, 1, 7, 50])
 def test_blocks_end_at_record_and_size_boundaries(monkeypatch, record_every):
-    # 40 updates per block at R = 8: five-step blocks, the last one short
-    monkeypatch.setattr(ensemble_module, "LEVEL_BLOCK_UPDATES", 40)
     game = random_payoff_game(TOPOLOGIES["caterpillar"](0), 3)
     sim, start = levelled_sim(game, 8, seed=5)
+    # five steps' slots at R = 8: five-step blocks, the last one short
+    monkeypatch.setattr(
+        ensemble_module, "LEVEL_BLOCK_SLOTS", 5 * 8 * sim._update_slots
+    )
     out = sim.run(93, record_every=record_every)
     players, uniforms = draw_block(np.random.default_rng(5), 93, 8, game.num_players)
     traj = scalar_trajectory(game, start, players, uniforms)
@@ -143,15 +151,55 @@ def test_blocks_end_at_record_and_size_boundaries(monkeypatch, record_every):
 
 def test_run_longer_than_one_block():
     replicas = 64
-    steps = ensemble_module.LEVEL_BLOCK_UPDATES // replicas + 37
     game = random_payoff_game(TOPOLOGIES["ring"](0), 9, num_strategies=2)
     sim, start = levelled_sim(game, replicas, seed=6)
+    block = ensemble_module.LEVEL_BLOCK_SLOTS // (replicas * sim._update_slots)
+    steps = block + 37
     sim.run(steps)
     players, uniforms = draw_block(
         np.random.default_rng(6), steps, replicas, game.num_players
     )
     expected = scalar_trajectory(game, start, players, uniforms)[-1]
     np.testing.assert_array_equal(sim.profiles, expected)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        lambda: preferential_attachment_graph(2000, 3, rng=np.random.default_rng(0)),
+        lambda: clique_graph(300),
+    ],
+    ids=["preferential", "clique"],
+)
+def test_blocks_stay_within_the_slot_budget_on_high_degree_graphs(
+    monkeypatch, graph
+):
+    """Blocks shrink with the maximum degree, so the level schedule's
+    per-entry temporaries and the row-wise scratch (padded to the maximum
+    degree, one column per update of a level) stay bounded."""
+    game = IsingGame(graph(), coupling=1.0)
+    sim = LogitDynamics(game, 1.0).ensemble(
+        64, rng=np.random.default_rng(3), state="matrix"
+    )
+    spans = []
+    run_block = SequentialKernel.run_block
+
+    def recording(kernel, sim, draws, start, stop):
+        spans.append(stop - start)
+        run_block(kernel, sim, draws, start, stop)
+
+    monkeypatch.setattr(SequentialKernel, "run_block", recording)
+    tracemalloc.start()
+    try:
+        sim.run(96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = ensemble_module.LEVEL_BLOCK_SLOTS
+    assert sum(spans) == 96
+    assert max(spans) * 64 * sim._update_slots <= budget
+    assert game._rowwise_scratch.capacity * (sim._update_slots - 1) <= budget
+    assert peak < 32 * 2**20, f"run(96) peaked at {peak / 2**20:.0f} MB"
 
 
 def test_consecutive_runs_continue_the_stream():

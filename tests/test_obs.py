@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import LogitDynamics
+from repro.engine.ensemble import LEVEL_BLOCK_SLOTS
 from repro.games import IsingGame
 from repro.obs import (
     JsonlTraceSink,
@@ -296,10 +297,15 @@ class TestMemorySink:
 
 
 def _bare_run(sim, num_steps):
-    """EnsembleSimulator.run minus the instrumentation: the untraced baseline."""
+    """EnsembleSimulator.run minus the instrumentation: the untraced baseline.
+
+    The same pre-drawn block handed to the same ``run_block`` calls, so on
+    the levelled ring below both arms run the level schedule.
+    """
     draws = sim.kernel.begin_run(sim, num_steps)
-    for t in range(num_steps):
-        sim.kernel.run_step(sim, t, draws)
+    block = max(1, LEVEL_BLOCK_SLOTS // (sim.num_replicas * sim._update_slots))
+    for start in range(0, num_steps, block):
+        sim.kernel.run_block(sim, draws, start, min(num_steps, start + block))
 
 
 class TestUniformKnobs:
@@ -377,6 +383,8 @@ class TestNoOpOverhead:
             t0 = time.perf_counter()
             _bare_run(bare_sim, steps)
             bare.append(time.perf_counter() - t0)
+        # both arms did the same work: same schedule, same trajectory
+        np.testing.assert_array_equal(traced_sim.profiles, bare_sim.profiles)
         ratio = min(traced) / min(bare)
         assert ratio <= 1.0 + tolerance, (
             f"no-op tracer overhead {ratio - 1.0:.1%} exceeds the "
