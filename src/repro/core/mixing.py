@@ -18,6 +18,7 @@ Two measurement regimes are supported, mirroring DESIGN.md §6:
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
@@ -28,6 +29,7 @@ from ..engine.backend import resolve_backend
 from ..obs import as_tracer
 from ..engine.ensemble import EnsembleSimulator
 from ..engine.kernels import SeededSequentialKernel, require_sequential_dynamics
+from ..engine.state import IndexState
 from ..games.base import Game
 from ..games.potential import PotentialGame
 from ..markov.coupling import coalescence_time_bound
@@ -65,19 +67,6 @@ MAX_EXACT_PROFILES = 40_000
 SPARSE_HISTOGRAM_THRESHOLD = 1 << 20
 
 
-def _ensemble_tv(sim, reference: np.ndarray) -> float:
-    """TV distance between the ensemble's occupation and ``reference``.
-
-    Thin adapter over :func:`_tv_from_indices` — the serial and sharded
-    convergence drivers share one TV implementation by construction.
-    """
-    return _tv_from_indices(
-        np.asarray(sim.state.indices_at(None), dtype=np.int64),
-        reference,
-        sim.space.size,
-    )
-
-
 def _tv_from_indices(indices: np.ndarray, reference: np.ndarray, space_size: int) -> float:
     """TV distance between a replica occupation and ``reference``.
 
@@ -86,7 +75,8 @@ def _tv_from_indices(indices: np.ndarray, reference: np.ndarray, space_size: int
     frequencies ``p``, ``TV = (sum_{x in I} |p_x - ref_x| + (1 - sum_{x
     in I} ref_x)) / 2`` — exactly the dense formula with the
     zero-occupation terms folded into the reference tail.  Memory is then
-    ``O(R)`` regardless of ``|S|``.
+    ``O(R)`` regardless of ``|S|``.  The serial and sharded convergence
+    drivers share this one TV implementation by construction.
     """
     num_replicas = indices.size
     if space_size <= SPARSE_HISTOGRAM_THRESHOLD:
@@ -100,27 +90,35 @@ def _tv_from_indices(indices: np.ndarray, reference: np.ndarray, space_size: int
     )
 
 
-def _advance_tv_shard(dynamics, seeds, start, steps: int, backend="numpy"):
+def _advance_tv_shard(dynamics, streams, start, steps: int, backend="numpy"):
     """Advance one replica shard ``steps`` steps; module-level, picklable.
 
-    ``seeds`` is the shard's per-replica randomness — ``SeedSequence``
-    children on the first round, the previous round's generators (adopted
-    as-is, so every stream *continues*) afterwards — and ``start`` the
-    shared start on the first round, the shard's ``(R_shard, n)`` profile
-    rows afterwards.  ``backend`` is the *resolved* array backend shipped
-    from the coordinator (resolving in the parent keeps the numba-fallback
-    warning visible and one-shot instead of per-worker).  Returns
-    ``(generators, profiles, indices, seconds)``: the round-tripped shard
-    state, the profile indices the checkpoint TV is computed from, and the
-    worker wall-clock spent advancing — the coordinator's per-shard load
-    signal (carries no randomness, never affects results).
+    ``streams`` is the shard's per-replica randomness: ``(root, offset,
+    count)`` on the first round, from which the worker spawns its own
+    ``SeedSequence`` children (:meth:`~repro.engine.SeededSequentialKernel.
+    spawn_block`), and afterwards the ``bytes`` this function returned the
+    round before — the shard's pickled generators, adopted as-is so every
+    stream *continues*, and never decoded by the coordinator.  ``start``
+    is the caller's start (its own rows when it is per-replica) on the
+    first round, the shard's ``(R_shard, n)`` profile rows afterwards.
+    ``backend`` is the *resolved* array backend shipped from the
+    coordinator (resolving in the parent keeps the numba-fallback warning
+    visible and one-shot instead of per-worker).  Returns ``(streams,
+    profiles, indices, seconds)``: the next round's shard state, the
+    profile indices the checkpoint TV is computed from, and the worker
+    wall-clock spent advancing — the coordinator's per-shard load signal
+    (carries no randomness, never affects results).
     """
     tic = perf_counter()
+    seeds = (
+        pickle.loads(streams)
+        if isinstance(streams, bytes)
+        else SeededSequentialKernel.spawn_block(*streams)
+    )
     sim = EnsembleSimulator.seeded(dynamics, seeds, start=start, backend=backend)
-    if steps:
-        sim.run(steps)
+    sim.run(steps)
     return (
-        sim.kernel_state["generators"],
+        pickle.dumps(sim.kernel_state["generators"], pickle.HIGHEST_PROTOCOL),
         sim.profiles,
         np.asarray(sim.state.indices_at(None), dtype=np.int64),
         perf_counter() - tic,
@@ -256,66 +254,48 @@ class EnsembleMixingEstimate:
         return self.mixing_time_estimate
 
 
-def _estimate_tv_convergence_sharded(
-    dynamics,
-    reference: np.ndarray,
-    num_replicas: int,
-    epsilon: float,
-    start,
-    max_time: int,
-    check_every: int,
-    alpha: float | None,
-    seed,
-    executor,
-    backend="numpy",
-    tracer=None,
-) -> EnsembleMixingEstimate:
-    """Sharded-replica TV convergence: the ``executor=`` path.
+def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, backend, tracer):
+    """``(indices, advance)`` of the sharded TV driver: the ``executor=`` path.
 
     The ensemble is split into contiguous replica shards, each advanced in
     its own (possibly remote) process between checkpoints by
-    :func:`_advance_tv_shard`; the coordinator pools the shards' profile
-    indices at every checkpoint and applies the identical stopping logic.
-    Replica ``r`` draws all randomness from ``SeedSequence`` child ``r``
-    of the master ``seed`` (:meth:`~repro.engine.SeededSequentialKernel.
-    spawn_block`), so the pooled indices — hence the TV curve, the band
-    and the estimate — are bit-for-bit identical for **any** shard count
-    and backend.  Note the randomness contract differs from the
-    ``rng``-driven serial path (per-replica streams vs one shared stream,
-    and a fresh draw block after every checkpoint): results are
-    reproducible against the same ``seed`` and checkpoint schedule, not
-    against ``executor=None`` runs.
+    :func:`_advance_tv_shard`; ``advance(steps)`` is one ``map_tasks``
+    round and returns the shards' pooled profile indices, to which the
+    caller applies the identical stopping logic.  Replica ``r`` draws all
+    randomness from ``SeedSequence`` child ``r`` of the master ``seed``
+    (:meth:`~repro.engine.SeededSequentialKernel.spawn_block`), so the
+    pooled indices — hence the TV curve, the band and the estimate — are
+    bit-for-bit identical for **any** shard count and backend.  Note the
+    randomness contract differs from the ``rng``-driven serial path
+    (per-replica streams vs one shared stream, and a fresh draw block
+    after every checkpoint): results are reproducible against the same
+    ``seed`` and checkpoint schedule, not against ``executor=None`` runs.
+
+    ``indices`` — the t = 0 occupation — is the start itself, validated
+    and encoded here, so a bad start raises before any dispatch and a run
+    that converges at t = 0 dispatches nothing.  Between rounds the
+    coordinator keeps each shard's streams as the opaque bytes its worker
+    returned and never holds a ``Generator``.
     """
     require_sequential_dynamics(dynamics)
-    tracer = as_tracer(tracer)
-    space = dynamics.game.space
+    state = IndexState(dynamics.game.space)
+    state.init(num_replicas, start, None)
     root = (
         seed
         if isinstance(seed, np.random.SeedSequence)
         else np.random.SeedSequence(seed)
     )
-    children = SeededSequentialKernel.spawn_block(
-        root, root.n_children_spawned, num_replicas
-    )
     plan = shard_plan(num_replicas, executor.num_shards)
-    shard_seeds = [children[off : off + cnt] for off, cnt in plan]
-    shard_starts: list = [start] * len(plan)
-    curve: list[tuple[float, float]] = []
-    band: list[tuple[float, float]] = []
-    t = 0
-    steps = 0
-    converged = False
-    while True:
-        tasks = [
-            (dynamics, shard_seeds[j], shard_starts[j], steps, backend)
-            for j in range(len(plan))
-        ]
+    streams = [(root, root.n_children_spawned + off, cnt) for off, cnt in plan]
+    per_replica = np.ndim(start) == 2
+    starts = [start[off : off + cnt] if per_replica else start for off, cnt in plan]
+
+    def advance(steps: int) -> np.ndarray:
+        tasks = [(dynamics, s, x, steps, backend) for s, x in zip(streams, starts)]
         results = executor.map_tasks(_advance_tv_shard, tasks, tracer=tracer)
-        shard_seeds = [r[0] for r in results]
-        shard_starts = [r[1] for r in results]
-        indices = np.concatenate([r[2] for r in results])
-        t += steps
-        if tracer.enabled and steps:
+        for j, result in enumerate(results):
+            streams[j], starts[j] = result[0], result[1]
+        if tracer.enabled:
             # workers build their sims untraced, so the coordinator does
             # the counting: every shard advanced `steps` steps per replica
             tracer.count("engine.replica_steps", int(steps) * int(num_replicas))
@@ -324,7 +304,7 @@ def _estimate_tv_convergence_sharded(
                 tracer.event(
                     "shard.complete",
                     shard=j,
-                    replicas=len(shard_seeds[j]),
+                    replicas=plan[j][1],
                     steps=int(steps),
                     seconds=worker_seconds,
                 )
@@ -339,41 +319,9 @@ def _estimate_tv_convergence_sharded(
                 mean_seconds=mean,
                 imbalance=(max(seconds) / mean) if mean > 0 else 1.0,
             )
-        tv = _tv_from_indices(indices, reference, space.size)
-        curve.append((float(t), float(tv)))
-        if alpha is None:
-            converged = tv <= epsilon
-            if tracer.enabled:
-                tracer.event("mixing.checkpoint", t=int(t), tv=float(tv))
-        else:
-            lower, upper = tv_distance_band(
-                tv, num_replicas, space.size, checkpoint_alpha(len(curve), alpha)
-            )
-            band.append((lower, upper))
-            converged = upper <= epsilon
-            if tracer.enabled:
-                tracer.event(
-                    "mixing.checkpoint",
-                    t=int(t),
-                    tv=float(tv),
-                    lower=float(lower),
-                    upper=float(upper),
-                )
-        if converged or t >= max_time:
-            break
-        steps = min(check_every, max_time - t)
-    return EnsembleMixingEstimate(
-        mixing_time_estimate=int(t) if converged else -1,
-        epsilon=epsilon,
-        num_replicas=int(num_replicas),
-        check_every=check_every,
-        tv_curve=np.asarray(curve, dtype=float),
-        capped=not converged,
-        final_indices=indices,
-        converged=converged,
-        alpha=alpha,
-        tv_band=np.asarray(band, dtype=float) if alpha is not None else None,
-    )
+        return np.concatenate([r[2] for r in results])
+
+    return state.indices_at(None), advance
 
 
 def estimate_tv_convergence(
@@ -436,8 +384,9 @@ def estimate_tv_convergence(
     advanced in its own process between checkpoints, with one independent
     ``SeedSequence`` child per replica spawned from ``seed``.  Pooled
     checkpoint histograms — and therefore the whole estimate — are
-    bit-for-bit identical for every shard count, so the shard count is
-    purely a wall-clock knob.  Sharded mode requires a dynamics whose
+    bit-for-bit identical for every shard count (an ``(R, n)`` start hands
+    each shard its own rows), so the shard count is purely a wall-clock
+    knob.  Sharded mode requires a dynamics whose
     kernel has a seeded per-replica-stream variant (sequential, parallel
     or probabilistic schedules) and is seeded by ``seed``, not ``rng``;
     its randomness contract differs from the ``rng``-driven serial path,
@@ -468,80 +417,78 @@ def estimate_tv_convergence(
         start = int(np.argmax(reference))
     elif not isinstance(start, (int, np.integer)):
         start = np.asarray(start, dtype=np.int64)
-    tracer = as_tracer(tracer)
-    backend = resolve_backend(backend, tracer=tracer)
-    sharder, owned = claim_executor(executor)
-    if sharder is not None:
-        reject_rng_with_sharded_driver(rng)
-        if check_every is None:
-            check_every = max(1, space.num_players)
-        try:
-            return _estimate_tv_convergence_sharded(
-                dynamics,
-                reference,
-                int(num_replicas),
-                epsilon,
-                start,
-                int(max_time),
-                max(int(check_every), 1),
-                alpha,
-                seed,
-                sharder,
-                backend,
-                tracer,
-            )
-        finally:
-            if owned:
-                sharder.close()
-    reject_seed_without_sharded_driver(seed)
-    sim = dynamics.ensemble(
-        num_replicas, start=start, rng=rng, mode=mode, backend=backend, tracer=tracer
-    )
-    budget = sim.kernel.remaining_steps(sim)
-    if budget is not None:
-        max_time = min(int(max_time), budget)
     if check_every is None:
         check_every = max(1, space.num_players)
     check_every = max(int(check_every), 1)
-
-    curve: list[tuple[float, float]] = []
-    band: list[tuple[float, float]] = []
-    t = 0
-    converged = False
-    while True:
-        tv = _ensemble_tv(sim, reference)
-        curve.append((float(t), float(tv)))
-        if alpha is None:
-            converged = tv <= epsilon
-            if tracer.enabled:
-                tracer.event("mixing.checkpoint", t=int(t), tv=float(tv))
-        else:
-            lower, upper = tv_distance_band(
-                tv, num_replicas, space.size, checkpoint_alpha(len(curve), alpha)
+    num_replicas, max_time = int(num_replicas), int(max_time)
+    tracer = as_tracer(tracer)
+    backend = resolve_backend(backend, tracer=tracer)
+    sharder, owned = claim_executor(executor)
+    try:
+        if sharder is None:
+            reject_seed_without_sharded_driver(seed)
+            sim = dynamics.ensemble(
+                num_replicas,
+                start=start,
+                rng=rng,
+                mode=mode,
+                backend=backend,
+                tracer=tracer,
             )
-            band.append((lower, upper))
-            converged = upper <= epsilon
-            if tracer.enabled:
-                tracer.event(
-                    "mixing.checkpoint",
-                    t=int(t),
-                    tv=float(tv),
-                    lower=float(lower),
-                    upper=float(upper),
+            budget = sim.kernel.remaining_steps(sim)
+            if budget is not None:
+                max_time = min(max_time, budget)
+            indices = sim.indices
+
+            def advance(steps: int) -> np.ndarray:
+                sim.run(steps)
+                return sim.indices
+
+        else:
+            reject_rng_with_sharded_driver(rng)
+            indices, advance = _sharded_tv_stepper(
+                dynamics, num_replicas, start, seed, sharder, backend, tracer
+            )
+        curve: list[tuple[float, float]] = []
+        band: list[tuple[float, float]] = []
+        t = 0
+        while True:
+            tv = _tv_from_indices(indices, reference, space.size)
+            curve.append((float(t), float(tv)))
+            if alpha is None:
+                converged = tv <= epsilon
+                if tracer.enabled:
+                    tracer.event("mixing.checkpoint", t=int(t), tv=float(tv))
+            else:
+                lower, upper = tv_distance_band(
+                    tv, num_replicas, space.size, checkpoint_alpha(len(curve), alpha)
                 )
-        if converged or t >= max_time:
-            break
-        steps = min(check_every, max_time - t)
-        sim.run(steps)
-        t += steps
+                band.append((lower, upper))
+                converged = upper <= epsilon
+                if tracer.enabled:
+                    tracer.event(
+                        "mixing.checkpoint",
+                        t=int(t),
+                        tv=float(tv),
+                        lower=float(lower),
+                        upper=float(upper),
+                    )
+            if converged or t >= max_time:
+                break
+            steps = min(check_every, max_time - t)
+            indices = advance(steps)
+            t += steps
+    finally:
+        if owned:
+            sharder.close()
     return EnsembleMixingEstimate(
         mixing_time_estimate=int(t) if converged else -1,
         epsilon=epsilon,
-        num_replicas=int(num_replicas),
+        num_replicas=num_replicas,
         check_every=check_every,
         tv_curve=np.asarray(curve, dtype=float),
         capped=not converged,
-        final_indices=sim.indices,
+        final_indices=indices,
         converged=converged,
         alpha=alpha,
         tv_band=np.asarray(band, dtype=float) if alpha is not None else None,

@@ -5,6 +5,7 @@ This module backs ``tools/trace_summary.py``.  It parses trace files
 exceptions — then reconstructs, per run: the manifest, final counter
 totals, timer aggregates, throughput (replica-steps per engine-run
 second), shard balance (per-shard wall-clock and load-imbalance ratios),
+shard dispatch overhead (dispatch wall-clock beyond the workers' share),
 store hit rate, and the CS-width-vs-n convergence curve of every traced
 consumer.
 
@@ -46,6 +47,9 @@ class RunSummary:
     shard_seconds: dict = field(default_factory=dict)
     # per-dispatch imbalance ratios (max/mean shard seconds)
     imbalance: list = field(default_factory=list)
+    # total shard.dispatch wall-clock and the widest dispatch (tasks)
+    dispatch_seconds: float = 0.0
+    shards: int = 0
     # (cell, provenance) lifecycle tags from sweep.cell events
     cells: list = field(default_factory=list)
     events: int = 0
@@ -65,6 +69,14 @@ class RunSummary:
         if seconds <= 0 or self.replica_steps <= 0:
             return None
         return self.replica_steps / seconds
+
+    @property
+    def dispatch_overhead(self) -> float | None:
+        """Dispatch wall-clock minus worker seconds per shard, if traced."""
+        if not self.shards:
+            return None
+        worker = float(self.counters.get("shard.worker_seconds", 0.0))
+        return self.dispatch_seconds - worker / self.shards
 
     @property
     def store_hit_rate(self) -> float | None:
@@ -181,7 +193,10 @@ def summarize_runs(events) -> dict:
                 bucket = summary.shard_seconds.setdefault(str(label), [0, 0.0])
                 bucket[0] += 1
                 bucket[1] += float(payload.get("seconds", 0.0))
-            elif name in ("shard.chunk", "shard.dispatch"):
+            elif name == "shard.dispatch":
+                summary.dispatch_seconds += float(payload.get("seconds", 0.0))
+                summary.shards = max(summary.shards, int(payload.get("tasks", 0)))
+            elif name == "shard.chunk":
                 ratio = payload.get("imbalance")
                 if ratio is not None:
                     summary.imbalance.append(float(ratio))
@@ -249,6 +264,14 @@ def render_run_summary(summary: RunSummary) -> str:
                 f"load imbalance (max/mean shard seconds per dispatch): "
                 f"worst={worst:.2f} mean={mean:.2f}"
             )
+    overhead = summary.dispatch_overhead
+    if overhead is not None:
+        worker = float(summary.counters.get("shard.worker_seconds", 0.0))
+        lines.append(
+            f"shard dispatch: wall={_fmt_seconds(summary.dispatch_seconds)} "
+            f"worker={_fmt_seconds(worker)} overhead={_fmt_seconds(overhead)} "
+            f"(dispatch - worker / {summary.shards} shards)"
+        )
     if summary.cells:
         rows = [[cell, provenance or "fresh"] for cell, provenance in summary.cells]
         lines.append(render_table(["cell", "provenance"], rows))

@@ -401,15 +401,20 @@ def as_executor(executor) -> ShardedExecutor | None:
     Accepts ``None`` (no sharding — the caller's serial fast path), an
     existing :class:`ShardedExecutor` (returned as-is), or a string:
     ``"serial"`` (one in-process shard — the reference semantics) and
-    ``"process"`` (a process pool with one shard per available CPU, as
-    reported by ``os.cpu_count``).
+    ``"process"`` (a process pool with one shard per CPU this process may
+    run on: ``os.sched_getaffinity`` where the platform has it, so an
+    affinity-restricted container is not over-subscribed, else
+    ``os.cpu_count``).
     """
     if executor is None or isinstance(executor, ShardedExecutor):
         return executor
     if executor == "serial":
         return ShardedExecutor(num_shards=1, backend="serial")
     if executor == "process":
-        workers = max(os.cpu_count() or 1, 1)
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = max(os.cpu_count() or 1, 1)
         return ShardedExecutor(num_shards=workers, backend="process")
     raise ValueError(
         f"unknown executor {executor!r}; pass None, 'serial', 'process', "

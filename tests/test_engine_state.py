@@ -268,7 +268,7 @@ class TestSparseOccupation:
         np.testing.assert_array_equal(pcounts[order], counts)
 
     def test_sparse_tv_routing_matches_dense(self, ring7_game):
-        from repro.core.mixing import _ensemble_tv
+        from repro.core.mixing import _tv_from_indices
         from repro.markov.tv import total_variation
         from repro.core import gibbs_measure
 
@@ -282,7 +282,9 @@ class TestSparseOccupation:
         emp = counts / sim.num_replicas
         sparse = 0.5 * (np.abs(emp - pi[occupied]).sum() + (1.0 - pi[occupied].sum()))
         assert sparse == pytest.approx(dense, abs=1e-12)
-        assert _ensemble_tv(sim, pi) == pytest.approx(dense, abs=1e-12)
+        assert _tv_from_indices(sim.indices, pi, sim.space.size) == pytest.approx(
+            dense, abs=1e-12
+        )
 
 
 class TestInt64Boundaries:

@@ -269,6 +269,29 @@ class TestSummary:
         summary = summarize_runs(tracer.events)["abc"]
         assert summary.store_hit_rate == pytest.approx(0.75)
 
+    def test_dispatch_overhead_from_synthetic_events(self):
+        tracer = Tracer(run_id="abc")
+        # two 2-shard dispatches: 1.5 s of wall-clock against 2.0 s of
+        # worker time, i.e. 1.0 s per shard, so 0.5 s spent dispatching
+        tracer.event("shard.dispatch", tasks=2, backend="process", seconds=0.75)
+        tracer.event("shard.dispatch", tasks=2, backend="process", seconds=0.75)
+        tracer.count("shard.worker_seconds", 1.2)
+        tracer.count("shard.worker_seconds", 0.8)
+        summary = summarize_runs(tracer.events)["abc"]
+        assert summary.dispatch_seconds == pytest.approx(1.5)
+        assert summary.shards == 2
+        assert summary.dispatch_overhead == pytest.approx(0.5)
+        text = render_run_summary(summary)
+        assert "shard dispatch: wall=1.500s worker=2.000s overhead=0.500s" in text
+        assert "(dispatch - worker / 2 shards)" in text
+
+    def test_no_dispatch_no_overhead_line(self):
+        tracer = Tracer(run_id="abc")
+        tracer.count("shard.worker_seconds", 1.0)
+        summary = summarize_runs(tracer.events)["abc"]
+        assert summary.dispatch_overhead is None
+        assert "shard dispatch" not in render_run_summary(summary)
+
     def test_render_contains_key_sections(self):
         tracer = Tracer(run_id="abc")
         tracer.count("engine.replica_steps", 1000)

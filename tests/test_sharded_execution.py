@@ -10,6 +10,8 @@ of its own ``SeedSequence`` child.
 
 from __future__ import annotations
 
+import hashlib
+import os
 from dataclasses import dataclass
 
 import networkx as nx
@@ -19,6 +21,7 @@ import pytest
 from repro.core.metastability import empirical_escape_times, empirical_hitting_times
 from repro.core.mixing import estimate_mixing_time_ensemble, estimate_tv_convergence
 from repro.analysis.welfare import estimate_stationary_welfare
+from repro.core import ParallelLogitDynamics
 from repro.core.logit import LogitDynamics
 from repro.engine.kernels import SeededSequentialKernel
 from repro.games import IsingGame, TwoWellGame
@@ -213,6 +216,157 @@ def test_tv_convergence_sharded_band_invariance():
     assert runs[0].mixing_time_estimate == runs[1].mixing_time_estimate
 
 
+class CountingExecutor(ShardedExecutor):
+    """Serial executor that records every ``map_tasks`` batch."""
+
+    def __init__(self, num_shards):
+        super().__init__(num_shards)
+        self.batches = []
+
+    def map_tasks(self, fn, tasks, tracer=None):
+        self.batches.append(len(tasks))
+        return super().map_tasks(fn, tasks, tracer=tracer)
+
+
+def ring6_tv(dynamics_cls, executor, **overrides):
+    game = IsingGame(nx.cycle_graph(6), coupling=1.0)
+    pi = LogitDynamics(game, 0.5).stationary_distribution()
+    knobs = dict(
+        num_replicas=96,
+        epsilon=0.2,
+        start=0,
+        max_time=48,
+        check_every=8,
+        seed=2024,
+        executor=executor,
+    )
+    knobs.update(overrides)
+    return estimate_tv_convergence(dynamics_cls(game, 0.5), pi, **knobs)
+
+
+# Pinned from the driver that shipped per-replica generators through every
+# round: the sharded randomness contract (SeedSequence child per replica,
+# fresh draw block after every checkpoint) must not drift.
+GOLDEN_TV = {
+    LogitDynamics: (
+        [
+            0.8488166539671641,
+            0.6015132737420049,
+            0.4201383247098188,
+            0.3656174910024331,
+            0.28269842322586547,
+            0.24764709965557166,
+            0.22507519707794232,
+        ],
+        "02128201f2c4b44d48b8e469d40214121107561f7b514f30c26b0b0b6a347a97",
+    ),
+    ParallelLogitDynamics: (
+        [
+            0.8488166539671641,
+            0.5055933050930481,
+            0.533328500766479,
+            0.5549076188544535,
+            0.43693722750759206,
+            0.46706855037563005,
+            0.5253079612944195,
+        ],
+        "583cde3459420fa3bd586e0cd8a843ba5e7474543cb66b72f6e3491525a805eb",
+    ),
+}
+
+
+@pytest.mark.parametrize("dynamics_cls", [LogitDynamics, ParallelLogitDynamics])
+def test_tv_convergence_sharded_golden(dynamics_cls):
+    tv, digest = GOLDEN_TV[dynamics_cls]
+    est = ring6_tv(dynamics_cls, ShardedExecutor(2))
+    expected = np.column_stack([np.arange(0.0, 49.0, 8.0), tv])
+    np.testing.assert_array_equal(est.tv_curve, expected)
+    assert est.final_indices.dtype == np.int64
+    assert hashlib.sha256(est.final_indices.tobytes()).hexdigest() == digest
+    assert est.mixing_time_estimate == -1
+
+
+def test_tv_convergence_dispatches_once_per_checkpoint_after_t0():
+    executor = CountingExecutor(3)
+    est = ring6_tv(LogitDynamics, executor)
+    assert executor.batches == [3] * (len(est.tv_curve) - 1)
+    executor = CountingExecutor(3)
+    est = ring6_tv(LogitDynamics, executor, max_time=0)
+    assert executor.batches == []
+    assert est.tv_curve.shape == (1, 2)
+    np.testing.assert_array_equal(est.final_indices, np.zeros(96, dtype=np.int64))
+
+
+def test_tv_convergence_at_t0_dispatches_nothing():
+    game = IsingGame(nx.cycle_graph(6), coupling=1.0)
+    point = np.zeros(game.space.size)
+    point[5] = 1.0
+    executor = CountingExecutor(2)
+    est = estimate_tv_convergence(
+        LogitDynamics(game, 0.5),
+        point,
+        num_replicas=16,
+        start=5,
+        seed=1,
+        executor=executor,
+    )
+    assert executor.batches == []
+    assert est.converged and est.mixing_time_estimate == 0
+
+
+def test_tv_convergence_per_replica_start_shard_invariance():
+    game = IsingGame(nx.cycle_graph(4), coupling=1.0)
+    dynamics = LogitDynamics(game, 0.4)
+    pi = dynamics.stationary_distribution()
+    start = np.random.default_rng(5).integers(0, 2, size=(8, 4))
+    runs = {
+        k: estimate_tv_convergence(
+            dynamics,
+            pi,
+            num_replicas=8,
+            start=start,
+            max_time=40,
+            check_every=4,
+            epsilon=0.05,
+            seed=9,
+            executor=ShardedExecutor(k),
+        )
+        for k in (1, 3, 8)
+    }
+    # t = 0 is the occupation of the given rows, not of a shared start
+    counts = np.bincount(game.space.encode_many(start), minlength=game.space.size)
+    tv0 = 0.5 * np.abs(counts / 8 - pi).sum()
+    assert runs[1].tv_curve[0, 1] == pytest.approx(tv0)
+    for k in (3, 8):
+        np.testing.assert_array_equal(runs[1].tv_curve, runs[k].tv_curve)
+        np.testing.assert_array_equal(runs[1].final_indices, runs[k].final_indices)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        16,  # profile index past the 2**4 profiles
+        np.array([0, 2, 0, 0]),  # strategy 2 of a 2-strategy player
+        np.zeros((7, 4), dtype=np.int64),  # 7 rows for 8 replicas
+    ],
+)
+def test_tv_convergence_bad_start_raises_before_dispatch(start):
+    game = IsingGame(nx.cycle_graph(4), coupling=1.0)
+    dynamics = LogitDynamics(game, 0.4)
+    executor = CountingExecutor(2)
+    with pytest.raises(ValueError, match="start"):
+        estimate_tv_convergence(
+            dynamics,
+            dynamics.stationary_distribution(),
+            num_replicas=8,
+            start=start,
+            max_time=8,
+            seed=1,
+            executor=executor,
+        )
+    assert executor.batches == []
+
+
 # ---------------------------------------------------------------------------
 # the process backend
 # ---------------------------------------------------------------------------
@@ -307,6 +461,14 @@ def test_as_executor_normalisation():
     assert as_executor("process").backend == "process"
     with pytest.raises(ValueError):
         as_executor("threads")
+
+
+def test_process_executor_sized_by_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert as_executor("process").num_shards == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert as_executor("process").num_shards == 64
 
 
 def test_sharded_executor_validation():
