@@ -244,9 +244,9 @@ def ring6_tv(dynamics_cls, executor, **overrides):
     return estimate_tv_convergence(dynamics_cls(game, 0.5), pi, **knobs)
 
 
-# Pinned from the driver that shipped per-replica generators through every
-# round: the sharded randomness contract (SeedSequence child per replica,
-# fresh draw block after every checkpoint) must not drift.
+# Pinned values of the sharded randomness contract (SeedSequence child per
+# replica, fresh draw block after every checkpoint): a drift here would
+# silently invalidate every cached sharded cell.
 GOLDEN_TV = {
     LogitDynamics: (
         [
