@@ -37,11 +37,13 @@ and two execution modes:
 * *matrix-free* — utilities are produced on demand per step; memory is
   ``O(R * m)`` (plus ``O(R * n)`` state) regardless of the profile-space
   size;
-* *gather* (small-space mode, index state only) — each player's full
+* *gather* (small-space mode, index state only) — every player's full
   update matrix ``sigma_i(. | x)`` over all profiles is precomputed once
-  (cumulative sums included), after which a step is a pure indexed gather
-  with no utility or softmax work at all.  Worth it whenever ``|S|`` fits
-  in memory and many steps are simulated, which is the common
+  into one padded cumulative table plus the matching next-profile table,
+  after which a step is one table lookup, one inverse-CDF sample and one
+  index write for the whole batch, whatever the movers — no utility or
+  softmax work and no per-player grouping.  Worth it whenever ``|S|``
+  fits in memory and many steps are simulated, which is the common
   benchmarking regime.  Only legal for kernels whose update rows are
   time-invariant (:attr:`~repro.engine.kernels.UpdateKernel.supports_gather`).
 
@@ -258,7 +260,7 @@ class EnsembleSimulator:
                 f"space has {self.space.size} profiles; use matrix_free"
             )
         self.mode = mode
-        self._cum_cache: dict[int, np.ndarray] = {}
+        self._gather: tuple[np.ndarray, np.ndarray] | None = None
         # Row-wise fast path: on the matrix backend, games with uniform
         # strategy counts that expose utility_deviations_rowwise (local-
         # interaction games) let a step with k distinct movers run as ONE
@@ -453,14 +455,27 @@ class EnsembleSimulator:
 
     # -- stepping ---------------------------------------------------------
 
-    def _cumulative_update_matrix(self, player: int) -> np.ndarray:
-        """Cached ``(|S|, m_player)`` cumulative update probabilities."""
-        cum = self._cum_cache.get(player)
-        if cum is None:
-            probs = self.kernel.rule.player_update_matrix(player)
-            cum = np.cumsum(probs, axis=1)
-            self._cum_cache[player] = cum
-        return cum
+    def _gather_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gather-mode ``(cum, next)`` tables, built on first use.
+
+        Both are ``(n, |S|, m_max)``: ``cum[i, x]`` holds the cumulative
+        sums of ``sigma_i(. | x)`` with player ``i``'s own last column and
+        every padding column set to ``+inf``, so the inverse-CDF count can
+        never pass ``i``'s last strategy (the round-off clamp, per player);
+        ``next[i, x, s]`` is the profile index with ``i`` switched to
+        ``s`` (``-1`` in the unreachable padding).
+        """
+        if self._gather is None:
+            counts = self.space.num_strategies
+            shape = (len(counts), self.space.size, max(counts))
+            cum = np.full(shape, np.inf)
+            nxt = np.full(shape, -1, dtype=np.int64)
+            for player, m in enumerate(counts):
+                probs = self.kernel.rule.player_update_matrix(player)
+                cum[player, :, : m - 1] = np.cumsum(probs, axis=1)[:, :-1]
+                nxt[player, :, :m] = self.space.deviation_matrix(player)
+            self._gather = cum, nxt
+        return self._gather
 
     def _sample_moves(
         self, player: int, batch: np.ndarray, uniforms: np.ndarray
@@ -473,7 +488,7 @@ class EnsembleSimulator:
         row-wise inverse CDF.
         """
         if self.mode == "gather":
-            cum = self._cumulative_update_matrix(player)[batch]
+            cum = self._gather_tables()[0][player, batch]
             return sample_from_cumulative(cum, uniforms)
         probs = self.state.rule_rows(self.kernel.rule, player, batch)
         return sample_inverse_cdf(probs, uniforms)
@@ -492,14 +507,23 @@ class EnsembleSimulator:
         ``at_beta`` evaluates the rule at an explicit inverse noise instead
         of its own (the annealed kernel passes its current ``beta_t``).
 
-        On the matrix state backend with a row-wise-capable game the whole
+        In gather mode the whole batch advances through the precomputed
+        tables (:meth:`_gather_tables`): one lookup of the cumulative rows,
+        one inverse-CDF sample, one next-profile lookup and one write.  On
+        the matrix state backend with a row-wise-capable game the whole
         batch advances as one vectorised call; otherwise replicas are
         grouped by moving player (one stable argsort) and each group gets
-        one batched rule evaluation.  Both paths produce float-identical
+        one batched rule evaluation.  All paths produce float-identical
         move distributions and consume the same uniforms per replica, so
         trajectories do not depend on which one ran.
         """
         state = self.state
+        if self.mode == "gather":
+            cum, nxt = self._gather_tables()
+            batch = state.take(where)
+            chosen = sample_from_cumulative(cum[players, batch], uniforms)
+            state.put(where, nxt[players, batch, chosen])
+            return
         if players.size > 1:
             if self._fused_rowwise is not None:
                 beta = (
@@ -630,6 +654,8 @@ class EnsembleSimulator:
         search is clamped to the remaining schedule, so exhaustion reads as
         ``-1`` (not reached) rather than a mid-run error.
         """
+        if max_steps < 0:
+            raise ValueError("max_steps must be non-negative")
         tracer = self.tracer
         tic = perf_counter() if tracer.enabled else 0.0
         advanced = 0
@@ -666,7 +692,8 @@ class EnsembleSimulator:
         ``(k, n)`` strategy profiles of the queried replicas and returns a
         ``(k,)`` boolean mask.  Predicates are the only target form that
         works past the int64 profile-index ceiling (e.g. a magnetization
-        threshold on a 1000-player local-interaction game).
+        threshold on a 1000-player local-interaction game).  Index targets
+        outside ``[0, |S|)`` raise rather than read as never reached.
         """
         if callable(targets):
             predicate = targets
@@ -674,6 +701,13 @@ class EnsembleSimulator:
                 np.asarray(predicate(self.state.profiles_at(sel)), dtype=bool)
             )
         target_arr = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+        if target_arr.size and (
+            target_arr.min() < 0 or int(target_arr.max()) >= self.space.size
+        ):
+            raise ValueError(
+                f"target profile indices must lie in [0, {self.space.size}), "
+                f"got values from {target_arr.min()} to {target_arr.max()}"
+            )
         if target_arr.size == 1:
             target = int(target_arr[0])
             return lambda sel: self.state.indices_at(sel) == target
@@ -691,7 +725,8 @@ class EnsembleSimulator:
         ``(k, n)`` strategy profiles of the queried replicas to a ``(k,)``
         boolean mask.  Predicates never touch profile indices, so they are
         the target form to use on spaces beyond int64.  Replicas already at
-        a target report 0.
+        a target report 0.  Index targets outside ``[0, |S|)`` and a
+        negative ``max_steps`` raise ``ValueError``.
         """
         return self._first_times(self._membership(targets), max_steps)
 

@@ -106,6 +106,61 @@ class TestFixedSeedEquivalence:
             runs[mode] = sim.run(200, record_every=1)
         np.testing.assert_array_equal(runs["gather"], runs["matrix_free"])
 
+    def test_gather_matches_matrix_free_with_unequal_strategy_counts(self):
+        # (2, 3, 4): players 0 and 1 read padded columns of the gather table
+        game = random_game((2, 3, 4), rng=np.random.default_rng(21))
+        dynamics = LogitDynamics(game, 1.3)
+        target = game.space.size - 1
+        times, finals, runs = {}, {}, {}
+        for mode in ("gather", "matrix_free"):
+            seeds = np.random.SeedSequence(5).spawn(48)
+            sim = EnsembleSimulator.seeded(dynamics, seeds, start=0, mode=mode)
+            times[mode] = sim.hitting_times(target, max_steps=60)
+            finals[mode] = sim.indices
+            sim = EnsembleSimulator(
+                dynamics, 16, start=0, rng=np.random.default_rng(9), mode=mode
+            )
+            runs[mode] = sim.run(120, record_every=7)
+        assert (times["gather"] > 0).any() and (times["gather"] < 0).any()
+        np.testing.assert_array_equal(times["gather"], times["matrix_free"])
+        np.testing.assert_array_equal(finals["gather"], finals["matrix_free"])
+        np.testing.assert_array_equal(runs["gather"], runs["matrix_free"])
+
+    def test_gather_clamps_roundoff_to_each_players_last_strategy(self):
+        # rows summing to 1 - 1e-12 and uniforms above that mass: every mode
+        # must clamp to the mover's own last strategy, never to a padded one
+        game = random_game((2, 3, 4), rng=np.random.default_rng(0))
+        space = game.space
+
+        class ShortMassRule:
+            def __init__(self):
+                self.game = game
+
+            def player_update_matrix(self, player):
+                m = space.num_strategies[player]
+                return np.full((space.size, m), (1.0 - 1e-12) / m)
+
+            def update_distribution_many(self, player, batch):
+                return self.player_update_matrix(player)[batch]
+
+        rule = ShortMassRule()
+        starts = np.arange(space.size, dtype=np.int64)
+        players = starts % space.num_players
+        uniforms = np.where(starts % 2 == 0, 1.0 - 1e-13, 0.4)
+        results = {}
+        for mode in ("gather", "matrix_free"):
+            sim = EnsembleSimulator(rule, space.size, start_indices=starts, mode=mode)
+            sim._advance_batch(players, uniforms)
+            moves = [
+                sim._sample_moves(i, starts, np.full(space.size, 1.0 - 1e-13))
+                for i in range(space.num_players)
+            ]
+            results[mode] = sim.indices, moves
+        np.testing.assert_array_equal(results["gather"][0], results["matrix_free"][0])
+        for i, m in enumerate(space.num_strategies):
+            np.testing.assert_array_equal(results["gather"][1][i], m - 1)
+            np.testing.assert_array_equal(results["matrix_free"][1][i], m - 1)
+
     def test_generic_fallback_agrees_with_table_fast_path(self):
         # the same game expressed as a tabulated and as a callable game must
         # produce identical batched utilities and identical trajectories
@@ -190,6 +245,31 @@ class TestEnsembleSimulator:
         sim = dynamics.ensemble(16, start=(1, 1, 1), rng=np.random.default_rng(4))
         times = sim.hitting_times(target, max_steps=20_000)
         assert np.all(times > 0)
+
+    def test_out_of_range_index_targets_raise(self):
+        game = IsingGame(nx.cycle_graph(6), coupling=1.0)
+        dynamics = LogitDynamics(game, 0.7)
+        sim = dynamics.ensemble(8, start=0, rng=np.random.default_rng(1))
+        for bad in (64, -1, [3, 99]):
+            with pytest.raises(ValueError, match="must lie in"):
+                sim.hitting_times(bad, max_steps=10)
+        with pytest.raises(ValueError, match="must lie in"):
+            sim.exit_times([0, 200], max_steps=10)
+        with pytest.raises(ValueError, match="must lie in"):
+            empirical_hitting_times(
+                game, 0.7, 0, 64, num_replicas=8, max_steps=10,
+                rng=np.random.default_rng(1),
+            )
+        assert sim.hitting_times([0, 63], max_steps=10).tolist() == [0] * 8
+
+    def test_negative_max_steps_raises(self, dominant_game):
+        dynamics = LogitDynamics(dominant_game, 1.0)
+        sim = dynamics.ensemble(4, start_indices=np.array([0, 5, 0, 7]))
+        with pytest.raises(ValueError, match="non-negative"):
+            sim.hitting_times(0, max_steps=-5)
+        with pytest.raises(ValueError, match="non-negative"):
+            sim.exit_times([0], max_steps=-1)
+        np.testing.assert_array_equal(sim.hitting_times(0, max_steps=0), [0, -1, 0, -1])
 
     def test_exit_times_leave_shallow_well(self, two_well_game):
         all0, _ = two_well_game.well_indices

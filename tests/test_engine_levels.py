@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LogitDynamics, logit_update_distribution
+from repro.engine import EnsembleSimulator
 from repro.engine import ensemble as ensemble_module
 from repro.engine.kernels import (
     SequentialKernel,
@@ -349,3 +350,41 @@ def test_ring_run_makes_at_most_ten_calls_per_step():
     sim.run(steps)  # warm every lazy buffer
     calls = count_calls(lambda: sim.run(steps))
     assert calls <= 10 * steps, f"{calls / steps:.1f} calls per step"
+
+
+def test_gather_first_passage_makes_at_most_forty_calls_per_step(monkeypatch):
+    """Deterministic perf gate: a warmed seeded first-passage chunk, gather mode.
+
+    The E-TAIL chunk: the 6-ring at beta = 0.7, R = 64 seeded replicas from
+    all-zeros to the all-ones consensus.  Grouping the movers per player
+    made about 190 Python and C calls per step here; the flat gather makes
+    one table lookup, one inverse-CDF sample and one write per step.
+    """
+    replicas, horizon = 64, 1200
+    game = IsingGame(ring_graph(6), coupling=1.0)
+    target = game.space.size - 1
+    sim = EnsembleSimulator.seeded(
+        LogitDynamics(game, 0.7),
+        np.random.SeedSequence(3).spawn(replicas),
+        start=0,
+        mode="gather",
+    )
+    warm = sim.hitting_times(target, max_steps=horizon)  # builds the tables
+    # every replica hits or is truncated, so the loop ran the longest sample
+    steps = horizon if (warm < 0).any() else int(warm.max())
+    sim.reset(0)
+    calls = count_calls(lambda: sim.hitting_times(target, max_steps=horizon))
+    assert calls <= 40 * steps, f"{calls / steps:.1f} calls per step"
+
+    samples = 0
+    sample = ensemble_module.sample_from_cumulative
+
+    def counted(*args, **kwargs):
+        nonlocal samples
+        samples += 1
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble_module, "sample_from_cumulative", counted)
+    sim.reset(0)
+    np.testing.assert_array_equal(sim.hitting_times(target, max_steps=horizon), warm)
+    assert samples == steps
