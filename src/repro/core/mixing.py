@@ -18,7 +18,6 @@ Two measurement regimes are supported, mirroring DESIGN.md §6:
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
@@ -28,8 +27,9 @@ import numpy as np
 from ..engine.backend import resolve_backend
 from ..obs import as_tracer
 from ..engine.ensemble import EnsembleSimulator
-from ..engine.kernels import SeededSequentialKernel, require_sequential_dynamics
+from ..engine.kernels import require_sequential_dynamics
 from ..engine.state import IndexState
+from ..engine.streams import spawn_words
 from ..games.base import Game
 from ..games.potential import PotentialGame
 from ..markov.coupling import coalescence_time_bound
@@ -94,31 +94,26 @@ def _advance_tv_shard(dynamics, streams, start, steps: int, backend="numpy"):
     """Advance one replica shard ``steps`` steps; module-level, picklable.
 
     ``streams`` is the shard's per-replica randomness: ``(root, offset,
-    count)`` on the first round, from which the worker spawns its own
-    ``SeedSequence`` children (:meth:`~repro.engine.SeededSequentialKernel.
-    spawn_block`), and afterwards the ``bytes`` this function returned the
-    round before — the shard's pickled generators, adopted as-is so every
-    stream *continues*, and never decoded by the coordinator.  ``start``
-    is the caller's start (its own rows when it is per-replica) on the
-    first round, the shard's ``(R_shard, n)`` profile rows afterwards.
-    ``backend`` is the *resolved* array backend shipped from the
-    coordinator (resolving in the parent keeps the numba-fallback warning
-    visible and one-shot instead of per-worker).  Returns ``(streams,
-    profiles, indices, seconds)``: the next round's shard state, the
-    profile indices the checkpoint TV is computed from, and the worker
-    wall-clock spent advancing — the coordinator's per-shard load signal
-    (carries no randomness, never affects results).
+    count)`` on the first round, from which the worker seeds its children
+    of ``root`` itself (:func:`~repro.engine.streams.spawn_words`), and
+    afterwards the ``(R_shard, 6)`` uint64 stream-word array this function
+    returned the round before, from which every stream *continues*.
+    ``start`` is the caller's start (its own rows when it is per-replica)
+    on the first round, the shard's ``(R_shard, n)`` profile rows
+    afterwards.  ``backend`` is the *resolved* array backend shipped from
+    the coordinator (resolving in the parent keeps the numba-fallback
+    warning visible and one-shot instead of per-worker).  Returns
+    ``(streams, profiles, indices, seconds)``: the next round's shard
+    state, the profile indices the checkpoint TV is computed from, and the
+    worker wall-clock spent advancing — the coordinator's per-shard load
+    signal (carries no randomness, never affects results).
     """
     tic = perf_counter()
-    seeds = (
-        pickle.loads(streams)
-        if isinstance(streams, bytes)
-        else SeededSequentialKernel.spawn_block(*streams)
-    )
-    sim = EnsembleSimulator.seeded(dynamics, seeds, start=start, backend=backend)
+    words = streams if isinstance(streams, np.ndarray) else spawn_words(*streams)
+    sim = EnsembleSimulator.seeded(dynamics, words, start=start, backend=backend)
     sim.run(steps)
     return (
-        pickle.dumps(sim.kernel_state["generators"], pickle.HIGHEST_PROTOCOL),
+        sim.kernel_state["streams"].words,
         sim.profiles,
         np.asarray(sim.state.indices_at(None), dtype=np.int64),
         perf_counter() - tic,
@@ -254,6 +249,11 @@ class EnsembleMixingEstimate:
         return self.mixing_time_estimate
 
 
+def _array_bytes(items) -> int:
+    """Total ``nbytes`` of the arrays among ``items`` (a task or a result)."""
+    return sum(int(x.nbytes) for x in items if isinstance(x, np.ndarray))
+
+
 def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, backend, tracer):
     """``(indices, advance)`` of the sharded TV driver: the ``executor=`` path.
 
@@ -263,7 +263,7 @@ def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, backend, 
     round and returns the shards' pooled profile indices, to which the
     caller applies the identical stopping logic.  Replica ``r`` draws all
     randomness from ``SeedSequence`` child ``r`` of the master ``seed``
-    (:meth:`~repro.engine.SeededSequentialKernel.spawn_block`), so the
+    (:func:`~repro.engine.streams.spawn_words`, run in the worker), so the
     pooled indices — hence the TV curve, the band and the estimate — are
     bit-for-bit identical for **any** shard count and backend.  Note the
     randomness contract differs from the ``rng``-driven serial path
@@ -274,8 +274,12 @@ def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, backend, 
     ``indices`` — the t = 0 occupation — is the start itself, validated
     and encoded here, so a bad start raises before any dispatch and a run
     that converges at t = 0 dispatches nothing.  Between rounds the
-    coordinator keeps each shard's streams as the opaque bytes its worker
-    returned and never holds a ``Generator``.
+    coordinator keeps each shard's streams as the ``(R_shard, 6)`` uint64
+    stream-word array its worker returned (48 bytes per replica,
+    :mod:`repro.engine.streams`) and ships it back unchanged.  An enabled
+    ``tracer`` counts ``shard.bytes_out`` / ``shard.bytes_in``, the
+    ``nbytes`` of the arrays each round ships and receives, and puts the
+    round's figures on its ``shard.chunk`` event.
     """
     require_sequential_dynamics(dynamics)
     state = IndexState(dynamics.game.space)
@@ -309,8 +313,12 @@ def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, backend, 
                     seconds=worker_seconds,
                 )
             mean = sum(seconds) / len(seconds)
+            bytes_out = sum(_array_bytes(task) for task in tasks)
+            bytes_in = sum(_array_bytes(result) for result in results)
             tracer.count("shard.chunks", 1)
             tracer.count("shard.worker_seconds", sum(seconds))
+            tracer.count("shard.bytes_out", bytes_out)
+            tracer.count("shard.bytes_in", bytes_in)
             tracer.event(
                 "shard.chunk",
                 shards=len(seconds),
@@ -318,6 +326,8 @@ def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, backend, 
                 max_seconds=max(seconds),
                 mean_seconds=mean,
                 imbalance=(max(seconds) / mean) if mean > 0 else 1.0,
+                bytes_out=bytes_out,
+                bytes_in=bytes_in,
             )
         return np.concatenate([r[2] for r in results])
 
@@ -401,9 +411,11 @@ def estimate_tv_convergence(
 
     ``tracer`` (:mod:`repro.obs`) records ``mixing.checkpoint`` events
     (TV, and the band when ``alpha`` is set), ``engine.replica_steps``
-    counts, and — on the sharded path — per-shard worker wall-clock and
-    load-imbalance events.  Tracing never touches the random streams:
-    traced and untraced runs are bit-for-bit identical.
+    counts, and — on the sharded path — per-shard worker wall-clock,
+    load-imbalance events and the array bytes each round ships
+    (``shard.bytes_out`` / ``shard.bytes_in``).  Tracing never touches
+    the random streams: traced and untraced runs are bit-for-bit
+    identical.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..engine.ensemble import EnsembleSimulator
+from ..engine.streams import StreamBank
 
 __all__ = [
     "BurnInWelfareSampler",
@@ -100,9 +101,10 @@ class TruncatedGibbsEscapeSampler:
     """Picklable chunk sampler: escape times of an index well, Gibbs starts.
 
     Each replica's start is drawn from the conditional-Gibbs weights using
-    its own stream, then the same stream drives its trajectory — the whole
-    sample is a pure function of the replica's seed child, which is what
-    keeps pooled samples invariant to chunking *and* sharding.
+    its own stream, then the same stream, handed on as its advanced stream
+    words, drives its trajectory — the whole sample is a pure function of
+    the replica's seed child, which is what keeps pooled samples invariant
+    to chunking *and* sharding.
     """
 
     dynamics: object
@@ -112,12 +114,15 @@ class TruncatedGibbsEscapeSampler:
     backend: object = "numpy"
 
     def __call__(self, children) -> np.ndarray:
-        gens = [np.random.default_rng(c) for c in children]
+        bank = StreamBank(children)
         starts = self.well[
-            [int(g.choice(self.well.size, p=self.weights)) for g in gens]
+            [
+                int(g.choice(self.well.size, p=self.weights))
+                for _, g in bank.streams(range(len(bank)))
+            ]
         ]
         sim = EnsembleSimulator.seeded(
-            self.dynamics, gens, start_indices=starts, backend=self.backend
+            self.dynamics, bank.words, start_indices=starts, backend=self.backend
         )
         times = sim.exit_times(self.well, max_steps=self.max_steps)
         return np.where(times < 0, self.max_steps, times).astype(float)

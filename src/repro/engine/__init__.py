@@ -46,6 +46,10 @@ Components:
   int64 ceiling for local-interaction games);
 * :func:`~repro.engine.coupled.simulate_grand_coupling_ensemble` — all
   coupled pairs of the paper's grand coupling advanced simultaneously;
+* :mod:`~repro.engine.streams` — the seeded kernels' per-replica PCG64
+  streams as one ``(R, 6)`` uint64 state-word array
+  (:class:`~repro.engine.streams.StreamBank`), seeded in bulk and drawn
+  through one scratch generator;
 * :mod:`~repro.engine.sampling` — the shared inverse-CDF primitive that
   keeps the loop references and the batched paths bit-identical;
 * :mod:`~repro.engine.backend` — pluggable array/compute backends for the
@@ -60,7 +64,8 @@ any block of a master seed's children from ``(root, offset, count)``
 alone — no shared spawn cursor — which is the primitive the sharded
 multi-process executors (:mod:`repro.parallel`) distribute replicas
 with, and the reason pooled results are bit-for-bit invariant to the
-shard count.
+shard count.  :func:`~repro.engine.streams.spawn_words` seeds the same
+block straight to stream words, without building the children.
 """
 
 from .backend import (
@@ -86,6 +91,7 @@ from .kernels import (
 )
 from .sampling import sample_from_cumulative, sample_inverse_cdf
 from .state import EngineState, IndexState, MatrixState, strategy_dtype
+from .streams import StreamBank, spawn_words, stream_words
 
 __all__ = [
     "ArrayBackend",
@@ -98,6 +104,9 @@ __all__ = [
     "IndexState",
     "MatrixState",
     "strategy_dtype",
+    "StreamBank",
+    "spawn_words",
+    "stream_words",
     "UpdateKernel",
     "SequentialKernel",
     "SeededSequentialKernel",

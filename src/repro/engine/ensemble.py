@@ -81,6 +81,7 @@ from .kernels import (
 )
 from .sampling import sample_from_cumulative, sample_inverse_cdf
 from .state import EngineState, IndexState, MatrixState
+from .streams import stream_words
 
 __all__ = ["EnsembleSimulator"]
 
@@ -353,17 +354,22 @@ class EnsembleSimulator:
         :class:`~repro.engine.kernels.SeededProbabilisticKernel`; kernels
         without a seeded counterpart raise.  Replica ``r`` draws all of
         its randomness from ``seeds[r]`` (a
-        :class:`numpy.random.SeedSequence` child, raw int, or pre-built
-        generator), so its trajectory is a pure function of its own seed.
-        This is the chunked/resumable run mode the adaptive estimators
-        use: replica chunks of any size pool into bit-for-bit identical
-        samples, and consecutive ``run`` / first-passage calls continue
-        each stream where the previous call stopped.  ``block_size`` only
-        affects the sequential seeded kernel (it is part of that kernel's
-        stream definition); the concurrent kernels draw whole per-sweep
-        rows instead.
+        :class:`numpy.random.SeedSequence` child or raw int; or row ``r``
+        of an ``(R, 6)`` uint64 stream-word array, see
+        :mod:`repro.engine.streams`), so its trajectory is a pure function
+        of its own seed.  Pre-built ``Generator`` objects raise
+        ``TypeError``: the kernel copies stream state, so they would stop
+        advancing; continue a run's streams through
+        ``sim.kernel_state["streams"].words`` instead.  This is the
+        chunked/resumable run mode the adaptive estimators use: replica
+        chunks of any size pool into bit-for-bit identical samples, and
+        consecutive ``run`` / first-passage calls continue each stream
+        where the previous call stopped.  ``block_size`` only affects the
+        sequential seeded kernel (it is part of that kernel's stream
+        definition); the concurrent kernels draw whole per-sweep rows
+        instead.
         """
-        seeds = list(seeds)
+        seeds = stream_words(seeds)
         kernel = dynamics.kernel() if hasattr(dynamics, "kernel") else None
         if kernel is None:
             seeded_kernel: UpdateKernel = SeededSequentialKernel(
@@ -373,7 +379,7 @@ class EnsembleSimulator:
             seeded_kernel = seeded_kernel_for(kernel, seeds, block_size=block_size)
         return cls(
             dynamics,
-            len(seeds),
+            seeds.shape[0],
             start=start,
             start_indices=start_indices,
             mode=mode,
@@ -617,8 +623,7 @@ class EnsembleSimulator:
         if record_every is not None:
             record_every = max(int(record_every), 1)
             snapshots = [self.state.snapshot()]
-        step_slots = self.num_replicas * self._update_slots
-        block = max(1, LEVEL_BLOCK_SLOTS // step_slots)
+        block = max(1, LEVEL_BLOCK_SLOTS // self.kernel.block_slots(self))
         start = 0
         while start < num_steps:
             stop = min(num_steps, start + block)

@@ -40,7 +40,9 @@ and ``run_block(sim, draws, start, stop)``
     to ``run_block`` in blocks that end at recording boundaries; the
     default block calls ``run_step`` once per step, while
     :class:`SequentialKernel` runs a block level by level on the row-wise
-    path (:func:`dependency_levels`).
+    path (:func:`dependency_levels`) and :class:`SeededProbabilisticKernel`
+    draws each replica's rows for the block at once.  ``block_slots(sim)``
+    is one step's share of the block budget, which sizes the blocks.
 
 ``init_state(sim) -> dict``
     Per-simulator mutable state, stored by the simulator and reset together
@@ -72,7 +74,7 @@ kernel                         per step consumes
 
 The seeded variants (:class:`SeededSequentialKernel`,
 :class:`SeededParallelKernel`, :class:`SeededProbabilisticKernel`) consume
-the same quantities per step, but from one independent generator per
+the same quantities per step, but from one independent PCG64 stream per
 replica instead of the simulator's shared stream — the contract that makes
 pooled adaptive/sharded samples invariant to chunk size and shard count.
 """
@@ -82,6 +84,8 @@ from __future__ import annotations
 import abc
 
 import numpy as np
+
+from .streams import StreamBank, stream_words
 
 __all__ = [
     "UpdateKernel",
@@ -166,6 +170,15 @@ class UpdateKernel(abc.ABC):
         for t in range(start, stop):
             self.run_step(sim, t, draws)
 
+    def block_slots(self, sim) -> int:
+        """One run step's share of a block's ``LEVEL_BLOCK_SLOTS`` budget.
+
+        :meth:`EnsembleSimulator.run` hands :meth:`run_block` at most
+        ``LEVEL_BLOCK_SLOTS // block_slots`` steps (one at least).  The
+        default counts the closed-neighbourhood slots a levelled step spans.
+        """
+        return sim.num_replicas * sim._update_slots
+
     def remaining_steps(self, sim) -> int | None:
         """How many more steps this kernel can take (``None`` = unbounded).
 
@@ -184,18 +197,22 @@ class UpdateKernel(abc.ABC):
         return f"{type(self).__name__}(rule={self.rule!r})"
 
 
-def _as_generators(seeds) -> list[np.random.Generator]:
-    """Adopt ``Generator`` instances as-is, build one from anything else.
+def _seed_words(seeds) -> np.ndarray:
+    """Validated per-replica stream words for a seeded kernel."""
+    words = stream_words(seeds)
+    if words.shape[0] == 0:
+        raise ValueError("need one seed (or stream-word row) per replica")
+    return words
 
-    Shared by every seeded kernel: ``SeedSequence`` children (or raw ints)
-    replay their stream from scratch on each reset, while pre-built
-    generators *continue* across resets — which is how the sharded drivers
-    round-trip per-replica streams between checkpoints.
-    """
-    return [
-        s if isinstance(s, np.random.Generator) else np.random.default_rng(s)
-        for s in seeds
-    ]
+
+def _stream_bank(words: np.ndarray, sim) -> StreamBank:
+    """A fresh bank of the kernel's streams for one simulator run."""
+    if words.shape[0] != sim.num_replicas:
+        raise ValueError(
+            f"kernel carries {words.shape[0]} per-replica streams but the "
+            f"simulator has {sim.num_replicas} replicas"
+        )
+    return StreamBank(words)
 
 
 def _check_update_probability(p: float) -> float:
@@ -430,7 +447,7 @@ class SeededSequentialKernel(UpdateKernel):
     the right (and fastest) contract for a fixed-size ensemble, but it
     makes chunked adaptive estimation non-reproducible: pooling 64+64
     replicas and pooling 128 give different samples.  This kernel instead
-    gives replica ``r`` its own generator seeded from its own
+    gives replica ``r`` its own PCG64 stream seeded from its own
     :class:`numpy.random.SeedSequence` child, so a replica's trajectory is
     a pure function of its seed — pooled first-passage samples are
     bit-for-bit identical no matter how the replica budget is chunked,
@@ -450,11 +467,15 @@ class SeededSequentialKernel(UpdateKernel):
     stopped, even when the calls advanced different subsets of replicas,
     which is what makes seeded ensembles resumable.
 
-    ``seeds`` may be ``SeedSequence`` instances (or raw ints) — then a
-    reset replays the streams from scratch — or pre-built ``Generator``
-    objects, which are adopted as-is and *continue* (not replay) across
-    resets; the latter lets a caller draw per-replica start states from the
-    same streams before handing them to the kernel.
+    ``seeds`` is one ``SeedSequence`` (or raw int) per replica, or an
+    ``(R, 6)`` uint64 stream-word array (:mod:`repro.engine.streams`).  The
+    kernel keeps the streams as words and every reset replays them from
+    those words; the advanced words of a run are
+    ``sim.kernel_state["streams"].words``, which is how a caller continues
+    the streams in a new simulator (the sharded TV driver ships them
+    between rounds) or draws per-replica start states from the same
+    streams first.  Pre-built ``Generator`` objects raise ``TypeError``:
+    the kernel would copy their state and they would stop advancing.
     """
 
     def __init__(self, rule, seeds, block_size: int = 256):
@@ -462,9 +483,7 @@ class SeededSequentialKernel(UpdateKernel):
         if block_size < 1:
             raise ValueError("block_size must be positive")
         self.block_size = int(block_size)
-        self.seeds = list(seeds)
-        if not self.seeds:
-            raise ValueError("need one seed (or generator) per replica")
+        self.words = _seed_words(seeds)
 
     @staticmethod
     def spawn_block(
@@ -519,18 +538,10 @@ class SeededSequentialKernel(UpdateKernel):
             for i in range(start, start + count)
         ]
 
-    def _generators(self) -> list[np.random.Generator]:
-        return _as_generators(self.seeds)
-
     def init_state(self, sim) -> dict:
-        if len(self.seeds) != sim.num_replicas:
-            raise ValueError(
-                f"kernel carries {len(self.seeds)} per-replica streams but the "
-                f"simulator has {sim.num_replicas} replicas"
-            )
         R = sim.num_replicas
         return {
-            "generators": self._generators(),
+            "streams": _stream_bank(self.words, sim),
             # per-replica draws consumed / first draw of the current block;
             # -block_size forces a refill on each replica's first step
             "consumed": np.zeros(R, dtype=np.int64),
@@ -545,8 +556,7 @@ class SeededSequentialKernel(UpdateKernel):
         n = sim.space.num_players
         sel = np.arange(sim.num_replicas) if where is None else where
         exhausted = sel[state["consumed"][sel] - state["block_start"][sel] >= B]
-        for r in exhausted:
-            g = state["generators"][r]
+        for r, g in state["streams"].streams(exhausted):
             state["players"][r] = g.integers(0, n, size=B)
             state["uniforms"][r] = g.random(B)
             state["block_start"][r] = state["consumed"][r]
@@ -630,61 +640,73 @@ class SeededProbabilisticKernel(UpdateKernel):
     """Probabilistic-schedule kernel with one random stream *per replica*.
 
     The concurrent counterpart of :class:`SeededSequentialKernel`: replica
-    ``r`` draws, per step and from its own generator, one ``(n,)`` row of
+    ``r`` draws, per step and from its own stream, one ``(n,)`` row of
     mask uniforms (skipped entirely at ``p = 1``) followed by one ``(n,)``
     row of move uniforms.  Each replica's trajectory is therefore a pure
     function of its own seed — pooled concurrent first-passage and TV
     samples are bit-for-bit invariant to chunk size and shard count, which
     is what lets ``run_until_width``, ``empirical_hitting_times(precision=)``
     and ``estimate_tv_convergence(executor=)`` run concurrent dynamics.
-    Unlike the sequential seeded kernel no block buffering is needed: one
-    step already consumes a full ``(n,)`` row per draw, so the per-sweep
-    generator call is itself the block.
+    Unlike the sequential seeded kernel no block buffering is part of the
+    stream: a replica consumes exactly its steps' rows.  :meth:`run_block`
+    draws a whole block of steps' rows per replica with one generator call
+    — the same doubles in the same order, since ``random()`` spends exactly
+    one 64-bit output per double.
 
     ``seeds`` follows the :class:`SeededSequentialKernel` contract:
-    ``SeedSequence`` children or raw ints replay from scratch on reset,
-    pre-built ``Generator`` objects are adopted as-is and continue.
+    ``SeedSequence`` children, raw ints or an ``(R, 6)`` stream-word array,
+    replayed from scratch on reset; ``Generator`` objects raise.
     """
 
     def __init__(self, rule, seeds, p: float = 1.0):
         super().__init__(rule)
         self.p = _check_update_probability(p)
-        self.seeds = list(seeds)
-        if not self.seeds:
-            raise ValueError("need one seed (or generator) per replica")
+        self.words = _seed_words(seeds)
+
+    @property
+    def _rows_per_step(self) -> int:
+        """Uniform rows one step draws per replica: move, plus mask at p < 1."""
+        return 1 if self.p >= 1.0 else 2
 
     def init_state(self, sim) -> dict:
-        if len(self.seeds) != sim.num_replicas:
-            raise ValueError(
-                f"kernel carries {len(self.seeds)} per-replica streams but the "
-                f"simulator has {sim.num_replicas} replicas"
-            )
-        return {"generators": _as_generators(self.seeds)}
+        return {"streams": _stream_bank(self.words, sim)}
+
+    def block_slots(self, sim) -> int:
+        """One step's share of a run block: the doubles it draws."""
+        return sim.num_replicas * sim.space.num_players * self._rows_per_step
+
+    def _draw(self, sim, rows, steps: int) -> np.ndarray:
+        """``(len(rows), steps, rows_per_step, n)`` uniforms, one call per replica.
+
+        Replica ``r`` consumes its stream in step order, mask row then move
+        row per step, exactly as ``steps`` single-step draws would.
+        """
+        n = sim.space.num_players
+        out = np.empty((len(rows), steps * self._rows_per_step * n))
+        for j, (_, g) in enumerate(sim.kernel_state["streams"].streams(rows)):
+            g.random(out=out[j])
+        return out.reshape(len(rows), steps, self._rows_per_step, n)
+
+    def _sweep(self, sim, where, draws: np.ndarray) -> None:
+        """One step from ``(k, rows_per_step, n)`` draws: mask row (p < 1), move row."""
+        mask = None if self.p >= 1.0 else draws[:, 0] < self.p
+        _concurrent_sweep(sim, where, sim.state.take(where), mask, draws[:, -1])
+
+    def run_block(self, sim, draws, start: int, stop: int) -> None:
+        """Advance every replica through run steps ``start .. stop - 1``,
+        drawing each replica's rows for the whole block at once."""
+        block = self._draw(sim, range(sim.num_replicas), stop - start)
+        for t in range(stop - start):
+            self._sweep(sim, None, block[:, t])
 
     def step(self, sim, where: np.ndarray | None = None) -> None:
-        generators = sim.kernel_state["generators"]
-        sel = range(sim.num_replicas) if where is None else where
-        n = sim.space.num_players
-        k = sim.num_replicas if where is None else where.size
-        old = sim.state.take(where)
-        uniforms = np.empty((k, n), dtype=float)
-        if self.p >= 1.0:
-            mask = None
-            for j, r in enumerate(sel):
-                uniforms[j] = generators[r].random(n)
-        else:
-            mask_uniforms = np.empty((k, n), dtype=float)
-            for j, r in enumerate(sel):
-                g = generators[r]
-                mask_uniforms[j] = g.random(n)
-                uniforms[j] = g.random(n)
-            mask = mask_uniforms < self.p
-        _concurrent_sweep(sim, where, old, mask, uniforms)
+        rows = range(sim.num_replicas) if where is None else where
+        self._sweep(sim, where, self._draw(sim, rows, 1)[:, 0])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}(rule={self.rule!r}, p={self.p}, "
-            f"replicas={len(self.seeds)})"
+            f"replicas={self.words.shape[0]})"
         )
 
 
@@ -692,7 +714,7 @@ class SeededParallelKernel(SeededProbabilisticKernel):
     """Seeded all-players-at-once kernel (the ``p = 1`` schedule).
 
     Per step each replica consumes one ``(n,)`` row of move uniforms from
-    its own generator — the :class:`ParallelKernel` contract on per-replica
+    its own stream — the :class:`ParallelKernel` contract on per-replica
     streams.
     """
 
@@ -794,7 +816,7 @@ def seeded_kernel_for(kernel: UpdateKernel, seeds, block_size: int = 256):
     This is the dispatch :meth:`EnsembleSimulator.seeded
     <repro.engine.ensemble.EnsembleSimulator.seeded>` — and through it every
     adaptive and sharded estimator — uses to rebuild a dynamics' kernel
-    around per-replica generators:
+    around per-replica streams:
 
     * :class:`SequentialKernel` -> :class:`SeededSequentialKernel`
       (``block_size`` is part of that kernel's stream definition);

@@ -1,0 +1,278 @@
+"""Per-replica random streams held as PCG64 state words.
+
+The seeded kernels give every replica its own PCG64 stream.  A stream is
+fully described by six 64-bit words — the 128-bit LCG state (high, low),
+the 128-bit increment (high, low), and the ``has_uint32`` / ``uinteger``
+pair that buffers the unused half of a 64-bit output after a 32-bit draw —
+so ``R`` streams are one ``(R, 6)`` uint64 array (:data:`WORDS_PER_STREAM`
+columns, in that order).  A :class:`StreamBank` draws from that array
+through one scratch ``Generator``: it loads a replica's row into the
+scratch bit generator, the caller draws, and the bank stores the advanced
+row back.  Every draw is therefore bit-for-bit the draw a dedicated
+``numpy.random.default_rng(seed)`` would have made, while the streams cost
+48 bytes each to copy, ship to a worker process or return from one.
+
+Seeding follows numpy exactly.  :func:`spawn_words` seeds children
+``offset .. offset + count - 1`` of a root ``SeedSequence`` in bulk: it
+runs numpy's ``SeedSequence`` pool hash and ``PCG64`` seeding on whole
+columns of children at once instead of building ``count`` objects, and
+falls back to numpy itself when a child index needs two 32-bit words
+(index >= 2**32) or numpy's private entropy coercion is unavailable.
+:func:`stream_words` seeds an explicit list of ``SeedSequence`` objects or
+ints the same way, vectorising over the pools the objects already carry.
+The parity tests in ``tests/test_streams.py`` pin every path against
+``numpy.random.PCG64(seed).state``.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator
+
+import numpy as np
+
+try:  # numpy's own entropy coercion, so bulk seeding hashes what numpy hashes
+    from numpy.random.bit_generator import _coerce_to_uint32_array
+except ImportError:  # pragma: no cover - numpy layout change: seed via numpy
+    _coerce_to_uint32_array = None
+
+__all__ = ["WORDS_PER_STREAM", "StreamBank", "spawn_words", "stream_words"]
+
+#: columns of a stream-word array: state hi/lo, inc hi/lo, has_uint32, uinteger
+WORDS_PER_STREAM = 6
+
+_MASK64 = (1 << 64) - 1
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = 16
+_DEFAULT_POOL_SIZE = 4
+
+# PCG64's 128-bit LCG multiplier, as (high, low) 64-bit halves
+_PCG_MULT_HI = 2549297995355413924
+_PCG_MULT_LO = 4865540595714422341
+
+
+class _HashConst:
+    """The running multiplier of numpy's ``hashmix``; it never depends on data."""
+
+    def __init__(self) -> None:
+        self.value = _INIT_A
+
+    def hashmix(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.value)
+        self.value = (self.value * _MULT_A) & 0xFFFFFFFF
+        value = value * np.uint32(self.value)
+        return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _pools(entropy: np.ndarray, pool_size: int) -> np.ndarray:
+    """``SeedSequence.mix_entropy`` on every row of ``(k, L)`` uint32 entropy."""
+    k, length = entropy.shape
+    const = _HashConst()
+    zeros = np.zeros(k, dtype=np.uint32)
+    pool = [
+        const.hashmix(entropy[:, i] if i < length else zeros)
+        for i in range(pool_size)
+    ]
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], const.hashmix(pool[src]))
+    for src in range(pool_size, length):
+        for dst in range(pool_size):
+            pool[dst] = _mix(pool[dst], const.hashmix(entropy[:, src]))
+    return np.stack(pool, axis=1)
+
+
+def _mul128(hi, lo, c_hi: int, c_lo: int):
+    """``(hi, lo) * (c_hi, c_lo)`` modulo 2**128, on uint64 columns."""
+    m32 = np.uint64(0xFFFFFFFF)
+    a0, a1 = lo & m32, lo >> np.uint64(32)
+    b0, b1 = np.uint64(c_lo & 0xFFFFFFFF), np.uint64(c_lo >> 32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & m32) + (p10 & m32)
+    carry = (
+        a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    )
+    return carry + lo * np.uint64(c_hi) + hi * np.uint64(c_lo), lo * np.uint64(c_lo)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
+
+
+def _words_from_pools(pools: np.ndarray) -> np.ndarray:
+    """PCG64 stream words of seed sequences with these ``(k, p)`` pools.
+
+    ``SeedSequence.generate_state(4, np.uint64)`` followed by
+    ``pcg64_set_seed``: the four words are (initstate hi, lo, initseq hi,
+    lo); ``inc = initseq << 1 | 1``, and the state is stepped, offset by
+    ``initstate`` and stepped again.
+    """
+    k, pool_size = pools.shape
+    const = _INIT_B
+    halves = []
+    for i in range(8):
+        value = pools[:, i % pool_size] ^ np.uint32(const)
+        const = (const * _MULT_B) & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        halves.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # little-endian pairs of 32-bit words make the 64-bit seed words
+    seed = [halves[2 * j] | (halves[2 * j + 1] << np.uint64(32)) for j in range(4)]
+    inc_hi = (seed[2] << np.uint64(1)) | (seed[3] >> np.uint64(63))
+    inc_lo = (seed[3] << np.uint64(1)) | np.uint64(1)
+    # state 0 stepped once is inc; add initstate, step again
+    hi, lo = _add128(inc_hi, inc_lo, seed[0], seed[1])
+    hi, lo = _mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO)
+    hi, lo = _add128(hi, lo, inc_hi, inc_lo)
+    words = np.zeros((k, WORDS_PER_STREAM), dtype=np.uint64)
+    words[:, 0], words[:, 1], words[:, 2], words[:, 3] = hi, lo, inc_hi, inc_lo
+    return words
+
+
+def _numpy_words(seed) -> np.ndarray:
+    """The stream words numpy itself seeds from ``seed`` (the fallback)."""
+    state = np.random.PCG64(seed).state
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    return np.array(
+        [s >> 64, s & _MASK64, inc >> 64, inc & _MASK64, state["has_uint32"], state["uinteger"]],
+        dtype=np.uint64,
+    )
+
+
+def spawn_words(root: np.random.SeedSequence, offset: int, count: int) -> np.ndarray:
+    """Stream words of children ``offset .. offset + count - 1`` of ``root``.
+
+    Bit-for-bit the PCG64 states of the children a fresh
+    ``root.spawn(offset + count)`` would make at those positions — the
+    :meth:`~repro.engine.kernels.SeededSequentialKernel.spawn_block`
+    contract — without building a ``SeedSequence`` per child: siblings
+    share every entropy word but the last (their index), so the pool hash
+    runs once over a column of indices.  ``root`` is not mutated.
+    """
+    if offset < 0 or count < 0:
+        raise ValueError("offset and count must be non-negative")
+    if count == 0:
+        return np.zeros((0, WORDS_PER_STREAM), dtype=np.uint64)
+    if _coerce_to_uint32_array is None or offset + count > 2**32:
+        # an index >= 2**32 takes two entropy words: let numpy hash it
+        return stream_words(
+            np.random.SeedSequence(
+                entropy=root.entropy,
+                spawn_key=tuple(root.spawn_key) + (i,),
+                pool_size=root.pool_size,
+            )
+            for i in range(offset, offset + count)
+        )
+    run = _coerce_to_uint32_array(root.entropy)
+    if run.size < root.pool_size:
+        # numpy zero-pads short run entropy whenever a spawn key follows
+        run = np.concatenate([run, np.zeros(root.pool_size - run.size, dtype=np.uint32)])
+    prefix = np.concatenate([run, _coerce_to_uint32_array(tuple(root.spawn_key))])
+    entropy = np.empty((count, prefix.size + 1), dtype=np.uint32)
+    entropy[:, :-1] = prefix
+    entropy[:, -1] = np.arange(offset, offset + count, dtype=np.uint64)
+    return _words_from_pools(_pools(entropy, root.pool_size))
+
+
+def stream_words(seeds) -> np.ndarray:
+    """An ``(R, 6)`` uint64 stream-word array from per-replica seeds.
+
+    ``seeds`` is a stream-word array (returned as a copy) or an iterable of
+    ``numpy.random.SeedSequence`` objects or ints, one per replica; an int
+    seeds exactly like ``numpy.random.default_rng(int)``.  Seed sequences
+    with numpy's default pool size (4), ints included, are seeded in bulk
+    from the pools they carry; other pool sizes go through numpy one seed
+    at a time.
+
+    Pre-built ``Generator`` / ``BitGenerator`` objects raise ``TypeError``:
+    the words would be a copy of their state, so the caller's object would
+    silently stop advancing with the replica's stream.
+    """
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        if seeds.ndim != 2 or seeds.shape[1] != WORDS_PER_STREAM:
+            raise ValueError(
+                f"a stream-word array has shape (R, {WORDS_PER_STREAM}); "
+                f"got {seeds.shape}"
+            )
+        return seeds.copy()
+    seqs = []
+    for seed in seeds:
+        if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+            raise TypeError(
+                "per-replica streams are seeded from SeedSequence objects, ints "
+                f"or an (R, {WORDS_PER_STREAM}) uint64 stream-word array, not "
+                f"{type(seed).__name__} objects: the kernel copies a stream's "
+                "state, so a pre-built generator would stop advancing with it"
+            )
+        seqs.append(
+            seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        )
+    words = np.zeros((len(seqs), WORDS_PER_STREAM), dtype=np.uint64)
+    bulk = [i for i, s in enumerate(seqs) if s.pool_size == _DEFAULT_POOL_SIZE]
+    if bulk:
+        words[bulk] = _words_from_pools(np.stack([seqs[i].pool for i in bulk]))
+    for i, s in enumerate(seqs):
+        if s.pool_size != _DEFAULT_POOL_SIZE:
+            words[i] = _numpy_words(s)
+    return words
+
+
+class StreamBank:
+    """``R`` PCG64 streams as one ``(R, 6)`` word array, drawn through one generator.
+
+    ``words`` is copied, so a bank never advances its caller's array; the
+    advanced words are :attr:`words`.  :meth:`streams` is the only way to
+    draw::
+
+        for r, g in bank.streams(rows):
+            block[r] = g.random(256)
+
+    Each iteration loads replica ``r``'s words into the scratch generator
+    ``g`` and, when the loop moves on (or exits), stores the advanced
+    state back — so ``g`` must not be kept past its iteration.
+    """
+
+    def __init__(self, words) -> None:
+        self.words = stream_words(words)
+        self._bits = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bits)
+
+    def __len__(self) -> int:
+        return self.words.shape[0]
+
+    def streams(self, rows: Iterable[int]) -> Iterator[tuple[int, np.random.Generator]]:
+        """Yield ``(r, generator)`` positioned at each replica's stream in turn."""
+        words, bits = self.words, self._bits
+        for r in rows:
+            s_hi, s_lo, i_hi, i_lo, has32, uint32 = words[r].tolist()
+            bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                "has_uint32": has32,
+                "uinteger": uint32,
+            }
+            try:
+                yield r, self._generator
+            finally:
+                state = bits.state
+                s, inc = state["state"]["state"], state["state"]["inc"]
+                words[r] = (
+                    s >> 64,
+                    s & _MASK64,
+                    inc >> 64,
+                    inc & _MASK64,
+                    state["has_uint32"],
+                    state["uinteger"],
+                )

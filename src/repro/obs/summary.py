@@ -6,8 +6,8 @@ exceptions — then reconstructs, per run: the manifest, final counter
 totals, timer aggregates, throughput (replica-steps per engine-run
 second), shard balance (per-shard wall-clock and load-imbalance ratios),
 shard dispatch overhead (dispatch wall-clock beyond the workers' share),
-store hit rate, and the CS-width-vs-n convergence curve of every traced
-consumer.
+array bytes shipped to and from shards per round, store hit rate, and
+the CS-width-vs-n convergence curve of every traced consumer.
 
 Structural lint (``exit 1`` from the CLI when any fire):
 
@@ -47,6 +47,8 @@ class RunSummary:
     shard_seconds: dict = field(default_factory=dict)
     # per-dispatch imbalance ratios (max/mean shard seconds)
     imbalance: list = field(default_factory=list)
+    # (bytes out, bytes in) of every round that reported its array traffic
+    shard_bytes: list = field(default_factory=list)
     # total shard.dispatch wall-clock and the widest dispatch (tasks)
     dispatch_seconds: float = 0.0
     shards: int = 0
@@ -200,6 +202,10 @@ def summarize_runs(events) -> dict:
                 ratio = payload.get("imbalance")
                 if ratio is not None:
                     summary.imbalance.append(float(ratio))
+                if "bytes_out" in payload:
+                    summary.shard_bytes.append(
+                        (int(payload["bytes_out"]), int(payload.get("bytes_in", 0)))
+                    )
             elif name == "sweep.cell":
                 summary.cells.append(
                     (payload.get("cell"), payload.get("provenance"))
@@ -271,6 +277,15 @@ def render_run_summary(summary: RunSummary) -> str:
             f"shard dispatch: wall={_fmt_seconds(summary.dispatch_seconds)} "
             f"worker={_fmt_seconds(worker)} overhead={_fmt_seconds(overhead)} "
             f"(dispatch - worker / {summary.shards} shards)"
+        )
+    if summary.shard_bytes:
+        rounds = len(summary.shard_bytes)
+        out = sum(b[0] for b in summary.shard_bytes)
+        into = sum(b[1] for b in summary.shard_bytes)
+        lines.append(
+            f"shard traffic: {rounds} rounds, out={out / rounds:,.0f} B/round "
+            f"in={into / rounds:,.0f} B/round (arrays only; total out={out:,} B "
+            f"in={into:,} B)"
         )
     if summary.cells:
         rows = [[cell, provenance or "fresh"] for cell, provenance in summary.cells]

@@ -292,6 +292,23 @@ class TestSummary:
         assert summary.dispatch_overhead is None
         assert "shard dispatch" not in render_run_summary(summary)
 
+    def test_shard_traffic_per_round_from_synthetic_events(self):
+        tracer = Tracer(run_id="abc")
+        tracer.event("shard.chunk", shards=2, imbalance=1.0, bytes_out=100, bytes_in=300)
+        tracer.event("shard.chunk", shards=2, imbalance=1.0, bytes_out=300, bytes_in=500)
+        # a sample-driver chunk reports no array traffic
+        tracer.event("shard.chunk", shards=2, imbalance=1.1)
+        summary = summarize_runs(tracer.events)["abc"]
+        assert summary.shard_bytes == [(100, 300), (300, 500)]
+        text = render_run_summary(summary)
+        assert "shard traffic: 2 rounds, out=200 B/round in=400 B/round" in text
+        assert "total out=400 B in=800 B" in text
+
+    def test_no_shard_bytes_no_traffic_line(self):
+        tracer = Tracer(run_id="abc")
+        tracer.event("shard.chunk", shards=2, imbalance=1.1)
+        assert "shard traffic" not in render_run_summary(summarize_runs(tracer.events)["abc"])
+
     def test_render_contains_key_sections(self):
         tracer = Tracer(run_id="abc")
         tracer.count("engine.replica_steps", 1000)

@@ -1,0 +1,321 @@
+"""Per-replica streams as PCG64 state words (repro.engine.streams).
+
+Bulk seeding must reproduce numpy's own ``PCG64(seed).state`` word for
+word, a bank draw must equal the draw a dedicated ``Generator`` makes, and
+the seeded concurrent kernels' block draws must replay ``step()`` exactly.
+"""
+
+from __future__ import annotations
+
+import networkx as nx
+import numpy as np
+import pytest
+
+import repro.engine.ensemble as ensemble_module
+from repro.core import (
+    ConcurrentLogitDynamics,
+    LogitDynamics,
+    estimate_tv_convergence,
+)
+from repro.engine import EnsembleSimulator
+from repro.engine.kernels import (
+    SeededProbabilisticKernel,
+    SeededSequentialKernel,
+)
+from repro.engine.streams import (
+    WORDS_PER_STREAM,
+    StreamBank,
+    spawn_words,
+    stream_words,
+)
+from repro.games import IsingGame
+from repro.obs import Tracer
+from repro.parallel import ShardedExecutor
+
+
+def numpy_words(seed) -> np.ndarray:
+    """The reference: the state numpy's own PCG64 seeds from ``seed``."""
+    state = np.random.PCG64(seed).state
+    return words_of(state)
+
+
+def words_of(state: dict) -> np.ndarray:
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    mask = (1 << 64) - 1
+    return np.array(
+        [s >> 64, s & mask, inc >> 64, inc & mask, state["has_uint32"], state["uinteger"]],
+        dtype=np.uint64,
+    )
+
+
+def children(root: np.random.SeedSequence, offset: int, count: int):
+    return [
+        np.random.SeedSequence(
+            entropy=root.entropy, spawn_key=tuple(root.spawn_key) + (i,)
+        )
+        for i in range(offset, offset + count)
+    ]
+
+
+@pytest.fixture
+def ring6_game() -> IsingGame:
+    return IsingGame(nx.cycle_graph(6), coupling=1.0)
+
+
+# ---------------------------------------------------------------------------
+# bulk seeding parity
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entropy",
+    [7, 0, 2**130 + 12345, [3, 1, 4, 1, 5, 9, 2, 6]],
+    ids=["int", "zero", "huge-int", "list"],
+)
+def test_spawn_words_match_numpy(entropy):
+    root = np.random.SeedSequence(entropy)
+    words = spawn_words(root, 3, 5)
+    assert words.shape == (5, WORDS_PER_STREAM) and words.dtype == np.uint64
+    expected = np.stack([numpy_words(c) for c in children(root, 3, 5)])
+    np.testing.assert_array_equal(words, expected)
+
+
+def test_spawn_words_of_a_nested_child():
+    grandparent = np.random.SeedSequence(2024)
+    parent = grandparent.spawn(4)[3]
+    grandchild = parent.spawn(3)[2]
+    np.testing.assert_array_equal(spawn_words(parent, 2, 1)[0], numpy_words(grandchild))
+
+
+@pytest.mark.parametrize("index", [0, 2**32 - 1, 2**32], ids=["0", "2^32-1", "2^32"])
+def test_spawn_words_at_child_index_edges(index):
+    """2**32 needs two entropy words, the numpy fallback path."""
+    root = np.random.SeedSequence(11)
+    (child,) = children(root, index, 1)
+    np.testing.assert_array_equal(spawn_words(root, index, 1)[0], numpy_words(child))
+
+
+def test_spawn_words_straddling_two_to_the_32():
+    root = np.random.SeedSequence(5)
+    expected = np.stack([numpy_words(c) for c in children(root, 2**32 - 2, 4)])
+    np.testing.assert_array_equal(spawn_words(root, 2**32 - 2, 4), expected)
+
+
+def test_spawn_words_leave_the_root_alone():
+    root = np.random.SeedSequence(3)
+    spawn_words(root, 0, 8)
+    assert root.n_children_spawned == 0
+    assert spawn_words(root, 0, 0).shape == (0, WORDS_PER_STREAM)
+
+
+def test_stream_words_of_non_sibling_seeds():
+    seeds = [
+        np.random.SeedSequence(1).spawn(2)[1],
+        np.random.SeedSequence(2**140),
+        np.random.SeedSequence([9, 8, 7]),
+        np.random.SeedSequence(4, pool_size=8),  # not bulk-seeded: numpy path
+        17,
+    ]
+    expected = np.stack([numpy_words(s) for s in seeds])
+    np.testing.assert_array_equal(stream_words(seeds), expected)
+
+
+def test_bank_stores_the_half_used_32_bit_buffer():
+    """One float32 draw leaves ``has_uint32 = 1`` and the spare half."""
+    seeds = np.random.SeedSequence(8).spawn(3)
+    bank = StreamBank(seeds)
+    reference = [np.random.default_rng(s) for s in seeds]
+    for r, g in bank.streams(range(3)):
+        assert g.random(dtype=np.float32) == reference[r].random(dtype=np.float32)
+    for r, g in enumerate(reference):
+        state = g.bit_generator.state
+        assert state["has_uint32"] == 1
+        np.testing.assert_array_equal(bank.words[r], words_of(state))
+    # the spare half is served next, as numpy would
+    for r, g in bank.streams(range(3)):
+        assert g.random(dtype=np.float32) == reference[r].random(dtype=np.float32)
+
+
+@pytest.mark.parametrize("block_size", [255, 256])
+def test_bank_draws_equal_per_replica_generators(block_size):
+    """The seeded sequential refill, three times over, against Generators.
+
+    An odd block of bounded integers leaves the 32-bit buffer half used,
+    which the words must carry into the next refill.
+    """
+    root = np.random.SeedSequence(42)
+    bank = StreamBank(spawn_words(root, 0, 4))
+    reference = [np.random.default_rng(c) for c in root.spawn(4)]
+    for _ in range(3):
+        for r, g in bank.streams(range(4)):
+            np.testing.assert_array_equal(
+                g.integers(0, 6, size=block_size),
+                reference[r].integers(0, 6, size=block_size),
+            )
+            np.testing.assert_array_equal(
+                g.random(block_size), reference[r].random(block_size)
+            )
+    for r, g in enumerate(reference):
+        np.testing.assert_array_equal(bank.words[r], words_of(g.bit_generator.state))
+
+
+def test_bank_copies_its_words():
+    words = spawn_words(np.random.SeedSequence(1), 0, 2)
+    before = words.copy()
+    bank = StreamBank(words)
+    for _, g in bank.streams([0, 1]):
+        g.random(3)
+    np.testing.assert_array_equal(words, before)
+    assert not np.array_equal(bank.words, before)
+
+
+def test_malformed_word_arrays_rejected():
+    with pytest.raises(ValueError, match="stream-word array"):
+        stream_words(np.zeros((3, 4), dtype=np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# the seeds contract of the seeded kernels
+# ---------------------------------------------------------------------------
+
+
+def test_prebuilt_generators_raise(ring6_game):
+    gens = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(3)]
+    logit = LogitDynamics(ring6_game, 0.5)
+    with pytest.raises(TypeError, match="Generator"):
+        SeededSequentialKernel(logit, gens)
+    with pytest.raises(TypeError, match="Generator"):
+        SeededProbabilisticKernel(logit, gens, p=0.5)
+    for dynamics in (logit, ConcurrentLogitDynamics(ring6_game, 0.5, p=0.5)):
+        with pytest.raises(TypeError, match="Generator"):
+            EnsembleSimulator.seeded(dynamics, gens, start=0)
+    with pytest.raises(TypeError, match="PCG64 objects"):
+        EnsembleSimulator.seeded(logit, [np.random.PCG64(1)], start=0)
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_word_array_seeds_equal_seed_sequences(ring6_game, concurrent):
+    dynamics = (
+        ConcurrentLogitDynamics(ring6_game, 0.8, p=0.5)
+        if concurrent
+        else LogitDynamics(ring6_game, 0.8)
+    )
+    seeds = np.random.SeedSequence(31).spawn(5)
+    by_seeds = EnsembleSimulator.seeded(dynamics, seeds, start=0)
+    by_words = EnsembleSimulator.seeded(dynamics, stream_words(seeds), start=0)
+    by_seeds.run(70)
+    by_words.run(70)
+    np.testing.assert_array_equal(by_seeds.indices, by_words.indices)
+    np.testing.assert_array_equal(
+        by_seeds.kernel_state["streams"].words, by_words.kernel_state["streams"].words
+    )
+
+
+def test_concurrent_streams_continue_across_simulators(ring6_game):
+    """A concurrent replica consumes exactly its steps' rows, so its words
+    after ``run(40)`` continue the stream in a new simulator."""
+    dynamics = ConcurrentLogitDynamics(ring6_game, 0.8, p=0.5)
+    seeds = np.random.SeedSequence(12).spawn(6)
+    whole = EnsembleSimulator.seeded(dynamics, seeds, start=0)
+    whole.run(120)
+    first = EnsembleSimulator.seeded(dynamics, seeds, start=0)
+    first.run(40)
+    second = EnsembleSimulator.seeded(
+        dynamics, first.kernel_state["streams"].words, start=first.profiles
+    )
+    second.run(80)
+    np.testing.assert_array_equal(whole.indices, second.indices)
+
+
+# ---------------------------------------------------------------------------
+# seeded concurrent kernels: block draws replay step()
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("state", ["index", "matrix"])
+def test_concurrent_run_equals_steps(ring6_game, monkeypatch, p, state):
+    """run(T) through run_block == T calls of step(), across block edges."""
+    replicas, horizon = 7, 23
+    dynamics = ConcurrentLogitDynamics(ring6_game, 0.9, p=p)
+    rows = 1 if p >= 1.0 else 2
+    # three steps per block: 23 steps span eight blocks, the last partial
+    monkeypatch.setattr(ensemble_module, "LEVEL_BLOCK_SLOTS", 3 * replicas * 6 * rows)
+    seeds = np.random.SeedSequence(77).spawn(replicas)
+    run = EnsembleSimulator.seeded(dynamics, seeds, start=0, state=state)
+    blocks = []
+    original = run.kernel.run_block
+
+    def spy(sim, draws, start, stop):
+        blocks.append(stop - start)
+        original(sim, draws, start, stop)
+
+    monkeypatch.setattr(run.kernel, "run_block", spy)
+    run.run(horizon)
+    assert blocks == [3] * 7 + [2]
+    stepped = EnsembleSimulator.seeded(dynamics, seeds, start=0, state=state)
+    for _ in range(horizon):
+        stepped.step()
+    np.testing.assert_array_equal(run.profiles, stepped.profiles)
+    np.testing.assert_array_equal(
+        run.kernel_state["streams"].words, stepped.kernel_state["streams"].words
+    )
+
+
+def test_concurrent_block_draw_is_bounded_at_n_2000():
+    """R = 64 replicas of a 2000-player ring: one p = 1 step draws 128 000
+    doubles, so a block holds one step and stays within the budget."""
+    n, replicas = 2000, 64
+    game = IsingGame(nx.cycle_graph(n), coupling=1.0)
+    for p, budget in ((1.0, ensemble_module.LEVEL_BLOCK_SLOTS), (0.5, 2 * replicas * n)):
+        dynamics = ConcurrentLogitDynamics(game, 0.5, p=p)
+        sim = EnsembleSimulator.seeded(
+            dynamics,
+            np.random.SeedSequence(1).spawn(replicas),
+            start=np.zeros(n, dtype=np.int64),
+        )
+        drawn = []
+        original = sim.kernel.run_block
+
+        def spy(sim_, draws, start, stop):
+            drawn.append((stop - start) * replicas * n * (1 if p >= 1.0 else 2))
+            original(sim_, draws, start, stop)
+
+        sim.kernel.run_block = spy
+        sim.run(2)
+        assert drawn and max(drawn) <= budget, (p, drawn)
+
+
+# ---------------------------------------------------------------------------
+# the sharded TV driver ships stream words
+# ---------------------------------------------------------------------------
+
+
+def test_sharded_tv_counts_array_bytes(ring6_game):
+    replicas, check_every = 40, 6
+    dynamics = ConcurrentLogitDynamics(ring6_game, 0.5, p=0.5)
+    tracer = Tracer(run_id="bytes")
+    est = estimate_tv_convergence(
+        dynamics,
+        np.full(ring6_game.space.size, 1.0 / ring6_game.space.size),
+        num_replicas=replicas,
+        epsilon=1e-9,
+        max_time=3 * check_every,
+        check_every=check_every,
+        start=(0,) * 6,
+        seed=5,
+        executor=ShardedExecutor(num_shards=3),
+        tracer=tracer,
+    )
+    rounds = [e["payload"] for e in tracer.events if e["name"] == "shard.chunk"]
+    assert len(rounds) == len(est.tv_curve) - 1 == 3
+    profile_bytes = replicas * 6 * np.dtype(np.int64).itemsize
+    words = replicas * WORDS_PER_STREAM * 8
+    # in: words, profile rows and indices; out: the words and rows sent back
+    for j, payload in enumerate(rounds):
+        assert payload["bytes_in"] == words + profile_bytes + replicas * 8
+        # the first round ships each of the 3 shards the shared start row
+        first = 3 * 6 * np.dtype(np.int64).itemsize
+        assert payload["bytes_out"] == (first if j == 0 else words + profile_bytes)
+    assert tracer.counters["shard.bytes_in"] == sum(r["bytes_in"] for r in rounds)
+    assert tracer.counters["shard.bytes_out"] == sum(r["bytes_out"] for r in rounds)

@@ -9,7 +9,8 @@ For every run id found in the given trace files this prints the run
 manifest (git revision, seed, platform), headline throughput
 (replica-steps and replica-steps/s), counter and timer tables, shard
 wall-clock balance with the load-imbalance ratio, shard dispatch
-wall-clock against worker time (the dispatch overhead), store hit rate and
+wall-clock against worker time (the dispatch overhead), array bytes
+shipped to and from the shards per round, store hit rate and
 byte traffic, sweep cell provenance, and CS-width-vs-n convergence
 curves — everything :func:`repro.obs.summarize_runs` can reconstruct
 from the events alone.
