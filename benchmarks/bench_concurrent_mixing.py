@@ -19,15 +19,9 @@ sampling band (:func:`repro.stats.confseq.tv_distance_band`), and the
 decay assertion is *certified*: the band's upper endpoint at the end of
 the budget must fall below the start-time TV.
 
-Before any timing, ``test_concurrent_fixed_seed_equivalence_before_timing``
-asserts the numpy and numba backends walk bit-identical trajectories under
-the probabilistic kernel on a small-degree game (with numba absent, that
-``backend="numba"`` resolves to the same numpy engine) — rate comparisons
-between backends are meaningless if they simulate different chains.
-
 Every run writes the measured cases to ``BENCH_concurrent_mixing.json`` at
 the repo root (see :mod:`benchmarks.perf_record`); CI uploads the file as
-a build artifact from both the main and the optional-numba jobs.
+a build artifact.
 
 Tunables: CONC_BENCH_SIZES, CONC_BENCH_TOPOLOGIES (ring/torus),
 CONC_BENCH_REPLICAS, CONC_BENCH_SECONDS (per-family budget),
@@ -39,7 +33,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 
 import networkx as nx
 import numpy as np
@@ -51,7 +44,6 @@ from repro.core import (
     LogitDynamics,
     theorem1207_beta_threshold,
 )
-from repro.engine import numba_available
 from repro.games import IsingGame
 from repro.stats.confseq import tv_distance_band
 
@@ -183,31 +175,8 @@ def measure_concurrent_mixing() -> tuple[list[list[object]], list[dict], list[tu
                     "tv_band_upper": upper,
                     "alpha": ALPHA,
                     "bins": BINS,
-                    "numba": numba_available(),
                 })
     return rows, records, checks
-
-
-def test_concurrent_fixed_seed_equivalence_before_timing():
-    """The probabilistic kernel must walk the same trajectory on the numpy
-    and numba backends under a fixed seed (small-degree game, so ULP-level
-    softmax differences never flip a sample over a smoke run); with numba
-    absent, backend="numba" must resolve to the very same numpy engine."""
-    game = IsingGame(nx.cycle_graph(64), coupling=1.0)
-    dynamics = ConcurrentLogitDynamics(game, BETA, p=P)
-    a = dynamics.ensemble(
-        16, rng=np.random.default_rng(42), state="matrix", backend="numpy"
-    )
-    a.run(300)
-    with warnings.catch_warnings():
-        # the fallback warning is under test elsewhere; here it is noise
-        warnings.simplefilter("ignore", RuntimeWarning)
-        b = dynamics.ensemble(
-            16, rng=np.random.default_rng(42), state="matrix", backend="numba"
-        )
-    assert b.backend.name == ("numba" if numba_available() else "numpy")
-    b.run(300)
-    np.testing.assert_array_equal(a.profiles, b.profiles)
 
 
 def test_concurrent_mixing(benchmark):
@@ -219,8 +188,7 @@ def test_concurrent_mixing(benchmark):
     print(
         render_experiment(
             f"E-CONC  Sequential vs concurrent TV decay at matched wall-clock "
-            f"— R={REPLICAS}, beta={BETA}, budget={SECONDS:g}s"
-            + ("" if numba_available() else "  [numba NOT installed: numpy engine]"),
+            f"— R={REPLICAS}, beta={BETA}, budget={SECONDS:g}s",
             ["case", "steps", "steps/s", "TV start", "TV end",
              f"TV band (alpha={ALPHA:g})"],
             rows,

@@ -137,18 +137,13 @@ from .games import (
 )
 from .engine import (
     AnnealedKernel,
-    ArrayBackend,
     EnsembleSimulator,
-    NumbaBackend,
-    NumpyBackend,
     ParallelKernel,
     RoundRobinKernel,
     SeededSequentialKernel,
     SequentialKernel,
     UpdateKernel,
     maximal_coupling_update_many,
-    numba_available,
-    resolve_backend,
     simulate_grand_coupling_ensemble,
     strategy_dtype,
 )
@@ -184,7 +179,6 @@ from .markov import (
 )
 from .stats import (
     EmpiricalBernsteinCS,
-    HedgedBettingCS,
     NormalMixtureCS,
     QuantileCS,
     QuantileEstimate,
@@ -289,18 +283,13 @@ __all__ = [
     "random_game",
     # engine
     "AnnealedKernel",
-    "ArrayBackend",
     "EnsembleSimulator",
-    "NumbaBackend",
-    "NumpyBackend",
     "ParallelKernel",
     "RoundRobinKernel",
     "SeededSequentialKernel",
     "SequentialKernel",
     "UpdateKernel",
     "maximal_coupling_update_many",
-    "numba_available",
-    "resolve_backend",
     "simulate_grand_coupling_ensemble",
     "strategy_dtype",
     # graphs
@@ -331,7 +320,6 @@ __all__ = [
     "total_variation",
     # stats
     "EmpiricalBernsteinCS",
-    "HedgedBettingCS",
     "NormalMixtureCS",
     "QuantileCS",
     "QuantileEstimate",

@@ -99,13 +99,6 @@ class LogitRule:
     game: Game
     beta: float
 
-    #: this rule is the logit softmax of Equation (2) at the fixed ``beta``
-    #: attribute — the contract the engine's array backends key their fused
-    #: gather->deviation->softmax->sample kernels on (see
-    #: :mod:`repro.engine.backend`); rules that move mass any other way
-    #: (best response) must say ``False``
-    softmax_rule = True
-
     def update_distribution_many(
         self, player: int, profile_indices: np.ndarray
     ) -> np.ndarray:
@@ -189,7 +182,6 @@ class EngineBackedDynamics:
         mode: str = "auto",
         start_indices: np.ndarray | None = None,
         state: str = "auto",
-        backend: str | None = "numpy",
         tracer=None,
     ) -> EnsembleSimulator:
         """A batched :class:`~repro.engine.EnsembleSimulator` of this dynamics.
@@ -200,11 +192,6 @@ class EngineBackedDynamics:
         backend (``"auto"``: flat int64 profile indices whenever the space
         fits in int64, ``(R, n)`` strategy rows beyond — the backend that
         lifts the ~62-binary-player ceiling for local-interaction games).
-        ``backend`` picks the array/compute backend of the per-step hot
-        path (:mod:`repro.engine.backend`): ``"numpy"`` is the default
-        vectorised path, ``"numba"`` JIT-fuses the per-step pipeline for
-        local-interaction games (graceful numpy fallback when numba is not
-        installed), ``"auto"`` uses numba whenever available.
         """
         return EnsembleSimulator(
             self,
@@ -215,7 +202,6 @@ class EngineBackedDynamics:
             start_indices=start_indices,
             kernel=self.kernel(),
             state=state,
-            backend=backend,
             tracer=tracer,
         )
 

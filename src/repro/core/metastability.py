@@ -31,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..engine.backend import resolve_backend
 from ..engine.kernels import require_sequential_dynamics
 from ..games.base import Game
 from ..games.potential import PotentialGame
@@ -249,7 +248,6 @@ def empirical_escape_times(
     seed: int | np.random.SeedSequence | None = None,
     keep_samples: bool = True,
     executor=None,
-    backend="numpy",
     q: float | None = None,
     precision_quantile: float | None = None,
     tracer=None,
@@ -304,12 +302,6 @@ def empirical_escape_times(
     game/dynamics and the well description to be picklable (module-level
     predicates, not lambdas).
 
-    ``backend`` selects the engine's array backend (``"numpy"``,
-    ``"numba"``, or an :class:`~repro.engine.backend.ArrayBackend`
-    instance); it is resolved once here — so a numba-unavailable fallback
-    warns exactly once, in this process — and the resolved instance is
-    what the (possibly sharded) samplers use.
-
     ``q`` certifies a quantile of the truncated escape time on the same
     sample stream (e.g. ``q=0.99`` for the P99), attached to the result's
     ``quantile`` field; ``precision_quantile`` (a fraction of
@@ -323,7 +315,6 @@ def empirical_escape_times(
         reject_fixed_mode_knobs(num_replicas, rng)
     else:
         reject_executor_without_precision(precision, executor)
-    backend = resolve_backend(backend, tracer=tracer)
     num_replicas = 128 if num_replicas is None else int(num_replicas)
     rng = np.random.default_rng() if rng is None else rng
     if dynamics is None:
@@ -353,7 +344,7 @@ def empirical_escape_times(
                 )
             return _adaptive_truncated_times(
                 TruncatedPredicateEscapeSampler(
-                    dynamics, profile, states, int(max_steps), backend
+                    dynamics, profile, states, int(max_steps)
                 ),
                 precision, alpha, max_steps,
                 chunk_size, max_replicas, seed, keep_samples, executor,
@@ -363,7 +354,6 @@ def empirical_escape_times(
             num_replicas,
             start=np.asarray(start_profiles),
             rng=rng,
-            backend=backend,
             tracer=tracer,
         )
         check_start_inside_well(states, sim, num_replicas)
@@ -384,15 +374,13 @@ def empirical_escape_times(
         weights = weights / total
     if adaptive:
         return _adaptive_truncated_times(
-            TruncatedGibbsEscapeSampler(dynamics, idx, weights, int(max_steps), backend),
+            TruncatedGibbsEscapeSampler(dynamics, idx, weights, int(max_steps)),
             precision, alpha, max_steps,
             chunk_size, max_replicas, seed, keep_samples, executor,
             q, precision_quantile, tracer,
         )
     starts = rng.choice(idx, size=num_replicas, p=weights)
-    sim = dynamics.ensemble(
-        num_replicas, start_indices=starts, rng=rng, backend=backend, tracer=tracer
-    )
+    sim = dynamics.ensemble(num_replicas, start_indices=starts, rng=rng, tracer=tracer)
     return sim.exit_times(idx, max_steps=max_steps)
 
 
@@ -412,7 +400,6 @@ def empirical_hitting_times(
     seed: int | np.random.SeedSequence | None = None,
     keep_samples: bool = True,
     executor=None,
-    backend="numpy",
     q: float | None = None,
     precision_quantile: float | None = None,
     tracer=None,
@@ -442,10 +429,8 @@ def empirical_hitting_times(
     at most ``precision * max_steps`` wide when ``stopped_early`` is true.
     With ``precision=None`` the legacy fixed-replica sample array is
     returned unchanged.  ``executor`` shards the adaptive chunks across
-    processes without changing any sample, and ``backend`` selects the
-    engine's array backend, resolved once in this (coordinator) process so
-    a numba-unavailable fallback warns exactly once and visibly (see
-    :func:`empirical_escape_times` for both).
+    processes without changing any sample (see
+    :func:`empirical_escape_times`).
 
     ``q`` / ``precision_quantile`` certify (and optionally stop on) a
     quantile of the truncated hitting time — e.g. ``q=0.99,
@@ -459,7 +444,6 @@ def empirical_hitting_times(
         reject_fixed_mode_knobs(num_replicas, rng)
     else:
         reject_executor_without_precision(precision, executor)
-    backend = resolve_backend(backend, tracer=tracer)
     num_replicas = 128 if num_replicas is None else int(num_replicas)
     if dynamics is None:
         dynamics = LogitDynamics(game, beta)
@@ -477,16 +461,12 @@ def empirical_hitting_times(
             )
 
         return _adaptive_truncated_times(
-            TruncatedHittingSampler(
-                dynamics, start_state, targets, int(max_steps), backend
-            ),
+            TruncatedHittingSampler(dynamics, start_state, targets, int(max_steps)),
             precision, alpha, max_steps,
             chunk_size, max_replicas, seed, keep_samples, executor,
             q, precision_quantile, tracer,
         )
-    sim = dynamics.ensemble(
-        num_replicas, start=start_state, rng=rng, backend=backend, tracer=tracer
-    )
+    sim = dynamics.ensemble(num_replicas, start=start_state, rng=rng, tracer=tracer)
     return sim.hitting_times(targets, max_steps=max_steps)
 
 

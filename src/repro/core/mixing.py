@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..engine.backend import resolve_backend
 from ..obs import as_tracer
 from ..engine.ensemble import EnsembleSimulator
 from ..engine.kernels import require_sequential_dynamics
@@ -90,7 +89,7 @@ def _tv_from_indices(indices: np.ndarray, reference: np.ndarray, space_size: int
     )
 
 
-def _advance_tv_shard(dynamics, streams, start, steps: int, backend="numpy"):
+def _advance_tv_shard(dynamics, streams, start, steps: int):
     """Advance one replica shard ``steps`` steps; module-level, picklable.
 
     ``streams`` is the shard's per-replica randomness: ``(root, offset,
@@ -100,9 +99,7 @@ def _advance_tv_shard(dynamics, streams, start, steps: int, backend="numpy"):
     returned the round before, from which every stream *continues*.
     ``start`` is the caller's start (its own rows when it is per-replica)
     on the first round, the shard's ``(R_shard, n)`` profile rows
-    afterwards.  ``backend`` is the *resolved* array backend shipped from
-    the coordinator (resolving in the parent keeps the numba-fallback
-    warning visible and one-shot instead of per-worker).  Returns
+    afterwards.  Returns
     ``(streams, profiles, indices, seconds)``: the next round's shard
     state, the profile indices the checkpoint TV is computed from, and the
     worker wall-clock spent advancing — the coordinator's per-shard load
@@ -110,7 +107,7 @@ def _advance_tv_shard(dynamics, streams, start, steps: int, backend="numpy"):
     """
     tic = perf_counter()
     words = streams if isinstance(streams, np.ndarray) else spawn_words(*streams)
-    sim = EnsembleSimulator.seeded(dynamics, words, start=start, backend=backend)
+    sim = EnsembleSimulator.seeded(dynamics, words, start=start)
     sim.run(steps)
     return (
         sim.kernel_state["streams"].words,
@@ -254,7 +251,7 @@ def _array_bytes(items) -> int:
     return sum(int(x.nbytes) for x in items if isinstance(x, np.ndarray))
 
 
-def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, backend, tracer):
+def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, tracer):
     """``(indices, advance)`` of the sharded TV driver: the ``executor=`` path.
 
     The ensemble is split into contiguous replica shards, each advanced in
@@ -265,7 +262,7 @@ def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, backend, 
     randomness from ``SeedSequence`` child ``r`` of the master ``seed``
     (:func:`~repro.engine.streams.spawn_words`, run in the worker), so the
     pooled indices — hence the TV curve, the band and the estimate — are
-    bit-for-bit identical for **any** shard count and backend.  Note the
+    bit-for-bit identical for **any** shard count and executor.  Note the
     randomness contract differs from the ``rng``-driven serial path
     (per-replica streams vs one shared stream, and a fresh draw block
     after every checkpoint): results are reproducible against the same
@@ -295,7 +292,7 @@ def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, backend, 
     starts = [start[off : off + cnt] if per_replica else start for off, cnt in plan]
 
     def advance(steps: int) -> np.ndarray:
-        tasks = [(dynamics, s, x, steps, backend) for s, x in zip(streams, starts)]
+        tasks = [(dynamics, s, x, steps) for s, x in zip(streams, starts)]
         results = executor.map_tasks(_advance_tv_shard, tasks, tracer=tracer)
         for j, result in enumerate(results):
             streams[j], starts[j] = result[0], result[1]
@@ -347,7 +344,6 @@ def estimate_tv_convergence(
     alpha: float | None = None,
     executor=None,
     seed: int | np.random.SeedSequence | None = None,
-    backend="numpy",
     tracer=None,
 ) -> EnsembleMixingEstimate:
     """Time for an ensemble of ``dynamics`` to reach ``reference`` in TV.
@@ -402,13 +398,6 @@ def estimate_tv_convergence(
     its randomness contract differs from the ``rng``-driven serial path,
     so compare sharded runs against sharded runs.
 
-    ``backend`` selects the engine's array backend (``"numpy"``,
-    ``"numba"``, or an :class:`~repro.engine.backend.ArrayBackend`
-    instance).  It is resolved **once here in the coordinator** and the
-    resolved instance is shipped to the shard workers — so a
-    numba-unavailable fallback warns exactly once, in the parent process
-    where the user can see it, instead of once per (invisible) worker.
-
     ``tracer`` (:mod:`repro.obs`) records ``mixing.checkpoint`` events
     (TV, and the band when ``alpha`` is set), ``engine.replica_steps``
     counts, and — on the sharded path — per-shard worker wall-clock,
@@ -434,7 +423,6 @@ def estimate_tv_convergence(
     check_every = max(int(check_every), 1)
     num_replicas, max_time = int(num_replicas), int(max_time)
     tracer = as_tracer(tracer)
-    backend = resolve_backend(backend, tracer=tracer)
     sharder, owned = claim_executor(executor)
     try:
         if sharder is None:
@@ -444,7 +432,6 @@ def estimate_tv_convergence(
                 start=start,
                 rng=rng,
                 mode=mode,
-                backend=backend,
                 tracer=tracer,
             )
             budget = sim.kernel.remaining_steps(sim)
@@ -459,7 +446,7 @@ def estimate_tv_convergence(
         else:
             reject_rng_with_sharded_driver(rng)
             indices, advance = _sharded_tv_stepper(
-                dynamics, num_replicas, start, seed, sharder, backend, tracer
+                dynamics, num_replicas, start, seed, sharder, tracer
             )
         curve: list[tuple[float, float]] = []
         band: list[tuple[float, float]] = []
@@ -520,7 +507,6 @@ def estimate_mixing_time_ensemble(
     alpha: float | None = None,
     executor=None,
     seed: int | np.random.SeedSequence | None = None,
-    backend="numpy",
     tracer=None,
 ) -> EnsembleMixingEstimate:
     """Sampled TV mixing estimate from ``num_replicas`` parallel replicas.
@@ -574,7 +560,6 @@ def estimate_mixing_time_ensemble(
         alpha=alpha,
         executor=executor,
         seed=seed,
-        backend=backend,
         tracer=tracer,
     )
 

@@ -59,14 +59,18 @@ class TruncatedHittingSampler:
     start: object
     targets: object
     max_steps: int
-    #: the *resolved* array backend (resolved once in the coordinator so the
-    #: numba-fallback warning fires there, visibly, not once per worker)
-    backend: object = "numpy"
+    #: only "numpy"; kept because perfbench/workloads.py passes it positionally
+    backend: str = "numpy"
+
+    def __post_init__(self):
+        if self.backend != "numpy":
+            raise ValueError(
+                f"unknown array backend {self.backend!r}; the engine runs "
+                f"on numpy only"
+            )
 
     def __call__(self, children) -> np.ndarray:
-        sim = EnsembleSimulator.seeded(
-            self.dynamics, children, start=self.start, backend=self.backend
-        )
+        sim = EnsembleSimulator.seeded(self.dynamics, children, start=self.start)
         times = sim.hitting_times(self.targets, max_steps=self.max_steps)
         return np.where(times < 0, self.max_steps, times).astype(float)
 
@@ -85,11 +89,10 @@ class TruncatedPredicateEscapeSampler:
     start_profile: np.ndarray
     states: object
     max_steps: int
-    backend: object = "numpy"
 
     def __call__(self, children) -> np.ndarray:
         sim = EnsembleSimulator.seeded(
-            self.dynamics, children, start=self.start_profile, backend=self.backend
+            self.dynamics, children, start=self.start_profile
         )
         check_start_inside_well(self.states, sim, len(children))
         times = sim.exit_times(self.states, max_steps=self.max_steps)
@@ -111,7 +114,6 @@ class TruncatedGibbsEscapeSampler:
     well: np.ndarray
     weights: np.ndarray
     max_steps: int
-    backend: object = "numpy"
 
     def __call__(self, children) -> np.ndarray:
         bank = StreamBank(children)
@@ -121,9 +123,7 @@ class TruncatedGibbsEscapeSampler:
                 for _, g in bank.streams(range(len(bank)))
             ]
         ]
-        sim = EnsembleSimulator.seeded(
-            self.dynamics, bank.words, start_indices=starts, backend=self.backend
-        )
+        sim = EnsembleSimulator.seeded(self.dynamics, bank.words, start_indices=starts)
         times = sim.exit_times(self.well, max_steps=self.max_steps)
         return np.where(times < 0, self.max_steps, times).astype(float)
 

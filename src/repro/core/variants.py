@@ -300,10 +300,6 @@ class BestResponseDynamics(EngineBackedDynamics):
     the move distribution differs.
     """
 
-    #: uniform-over-argmax, not a softmax — the engine's array backends must
-    #: never route this rule through their fused logit kernels
-    softmax_rule = False
-
     def __init__(self, game: Game, tie_tolerance: float = 1e-12):
         self.game = game
         self.tie_tolerance = float(tie_tolerance)
@@ -447,11 +443,6 @@ class AnnealedLogitDynamics(EngineBackedDynamics):
     finite schedules shorter than a requested run raise a clear error
     before any step is taken.
     """
-
-    #: every per-step update is the logit softmax of Equation (2), just at a
-    #: time-varying beta — the engine's fused backend kernels apply, with the
-    #: annealed kernel's explicit ``beta_t`` passed per step
-    softmax_rule = True
 
     def __init__(
         self, game: Game, schedule: Callable[[int], float] | Sequence[float]

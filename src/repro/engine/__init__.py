@@ -51,12 +51,7 @@ Components:
   (:class:`~repro.engine.streams.StreamBank`), seeded in bulk and drawn
   through one scratch generator;
 * :mod:`~repro.engine.sampling` — the shared inverse-CDF primitive that
-  keeps the loop references and the batched paths bit-identical;
-* :mod:`~repro.engine.backend` — pluggable array/compute backends for the
-  per-step hot path (``backend=`` knob): the default numpy backend is the
-  pre-backend engine bit-for-bit, the numba backend JIT-fuses
-  gather -> deviation -> softmax -> sample into one compiled kernel for
-  local-interaction games (graceful numpy fallback when numba is absent).
+  keeps the loop references and the batched paths bit-identical.
 
 Shard-aware seeding: :meth:`SeededSequentialKernel.spawn_block
 <repro.engine.kernels.SeededSequentialKernel.spawn_block>` reconstructs
@@ -68,13 +63,6 @@ shard count.  :func:`~repro.engine.streams.spawn_words` seeds the same
 block straight to stream words, without building the children.
 """
 
-from .backend import (
-    ArrayBackend,
-    NumbaBackend,
-    NumpyBackend,
-    numba_available,
-    resolve_backend,
-)
 from .coupled import maximal_coupling_update_many, simulate_grand_coupling_ensemble
 from .ensemble import EnsembleSimulator
 from .kernels import (
@@ -94,11 +82,6 @@ from .state import EngineState, IndexState, MatrixState, strategy_dtype
 from .streams import StreamBank, spawn_words, stream_words
 
 __all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
-    "NumbaBackend",
-    "numba_available",
-    "resolve_backend",
     "EnsembleSimulator",
     "EngineState",
     "IndexState",

@@ -72,7 +72,6 @@ import numpy as np
 
 from ..games.space import DENSE_PROFILE_CAP
 from ..obs import as_tracer
-from .backend import ArrayBackend, resolve_backend
 from .kernels import (
     SeededSequentialKernel,
     SequentialKernel,
@@ -140,19 +139,9 @@ class EnsembleSimulator:
         one-uniformly-random-player-per-step rule.
     state:
         Replica-state backend: ``"index"``, ``"matrix"``, or ``"auto"``
-        (index whenever the profile space fits in int64, matrix beyond —
-        except that an array backend able to fuse this (game, rule) pair
-        flips the auto choice to matrix so its compiled kernels engage).
+        (index whenever the profile space fits in int64, matrix beyond).
         Small-space trajectories are bit-for-bit identical across the two
         backends under a fixed seed.
-    backend:
-        Array/compute backend for the per-step hot path
-        (:mod:`repro.engine.backend`): ``"numpy"`` (default — the existing
-        vectorised path, bit-for-bit identical to the pre-backend engine),
-        ``"numba"`` (JIT-fused step kernels for local-interaction games
-        under softmax rules; falls back to numpy with a one-line warning
-        when numba is not installed), ``"auto"``, or an
-        :class:`~repro.engine.backend.ArrayBackend` instance.
     tracer:
         Telemetry sink (:mod:`repro.obs`): ``None`` (default — the shared
         no-op tracer, zero hot-path cost), a
@@ -193,7 +182,6 @@ class EnsembleSimulator:
         start_indices: np.ndarray | None = None,
         kernel: UpdateKernel | None = None,
         state: str = "auto",
-        backend: str | ArrayBackend | None = "numpy",
         tracer=None,
     ):
         if num_replicas < 1:
@@ -211,24 +199,12 @@ class EnsembleSimulator:
         self.space = self.game.space
         self.num_replicas = int(num_replicas)
         self.rng = np.random.default_rng() if rng is None else rng
-        self.backend = resolve_backend(backend, tracer=self.tracer)
         if state == "auto":
-            # fused backend kernels only exist over the strategy matrix, so
-            # a backend that can fuse this (game, rule) pair flips the auto
-            # choice; with the default numpy backend this is the historical
-            # rule (index whenever the space fits int64)
-            state = (
-                "matrix"
-                if (
-                    not self.space.fits_int64
-                    or self.backend.can_fuse(self.game, self.kernel.rule)
-                )
-                else "index"
-            )
+            state = "index" if self.space.fits_int64 else "matrix"
         if state == "index":
             self.state: EngineState = IndexState(self.space)
         elif state == "matrix":
-            self.state = MatrixState(self.space, backend=self.backend)
+            self.state = MatrixState(self.space)
         else:
             raise ValueError(f"unknown state backend {state!r}")
         if mode == "auto":
@@ -284,20 +260,7 @@ class EnsembleSimulator:
             and hasattr(rule, "update_distribution_rowwise_at")
         ):
             self._rowwise_rule_at = rule.update_distribution_rowwise_at
-        # Fused backend steppers: a non-numpy backend may compile the whole
-        # gather -> deviation -> softmax -> sample -> write pipeline into a
-        # single kernel over the live strategy matrix.  None (always, for
-        # the numpy backend) means the generic paths above run unchanged.
-        self._fused_rowwise = None
-        self._fused_parallel = None
-        self._fused_probabilistic = None
-        if self.mode == "matrix_free" and self.state.kind == "matrix":
-            self._fused_rowwise = self.backend.fused_rowwise_stepper(self.game, rule)
-            self._fused_parallel = self.backend.fused_parallel_stepper(self.game, rule)
-            self._fused_probabilistic = self.backend.fused_probabilistic_stepper(
-                self.game, rule
-            )
-        # Level schedule: on the numpy row-wise path of a CSR-structured game
+        # Level schedule: on the row-wise path of a CSR-structured game
         # an update reads only its mover's closed neighbourhood, so
         # SequentialKernel.run_block runs a pre-drawn block level by level
         # (kernels.dependency_levels); the neighbourhoods are built on the
@@ -305,7 +268,6 @@ class EnsembleSimulator:
         # padded neighbour slots, which sizes run's blocks
         self._levelled = (
             self._rowwise_rule is not None
-            and self._fused_rowwise is None
             and callable(getattr(self.game, "csr_arrays", None))
         )
         self._update_slots = 1
@@ -317,15 +279,9 @@ class EnsembleSimulator:
         if self.tracer.enabled:
             self.tracer.event(
                 "engine.backend_resolved",
-                backend=type(self.backend).__name__,
                 state=self.state.kind,
                 mode=self.mode,
                 replicas=self.num_replicas,
-                fused=bool(
-                    self._fused_rowwise is not None
-                    or self._fused_parallel is not None
-                    or self._fused_probabilistic is not None
-                ),
             )
         self.reset(start, start_indices=start_indices)
 
@@ -338,7 +294,6 @@ class EnsembleSimulator:
         start_indices: np.ndarray | None = None,
         mode: str = "auto",
         state: str = "auto",
-        backend: str | ArrayBackend | None = "numpy",
         block_size: int = 256,
         tracer=None,
     ) -> "EnsembleSimulator":
@@ -384,7 +339,6 @@ class EnsembleSimulator:
             start_indices=start_indices,
             mode=mode,
             state=state,
-            backend=backend,
             kernel=seeded_kernel,
             tracer=tracer,
         )
@@ -531,14 +485,6 @@ class EnsembleSimulator:
             state.put(where, nxt[players, batch, chosen])
             return
         if players.size > 1:
-            if self._fused_rowwise is not None:
-                beta = (
-                    getattr(self.dynamics, "beta", None) if at_beta is None else at_beta
-                )
-                if beta is not None:
-                    rows = self._rows_all if where is None else where
-                    self._fused_rowwise(state.matrix, rows, players, uniforms, beta)
-                    return
             rowwise = self._rowwise_rule if at_beta is None else self._rowwise_rule_at
             if rowwise is not None:
                 rows = self._rows_all if where is None else where

@@ -235,22 +235,12 @@ def _concurrent_sweep(sim, where, old, mask, uniforms) -> None:
     """
     state = sim.state
     n = sim.space.num_players
-    beta = getattr(sim.dynamics, "beta", None)
-    rows = sim._rows_all if where is None else where
     if mask is None:
-        fused = getattr(sim, "_fused_parallel", None)
-        if fused is not None and beta is not None:
-            fused(state.matrix, rows, old, uniforms, beta)
-            return
         new = old.copy()
         for player in range(n):
             chosen = sim._sample_moves(player, old, uniforms[:, player])
             new = state.set_strategies(new, player, chosen)
         state.put(where, new)
-        return
-    fused = getattr(sim, "_fused_probabilistic", None)
-    if fused is not None and beta is not None:
-        fused(state.matrix, rows, old, mask, uniforms, beta)
         return
     new = old.copy()
     for player in range(n):
@@ -579,16 +569,6 @@ class ParallelKernel(UpdateKernel):
     def step(self, sim, where: np.ndarray | None = None) -> None:
         state = sim.state
         n = sim.space.num_players
-        fused = getattr(sim, "_fused_parallel", None)
-        beta = getattr(sim.dynamics, "beta", None)
-        if fused is not None and beta is not None:
-            # one compiled pass: same uniform block (n per replica, player
-            # order), same old-profile semantics, no per-player temporaries
-            old = state.take(where)
-            uniforms = sim.rng.random((old.shape[0], n))
-            rows = sim._rows_all if where is None else where
-            fused(state.matrix, rows, old, uniforms, beta)
-            return
         old = state.take(where)
         uniforms = sim.rng.random((old.shape[0], n))
         new = old.copy()

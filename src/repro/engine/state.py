@@ -36,7 +36,6 @@ from typing import Sequence
 import numpy as np
 
 from ..games.space import _INT64_MAX, ProfileSpace
-from .backend import ArrayBackend, resolve_backend
 
 __all__ = ["EngineState", "IndexState", "MatrixState", "strategy_dtype"]
 
@@ -316,14 +315,8 @@ class MatrixState(EngineState):
 
     kind = "matrix"
 
-    def __init__(
-        self, space: ProfileSpace, backend: str | ArrayBackend | None = "numpy"
-    ):
+    def __init__(self, space: ProfileSpace):
         super().__init__(space)
-        #: the array backend this state's hot path executes on; the numpy
-        #: default is the pre-backend engine bit-for-bit (the simulator
-        #: consults this when wiring its fused steppers)
-        self.backend = resolve_backend(backend)
         self._dtype = strategy_dtype(space)
         self._matrix = np.zeros((0, space.num_players), dtype=self._dtype)
 
@@ -331,9 +324,8 @@ class MatrixState(EngineState):
     def matrix(self) -> np.ndarray:
         """The live ``(R, n)`` strategy matrix (a view, not a copy).
 
-        Fused backend kernels mutate this in place and the row-wise rules
-        read it (without mutating it); everything else should go through
-        :meth:`profiles_at` / :meth:`snapshot`, which copy.
+        The row-wise rules read it (without mutating it); everything else
+        should go through :meth:`profiles_at` / :meth:`snapshot`, which copy.
         """
         return self._matrix
 

@@ -366,16 +366,18 @@ class LocalInteractionGame(PotentialGame):
     def csr_arrays(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The game's CSR local structure, for fused backend kernels.
+        """The game's CSR local structure.
 
         Returns ``(offsets, neighbors, neighbor_edge, edge_payoffs, field)``:
         player ``i``'s neighbors are ``neighbors[offsets[i]:offsets[i+1]]``,
         each contributing ``edge_payoffs[neighbor_edge[d], s, t]`` to the
         deviation utility of strategy ``s`` when the neighbor plays ``t``,
-        plus the per-player external field ``field[i, s]``.  This accessor
-        *is* the contract that makes a game fusable by the engine's array
-        backends (:mod:`repro.engine.backend`); the arrays are the live
-        internals, not copies — callers must treat them as read-only.
+        plus the per-player external field ``field[i, s]``.  The engine's
+        level schedule (:func:`repro.engine.kernels.closed_neighbourhoods`)
+        and the doubled-potential bound
+        (:func:`repro.core.bounds.lemma1207_doubled_potential`) read it;
+        the arrays are the live internals, not copies — callers must treat
+        them as read-only.
         """
         return (
             self._nbr_offsets,

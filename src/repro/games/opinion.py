@@ -23,7 +23,7 @@ per-edge potential ``P[s, t] = (o_s - o_t)^2`` is exactly what
 (Monderer–Shapley path integration normalises ``P[0, 0] = 0``, which the
 opinion potential already satisfies).  The game therefore inherits every
 scaling path of the local-interaction machinery — index-free deviation
-utilities, matrix state rows, fused backends — while the dense accessors
+utilities, matrix state rows, the level schedule — while the dense accessors
 stay available below the dense cap for exact cross-validation.
 
 The paper's theory targets live in :mod:`repro.core.bounds` as the

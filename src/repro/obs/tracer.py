@@ -216,9 +216,8 @@ def get_global_tracer():
 def set_global_tracer(tracer):
     """Install ``tracer`` as the process-wide fallback; returns the old one.
 
-    Used by code that has no ``tracer=`` argument in reach (e.g. the
-    backend fallback event when ``resolve_backend`` is called without a
-    tracer).  Pass ``None`` to restore the no-op default.
+    For code that has no ``tracer=`` argument in reach.  Pass ``None`` to
+    restore the no-op default.
     """
     global _GLOBAL_TRACER
     previous = _GLOBAL_TRACER

@@ -24,7 +24,6 @@ from .accumulators import StreamingEstimate, StreamingMoments
 from .adaptive import run_until_width
 from .confseq import (
     EmpiricalBernsteinCS,
-    HedgedBettingCS,
     NormalMixtureCS,
     checkpoint_alpha,
     fixed_n_clt_interval,
@@ -41,7 +40,6 @@ from .stream import SampleDriver
 
 __all__ = [
     "EmpiricalBernsteinCS",
-    "HedgedBettingCS",
     "NormalMixtureCS",
     "QuantileCS",
     "QuantileEstimate",

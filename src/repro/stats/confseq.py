@@ -7,7 +7,7 @@ chunk of replicas and the run stopped the moment the interval is tight
 enough — "peeking" costs nothing, which is what turns statistical rigor
 into a wall-clock win for every Monte-Carlo estimator in the package.
 
-Three boundaries are provided, all pure NumPy and vectorised over many
+Two boundaries are provided, both pure NumPy and vectorised over many
 estimands at once (state arrays carry a trailing estimand axis):
 
 * :class:`EmpiricalBernsteinCS` — the predictable-mixture empirical-
@@ -15,9 +15,6 @@ estimands at once (state arrays carry a trailing estimand axis):
   & Ramdas 2023, Howard et al. 2021).  Variance-adaptive: the width scales
   with the *empirical* standard deviation, so low-noise estimands stop
   early.  The workhorse for hitting/escape times truncated at a horizon.
-* :class:`HedgedBettingCS` — the hedged capital-process (betting) CS for
-  bounded means over a grid of candidate values.  Typically the tightest
-  known practical CS for bounded means; costs a grid scan per update.
 * :class:`NormalMixtureCS` — Robbins' two-sided normal-mixture boundary
   with plug-in variance: a time-uniform CLT-style CS for *unbounded*
   means (asymptotic coverage).  The boundary for welfare-style observables
@@ -33,12 +30,11 @@ Plus the two helpers the estimators share:
   sampling band for the ensemble TV-distance estimator, via McDiarmid's
   inequality plus alpha-spending over checkpoints.
 
-The empirical-Bernstein and betting constructions follow the predictable-
-mixture recipes of the `confseq` reference implementations (WannabeSmith/
-confseq), re-derived here in streaming form: all state is O(1) per
-estimand (plus the candidate grid for the betting CS), chunks of any size
-fold in exactly, and no per-observation Python loop is needed for the
-empirical-Bernstein boundary.
+The empirical-Bernstein construction follows the predictable-mixture
+recipe of the `confseq` reference implementations (WannabeSmith/confseq),
+re-derived here in streaming form: all state is O(1) per estimand, chunks
+of any size fold in exactly, and no per-observation Python loop is
+needed.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from scipy.special import ndtri
 
 __all__ = [
     "EmpiricalBernsteinCS",
-    "HedgedBettingCS",
     "NormalMixtureCS",
     "fixed_n_clt_interval",
     "checkpoint_alpha",
@@ -171,111 +166,6 @@ class EmpiricalBernsteinCS(_BoundedCS):
         margin = (log2a + self._sum_psi) / self._sum_lambda
         self._lower = np.clip(center - margin, 0.0, 1.0)
         self._upper = np.clip(center + margin, 0.0, 1.0)
-
-    @property
-    def n(self) -> int:
-        """Number of observations consumed (per estimand)."""
-        return self._t
-
-    def mean(self) -> np.ndarray | float:
-        """Plain sample mean on the original scale (the point estimate)."""
-        if self._t == 0:
-            raise ValueError("no observations yet")
-        lo, hi = self.support
-        return lo + (self._sum_x / self._t) * (hi - lo)
-
-    def interval(self) -> tuple[np.ndarray | float, np.ndarray | float]:
-        """Current ``(lower, upper)`` bounds on the original scale."""
-        return self._from_unit(np.asarray(self._lower), np.asarray(self._upper))
-
-
-class HedgedBettingCS(_BoundedCS):
-    """Hedged capital-process (betting) CS for a bounded mean.
-
-    For every candidate mean ``m`` on a grid over the support, two capital
-    processes bet against ``m`` from opposite sides with predictable-
-    mixture bet sizes (truncated at ``trunc_scale / m`` and ``trunc_scale /
-    (1 - m)``); ``m`` stays in the confidence set while
-    ``max(theta W^+_t(m), (1-theta) W^-_t(m)) < 1/alpha`` (Ville's
-    inequality).  The interval is the grid hull of the surviving candidates
-    (widened by one grid cell); the wealth state is a function of the
-    observations only, so the interval after ``n`` observations does not
-    depend on how they were chunked.
-
-    Tighter than the empirical-Bernstein closed form at moderate ``n``, at
-    the cost of a ``(breaks+1, K)`` state and a per-observation update over
-    the grid.
-    """
-
-    def __init__(
-        self,
-        alpha: float = 0.05,
-        support: tuple[float, float] = (0.0, 1.0),
-        breaks: int = 128,
-        theta: float = 0.5,
-        trunc_scale: float = 0.5,
-    ):
-        super().__init__(alpha, support)
-        if breaks < 2:
-            raise ValueError("need at least 2 grid breaks")
-        if not 0 < theta < 1:
-            raise ValueError("theta must lie in (0, 1)")
-        if not 0 < trunc_scale <= 1:
-            raise ValueError("trunc_scale must lie in (0, 1]")
-        self.breaks = int(breaks)
-        self.theta = float(theta)
-        self.trunc_scale = float(trunc_scale)
-        self._grid = np.linspace(0.0, 1.0, self.breaks + 1)
-        self._t = 0
-        self._sum_x = 0.0
-        self._acc_sq = 0.0
-        self._log_wealth_pos: np.ndarray | None = None
-        self._log_wealth_neg: np.ndarray | None = None
-        self._lower: np.ndarray | float = 0.0
-        self._upper: np.ndarray | float = 1.0
-
-    def update(self, chunk: np.ndarray) -> None:
-        """Fold a chunk of observations into every candidate's capital."""
-        x = self._to_unit(chunk)
-        if x.ndim not in (1, 2):
-            raise ValueError("chunks must be (c,) or (c, K) observation arrays")
-        c = x.shape[0]
-        if c == 0:
-            return
-        grid = self._grid if x.ndim == 1 else self._grid[:, None]
-        if self._log_wealth_pos is None:
-            shape = grid.shape if x.ndim == 1 else (grid.shape[0], x.shape[1])
-            self._log_wealth_pos = np.zeros(shape)
-            self._log_wealth_neg = np.zeros(shape)
-        log2a = np.log(2.0 / self.alpha)
-        with np.errstate(divide="ignore"):
-            cap_pos = self.trunc_scale / grid  # +inf at m = 0 (no truncation)
-            cap_neg = self.trunc_scale / (1.0 - grid)
-        for j in range(c):
-            xj = x[j]
-            t = self._t + 1
-            sigma2_prev = (0.25 + self._acc_sq) / (self._t + 1.0)
-            lam = np.sqrt(2.0 * log2a / (sigma2_prev * t * np.log1p(t)))
-            self._log_wealth_pos += np.log1p(np.minimum(lam, cap_pos) * (xj - grid))
-            self._log_wealth_neg += np.log1p(-np.minimum(lam, cap_neg) * (xj - grid))
-            mu_reg = (0.5 + self._sum_x + xj) / (t + 1.0)
-            self._acc_sq = self._acc_sq + (xj - mu_reg) ** 2
-            self._sum_x = self._sum_x + xj
-            self._t = t
-        log_thresh_pos = np.log(1.0 / self.alpha) - np.log(self.theta)
-        log_thresh_neg = np.log(1.0 / self.alpha) - np.log(1.0 - self.theta)
-        in_cs = (self._log_wealth_pos < log_thresh_pos) & (
-            self._log_wealth_neg < log_thresh_neg
-        )
-        any_in = in_cs.any(axis=0)
-        first = np.argmax(in_cs, axis=0)
-        last = in_cs.shape[0] - 1 - np.argmax(in_cs[::-1], axis=0)
-        cell = 1.0 / self.breaks
-        lower = np.clip(self._grid[first] - cell, 0.0, 1.0)
-        upper = np.clip(self._grid[last] + cell, 0.0, 1.0)
-        # an empty confidence set (numerical corner) keeps the previous hull
-        self._lower = np.where(any_in, lower, np.broadcast_to(self._lower, lower.shape))
-        self._upper = np.where(any_in, upper, np.broadcast_to(self._upper, upper.shape))
 
     @property
     def n(self) -> int:

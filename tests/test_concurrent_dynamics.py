@@ -12,20 +12,15 @@ Covers the :class:`~repro.engine.kernels.ProbabilisticKernel` family and
 * the doubled-potential results of ``core.bounds`` (symmetry, detailed
   balance, the product-form stationary law, and the mixing bounds);
 * adaptive (``precision=``) and sharded (``executor=``) estimation for
-  concurrent dynamics — chunk-size and shard-count bit-for-bit invariance;
-* the parent-side numba-fallback warning: resolved once, visibly, even
-  when the run is sharded across worker processes.
+  concurrent dynamics — chunk-size and shard-count bit-for-bit invariance.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import networkx as nx
 import numpy as np
 import pytest
 
-import repro.engine.backend as backend_mod
 from repro.core import (
     ConcurrentLogitDynamics,
     ParallelLogitDynamics,
@@ -356,51 +351,3 @@ class TestConcurrentAdaptiveEstimation:
             )
         np.testing.assert_array_equal(serial.tv_curve, process.tv_curve)
         np.testing.assert_array_equal(serial.final_indices, process.final_indices)
-
-
-# ---------------------------------------------------------------------------
-# the numba-fallback warning is resolved once, in the parent
-# ---------------------------------------------------------------------------
-
-
-class TestBackendFallbackWarning:
-    def _run(self, game, executor=None, backend="numba"):
-        return empirical_hitting_times(
-            game, 0.8, 0, consensus_target(game), max_steps=300,
-            precision=1e-9, seed=3, chunk_size=8, max_replicas=16,
-            backend=backend, executor=executor,
-        )
-
-    def test_fallback_warns_exactly_once_with_process_executor(
-        self, ring6_game, monkeypatch
-    ):
-        """The backend is resolved once in the coordinator and the resolved
-        instance shipped to the workers: with numba absent, exactly one
-        visible parent-side warning — not one per worker process, and not
-        zero because workers swallowed it."""
-        monkeypatch.setattr(backend_mod, "_NUMBA", None)
-        monkeypatch.setattr(backend_mod, "_warned_numba_fallback", False)
-        with ShardedExecutor(2, backend="process", max_workers=2) as ex:
-            with warnings.catch_warnings(record=True) as records:
-                warnings.simplefilter("always")
-                est = self._run(ring6_game, executor=ex)
-        fallback = [
-            w for w in records
-            if issubclass(w.category, RuntimeWarning)
-            and "falling back" in str(w.message)
-        ]
-        assert len(fallback) == 1
-        # ... and the fallback run is the numpy run, sample for sample
-        monkeypatch.setattr(backend_mod, "_warned_numba_fallback", True)
-        reference = self._run(ring6_game, backend="numpy")
-        np.testing.assert_array_equal(est.samples, reference.samples)
-
-    def test_fallback_does_not_rewarn_within_process(self, ring6_game, monkeypatch):
-        monkeypatch.setattr(backend_mod, "_NUMBA", None)
-        monkeypatch.setattr(backend_mod, "_warned_numba_fallback", False)
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            self._run(ring6_game)
-            self._run(ring6_game)
-        fallback = [w for w in records if "falling back" in str(w.message)]
-        assert len(fallback) == 1

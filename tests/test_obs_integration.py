@@ -1,4 +1,4 @@
-"""End-to-end telemetry tests: traced sweeps, trace-summary CLI, fallback.
+"""End-to-end telemetry tests: traced sweeps and the trace-summary CLI.
 
 Covers the observability acceptance path: a sharded, store-backed
 ``dynamics_family_sweep`` run with ``tracer=`` produces one JSONL trace
@@ -17,10 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.engine.backend as backend_module
 from repro.analysis.report import provenance_summary
 from repro.analysis.sweep import dynamics_family_sweep
-from repro.core import LogitDynamics, empirical_hitting_times
+from repro.core import LogitDynamics
 from repro.core.stationary import gibbs_measure
 from repro.games import TwoWellGame
 from repro.obs import (
@@ -28,7 +27,6 @@ from repro.obs import (
     MemorySink,
     Tracer,
     load_trace_files,
-    read_trace,
     render_run_summary,
     summarize_runs,
 )
@@ -221,58 +219,3 @@ class TestResumeHitMissCrossCheck:
                     assert np.isnan(y)
                 else:
                     assert x == y
-
-
-class TestNumbaFallbackEvent:
-    def test_exactly_one_event_under_process_executor(self, monkeypatch, tmp_path):
-        """Satellite: the numba fallback must land in the trace exactly once
-        even when the estimator fans out over a 2-worker process executor."""
-        monkeypatch.setattr(backend_module, "_NUMBA", None)
-        monkeypatch.setattr(backend_module, "_warned_numba_fallback", False)
-        monkeypatch.setattr(backend_module, "_FALLBACK_EVENT_RUNS", set())
-        game = TwoWellGame(num_players=3, barrier=1.0)
-        trace_path = tmp_path / "TRACE_fallback.jsonl"
-        with ShardedExecutor(num_shards=2, backend="process") as executor:
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                with Tracer(JsonlTraceSink(trace_path)) as tracer:
-                    empirical_hitting_times(
-                        game,
-                        0.8,
-                        0,
-                        game.space.size - 1,
-                        max_steps=200,
-                        precision=1e-12,
-                        chunk_size=32,
-                        max_replicas=64,
-                        seed=3,
-                        executor=executor,
-                        backend="numba",
-                        tracer=tracer,
-                    )
-        events = read_trace(trace_path)
-        fallbacks = [
-            e for e in events if e["name"] == "engine.backend_fallback"
-        ]
-        assert len(fallbacks) == 1
-        payload = fallbacks[0]["payload"]
-        assert payload["backend"] == "numba"
-        assert payload["fallback"] == "numpy"
-        assert "reason" in payload
-
-    def test_event_fires_once_per_run_id(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "_NUMBA", None)
-        monkeypatch.setattr(backend_module, "_warned_numba_fallback", True)
-        monkeypatch.setattr(backend_module, "_FALLBACK_EVENT_RUNS", set())
-        tracer = Tracer(run_id="one")
-        backend_module.resolve_backend("numba", tracer=tracer)
-        backend_module.resolve_backend("numba", tracer=tracer)
-        events = [
-            e for e in tracer.events if e["name"] == "engine.backend_fallback"
-        ]
-        assert len(events) == 1
-        # a different run id records its own event
-        other = Tracer(run_id="two")
-        backend_module.resolve_backend("numba", tracer=other)
-        assert any(
-            e["name"] == "engine.backend_fallback" for e in other.events
-        )

@@ -7,7 +7,6 @@ import pytest
 
 from repro.stats import (
     EmpiricalBernsteinCS,
-    HedgedBettingCS,
     NormalMixtureCS,
     StreamingEstimate,
     StreamingMoments,
@@ -152,46 +151,6 @@ class TestEmpiricalBernsteinCS:
         # ... while the peeked CLT interval's realized miscoverage clearly
         # exceeds its nominal level (the optional-stopping failure)
         assert clt_miss_rate > 2 * alpha
-
-
-class TestHedgedBettingCS:
-    def test_contains_truth_and_tightens(self, rng):
-        cs = HedgedBettingCS(alpha=0.05)
-        cs.update(rng.random(100) * 0.2 + 0.3)  # mean 0.4
-        lo1, hi1 = cs.interval()
-        assert lo1 <= 0.4 <= hi1
-        cs.update(rng.random(400) * 0.2 + 0.3)
-        lo2, hi2 = cs.interval()
-        assert lo2 <= 0.4 <= hi2
-        assert (hi2 - lo2) <= (hi1 - lo1)
-
-    def test_support_scaling(self, rng):
-        cs = HedgedBettingCS(alpha=0.05, support=(10.0, 20.0))
-        cs.update(10.0 + 10.0 * (rng.random(300) * 0.2 + 0.3))
-        lo, hi = cs.interval()
-        assert lo <= 14.0 <= hi
-        assert hi - lo < 2.0
-
-    def test_vectorised_matches_scalar_columns(self, rng):
-        x = rng.random((150, 3))
-        vec = HedgedBettingCS(alpha=0.1, breaks=64)
-        vec.update(x)
-        lo, hi = vec.interval()
-        for k in range(3):
-            ref = HedgedBettingCS(alpha=0.1, breaks=64)
-            ref.update(x[:, k])
-            assert lo[k] == pytest.approx(float(ref.interval()[0]))
-            assert hi[k] == pytest.approx(float(ref.interval()[1]))
-
-    def test_comparable_or_tighter_than_eb(self, rng):
-        x = rng.random(600) * 0.4 + 0.1
-        eb = EmpiricalBernsteinCS(alpha=0.05)
-        eb.update(x)
-        bet = HedgedBettingCS(alpha=0.05, breaks=256)
-        bet.update(x)
-        eb_w = float(np.diff(eb.interval())[0])
-        bet_w = float(np.diff(bet.interval())[0])
-        assert bet_w <= eb_w * 1.25  # same ballpark, typically tighter
 
 
 class TestNormalMixtureCS:
