@@ -34,12 +34,13 @@ import networkx as nx
 import numpy as np
 
 from ..games.base import Game
-from ..obs import as_tracer
-from ..parallel.sharding import claim_executor
-from ..parallel.store import as_store
-from ..stats.knobs import require_executor_seed, require_store_seed
 from .report import format_interval, format_value, render_table
-from .sweep import SweepResult, _named_seed_children, dynamics_family_sweep
+from .sweep import (
+    SweepResult,
+    _cell_lifecycle,
+    _named_seed_children,
+    dynamics_family_sweep,
+)
 
 __all__ = [
     "ScenarioCell",
@@ -155,35 +156,24 @@ def scenario_matrix(
     graphs = _materialise_topologies(topologies)
     if not graphs:
         raise ValueError("need at least one topology")
-    tracer = as_tracer(tracer)
-    store = as_store(store, tracer=tracer)
-    require_store_seed(store, seed)
-    require_executor_seed(executor, seed)
-    executor, owned_executor = claim_executor(executor)
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence) or seed is None
-        else np.random.SeedSequence(seed)
-    )
-    if tracer.enabled:
-        tracer.event(
-            "matrix.begin",
-            families=len(families),
-            topologies=len(graphs),
-            cells=len(families) * len(graphs),
-            store=store is not None,
-            sharded=executor is not None,
-        )
-    cells: list[ScenarioCell] = []
-    try:
+    with _cell_lifecycle(
+        None,
+        len(families) * len(graphs),
+        seed,
+        executor,
+        store,
+        tracer,
+        families=len(families),
+        topologies=len(graphs),
+    ) as life:
         for family_name, make_game in families.items():
             for topo_name, graph in graphs.items():
                 cell_name = f"{family_name}::{topo_name}"
-                tic = perf_counter() if tracer.enabled else 0.0
+                tic = perf_counter() if life.tracer.enabled else 0.0
                 game = make_game(graph)
                 cell_seed = (
-                    _named_seed_children(root, cell_name, 1)[0]
-                    if root is not None
+                    _named_seed_children(life.root, cell_name, 1)[0]
+                    if life.root is not None
                     else None
                 )
                 sweep = dynamics_family_sweep(
@@ -203,17 +193,17 @@ def scenario_matrix(
                     max_escape_steps=max_escape_steps,
                     welfare_alpha=welfare_alpha,
                     seed=cell_seed,
-                    executor=executor,
-                    store=store,
+                    executor=life.executor,
+                    store=life.store,
                     store_tag=(
                         f"{store_tag}::{cell_name}"
                         if store_tag is not None
                         else cell_name
                     ),
                     tail_q=tail_q,
-                    tracer=tracer,
+                    tracer=life.tracer,
                 )
-                cells.append(
+                life.records.append(
                     ScenarioCell(
                         game_family=family_name,
                         topology=topo_name,
@@ -222,23 +212,18 @@ def scenario_matrix(
                         sweep=sweep,
                     )
                 )
-                if tracer.enabled:
-                    tracer.event(
+                if life.tracer.enabled:
+                    life.tracer.event(
                         "matrix.cell",
                         cell=cell_name,
                         num_players=int(game.num_players),
                         seconds=perf_counter() - tic,
                     )
-        if tracer.enabled:
-            tracer.event("matrix.end", cells=len(cells))
-    finally:
-        if owned_executor:
-            executor.close()
     return ScenarioMatrixResult(
         game_families=tuple(families),
         topologies=tuple(graphs),
         dynamics=dynamics_names,
-        cells=tuple(cells),
+        cells=tuple(life.records),
     )
 
 

@@ -13,9 +13,10 @@ well as sandwich inequalities.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,11 +28,13 @@ from ..core.mixing import (
 )
 from ..games.base import Game
 from ..obs import as_tracer
-from ..parallel.sharding import claim_executor
-from ..parallel.store import as_store, describe
+from ..parallel.sharding import ShardedExecutor, claim_executor
+from ..parallel.store import ExperimentStore, as_store, describe
 from ..stats.confseq import NormalMixtureCS
 from ..stats.knobs import (
     reject_executor_without_precision,
+    reject_fixed_mode_knobs,
+    reject_quantile_knob_conflicts,
     reject_seed_rng_conflict,
     require_executor_seed,
     require_store_seed,
@@ -88,53 +91,112 @@ def _named_seed_children(
     return child.spawn(count)
 
 
-def _cached_record(store, spec) -> SweepRecord | None:
-    """Rebuild a :class:`SweepRecord` from a stored cell, or ``None`` on miss.
+@dataclass
+class _CellLifecycle:
+    """One sweep run's shared state, handed out by :func:`_cell_lifecycle`.
 
-    The cached cell carries everything but provenance; the rebuilt record
-    is tagged ``extra["provenance"] = "store"`` so report tables show
-    which cells were loaded rather than computed.
+    ``tracer``, ``store`` and ``executor`` are the normalised knobs,
+    ``root`` the master ``SeedSequence`` (``None`` without ``seed=``) and
+    ``records`` collects what the run produced, in order.
     """
-    if store is None:
-        return None
-    cell = store.get(spec)
-    if cell is None:
-        return None
-    extra = dict(cell.get("extra", {}))
-    extra["provenance"] = "store"
-    return SweepRecord(
-        parameter=float(cell["parameter"]),
-        mixing_time=float(cell.get("mixing_time", float("nan"))),
-        relaxation_time=float(cell.get("relaxation_time", float("nan"))),
-        extra=extra,
-    )
+
+    sweep: str | None
+    tracer: object
+    store: ExperimentStore | None
+    executor: ShardedExecutor | None
+    root: np.random.SeedSequence | None
+    records: list = field(default_factory=list)
+
+    def serve(self, cell, parameter: float, spec, compute) -> None:
+        """Append one cell's :class:`SweepRecord`, loaded or computed.
+
+        ``spec()`` builds the cell's content address; it is called only
+        with a store, because describing a lambda without ``store_tag``
+        raises.  ``compute()`` returns ``(mixing_time, extra)`` and runs
+        only on a miss; the result is stored the moment it completes, so a
+        sweep killed mid-grid resumes from its last completed cell.
+        ``parameter`` comes from the caller, so a cached cell reports its
+        *current* position in the sweep, not the one it was computed at.
+        With a store, the record's ``extra["provenance"]`` says whether the
+        cell was loaded (``"store"``) or computed.
+        """
+        tracer = self.tracer
+        tic = 0.0
+
+        def run() -> dict:
+            nonlocal tic
+            if self.store is not None and tracer.enabled:
+                tracer.count("store.miss")
+            tic = perf_counter() if tracer.enabled else 0.0
+            mixing_time, extra = compute()
+            return {
+                "parameter": parameter,
+                "mixing_time": mixing_time,
+                "relaxation_time": float("nan"),
+                "extra": dict(extra),
+            }
+
+        if self.store is None:
+            result, cached = run(), False
+        else:
+            result, cached = self.store.get_or_compute(spec(), run)
+        extra = dict(result["extra"])
+        if self.store is not None:
+            extra["provenance"] = "store" if cached else "computed"
+        self.records.append(
+            SweepRecord(**dict(result, parameter=parameter, extra=extra))
+        )
+        if not tracer.enabled:
+            return
+        payload = {"sweep": self.sweep, "cell": cell, "provenance": "store"}
+        if cached:
+            tracer.count("store.hit")
+        else:
+            payload.update(provenance="computed", seconds=perf_counter() - tic)
+        tracer.event("sweep.cell", **payload)
 
 
-def _store_record(store, spec, record: SweepRecord) -> SweepRecord:
-    """Persist a freshly computed cell; returns it tagged as computed.
+@contextmanager
+def _cell_lifecycle(
+    sweep: str | None, cells: int, seed, executor, store, tracer, **shape
+) -> Iterator[_CellLifecycle]:
+    """The cell lifecycle every store-backed sweep and the matrix share.
 
-    Cells are written the moment they complete, so a sweep killed
-    mid-grid resumes from its last completed cell on the next run.
+    Normalises the ``tracer`` / ``store`` / ``executor`` knobs, refuses a
+    store or an executor without ``seed`` (a cached or sharded cell must
+    be a pure function of its spec), turns ``seed`` into the master
+    ``SeedSequence``, emits ``sweep.begin`` / ``sweep.end`` around the
+    run, and closes the executor on the way out if it created it (a
+    caller's executor stays open: its pool belongs to the caller).
+    ``sweep=None`` is the scenario matrix: its events are ``matrix.*``
+    and carry ``shape`` (the family and topology counts) instead of a
+    sweep name.
     """
-    if store is None:
-        return record
-    store.put(
-        spec,
-        {
-            "parameter": record.parameter,
-            "mixing_time": record.mixing_time,
-            "relaxation_time": record.relaxation_time,
-            "extra": dict(record.extra),
-        },
-    )
-    extra = dict(record.extra)
-    extra["provenance"] = "computed"
-    return SweepRecord(
-        parameter=record.parameter,
-        mixing_time=record.mixing_time,
-        relaxation_time=record.relaxation_time,
-        extra=extra,
-    )
+    tracer = as_tracer(tracer)
+    store = as_store(store, tracer=tracer)
+    require_store_seed(store, seed)
+    require_executor_seed(executor, seed)
+    executor, owned_executor = claim_executor(executor)
+    if seed is not None and not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    kind, head = ("sweep", {"sweep": sweep}) if sweep is not None else ("matrix", {})
+    life = _CellLifecycle(sweep, tracer, store, executor, seed)
+    try:
+        if tracer.enabled:
+            tracer.event(
+                f"{kind}.begin",
+                **head,
+                **shape,
+                cells=cells,
+                store=store is not None,
+                sharded=executor is not None,
+            )
+        yield life
+        if tracer.enabled:
+            tracer.event(f"{kind}.end", **head, cells=len(life.records))
+    finally:
+        if owned_executor:
+            executor.close()
 
 
 def _trace_welfare_curve(
@@ -293,32 +355,16 @@ def ensemble_beta_sweep(
     stream.
     """
     reject_seed_rng_conflict(seed, rng)
-    tracer = as_tracer(tracer)
-    store = as_store(store, tracer=tracer)
-    require_store_seed(store, seed)
-    require_executor_seed(executor, seed)
-    executor, owned_executor = claim_executor(executor)
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence) or seed is None
-        else np.random.SeedSequence(seed)
-    )
     betas = [float(beta) for beta in betas]
-    if tracer.enabled:
-        tracer.event(
-            "sweep.begin",
-            sweep="ensemble_beta_sweep",
-            cells=len(betas),
-            store=store is not None,
-            sharded=executor is not None,
-        )
-    records = []
-    try:
+    with _cell_lifecycle(
+        "ensemble_beta_sweep", len(betas), seed, executor, store, tracer
+    ) as life:
+        sharded = life.executor is not None
         for beta in betas:
-            cell_seed = root.spawn(1)[0] if root is not None else None
-            spec = None
-            if store is not None:
-                spec = {
+            cell_seed = life.root.spawn(1)[0] if life.root is not None else None
+
+            def spec() -> dict:
+                return {
                     "sweep": "ensemble_beta_sweep",
                     "game": describe(game),
                     "tag": store_tag,
@@ -331,75 +377,41 @@ def ensemble_beta_sweep(
                     # serial (one shared generator) and sharded (one stream
                     # per replica) runs draw different samples from the same
                     # seed; the contract is part of the cell's identity
-                    "randomness": "sharded" if executor is not None else "serial",
+                    "randomness": "sharded" if sharded else "serial",
                     "seed": describe(cell_seed),
                 }
-                cached = _cached_record(store, spec)
-                if cached is not None:
-                    if tracer.enabled:
-                        tracer.count("store.hit")
-                        tracer.event(
-                            "sweep.cell",
-                            sweep="ensemble_beta_sweep",
-                            cell=beta,
-                            provenance="store",
-                        )
-                    records.append(cached)
-                    continue
-            if store is not None and tracer.enabled:
-                tracer.count("store.miss")
-            tic = perf_counter() if tracer.enabled else 0.0
-            estimate = estimate_mixing_time_ensemble(
-                game,
-                beta,
-                num_replicas=num_replicas,
-                epsilon=epsilon,
-                max_time=max_time,
-                rng=(
-                    np.random.default_rng(cell_seed)
-                    if cell_seed is not None and executor is None
-                    else rng
-                ),
-                alpha=alpha,
-                executor=executor,
-                seed=cell_seed if executor is not None else None,
-                tracer=tracer,
-            )
-            extras = {
-                "tv_at_estimate": float(estimate.tv_curve[-1, 1]),
-                "capped": estimate.capped,
-                "converged": estimate.converged,
-            }
-            if estimate.tv_band is not None:
-                extras["tv_lower"] = float(estimate.tv_band[-1, 0])
-                extras["tv_upper"] = float(estimate.tv_band[-1, 1])
-            if extra is not None:
-                extras.update(extra(game, beta))
-            record = SweepRecord(
-                parameter=beta,
-                mixing_time=float(estimate.mixing_time_estimate),
-                relaxation_time=float("nan"),
-                extra=extras,
-            )
-            records.append(
-                _store_record(store, spec, record) if store is not None else record
-            )
-            if tracer.enabled:
-                tracer.event(
-                    "sweep.cell",
-                    sweep="ensemble_beta_sweep",
-                    cell=beta,
-                    provenance="computed",
-                    seconds=perf_counter() - tic,
+
+            def compute() -> tuple[float, dict]:
+                estimate = estimate_mixing_time_ensemble(
+                    game,
+                    beta,
+                    num_replicas=num_replicas,
+                    epsilon=epsilon,
+                    max_time=max_time,
+                    rng=(
+                        np.random.default_rng(cell_seed)
+                        if cell_seed is not None and not sharded
+                        else rng
+                    ),
+                    alpha=alpha,
+                    executor=life.executor,
+                    seed=cell_seed if sharded else None,
+                    tracer=life.tracer,
                 )
-        if tracer.enabled:
-            tracer.event(
-                "sweep.end", sweep="ensemble_beta_sweep", cells=len(records)
-            )
-    finally:
-        if owned_executor:
-            executor.close()
-    return SweepResult(parameter_name="beta", records=tuple(records))
+                extras = {
+                    "tv_at_estimate": float(estimate.tv_curve[-1, 1]),
+                    "capped": estimate.capped,
+                    "converged": estimate.converged,
+                }
+                if estimate.tv_band is not None:
+                    extras["tv_lower"] = float(estimate.tv_band[-1, 0])
+                    extras["tv_upper"] = float(estimate.tv_band[-1, 1])
+                if extra is not None:
+                    extras.update(extra(game, beta))
+                return float(estimate.mixing_time_estimate), extras
+
+            life.serve(beta, beta, spec, compute)
+    return SweepResult(parameter_name="beta", records=tuple(life.records))
 
 
 def dynamics_family_sweep(
@@ -501,42 +513,28 @@ def dynamics_family_sweep(
     if not entries:
         raise ValueError("need at least one dynamics factory to sweep")
     reject_seed_rng_conflict(seed, rng)
-    tracer = as_tracer(tracer)
-    store = as_store(store, tracer=tracer)
-    require_store_seed(store, seed)
-    require_executor_seed(executor, seed)
-    executor, owned_executor = claim_executor(executor)
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence) or seed is None
-        else np.random.SeedSequence(seed)
-    )
-    rng = np.random.default_rng() if rng is None and root is None else rng
-    if tracer.enabled:
-        tracer.event(
-            "sweep.begin",
-            sweep="dynamics_family_sweep",
-            cells=len(entries),
-            store=store is not None,
-            sharded=executor is not None,
-        )
-    records = []
-    try:
+    rng = np.random.default_rng() if rng is None and seed is None else rng
+    with _cell_lifecycle(
+        "dynamics_family_sweep", len(entries), seed, executor, store, tracer
+    ) as life:
+        sharded = life.executor is not None
         for position, (name, factory) in enumerate(entries):
             tv_seed, escape_seed = (
-                _named_seed_children(root, name, 2)
-                if root is not None
+                _named_seed_children(life.root, name, 2)
+                if life.root is not None
                 else (None, None)
             )
-            spec = None
-            if store is not None:
-                spec = {
+
+            def spec() -> dict:
+                fields = {
                     "sweep": "dynamics_family_sweep",
                     "game": describe(game),
                     "tag": store_tag,
                     "family": str(name),
                     "reference": describe(
-                        None if reference is None else np.asarray(reference, dtype=float)
+                        None
+                        if reference is None
+                        else np.asarray(reference, dtype=float)
                     ),
                     "num_replicas": int(num_replicas),
                     "epsilon": float(epsilon),
@@ -552,142 +550,106 @@ def dynamics_family_sweep(
                     "welfare_alpha": float(welfare_alpha),
                     # serial and sharded TV drivers draw different samples
                     # from the same seed; the contract is part of the spec
-                    "randomness": "sharded" if executor is not None else "serial",
+                    "randomness": "sharded" if sharded else "serial",
                     "seed": [describe(tv_seed), describe(escape_seed)],
                 }
                 # joins the spec only when set — pre-tail cells keep their
                 # content addresses
                 if tail_q is not None:
-                    spec["tail_q"] = float(tail_q)
-                cached = _cached_record(store, spec)
-                if cached is not None:
-                    if tracer.enabled:
-                        tracer.count("store.hit")
-                        tracer.event(
-                            "sweep.cell",
-                            sweep="dynamics_family_sweep",
-                            cell=str(name),
-                            provenance="store",
+                    fields["tail_q"] = float(tail_q)
+                return fields
+
+            def compute() -> tuple[float, dict]:
+                dynamics = factory(game)
+                if reference is None:
+                    if not hasattr(dynamics, "stationary_distribution"):
+                        raise ValueError(
+                            f"dynamics family {name!r} exposes no stationary_"
+                            f"distribution(); pass an explicit reference distribution"
                         )
-                    # parameter is the *current* position in the sweep order,
-                    # not whatever position the cell was computed at
-                    records.append(
-                        SweepRecord(
-                            parameter=float(position),
-                            mixing_time=cached.mixing_time,
-                            relaxation_time=cached.relaxation_time,
-                            extra=cached.extra,
+                    target = np.asarray(dynamics.stationary_distribution(), dtype=float)
+                else:
+                    target = np.asarray(reference, dtype=float)
+                estimate = estimate_tv_convergence(
+                    dynamics,
+                    target,
+                    num_replicas=num_replicas,
+                    epsilon=epsilon,
+                    start=start,
+                    max_time=max_time,
+                    check_every=check_every,
+                    rng=(
+                        np.random.default_rng(tv_seed)
+                        if tv_seed is not None and not sharded
+                        else rng
+                    ),
+                    executor=life.executor,
+                    seed=tv_seed if sharded else None,
+                    tracer=life.tracer,
+                )
+                # utilitarian welfare of the settled ensemble: one batched
+                # all-player utility gather over the final replica states, with a
+                # CLT-style confidence interval for the mean (one-shot evaluation
+                # of the time-uniform boundary — conservative, never invalid)
+                welfare_samples = game.utility_profile_many(
+                    estimate.final_indices
+                ).sum(axis=1)
+                welfare_cs = NormalMixtureCS(alpha=welfare_alpha)
+                welfare_cs.update(welfare_samples)
+                welfare_lower, welfare_upper = welfare_cs.interval()
+                _trace_welfare_curve(
+                    life.tracer, str(name), welfare_samples, welfare_alpha
+                )
+                extras: dict = {
+                    "dynamics": name,
+                    "tv_at_estimate": float(estimate.tv_curve[-1, 1]),
+                    "capped": estimate.capped,
+                    "converged": estimate.converged,
+                    "mean_welfare": float(welfare_samples.mean()),
+                    "welfare_lower": float(welfare_lower),
+                    "welfare_upper": float(welfare_upper),
+                }
+                if escape_states is not None:
+                    well = np.unique(np.asarray(escape_states, dtype=np.int64))
+                    escape_rng = (
+                        np.random.default_rng(escape_seed)
+                        if escape_seed is not None
+                        else rng
+                    )
+                    sim = dynamics.ensemble(
+                        num_replicas,
+                        start_indices=escape_rng.choice(well, size=num_replicas),
+                        rng=escape_rng,
+                        tracer=life.tracer,
+                    )
+                    times = sim.exit_times(well, max_steps=max_escape_steps)
+                    escaped = times[times >= 0]
+                    extras["escape_fraction"] = float(escaped.size / times.size)
+                    extras["mean_escape_time"] = (
+                        float(escaped.mean()) if escaped.size else float("nan")
+                    )
+                    if tail_q is not None:
+                        # quantile of the *truncated* escape time min(tau, horizon):
+                        # one-shot evaluation of the time-uniform quantile CS over
+                        # the fixed ensemble (conservative, never invalid)
+                        truncated = np.where(
+                            times < 0, max_escape_steps, times
+                        ).astype(float)
+                        tail_cs = QuantileCS(
+                            float(tail_q),
+                            alpha=welfare_alpha,
+                            support=(0.0, float(max_escape_steps)),
                         )
-                    )
-                    continue
-            if store is not None and tracer.enabled:
-                tracer.count("store.miss")
-            tic = perf_counter() if tracer.enabled else 0.0
-            dynamics = factory(game)
-            if reference is None:
-                if not hasattr(dynamics, "stationary_distribution"):
-                    raise ValueError(
-                        f"dynamics family {name!r} exposes no stationary_"
-                        f"distribution(); pass an explicit reference distribution"
-                    )
-                target = np.asarray(dynamics.stationary_distribution(), dtype=float)
-            else:
-                target = np.asarray(reference, dtype=float)
-            estimate = estimate_tv_convergence(
-                dynamics,
-                target,
-                num_replicas=num_replicas,
-                epsilon=epsilon,
-                start=start,
-                max_time=max_time,
-                check_every=check_every,
-                rng=(
-                    np.random.default_rng(tv_seed)
-                    if tv_seed is not None and executor is None
-                    else rng
-                ),
-                executor=executor,
-                seed=tv_seed if executor is not None else None,
-                tracer=tracer,
-            )
-            # utilitarian welfare of the settled ensemble: one batched
-            # all-player utility gather over the final replica states, with a
-            # CLT-style confidence interval for the mean (one-shot evaluation
-            # of the time-uniform boundary — conservative, never invalid)
-            welfare_samples = game.utility_profile_many(
-                estimate.final_indices
-            ).sum(axis=1)
-            welfare_cs = NormalMixtureCS(alpha=welfare_alpha)
-            welfare_cs.update(welfare_samples)
-            welfare_lower, welfare_upper = welfare_cs.interval()
-            _trace_welfare_curve(tracer, str(name), welfare_samples, welfare_alpha)
-            extras: dict = {
-                "dynamics": name,
-                "tv_at_estimate": float(estimate.tv_curve[-1, 1]),
-                "capped": estimate.capped,
-                "converged": estimate.converged,
-                "mean_welfare": float(welfare_samples.mean()),
-                "welfare_lower": float(welfare_lower),
-                "welfare_upper": float(welfare_upper),
-            }
-            if escape_states is not None:
-                well = np.unique(np.asarray(escape_states, dtype=np.int64))
-                escape_rng = (
-                    np.random.default_rng(escape_seed) if escape_seed is not None else rng
-                )
-                sim = dynamics.ensemble(
-                    num_replicas,
-                    start_indices=escape_rng.choice(well, size=num_replicas),
-                    rng=escape_rng,
-                    tracer=tracer,
-                )
-                times = sim.exit_times(well, max_steps=max_escape_steps)
-                escaped = times[times >= 0]
-                extras["escape_fraction"] = float(escaped.size / times.size)
-                extras["mean_escape_time"] = (
-                    float(escaped.mean()) if escaped.size else float("nan")
-                )
-                if tail_q is not None:
-                    # quantile of the *truncated* escape time min(tau, horizon):
-                    # one-shot evaluation of the time-uniform quantile CS over
-                    # the fixed ensemble (conservative, never invalid)
-                    truncated = np.where(
-                        times < 0, max_escape_steps, times
-                    ).astype(float)
-                    tail_cs = QuantileCS(
-                        float(tail_q),
-                        alpha=welfare_alpha,
-                        support=(0.0, float(max_escape_steps)),
-                    )
-                    tail_cs.update(truncated)
-                    tail = tail_cs.result()
-                    extras["escape_quantile_q"] = float(tail.q)
-                    extras["escape_quantile"] = float(tail.estimate)
-                    extras["escape_quantile_lower"] = float(tail.lower)
-                    extras["escape_quantile_upper"] = float(tail.upper)
-            record = SweepRecord(
-                parameter=float(position),
-                mixing_time=float(estimate.mixing_time_estimate),
-                relaxation_time=float("nan"),
-                extra=extras,
-            )
-            records.append(_store_record(store, spec, record) if store is not None else record)
-            if tracer.enabled:
-                tracer.event(
-                    "sweep.cell",
-                    sweep="dynamics_family_sweep",
-                    cell=str(name),
-                    provenance="computed",
-                    seconds=perf_counter() - tic,
-                )
-        if tracer.enabled:
-            tracer.event(
-                "sweep.end", sweep="dynamics_family_sweep", cells=len(records)
-            )
-    finally:
-        if owned_executor:
-            executor.close()
-    return SweepResult(parameter_name="dynamics_family", records=tuple(records))
+                        tail_cs.update(truncated)
+                        tail = tail_cs.result()
+                        extras["escape_quantile_q"] = float(tail.q)
+                        extras["escape_quantile"] = float(tail.estimate)
+                        extras["escape_quantile_lower"] = float(tail.lower)
+                        extras["escape_quantile_upper"] = float(tail.upper)
+                return float(estimate.mixing_time_estimate), extras
+
+            life.serve(str(name), float(position), spec, compute)
+    return SweepResult(parameter_name="dynamics_family", records=tuple(life.records))
 
 
 def size_sweep(
@@ -773,9 +735,10 @@ def hitting_time_size_sweep(
     — the fraction of samples clamped at the horizon, under whose
     convention a replica hitting exactly *at* ``max_steps`` is
     indistinguishable from a censored one (their contribution to the
-    truncated mean is identical).  Grid points are seeded from one master
-    ``seed`` (a spawned child per size), so the whole sweep is
-    reproducible end to end.
+    truncated mean is identical).  On either path ``seed`` (exclusive
+    with ``rng``) seeds every grid point from its own spawned child, so
+    the whole sweep is reproducible end to end; ``rng`` drives the fixed
+    path's one shared stream, and adaptive mode refuses it.
 
     ``executor`` (adaptive mode only) shards every grid point's replica
     chunks across processes via :class:`repro.parallel.ShardedExecutor`;
@@ -804,20 +767,16 @@ def hitting_time_size_sweep(
     through to the adaptive estimator's sample driver; tracing never
     changes the sample stream.
     """
-    rng = np.random.default_rng() if rng is None else rng
-    tracer = as_tracer(tracer)
-    if q is None and precision_quantile is not None:
-        raise ValueError(
-            "precision_quantile= sets the tail interval's target width; pass "
-            "q= (the quantile level, e.g. 0.99) to say which quantile to "
-            "certify"
-        )
+    reject_seed_rng_conflict(seed, rng)
+    if precision is not None:
+        # only rng: num_replicas always has a value here (its default)
+        reject_fixed_mode_knobs(None, rng)
+    reject_quantile_knob_conflicts(q, precision_quantile, (0.0, float(max_steps)))
     if q is not None and precision is None:
         raise ValueError(
             "the sweep's tail columns ride the adaptive estimator; pass "
             "precision= (and seed=) together with q="
         )
-    store = as_store(store, tracer=tracer)
     if store is not None and precision is None:
         raise ValueError(
             "store= caches adaptive (precision=) cells, which are pure "
@@ -828,80 +787,73 @@ def hitting_time_size_sweep(
     reject_executor_without_precision(
         precision, executor, fixed_path="runs one shared-rng ensemble per size"
     )
-    require_store_seed(store, seed)
-    require_executor_seed(executor, seed)
-    executor, owned_executor = claim_executor(executor)
+    rng = np.random.default_rng() if rng is None and seed is None else rng
     sizes = [int(n) for n in sizes]
-    if tracer.enabled:
-        tracer.event(
-            "sweep.begin",
-            sweep="hitting_time_size_sweep",
-            cells=len(sizes),
-            store=store is not None,
-            sharded=executor is not None,
-        )
-    records = []
-    if precision is not None:
-        root = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
-    try:
+    with _cell_lifecycle(
+        "hitting_time_size_sweep", len(sizes), seed, executor, store, tracer
+    ) as life:
         for n in sizes:
-            if precision is not None:
-                # spawned unconditionally — cache hits must not shift the
-                # seeds of the cells that still need computing
-                cell_seed = root.spawn(1)[0]
-                spec = None
-                if store is not None:
-                    spec = {
-                        "sweep": "hitting_time_size_sweep",
-                        "factories": _described_factories(
-                            store_tag,
-                            game_factory=game_factory,
-                            start_factory=start_factory,
-                            target_factory=target_factory,
-                            dynamics_factory=dynamics_factory,
-                        ),
-                        "n": int(n),
-                        "beta": float(beta),
-                        "max_steps": int(max_steps),
-                        "precision": float(precision),
-                        "alpha": float(alpha),
-                        "chunk_size": int(chunk_size),
-                        "max_replicas": int(max_replicas),
-                        "seed": describe(cell_seed),
-                    }
-                    # tail knobs join the spec only when set, so pre-tail
-                    # cells keep their content addresses (cache stability)
-                    if q is not None:
-                        spec["q"] = float(q)
-                    if precision_quantile is not None:
-                        spec["precision_quantile"] = float(precision_quantile)
-                    cached = _cached_record(store, spec)
-                    if cached is not None:
-                        if tracer.enabled:
-                            tracer.count("store.hit")
-                            tracer.event(
-                                "sweep.cell",
-                                sweep="hitting_time_size_sweep",
-                                cell=int(n),
-                                provenance="store",
-                            )
-                        records.append(cached)
-                        continue
-                if store is not None and tracer.enabled:
-                    tracer.count("store.miss")
-            tic = perf_counter() if tracer.enabled else 0.0
-            game = game_factory(int(n))
-            if dynamics_factory is None:
-                from ..core.logit import LogitDynamics
+            # spawned unconditionally — cache hits must not shift the
+            # seeds of the cells that still need computing
+            cell_seed = life.root.spawn(1)[0] if life.root is not None else None
 
-                dynamics = LogitDynamics(game, float(beta))
-            else:
-                dynamics = dynamics_factory(game, float(beta))
-            if precision is not None:
+            def spec() -> dict:
+                fields = {
+                    "sweep": "hitting_time_size_sweep",
+                    "factories": _described_factories(
+                        store_tag,
+                        game_factory=game_factory,
+                        start_factory=start_factory,
+                        target_factory=target_factory,
+                        dynamics_factory=dynamics_factory,
+                    ),
+                    "n": int(n),
+                    "beta": float(beta),
+                    "max_steps": int(max_steps),
+                    "precision": float(precision),
+                    "alpha": float(alpha),
+                    "chunk_size": int(chunk_size),
+                    "max_replicas": int(max_replicas),
+                    "seed": describe(cell_seed),
+                }
+                # tail knobs join the spec only when set, so pre-tail
+                # cells keep their content addresses (cache stability)
+                if q is not None:
+                    fields["q"] = float(q)
+                if precision_quantile is not None:
+                    fields["precision_quantile"] = float(precision_quantile)
+                return fields
+
+            def compute() -> tuple[float, dict]:
+                game = game_factory(int(n))
+                if dynamics_factory is None:
+                    from ..core.logit import LogitDynamics
+
+                    dynamics = LogitDynamics(game, float(beta))
+                else:
+                    dynamics = dynamics_factory(game, float(beta))
+                if precision is None:
+                    sim = dynamics.ensemble(
+                        num_replicas,
+                        start=np.asarray(start_factory(game)),
+                        rng=(
+                            np.random.default_rng(cell_seed)
+                            if cell_seed is not None
+                            else rng
+                        ),
+                        tracer=life.tracer,
+                    )
+                    times = sim.hitting_times(target_factory(game), max_steps=max_steps)
+                    reached = times[times >= 0]
+                    return float("nan"), {
+                        "mean_hitting_time": (
+                            float(reached.mean()) if reached.size else float("nan")
+                        ),
+                        "median_hitting_time": (
+                            float(np.median(reached)) if reached.size else float("nan")
+                        ),
+                        "reached_fraction": float(reached.size / times.size),
+                    }
                 from ..core.metastability import empirical_hitting_times
 
                 estimate = empirical_hitting_times(
@@ -917,10 +869,10 @@ def hitting_time_size_sweep(
                     max_replicas=max_replicas,
                     seed=cell_seed,
                     keep_samples=True,
-                    executor=executor,
+                    executor=life.executor,
                     q=q,
                     precision_quantile=precision_quantile,
-                    tracer=tracer,
+                    tracer=life.tracer,
                 )
                 times = estimate.samples
                 extras = {
@@ -938,64 +890,10 @@ def hitting_time_size_sweep(
                     extras["quantile_estimate"] = float(estimate.quantile.estimate)
                     extras["quantile_lower"] = float(estimate.quantile.lower)
                     extras["quantile_upper"] = float(estimate.quantile.upper)
-                record = SweepRecord(
-                    parameter=float(n),
-                    mixing_time=float("nan"),
-                    relaxation_time=float("nan"),
-                    extra=extras,
-                )
-                records.append(
-                    _store_record(store, spec, record) if store is not None else record
-                )
-                if tracer.enabled:
-                    tracer.event(
-                        "sweep.cell",
-                        sweep="hitting_time_size_sweep",
-                        cell=int(n),
-                        provenance="computed",
-                        seconds=perf_counter() - tic,
-                    )
-                continue
-            sim = dynamics.ensemble(
-                num_replicas,
-                start=np.asarray(start_factory(game)),
-                rng=rng,
-                tracer=tracer,
-            )
-            times = sim.hitting_times(target_factory(game), max_steps=max_steps)
-            reached = times[times >= 0]
-            records.append(
-                SweepRecord(
-                    parameter=float(n),
-                    mixing_time=float("nan"),
-                    relaxation_time=float("nan"),
-                    extra={
-                        "mean_hitting_time": (
-                            float(reached.mean()) if reached.size else float("nan")
-                        ),
-                        "median_hitting_time": (
-                            float(np.median(reached)) if reached.size else float("nan")
-                        ),
-                        "reached_fraction": float(reached.size / times.size),
-                    },
-                )
-            )
-            if tracer.enabled:
-                tracer.event(
-                    "sweep.cell",
-                    sweep="hitting_time_size_sweep",
-                    cell=int(n),
-                    provenance="computed",
-                    seconds=perf_counter() - tic,
-                )
-        if tracer.enabled:
-            tracer.event(
-                "sweep.end", sweep="hitting_time_size_sweep", cells=len(records)
-            )
-    finally:
-        if owned_executor:
-            executor.close()
-    return SweepResult(parameter_name="n", records=tuple(records))
+                return float("nan"), extras
+
+            life.serve(int(n), float(n), spec, compute)
+    return SweepResult(parameter_name="n", records=tuple(life.records))
 
 
 def exponential_growth_rate(parameters: np.ndarray, values: np.ndarray) -> float:

@@ -31,8 +31,6 @@ from .tracer import (
     NullTracer,
     Tracer,
     as_tracer,
-    get_global_tracer,
-    set_global_tracer,
 )
 
 __all__ = [
@@ -45,11 +43,9 @@ __all__ = [
     "TraceSink",
     "Tracer",
     "as_tracer",
-    "get_global_tracer",
     "git_revision",
     "load_trace_files",
     "read_trace",
     "render_run_summary",
-    "set_global_tracer",
     "summarize_runs",
 ]

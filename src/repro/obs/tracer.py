@@ -32,8 +32,6 @@ __all__ = [
     "NullTracer",
     "Tracer",
     "as_tracer",
-    "get_global_tracer",
-    "set_global_tracer",
 ]
 
 
@@ -203,26 +201,6 @@ class Tracer:
 
     def __exit__(self, *exc):
         self.close()
-
-
-_GLOBAL_TRACER = NULL_TRACER
-
-
-def get_global_tracer():
-    """The process-wide fallback tracer (NullTracer unless installed)."""
-    return _GLOBAL_TRACER
-
-
-def set_global_tracer(tracer):
-    """Install ``tracer`` as the process-wide fallback; returns the old one.
-
-    For code that has no ``tracer=`` argument in reach.  Pass ``None`` to
-    restore the no-op default.
-    """
-    global _GLOBAL_TRACER
-    previous = _GLOBAL_TRACER
-    _GLOBAL_TRACER = NULL_TRACER if tracer is None else tracer
-    return previous
 
 
 def as_tracer(tracer):
