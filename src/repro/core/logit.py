@@ -23,7 +23,7 @@ an eigen-solve for ``pi``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from ..engine.kernels import SequentialKernel, UpdateKernel
 from ..engine.sampling import sample_inverse_cdf
 from ..games.base import Game
 from ..games.potential import PotentialGame
+from ..games.space import ProfileSpace
 from ..markov.chain import MarkovChain
 from ..markov.coupling import CouplingResult
 from .stationary import gibbs_measure
@@ -41,6 +42,7 @@ __all__ = [
     "EngineBackedDynamics",
     "LogitDynamics",
     "LogitRule",
+    "UtilityRule",
     "logit_update_distribution",
 ]
 
@@ -85,30 +87,86 @@ def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     return weights / np.sum(weights, axis=-1, keepdims=True)
 
 
-class LogitRule:
-    """The batched logit move-distribution rule (the engine's rule contract).
+def sequential_loop(
+    space: ProfileSpace,
+    rule_at: Callable[[int], "UtilityRule"],
+    start: Sequence[int] | np.ndarray,
+    num_steps: int,
+    rng: np.random.Generator | None,
+    record_every: int,
+) -> np.ndarray:
+    """Scalar reference loop of the one-uniformly-random-mover chains.
 
-    Mixin for any dynamics whose movers pick strategies through the softmax
-    of Equation (2) at a fixed ``beta`` — the standard chain and the
-    parallel / round-robin variants all share exactly these two methods, so
-    a numerics change here propagates to every kernel at once (which is
-    what the cross-validation tests in ``tests/test_variant_kernels.py``
-    rely on).  Subclasses provide ``game`` and ``beta``.
+    The mover of step ``t`` draws from ``rule_at(t)``.  Draw order (all
+    players for the run, then all uniforms) mirrors the sequential kernels'
+    bulk pre-draw, so engine trajectories match this loop bit-for-bit.
+    """
+    rng = np.random.default_rng() if rng is None else rng
+    record_every = max(int(record_every), 1)
+    profile = np.asarray(start, dtype=np.int64).copy()
+    if profile.shape != (space.num_players,):
+        raise ValueError("start profile has wrong length")
+    snapshots = [profile.copy()]
+    players = rng.integers(0, space.num_players, size=num_steps)
+    uniforms = rng.random(num_steps)
+    for t in range(num_steps):
+        i = int(players[t])
+        probs = rule_at(t).update_distribution_by_index(space.encode(profile), i)
+        profile[i] = sample_inverse_cdf(probs, uniforms[t])
+        if (t + 1) % record_every == 0:
+            snapshots.append(profile.copy())
+    return np.asarray(snapshots, dtype=np.int64)
+
+
+class UtilityRule:
+    """The engine's rule contract: utilities in, move distribution out.
+
+    Subclasses provide ``game`` and one hook, :meth:`move_probabilities`
+    (row-wise along the last axis): :class:`LogitRule` the softmax of
+    Equation (2), :class:`~repro.core.variants.BestResponseDynamics`
+    uniform-over-argmax.  The batched entry points the engine drives differ
+    only in how they gather utilities, so they live here once and a change
+    to a hook reaches every kernel and state backend at once.
     """
 
     game: Game
-    beta: float
+
+    def move_probabilities(self, utilities: np.ndarray) -> np.ndarray:
+        """Move-distribution rows for ``(..., m)`` utilities (last axis)."""
+        raise NotImplementedError
+
+    def update_distribution_by_index(self, profile_index: int, player: int) -> np.ndarray:
+        """``sigma_player(. | x)`` for a profile given by index."""
+        return self.move_probabilities(self.game.utility_deviations(player, profile_index))
+
+    def _sequential_matrix(self) -> np.ndarray:
+        """Dense transition matrix of one uniformly random mover under this rule."""
+        space = self.game.space
+        n = space.num_players
+        size = space.size
+        P = np.zeros((size, size), dtype=float)
+        rows = np.arange(size, dtype=np.int64)
+        for player in range(n):
+            devs = space.deviation_matrix(player)  # (|S|, m_i)
+            probs = self.player_update_matrix(player) / n
+            # scatter-add: P[x, devs[x, s]] += probs[x, s]; when the
+            # deviation equals x itself the mass lands on the diagonal,
+            # which is exactly the "player re-picks her own strategy"
+            # term of Equation (3).
+            np.add.at(P, (rows[:, None], devs), probs)
+        return P
 
     def update_distribution_many(
         self, player: int, profile_indices: np.ndarray
     ) -> np.ndarray:
         """Batched update rule: row ``j`` is ``sigma_player(. | x_j)``.
 
-        One utility gather and one row-wise softmax for the whole batch —
-        the building block the ensemble engine drives.
+        One utility gather and one row-wise rule evaluation for the whole
+        batch — the building block the ensemble engine drives.
         """
-        utilities = self.game.utility_deviations_many(player, profile_indices)
-        return logit_update_distribution(utilities, self.beta)
+        return self.move_probabilities(
+            self.game.utility_deviations_many(player, profile_indices)
+        )
 
     def update_distribution_profiles(
         self, player: int, profiles: np.ndarray
@@ -121,8 +179,9 @@ class LogitRule:
         that override it (local-interaction games) never touch a profile
         index and work at any number of players.
         """
-        utilities = self.game.utility_deviations_profiles(player, profiles)
-        return logit_update_distribution(utilities, self.beta)
+        return self.move_probabilities(
+            self.game.utility_deviations_profiles(player, profiles)
+        )
 
     def update_distribution_rowwise(
         self,
@@ -142,8 +201,9 @@ class LogitRule:
         player — the fast path that makes ``R ~ n`` sequential steps cheap
         on local-interaction games.
         """
-        utilities = self.game.utility_deviations_rowwise(players, profiles, rows)
-        return logit_update_distribution(utilities, self.beta)
+        return self.move_probabilities(
+            self.game.utility_deviations_rowwise(players, profiles, rows)
+        )
 
     def player_update_matrix(self, player: int) -> np.ndarray:
         """``(|S|, m_player)`` matrix of update probabilities for every profile.
@@ -152,9 +212,21 @@ class LogitRule:
         precompute of the engine and the vectorised building block of the
         full transition matrix.
         """
-        space = self.game.space
-        devs = space.deviation_matrix(player)  # (|S|, m)
-        utilities = self.game.utility_matrix(player)[devs]
+        devs = self.game.space.deviation_matrix(player)  # (|S|, m)
+        return self.move_probabilities(self.game.utility_matrix(player)[devs])
+
+
+class LogitRule(UtilityRule):
+    """The softmax of Equation (2) at a fixed ``beta`` (subclasses set it).
+
+    Shared by the standard chain and the parallel / concurrent /
+    round-robin variants, which differ only in who moves.
+    """
+
+    beta: float
+
+    def move_probabilities(self, utilities: np.ndarray) -> np.ndarray:
+        """Softmax rows ``exp(beta u) / sum exp(beta u)``."""
         return logit_update_distribution(utilities, self.beta)
 
 
@@ -162,8 +234,8 @@ class EngineBackedDynamics:
     """Shared engine wiring for the logit dynamics and its variants.
 
     Subclasses provide :meth:`kernel` (their update-rule kernel) and the
-    rule contract it needs (``update_distribution_many``; for gather-capable
-    kernels also ``player_update_matrix``); this mixin supplies the batched
+    rule it drives (a :class:`UtilityRule`; the annealed schedule hands it
+    one fixed-``beta`` rule per step); this mixin supplies the batched
     Monte-Carlo entry points on top — one implementation shared by
     :class:`LogitDynamics` and every :mod:`~repro.core.variants` class.
     """
@@ -276,32 +348,15 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
         profile_index = self.game.space.encode(np.asarray(profile, dtype=np.int64))
         return self.update_distribution_by_index(profile_index, player)
 
-    def update_distribution_by_index(self, profile_index: int, player: int) -> np.ndarray:
-        """``sigma_player(. | x)`` for a profile given by index."""
-        utilities = self.game.utility_deviations(player, profile_index)
-        return logit_update_distribution(utilities, self.beta)
-
-    # (update_distribution_many and player_update_matrix come from LogitRule)
+    # (update_distribution_by_index and the batched rule entry points come
+    # from UtilityRule)
 
     # -- transition matrix --------------------------------------------------
 
     def transition_matrix(self) -> np.ndarray:
         """Dense ``(|S|, |S|)`` transition matrix of Equation (3)."""
         if self._matrix is None:
-            space = self.game.space
-            n = space.num_players
-            size = space.size
-            P = np.zeros((size, size), dtype=float)
-            rows = np.arange(size, dtype=np.int64)
-            for player in range(n):
-                devs = space.deviation_matrix(player)  # (|S|, m_i)
-                probs = self.player_update_matrix(player) / n
-                # scatter-add: P[x, devs[x, s]] += probs[x, s]; when the
-                # deviation equals x itself the mass lands on the diagonal,
-                # which is exactly the "player re-picks her own strategy"
-                # term of Equation (3).
-                np.add.at(P, (rows[:, None], devs), probs)
-            self._matrix = P
+            self._matrix = self._sequential_matrix()
         return self._matrix
 
     def sparse_transition_matrix(self):
@@ -392,22 +447,9 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
         against; simulation workloads should call :meth:`simulate` or
         :meth:`ensemble` instead.
         """
-        rng = np.random.default_rng() if rng is None else rng
-        record_every = max(int(record_every), 1)
-        profile = np.asarray(start, dtype=np.int64).copy()
-        space = self.game.space
-        if profile.shape != (space.num_players,):
-            raise ValueError("start profile has wrong length")
-        snapshots = [profile.copy()]
-        players = rng.integers(0, space.num_players, size=num_steps)
-        uniforms = rng.random(num_steps)
-        for t in range(num_steps):
-            i = int(players[t])
-            probs = self.update_distribution(profile, i)
-            profile[i] = sample_inverse_cdf(probs, uniforms[t])
-            if (t + 1) % record_every == 0:
-                snapshots.append(profile.copy())
-        return np.asarray(snapshots, dtype=np.int64)
+        return sequential_loop(
+            self.game.space, lambda t: self, start, num_steps, rng, record_every
+        )
 
     def grand_coupling(
         self,

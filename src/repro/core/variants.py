@@ -11,6 +11,9 @@ the package can be used to explore them empirically:
   miscoordinated profiles (the well-known "parallel trap").  The special
   case ``beta = infinity`` is the parallel best-response dynamics of Nisan,
   Schapira and Zohar cited in the paper.
+* :class:`ConcurrentLogitDynamics` — each player updates independently with
+  probability ``p`` per step (arXiv 1207.2908); the parallel dynamics is
+  its ``p = 1`` case, and is implemented as exactly that subclass.
 * :class:`BestResponseDynamics` — the ``beta -> infinity`` limit of the
   (sequential) logit dynamics: the selected player moves to a uniformly
   random best response.  The chain is absorbing at strict pure Nash
@@ -24,11 +27,16 @@ the package can be used to explore them empirically:
   a single transition matrix, which makes the variant easy to compare
   against n steps of the standard dynamics.
 
-Every variant runs its Monte-Carlo paths on the batched engine
-(:mod:`repro.engine`) through its own update-rule kernel — ``simulate`` /
-``ensemble`` / ``simulate_hitting_time`` advance replicas as flat numpy
-index arrays, while the scalar ``simulate_loop`` methods remain as the
-pure-Python references the engine is cross-validated against
+Every variant is a kernel (who moves) over one rule contract (how a mover
+picks): :class:`~repro.core.logit.UtilityRule` turns the mover's utilities
+into her move distribution through one hook, ``move_probabilities``.  The
+logit families share the softmax of :class:`~repro.core.logit.LogitRule`,
+best response supplies uniform-over-argmax through the same hook, and the
+annealed schedule hands its kernel the fixed-``beta`` rule of each step
+(:meth:`AnnealedLogitDynamics.rule_at`).  Monte-Carlo paths run on the
+batched engine (:mod:`repro.engine`) — ``simulate`` / ``ensemble`` /
+``simulate_hitting_time`` — while the scalar ``simulate_loop`` methods
+remain as the pure-Python references the engine is cross-validated against
 (``tests/test_variant_kernels.py``).  The dense ``transition_matrix`` /
 ``markov_chain`` machinery stays available for small games.
 """
@@ -45,6 +53,7 @@ from ..engine.kernels import (
     ProbabilisticKernel,
     RoundRobinKernel,
     SequentialKernel,
+    check_update_probability,
 )
 from ..engine.sampling import sample_inverse_cdf
 from ..games.base import Game
@@ -53,8 +62,9 @@ from .logit import (
     EngineBackedDynamics,
     LogitDynamics,
     LogitRule,
+    UtilityRule,
     check_beta,
-    logit_update_distribution,
+    sequential_loop,
 )
 
 __all__ = [
@@ -67,99 +77,6 @@ __all__ = [
 ]
 
 
-class ParallelLogitDynamics(LogitRule, EngineBackedDynamics):
-    """All players revise simultaneously, each with the logit rule.
-
-    One step from profile ``x`` draws, independently for every player ``i``,
-    a new strategy from ``sigma_i(. | x)``; the next profile is the vector
-    of draws.  Transition probabilities therefore factorise as
-    ``P(x, y) = prod_i sigma_i(y_i | x)`` and the transition matrix is dense
-    (every profile can reach every other in one step), so the exact machinery
-    is limited to small games; the engine-backed simulator has no such limit.
-    """
-
-    def __init__(self, game: Game, beta: float):
-        self.game = game
-        self.beta = check_beta(beta)
-        self._matrix: np.ndarray | None = None
-
-    # -- update rule (the engine's rule contract) --------------------------
-
-    def update_distribution(self, profile_index: int, player: int) -> np.ndarray:
-        """Per-player logit update distribution (same rule as the sequential chain)."""
-        utilities = self.game.utility_deviations(player, profile_index)
-        return logit_update_distribution(utilities, self.beta)
-
-    # (batched update_distribution_many / player_update_matrix: LogitRule)
-
-    def kernel(self) -> ParallelKernel:
-        """Simultaneous-update kernel over this logit rule."""
-        return ParallelKernel(self)
-
-    # -- exact machinery (small games) -------------------------------------
-
-    def transition_matrix(self) -> np.ndarray:
-        """Dense ``(|S|, |S|)`` transition matrix ``P(x, y) = prod_i sigma_i(y_i | x)``."""
-        if self._matrix is None:
-            space = self.game.space
-            size = space.size
-            # P starts as all-ones and is multiplied by one factor per player.
-            P = np.ones((size, size), dtype=float)
-            target = space.all_profiles()  # (|S|, n): strategy of each player in y
-            for player in range(space.num_players):
-                probs = self.player_update_matrix(player)  # (|S|, m_i)
-                # factor[x, y] = sigma_player(y_player | x)
-                P *= probs[:, target[:, player]]
-            self._matrix = P
-        return self._matrix
-
-    def markov_chain(self) -> MarkovChain:
-        """The parallel chain (stationary distribution computed numerically)."""
-        return MarkovChain(self.transition_matrix())
-
-    def stationary_distribution(self) -> np.ndarray:
-        """Numerical stationary distribution (generally *not* the Gibbs measure)."""
-        return self.markov_chain().stationary.copy()
-
-    # -- simulation ---------------------------------------------------------
-
-    def simulate_loop(
-        self,
-        start: Sequence[int] | np.ndarray,
-        num_steps: int,
-        rng: np.random.Generator | None = None,
-        record_every: int = 1,
-    ) -> np.ndarray:
-        """Scalar pure-Python reference implementation of :meth:`simulate`.
-
-        Per step it consumes ``n`` uniforms, one per player in player order
-        — the same random-stream contract as the batched
-        :class:`~repro.engine.kernels.ParallelKernel` with one replica, so
-        the two match bit-for-bit under a fixed seed.
-        """
-        rng = np.random.default_rng() if rng is None else rng
-        record_every = max(int(record_every), 1)
-        space = self.game.space
-        profile = np.asarray(start, dtype=np.int64).copy()
-        if profile.shape != (space.num_players,):
-            raise ValueError("start profile has wrong length")
-        snapshots = [profile.copy()]
-        for t in range(num_steps):
-            idx = space.encode(profile)
-            uniforms = rng.random(space.num_players)
-            new = np.empty_like(profile)
-            for player in range(space.num_players):
-                probs = self.update_distribution(idx, player)
-                new[player] = sample_inverse_cdf(probs, float(uniforms[player]))
-            profile = new
-            if (t + 1) % record_every == 0:
-                snapshots.append(profile.copy())
-        return np.asarray(snapshots, dtype=np.int64)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ParallelLogitDynamics(game={self.game!r}, beta={self.beta})"
-
-
 class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
     """Each player independently revises with probability ``p`` per step.
 
@@ -169,7 +86,8 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
     draws a new strategy from her logit rule ``sigma_i(. | x)`` *against
     the common pre-step profile* — all moves land at once, so transition
     probabilities factorise as
-    ``P(x, y) = prod_i [p sigma_i(y_i | x) + (1 - p) 1{y_i = x_i}]``.
+    ``P(x, y) = prod_i [p sigma_i(y_i | x) + (1 - p) 1{y_i = x_i}]``, a
+    dense matrix: the exact machinery is for small games only.
 
     ``p = 1`` is exactly :class:`ParallelLogitDynamics` — including the
     random stream, so trajectories match bit-for-bit — and as ``p -> 0``
@@ -186,20 +104,16 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, beta: float, p: float = 1.0):
-        p = float(p)
-        if not 0.0 < p <= 1.0:
-            raise ValueError("the update probability p must lie in (0, 1]")
+        self.p = check_update_probability(p)
         self.game = game
         self.beta = check_beta(beta)
-        self.p = p
         self._matrix: np.ndarray | None = None
 
     # -- update rule (the engine's rule contract) --------------------------
 
     def update_distribution(self, profile_index: int, player: int) -> np.ndarray:
         """Per-player logit update distribution (conditional on updating)."""
-        utilities = self.game.utility_deviations(player, profile_index)
-        return logit_update_distribution(utilities, self.beta)
+        return self.update_distribution_by_index(profile_index, player)
 
     # (batched update_distribution_many / player_update_matrix: LogitRule)
 
@@ -285,7 +199,41 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
         )
 
 
-class BestResponseDynamics(EngineBackedDynamics):
+class ParallelLogitDynamics(ConcurrentLogitDynamics):
+    """All players revise simultaneously, each with the logit rule.
+
+    One step from profile ``x`` draws, independently for every player ``i``,
+    a new strategy from ``sigma_i(. | x)``; the next profile is the vector
+    of draws, so ``P(x, y) = prod_i sigma_i(y_i | x)``.  This is the
+    ``p = 1`` case of :class:`ConcurrentLogitDynamics`, which supplies the
+    exact machinery and the scalar reference loop; only the kernel's name
+    differs (:class:`~repro.engine.kernels.ParallelKernel`, whose seeded
+    counterpart is :class:`~repro.engine.kernels.SeededParallelKernel`).
+
+    >>> import networkx as nx
+    >>> import numpy as np
+    >>> from repro.games import IsingGame
+    >>> game = IsingGame(nx.cycle_graph(3), coupling=1.0, field=0.2)
+    >>> parallel = ParallelLogitDynamics(game, 0.7)
+    >>> isinstance(parallel, ConcurrentLogitDynamics)
+    True
+    >>> concurrent = ConcurrentLogitDynamics(game, 0.7, p=1.0)
+    >>> np.array_equal(parallel.transition_matrix(), concurrent.transition_matrix())
+    True
+    """
+
+    def __init__(self, game: Game, beta: float):
+        super().__init__(game, beta, p=1.0)
+
+    def kernel(self) -> ParallelKernel:
+        """Simultaneous-update kernel over this logit rule."""
+        return ParallelKernel(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"ParallelLogitDynamics(game={self.game!r}, beta={self.beta})"
+
+
+class BestResponseDynamics(UtilityRule, EngineBackedDynamics):
     """The ``beta -> infinity`` limit: the selected player best-responds.
 
     The selected player moves to a strategy drawn uniformly from her set of
@@ -301,12 +249,20 @@ class BestResponseDynamics(EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, tie_tolerance: float = 1e-12):
+        tie_tolerance = float(tie_tolerance)
+        # a negative or NaN tolerance marks no strategy as a best response,
+        # so every row would be 0/0 = NaN and the engine would silently
+        # move every mover to strategy 0; an infinite one marks them all
+        if not (np.isfinite(tie_tolerance) and tie_tolerance >= 0):
+            raise ValueError(
+                f"tie_tolerance must be finite and >= 0, got {tie_tolerance}"
+            )
         self.game = game
-        self.tie_tolerance = float(tie_tolerance)
+        self.tie_tolerance = tie_tolerance
 
     # -- update rule (the engine's rule contract) --------------------------
 
-    def _best_response_probs(self, utilities: np.ndarray) -> np.ndarray:
+    def move_probabilities(self, utilities: np.ndarray) -> np.ndarray:
         """Uniform-over-argmax rows for utilities of any (row-major) shape."""
         utilities = np.asarray(utilities, dtype=float)
         best = utilities >= np.max(utilities, axis=-1, keepdims=True) - self.tie_tolerance
@@ -315,45 +271,9 @@ class BestResponseDynamics(EngineBackedDynamics):
 
     def update_distribution(self, profile_index: int, player: int) -> np.ndarray:
         """Uniform distribution over the player's best responses."""
-        return self._best_response_probs(
-            self.game.utility_deviations(player, profile_index)
-        )
+        return self.update_distribution_by_index(profile_index, player)
 
-    def update_distribution_many(
-        self, player: int, profile_indices: np.ndarray
-    ) -> np.ndarray:
-        """Batched rule: row ``j`` is uniform over argmax utilities at ``x_j``."""
-        return self._best_response_probs(
-            self.game.utility_deviations_many(player, profile_indices)
-        )
-
-    def update_distribution_profiles(
-        self, player: int, profiles: np.ndarray
-    ) -> np.ndarray:
-        """Batched rule from ``(k, n)`` profile rows (matrix state backend)."""
-        return self._best_response_probs(
-            self.game.utility_deviations_profiles(player, profiles)
-        )
-
-    def update_distribution_rowwise(
-        self,
-        players: np.ndarray,
-        profiles: np.ndarray,
-        rows: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Batched rule with a different mover per row (matrix state fast path).
-
-        ``rows`` as in :meth:`repro.core.logit.LogitRule.update_distribution_rowwise`.
-        """
-        return self._best_response_probs(
-            self.game.utility_deviations_rowwise(players, profiles, rows)
-        )
-
-    def player_update_matrix(self, player: int) -> np.ndarray:
-        """``(|S|, m_player)`` best-response probabilities (gather precompute)."""
-        space = self.game.space
-        devs = space.deviation_matrix(player)
-        return self._best_response_probs(self.game.utility_matrix(player)[devs])
+    # (batched update_distribution_many / player_update_matrix: UtilityRule)
 
     def kernel(self) -> SequentialKernel:
         """Sequential kernel over the best-response rule."""
@@ -363,16 +283,7 @@ class BestResponseDynamics(EngineBackedDynamics):
 
     def transition_matrix(self) -> np.ndarray:
         """Dense transition matrix of the (sequential) best-response chain."""
-        space = self.game.space
-        n = space.num_players
-        size = space.size
-        P = np.zeros((size, size), dtype=float)
-        rows = np.arange(size, dtype=np.int64)
-        for player in range(n):
-            devs = space.deviation_matrix(player)
-            probs = self.player_update_matrix(player)
-            np.add.at(P, (rows[:, None], devs), probs / n)
-        return P
+        return self._sequential_matrix()
 
     def markov_chain(self) -> MarkovChain:
         """The best-response chain (may be non-ergodic; absorbing at strict PNE)."""
@@ -403,26 +314,12 @@ class BestResponseDynamics(EngineBackedDynamics):
     ) -> np.ndarray:
         """Scalar pure-Python reference implementation of :meth:`simulate`.
 
-        Draw order (all players for the run, then all uniforms) mirrors the
-        sequential kernel's bulk pre-draw, so engine trajectories match this
-        loop bit-for-bit under a fixed seed.
+        The shared sequential reference loop
+        (:func:`repro.core.logit.sequential_loop`) under this rule.
         """
-        rng = np.random.default_rng() if rng is None else rng
-        record_every = max(int(record_every), 1)
-        space = self.game.space
-        profile = np.asarray(start, dtype=np.int64).copy()
-        if profile.shape != (space.num_players,):
-            raise ValueError("start profile has wrong length")
-        snapshots = [profile.copy()]
-        players = rng.integers(0, space.num_players, size=num_steps)
-        uniforms = rng.random(num_steps)
-        for t in range(num_steps):
-            i = int(players[t])
-            probs = self.update_distribution(space.encode(profile), i)
-            profile[i] = sample_inverse_cdf(probs, float(uniforms[t]))
-            if (t + 1) % record_every == 0:
-                snapshots.append(profile.copy())
-        return np.asarray(snapshots, dtype=np.int64)
+        return sequential_loop(
+            self.game.space, lambda t: self, start, num_steps, rng, record_every
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BestResponseDynamics(game={self.game!r})"
@@ -492,38 +389,9 @@ class AnnealedLogitDynamics(EngineBackedDynamics):
 
     # -- update rule (the engine's rule contract) --------------------------
 
-    def update_distribution_many_at(
-        self, beta: float, player: int, profile_indices: np.ndarray
-    ) -> np.ndarray:
-        """Batched logit rule at a given ``beta`` (the annealed kernel's inner call)."""
-        utilities = self.game.utility_deviations_many(player, profile_indices)
-        return logit_update_distribution(utilities, beta)
-
-    def update_distribution_profiles_at(
-        self, beta: float, player: int, profiles: np.ndarray
-    ) -> np.ndarray:
-        """Batched logit rule at ``beta`` from ``(k, n)`` profile rows.
-
-        The annealed kernel's inner call on the engine's matrix state
-        backend — index-free, so annealing runs on local-interaction games
-        of any size.
-        """
-        utilities = self.game.utility_deviations_profiles(player, profiles)
-        return logit_update_distribution(utilities, beta)
-
-    def update_distribution_rowwise_at(
-        self,
-        beta: float,
-        players: np.ndarray,
-        profiles: np.ndarray,
-        rows: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Batched logit rule at ``beta`` with a different mover per row.
-
-        ``rows`` as in :meth:`repro.core.logit.LogitRule.update_distribution_rowwise`.
-        """
-        utilities = self.game.utility_deviations_rowwise(players, profiles, rows)
-        return logit_update_distribution(utilities, beta)
+    def rule_at(self, step: int) -> LogitDynamics:
+        """The fixed-``beta`` logit rule in force at the given step."""
+        return LogitDynamics(self.game, self.beta_at(step))
 
     def kernel(self) -> AnnealedKernel:
         """Time-inhomogeneous sequential kernel following this schedule."""
@@ -533,7 +401,7 @@ class AnnealedLogitDynamics(EngineBackedDynamics):
 
     def transition_matrix_at(self, step: int) -> np.ndarray:
         """The one-step transition matrix in force at the given step."""
-        return LogitDynamics(self.game, self.beta_at(step)).transition_matrix()
+        return self.rule_at(step).transition_matrix()
 
     def evolve_distribution(self, distribution: np.ndarray, num_steps: int) -> np.ndarray:
         """Exact distribution after ``num_steps`` annealed updates."""
@@ -556,29 +424,14 @@ class AnnealedLogitDynamics(EngineBackedDynamics):
     ) -> np.ndarray:
         """Scalar pure-Python reference implementation of :meth:`simulate`.
 
-        Draw order (all players for the run, then all uniforms) mirrors the
-        annealed kernel's bulk pre-draw, so engine trajectories match this
-        loop bit-for-bit under a fixed seed.
+        The shared sequential reference loop
+        (:func:`repro.core.logit.sequential_loop`) under the rule of each
+        step; a finite schedule shorter than the run raises first.
         """
-        rng = np.random.default_rng() if rng is None else rng
-        record_every = max(int(record_every), 1)
-        space = self.game.space
-        profile = np.asarray(start, dtype=np.int64).copy()
-        if profile.shape != (space.num_players,):
-            raise ValueError("start profile has wrong length")
         self.validate_horizon(0, int(num_steps))
-        snapshots = [profile.copy()]
-        players = rng.integers(0, space.num_players, size=num_steps)
-        uniforms = rng.random(num_steps)
-        for t in range(num_steps):
-            beta = self.beta_at(t)
-            i = int(players[t])
-            utilities = self.game.utility_deviations(i, space.encode(profile))
-            probs = logit_update_distribution(utilities, beta)
-            profile[i] = sample_inverse_cdf(probs, float(uniforms[t]))
-            if (t + 1) % record_every == 0:
-                snapshots.append(profile.copy())
-        return np.asarray(snapshots, dtype=np.int64)
+        return sequential_loop(
+            self.game.space, self.rule_at, start, num_steps, rng, record_every
+        )
 
     @staticmethod
     def logarithmic_schedule(scale: float = 1.0, offset: float = 1.0) -> Callable[[int], float]:
@@ -673,7 +526,7 @@ class RoundRobinLogitDynamics(LogitRule, EngineBackedDynamics):
         for t in range(num_steps):
             player = t % space.num_players
             utilities = self.game.utility_deviations(player, space.encode(profile))
-            probs = logit_update_distribution(utilities, self.beta)
+            probs = self.move_probabilities(utilities)
             profile[player] = sample_inverse_cdf(probs, float(rng.random()))
             if (t + 1) % record_every == 0:
                 snapshots.append(profile.copy())

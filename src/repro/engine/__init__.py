@@ -15,8 +15,8 @@ for the full contract):
   (:class:`~repro.engine.kernels.ParallelKernel`), each player
   independently with probability ``p`` per step
   (:class:`~repro.engine.kernels.ProbabilisticKernel`, the concurrent
-  schedule of arXiv 1207.2908; ``p = 1`` recovers the parallel kernel
-  bit-for-bit), a cyclic cursor
+  schedule of arXiv 1207.2908; the parallel kernel is its ``p = 1``
+  case), a cyclic cursor
   (:class:`~repro.engine.kernels.RoundRobinKernel`), a sequential mover
   under a time-varying ``beta_t`` schedule
   (:class:`~repro.engine.kernels.AnnealedKernel`), or any of the seeded
@@ -28,11 +28,13 @@ for the full contract):
   dispatched by :func:`~repro.engine.kernels.seeded_kernel_for`; see
   :meth:`EnsembleSimulator.seeded
   <repro.engine.ensemble.EnsembleSimulator.seeded>`);
-* a **rule** supplies the mover's move distribution — the logit softmax
+* a **rule** (:class:`~repro.core.logit.UtilityRule`) supplies the mover's
+  move distribution through one hook — the logit softmax
   (:class:`~repro.core.logit.LogitDynamics` and every variant class) or the
   uniform-over-argmax best response
   (:class:`~repro.core.variants.BestResponseDynamics`, which is just the
-  sequential kernel under the beta -> infinity rule).
+  sequential kernel under the beta -> infinity rule); the annealed
+  kernel asks its schedule for each step's fixed-``beta`` rule.
 
 Components:
 

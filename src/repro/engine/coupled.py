@@ -1,10 +1,10 @@
 """Vectorised grand coupling (batched version of Theorem 3.6's construction).
 
-:func:`repro.markov.coupling.simulate_grand_coupling` runs the paper's grand
-coupling one pair and one step at a time; for coalescence-time estimation
-one typically wants dozens of independent coupled pairs, which makes the
-run embarrassingly parallel across pairs.  This module advances *all*
-coupled pairs simultaneously:
+For coalescence-time estimation one typically wants dozens of independent
+coupled pairs, which makes the paper's grand coupling embarrassingly
+parallel across pairs.  This module advances *all* coupled pairs
+simultaneously, and is the package's only grand-coupling simulator
+(:meth:`repro.core.logit.LogitDynamics.grand_coupling` calls it):
 
 * :func:`maximal_coupling_update_many` — the batched maximal-overlap
   interval construction, mapping one uniform per pair through both update
@@ -15,8 +15,8 @@ coupled pairs simultaneously:
   pair shares its player selection and uniform between the X- and Y-copy
   (that is what makes it the *grand* coupling), pairs are grouped by
   selected player, and both sides' update rows are produced with one
-  batched utility gather each.  Returns the same
-  :class:`~repro.markov.coupling.CouplingResult` as the loop version.
+  batched utility gather each.  Returns a
+  :class:`~repro.markov.coupling.CouplingResult`.
 """
 
 from __future__ import annotations
@@ -98,9 +98,10 @@ def simulate_grand_coupling_ensemble(
         from — for worst-case coalescence estimates, the two profiles
         expected to be hardest to couple.
     horizon:
-        Maximum number of coupled steps per pair.
+        Maximum number of coupled steps per pair (``>= 0``).
     num_runs:
-        Number of independent coupled pairs advanced simultaneously.
+        Number of independent coupled pairs advanced simultaneously
+        (``>= 1``).
     rng:
         Numpy generator (fresh default generator if omitted).
 
@@ -112,14 +113,18 @@ def simulate_grand_coupling_ensemble(
         ``fraction_coalesced`` and the Theorem 2.1 quantile bound are
         derived.
 
-    ``dynamics`` must expose ``game`` and ``update_distribution_many`` (see
-    :class:`~repro.engine.ensemble.EnsembleSimulator`); each pair evolves
-    exactly as in :func:`repro.markov.coupling.simulate_grand_coupling` —
-    same player, same uniform, maximal-overlap update — but all pairs share
-    each step's batched utility lookups.  Pairs that have coalesced stop
-    being advanced (the coupling is sticky: once merged, copies never
+    Both copies of a pair select the same player and the same uniform per
+    step and map it through their own update distributions with the
+    maximal-overlap update (row for row the scalar
+    :func:`~repro.markov.coupling.maximal_coupling_update`); all pairs
+    share each step's batched utility lookups.  Pairs that have coalesced
+    stop being advanced (the coupling is sticky: once merged, copies never
     separate, so this loses nothing).
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    if num_runs < 1:
+        raise ValueError(f"num_runs must be at least 1, got {num_runs}")
     rng = np.random.default_rng() if rng is None else rng
     space = dynamics.game.space
     if not space.fits_int64:

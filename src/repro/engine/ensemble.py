@@ -243,23 +243,11 @@ class EnsembleSimulator:
         # interaction games) let a step with k distinct movers run as ONE
         # vectorised rule call instead of ~k per-player groups.  Produces
         # float-identical move distributions, so trajectories are unchanged.
-        rule = self.kernel.rule
-        self._rowwise_rule = None
-        if (
+        self._rowwise = (
             self.mode == "matrix_free"
             and self.state.kind == "matrix"
             and getattr(self.game, "utility_deviations_rowwise", None) is not None
-            and hasattr(rule, "update_distribution_rowwise")
-        ):
-            self._rowwise_rule = rule.update_distribution_rowwise
-        self._rowwise_rule_at = None
-        if (
-            self.mode == "matrix_free"
-            and self.state.kind == "matrix"
-            and getattr(self.game, "utility_deviations_rowwise", None) is not None
-            and hasattr(rule, "update_distribution_rowwise_at")
-        ):
-            self._rowwise_rule_at = rule.update_distribution_rowwise_at
+        )
         # Level schedule: on the row-wise path of a CSR-structured game
         # an update reads only its mover's closed neighbourhood, so
         # SequentialKernel.run_block runs a pre-drawn block level by level
@@ -267,7 +255,8 @@ class EnsembleSimulator:
         # first such run.  An update there spans its mover's slot plus the
         # padded neighbour slots, which sizes run's blocks
         self._levelled = (
-            self._rowwise_rule is not None
+            self._rowwise
+            and hasattr(self.kernel.rule, "update_distribution_rowwise")
             and callable(getattr(self.game, "csr_arrays", None))
         )
         self._update_slots = 1
@@ -438,19 +427,20 @@ class EnsembleSimulator:
         return self._gather
 
     def _sample_moves(
-        self, player: int, batch: np.ndarray, uniforms: np.ndarray
+        self, player: int, batch: np.ndarray, uniforms: np.ndarray, rule=None
     ) -> np.ndarray:
         """New strategies of ``player`` for the replicas in ``batch``.
 
         The shared inner move of every kernel: produce the ``(k, m_player)``
         move-distribution rows (precomputed gather or on-demand rule call
         through the state backend) and map the uniforms through the
-        row-wise inverse CDF.
+        row-wise inverse CDF.  ``rule`` as in :meth:`_advance_batch`.
         """
         if self.mode == "gather":
             cum = self._gather_tables()[0][player, batch]
             return sample_from_cumulative(cum, uniforms)
-        probs = self.state.rule_rows(self.kernel.rule, player, batch)
+        rule = self.kernel.rule if rule is None else rule
+        probs = self.state.rule_rows(rule, player, batch)
         return sample_inverse_cdf(probs, uniforms)
 
     def _advance_batch(
@@ -458,14 +448,15 @@ class EnsembleSimulator:
         players: np.ndarray,
         uniforms: np.ndarray,
         where: np.ndarray | None = None,
-        at_beta: float | None = None,
+        rule=None,
     ) -> None:
         """Apply one single-site update to each selected replica.
 
         ``players`` and ``uniforms`` are ``(k,)`` arrays aligned with
         ``where`` (``(k,)`` replica positions; all replicas when ``None``).
-        ``at_beta`` evaluates the rule at an explicit inverse noise instead
-        of its own (the annealed kernel passes its current ``beta_t``).
+        ``rule`` evaluates that rule instead of the kernel's own (the
+        annealed kernel passes the fixed-``beta`` rule of its current step;
+        such kernels never run in gather mode).
 
         In gather mode the whole batch advances through the precomputed
         tables (:meth:`_gather_tables`): one lookup of the cumulative rows,
@@ -484,11 +475,11 @@ class EnsembleSimulator:
             chosen = sample_from_cumulative(cum[players, batch], uniforms)
             state.put(where, nxt[players, batch, chosen])
             return
+        rule = self.kernel.rule if rule is None else rule
         if players.size > 1:
-            rowwise = self._rowwise_rule if at_beta is None else self._rowwise_rule_at
-            if rowwise is not None:
+            if self._rowwise and hasattr(rule, "update_distribution_rowwise"):
                 rows = self._rows_all if where is None else where
-                self._advance_rows(rows, players, uniforms, at_beta)
+                self._advance_rows(rows, players, uniforms, rule)
                 return
             order = np.argsort(players, kind="stable")
             boundaries = np.flatnonzero(np.diff(players[order])) + 1
@@ -500,11 +491,7 @@ class EnsembleSimulator:
             player = int(players[group[0]])
             sel = group if where is None else where[group]
             batch = state.take(sel)
-            if at_beta is None:
-                chosen = self._sample_moves(player, batch, uniforms[group])
-            else:
-                probs = state.rule_rows_at(self.kernel.rule, at_beta, player, batch)
-                chosen = sample_inverse_cdf(probs, uniforms[group])
+            chosen = self._sample_moves(player, batch, uniforms[group], rule)
             state.put(sel, state.set_strategies(batch, player, chosen))
 
     def _advance_rows(
@@ -512,7 +499,7 @@ class EnsembleSimulator:
         rows: np.ndarray,
         players: np.ndarray,
         uniforms: np.ndarray,
-        at_beta: float | None = None,
+        rule=None,
     ) -> None:
         """Apply a batch of row-wise moves (one step, or one level).
 
@@ -521,13 +508,10 @@ class EnsembleSimulator:
         of the batch reads what another writes — distinct replicas in a
         step, conflict-free updates in a level of the level schedule — so
         one row-wise rule call, one inverse-CDF sample and one column write
-        apply them all.  ``at_beta`` as in :meth:`_advance_batch`.
+        apply them all.  ``rule`` as in :meth:`_advance_batch`.
         """
-        matrix = self.state.matrix
-        if at_beta is None:
-            probs = self._rowwise_rule(players, matrix, rows)
-        else:
-            probs = self._rowwise_rule_at(at_beta, players, matrix, rows)
+        rule = self.kernel.rule if rule is None else rule
+        probs = rule.update_distribution_rowwise(players, self.state.matrix, rows)
         chosen = sample_inverse_cdf(probs, uniforms)
         self.state.set_strategies_rowwise(rows, players, chosen)
 

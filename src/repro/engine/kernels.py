@@ -9,15 +9,15 @@ replicas of *any* of the variants with the same vectorised machinery:
 * the **kernel** decides *who moves* at each step (a uniformly random
   player, every player at once, the next player in a cyclic order, ...) and
   *how the randomness is consumed*;
-* the **rule** decides *how a mover picks her new strategy*: any object
-  exposing ``game`` and ``update_distribution_many(player, profile_indices)
-  -> (k, m_player)`` probability rows (plus ``player_update_matrix(player)``
-  for the engine's gather mode, and ``update_distribution_profiles(player,
-  profiles)`` for the matrix state backend, which hands the rule ``(k, n)``
-  strategy rows instead of indices).  :class:`~repro.core.logit.LogitDynamics`
-  and :class:`~repro.core.variants.BestResponseDynamics` are both rules —
-  the best-response chain is just the sequential kernel under a different
-  rule, which is the beta -> infinity limit the paper contrasts against.
+* the **rule** decides *how a mover picks her new strategy*: a
+  :class:`~repro.core.logit.UtilityRule`, whose one hook
+  ``move_probabilities`` maps utilities to move distributions and backs
+  every batched entry point the engine calls (index batches, strategy
+  rows, row-wise movers, gather tables).  The logit families share the
+  softmax; best response is the sequential kernel under uniform-over-argmax,
+  the beta -> infinity limit the paper contrasts against.  The annealed
+  kernel asks its schedule for the fixed-``beta_t`` rule of each step
+  (``rule_at``) and hands that rule to the simulator's one-step update.
 
 Kernel contract
 ---------------
@@ -62,14 +62,15 @@ Randomness contracts (what the cross-validation tests pin down):
 kernel                         per step consumes
 =============================  ===============================================
 :class:`SequentialKernel`      one player index, then one uniform, per replica
-:class:`ParallelKernel`        ``n`` uniforms per replica, in player order
 :class:`ProbabilisticKernel`   ``n`` mask uniforms then ``n`` move uniforms
                                per replica, player order (mask draw skipped
-                               entirely at ``p = 1``, recovering the
-                               :class:`ParallelKernel` stream bit-for-bit)
+                               entirely at ``p = 1``)
+:class:`ParallelKernel`        the ``p = 1`` probabilistic kernel: ``n``
+                               uniforms per replica, in player order
 :class:`RoundRobinKernel`      one uniform per replica (the mover is the
                                cursor)
 :class:`AnnealedKernel`        one player index, then one uniform, per replica
+                               (the step's rule is ``rule.rule_at(t)``)
 =============================  ===============================================
 
 The seeded variants (:class:`SeededSequentialKernel`,
@@ -137,9 +138,9 @@ class UpdateKernel(abc.ABC):
     Parameters
     ----------
     rule:
-        The move-distribution provider: exposes ``game`` and
-        ``update_distribution_many(player, profile_indices)`` (and, for the
-        gather mode, ``player_update_matrix(player)``).
+        The move-distribution provider: a
+        :class:`~repro.core.logit.UtilityRule` (the annealed kernel takes a
+        schedule of them instead).
     """
 
     #: whether per-player update rows are time-invariant (gather mode legal)
@@ -215,7 +216,8 @@ def _stream_bank(words: np.ndarray, sim) -> StreamBank:
     return StreamBank(words)
 
 
-def _check_update_probability(p: float) -> float:
+def check_update_probability(p: float) -> float:
+    """Validate a concurrent schedule's update probability, as a float."""
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise ValueError("the update probability p must lie in (0, 1]")
@@ -557,27 +559,6 @@ class SeededSequentialKernel(UpdateKernel):
         state["consumed"][sel] += 1
 
 
-class ParallelKernel(UpdateKernel):
-    """Every player revises simultaneously from the pre-step profile.
-
-    One step consumes ``n`` uniforms per replica (player order); every
-    player's move distribution is evaluated against the *old* profile and
-    all moves land at once, which is what makes the chain non-reversible
-    and produces the coordination-game "parallel trap".
-    """
-
-    def step(self, sim, where: np.ndarray | None = None) -> None:
-        state = sim.state
-        n = sim.space.num_players
-        old = state.take(where)
-        uniforms = sim.rng.random((old.shape[0], n))
-        new = old.copy()
-        for player in range(n):
-            chosen = sim._sample_moves(player, old, uniforms[:, player])
-            new = state.set_strategies(new, player, chosen)
-        state.put(where, new)
-
-
 class ProbabilisticKernel(UpdateKernel):
     """Each player independently revises with probability ``p`` per step.
 
@@ -585,8 +566,8 @@ class ProbabilisticKernel(UpdateKernel):
     follow-up work (arXiv 1207.2908): one step flips an independent
     ``p``-coin per player, and every selected player resamples from her
     move distribution *against the pre-step profile* — all moves land at
-    once.  ``p = 1`` is exactly :class:`ParallelKernel` (the mask draw is
-    skipped entirely, so even the random stream matches bit-for-bit);
+    once.  ``p = 1`` is :class:`ParallelKernel` (the mask draw is skipped
+    entirely, so the random stream is the parallel one);
     ``p -> 0`` approaches the sequential dynamics' one-expected-update-per-
     ``1/p``-steps intensity while keeping the concurrent (non-reversible)
     update semantics.
@@ -599,7 +580,7 @@ class ProbabilisticKernel(UpdateKernel):
 
     def __init__(self, rule, p: float = 1.0):
         super().__init__(rule)
-        self.p = _check_update_probability(p)
+        self.p = check_update_probability(p)
 
     def step(self, sim, where: np.ndarray | None = None) -> None:
         n = sim.space.num_players
@@ -614,6 +595,20 @@ class ProbabilisticKernel(UpdateKernel):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(rule={self.rule!r}, p={self.p})"
+
+
+class ParallelKernel(ProbabilisticKernel):
+    """Every player revises simultaneously from the pre-step profile.
+
+    The ``p = 1`` schedule of :class:`ProbabilisticKernel`: one step
+    consumes ``n`` uniforms per replica (player order); every player's move
+    distribution is evaluated against the *old* profile and all moves land
+    at once, which is what makes the chain non-reversible and produces the
+    coordination-game "parallel trap".
+    """
+
+    def __init__(self, rule):
+        super().__init__(rule, p=1.0)
 
 
 class SeededProbabilisticKernel(UpdateKernel):
@@ -640,7 +635,7 @@ class SeededProbabilisticKernel(UpdateKernel):
 
     def __init__(self, rule, seeds, p: float = 1.0):
         super().__init__(rule)
-        self.p = _check_update_probability(p)
+        self.p = check_update_probability(p)
         self.words = _seed_words(seeds)
 
     @property
@@ -728,14 +723,15 @@ class AnnealedKernel(UpdateKernel):
     """Sequential revision under a time-varying ``beta_t`` schedule.
 
     ``rule`` must be an :class:`~repro.core.variants.AnnealedLogitDynamics`
-    (exposing ``beta_at(t)`` and ``update_distribution_many_at(beta, player,
-    idx)``).  The global step counter is shared by all replicas — every
-    replica sees the same ``beta_t`` — and lives in the simulator's kernel
-    state, so consecutive :meth:`run` calls continue the schedule where the
-    previous one stopped.  Finite schedules shorter than a requested run
-    raise up front rather than mid-flight; first-passage runs instead clamp
-    to the remaining schedule (via :meth:`remaining_steps`) and report the
-    ``-1`` not-reached sentinel at exhaustion.
+    (exposing ``rule_at(t)``, the fixed-``beta_t`` logit rule each step
+    hands to the simulator).  The global step counter is shared by all
+    replicas — every replica sees the same ``beta_t`` — and lives in the
+    simulator's kernel state, so consecutive :meth:`run` calls continue the
+    schedule where the previous one stopped.  Finite schedules shorter than
+    a requested run raise up front rather than mid-flight; first-passage
+    runs instead clamp to the remaining schedule (via
+    :meth:`remaining_steps`) and report the ``-1`` not-reached sentinel at
+    exhaustion.
     """
 
     supports_gather = False
@@ -763,20 +759,16 @@ class AnnealedKernel(UpdateKernel):
     def run_step(self, sim, t: int, draws) -> None:
         players, uniforms = draws
         state = sim.kernel_state
-        # the engine routes the explicit beta through the state backend
-        # (update_distribution_many_at on index batches, the _profiles_at /
-        # _rowwise_at counterparts on strategy-row batches)
-        beta = self.rule.beta_at(state["step"])
-        sim._advance_batch(players[t], uniforms[t], at_beta=beta)
+        sim._advance_batch(players[t], uniforms[t], rule=self.rule.rule_at(state["step"]))
         state["step"] += 1
 
     def step(self, sim, where: np.ndarray | None = None) -> None:
         state = sim.kernel_state
-        beta = self.rule.beta_at(state["step"])
+        rule = self.rule.rule_at(state["step"])
         k = sim.num_replicas if where is None else where.size
         players = sim.rng.integers(0, sim.space.num_players, size=k)
         uniforms = sim.rng.random(k)
-        sim._advance_batch(players, uniforms, where=where, at_beta=beta)
+        sim._advance_batch(players, uniforms, where=where, rule=rule)
         state["step"] += 1
 
 

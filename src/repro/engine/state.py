@@ -68,9 +68,9 @@ class EngineState(abc.ABC):
     * *batch surgery* — :meth:`take` / :meth:`set_strategies` / :meth:`put`
       implement "read the selected replicas, change one player's strategy
       per replica, write them back", the inner move of every kernel;
-    * *rule evaluation* — :meth:`rule_rows` / :meth:`rule_rows_at` hand a
-      batch to an update rule in the representation the backend stores
-      (profile indices or profile rows);
+    * *rule evaluation* — :meth:`rule_rows` hands a batch to an update
+      rule in the representation the backend stores (profile indices or
+      profile rows);
     * *observables* — :meth:`profiles_at` / :meth:`indices_at` /
       :meth:`snapshot` expose the current state for predicates, histograms
       and trajectory recording.
@@ -188,12 +188,6 @@ class EngineState(abc.ABC):
     def rule_rows(self, rule, player: int, batch: np.ndarray) -> np.ndarray:
         """``(k, m_player)`` move-distribution rows of ``rule`` for a batch."""
 
-    @abc.abstractmethod
-    def rule_rows_at(
-        self, rule, beta: float, player: int, batch: np.ndarray
-    ) -> np.ndarray:
-        """Move-distribution rows at an explicit ``beta`` (annealed kernel)."""
-
     # -- observables -------------------------------------------------------
 
     @abc.abstractmethod
@@ -279,9 +273,6 @@ class IndexState(EngineState):
     def rule_rows(self, rule, player, batch):
         return rule.update_distribution_many(player, batch)
 
-    def rule_rows_at(self, rule, beta, player, batch):
-        return rule.update_distribution_many_at(beta, player, batch)
-
     def indices_at(self, where):
         return self._indices if where is None else self._indices[where]
 
@@ -365,9 +356,6 @@ class MatrixState(EngineState):
 
     def rule_rows(self, rule, player, batch):
         return rule.update_distribution_profiles(player, batch)
-
-    def rule_rows_at(self, rule, beta, player, batch):
-        return rule.update_distribution_profiles_at(beta, player, batch)
 
     # -- row-wise fast path ------------------------------------------------
     #

@@ -27,7 +27,6 @@ the ring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import networkx as nx
 import numpy as np
@@ -211,9 +210,3 @@ class GraphicalCoordinationGame(ExplicitPotentialGame):
             (n - k) * (n - k - 1) / 2.0 * self.params.delta0
             + k * (k - 1) / 2.0 * self.params.delta1
         )
-
-
-def _as_edge_list(edges: Iterable[Sequence[int]]) -> nx.Graph:
-    g = nx.Graph()
-    g.add_edges_from(edges)
-    return g

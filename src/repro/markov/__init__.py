@@ -12,7 +12,6 @@ from .coupling import (
     CouplingResult,
     coalescence_time_bound,
     maximal_coupling_update,
-    simulate_grand_coupling,
 )
 from .mixing import (
     MixingTimeResult,
@@ -68,7 +67,6 @@ __all__ = [
     "CouplingResult",
     "coalescence_time_bound",
     "maximal_coupling_update",
-    "simulate_grand_coupling",
     "MixingTimeResult",
     "mixing_time",
     "mixing_time_from_state",

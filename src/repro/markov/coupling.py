@@ -11,23 +11,23 @@ have not met by time ``t``.  The paper uses two specific couplings:
   construction described in the proof of Theorem 3.6;
 * the simple *identity coupling* of Lemma 3.2 for ``beta = 0``.
 
-This module provides a generic simulator of the grand coupling for any
-single-site update chain expressed through per-site conditional update
-distributions, plus estimators of the coalescence time and the induced
-upper bound on the mixing time.
+This module holds the scalar pieces: the maximal-overlap update of one
+coupled pair (the reference the batched
+:func:`repro.engine.coupled.maximal_coupling_update_many` is checked
+against), the :class:`CouplingResult` of a batch of coupled runs, and the
+induced upper estimate of the mixing time.  The grand coupling itself runs
+on the batched engine, :func:`repro.engine.coupled.simulate_grand_coupling_ensemble`
+(what :meth:`repro.core.logit.LogitDynamics.grand_coupling` calls).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 __all__ = [
     "maximal_coupling_update",
     "CouplingResult",
-    "simulate_grand_coupling",
     "coalescence_time_bound",
 ]
 
@@ -104,68 +104,6 @@ class CouplingResult:
         """Quantile of the coalescence time, counting non-met runs as horizon."""
         times = np.where(self.coalescence_times < 0, self.horizon, self.coalescence_times)
         return float(np.quantile(times, q))
-
-
-def simulate_grand_coupling(
-    num_players: int,
-    num_strategies: tuple[int, ...],
-    update_distribution: Callable[[np.ndarray, int], np.ndarray],
-    start_x: np.ndarray,
-    start_y: np.ndarray,
-    horizon: int,
-    num_runs: int = 32,
-    rng: np.random.Generator | None = None,
-) -> CouplingResult:
-    """Simulate the paper's grand coupling from two starting profiles.
-
-    Parameters
-    ----------
-    update_distribution:
-        ``update_distribution(profile, player)`` must return the single-site
-        update distribution ``sigma_player(. | profile)`` (length
-        ``num_strategies[player]``).  For the logit dynamics this is
-        Equation (2); the simulator itself is dynamics-agnostic.
-    start_x, start_y:
-        Initial profiles of the two copies (as strategy tuples/arrays).
-    horizon:
-        Maximum number of steps per run.
-    num_runs:
-        Number of independent coupled trajectories.
-
-    Returns
-    -------
-    CouplingResult
-        Coalescence time per run (``-1`` when the copies never met).
-    """
-    rng = np.random.default_rng() if rng is None else rng
-    start_x = np.asarray(start_x, dtype=np.int64)
-    start_y = np.asarray(start_y, dtype=np.int64)
-    if start_x.shape != (num_players,) or start_y.shape != (num_players,):
-        raise ValueError("starting profiles must have length num_players")
-    times = np.full(num_runs, -1, dtype=np.int64)
-    for run in range(num_runs):
-        x = start_x.copy()
-        y = start_y.copy()
-        if np.array_equal(x, y):
-            times[run] = 0
-            continue
-        players = rng.integers(0, num_players, size=horizon)
-        uniforms = rng.random(horizon)
-        for t in range(horizon):
-            i = int(players[t])
-            probs_x = update_distribution(x, i)
-            probs_y = update_distribution(y, i)
-            s_x, s_y = maximal_coupling_update(probs_x, probs_y, float(uniforms[t]))
-            x[i] = s_x
-            y[i] = s_y
-            if np.array_equal(x, y):
-                times[run] = t + 1
-                break
-    return CouplingResult(
-        coalescence_times=times,
-        horizon=horizon,
-        num_coalesced=int(np.count_nonzero(times >= 0)),
-    )
 
 
 def coalescence_time_bound(result: CouplingResult, epsilon: float = 0.25) -> float:

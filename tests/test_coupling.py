@@ -11,7 +11,6 @@ from repro.markov.coupling import (
     CouplingResult,
     coalescence_time_bound,
     maximal_coupling_update,
-    simulate_grand_coupling,
 )
 
 
@@ -56,50 +55,6 @@ class TestMaximalCouplingUpdate:
 
 
 class TestGrandCouplingSimulation:
-    def _uniform_update(self, profile, player):
-        return np.array([0.5, 0.5])
-
-    def test_equal_starts_coalesce_immediately(self):
-        result = simulate_grand_coupling(
-            num_players=3,
-            num_strategies=(2, 2, 2),
-            update_distribution=self._uniform_update,
-            start_x=np.array([0, 1, 0]),
-            start_y=np.array([0, 1, 0]),
-            horizon=10,
-            num_runs=4,
-            rng=np.random.default_rng(0),
-        )
-        assert np.all(result.coalescence_times == 0)
-        assert result.fraction_coalesced == 1.0
-
-    def test_uniform_updates_coalesce_fast(self):
-        result = simulate_grand_coupling(
-            num_players=3,
-            num_strategies=(2, 2, 2),
-            update_distribution=self._uniform_update,
-            start_x=np.array([0, 0, 0]),
-            start_y=np.array([1, 1, 1]),
-            horizon=500,
-            num_runs=16,
-            rng=np.random.default_rng(1),
-        )
-        # identical update distributions mean the chains agree on every
-        # touched coordinate; a coupon-collector number of steps suffices
-        assert result.fraction_coalesced == 1.0
-        assert result.mean_coalescence_time() < 100
-
-    def test_start_shape_validation(self):
-        with pytest.raises(ValueError):
-            simulate_grand_coupling(
-                num_players=3,
-                num_strategies=(2, 2, 2),
-                update_distribution=self._uniform_update,
-                start_x=np.array([0, 0]),
-                start_y=np.array([1, 1, 1]),
-                horizon=10,
-            )
-
     def test_result_quantile_counts_unmet_as_horizon(self):
         result = CouplingResult(
             coalescence_times=np.array([5, -1, 7, -1]), horizon=100, num_coalesced=2

@@ -354,6 +354,35 @@ class TestBatchedCoupling:
         assert result.fraction_coalesced == 1.0
         assert result.mean_coalescence_time() < 100
 
+    def test_negative_horizon_is_rejected(self, ring5_ising_game):
+        # used to come back as a mixing-time estimate of -5.0
+        from repro.core.mixing import estimate_mixing_time_coupling
+
+        with pytest.raises(ValueError, match="horizon"):
+            estimate_mixing_time_coupling(
+                ring5_ising_game, 1.0, (0,) * 5, (1,) * 5, horizon=-5
+            )
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_grand_coupling_ensemble(
+                LogitDynamics(ring5_ising_game, 1.0), (0,) * 5, (0,) * 5, horizon=-1
+            )
+
+    def test_zero_runs_are_rejected(self, ring5_ising_game):
+        # used to raise IndexError from inside np.quantile
+        from repro.core.mixing import estimate_mixing_time_coupling
+
+        with pytest.raises(ValueError, match="num_runs"):
+            estimate_mixing_time_coupling(
+                ring5_ising_game, 1.0, (0,) * 5, (1,) * 5, horizon=10, num_runs=0
+            )
+
+    def test_start_of_wrong_length_is_rejected(self, ring5_ising_game):
+        dynamics = LogitDynamics(ring5_ising_game, 1.0)
+        with pytest.raises(ValueError, match="length num_players"):
+            simulate_grand_coupling_ensemble(dynamics, (0,) * 4, (1,) * 5, horizon=10)
+        with pytest.raises(ValueError, match="length num_players"):
+            simulate_grand_coupling_ensemble(dynamics, (0,) * 5, (1,) * 6, horizon=10)
+
 
 class TestEnsembleMixingEstimate:
     def test_tv_convergence_clamps_to_finite_annealing_schedule(self):

@@ -144,7 +144,11 @@ class TestLevelledRouting:
             2, state="matrix"
         )
         assert not sim._levelled
-        assert sim._rowwise_rule_at is not None
+        calls = []
+        advance = sim._advance_rows
+        sim._advance_rows = lambda *args: calls.append(args) or advance(*args)
+        sim.run(3)
+        assert len(calls) == 3
 
     def test_dense_game_is_not_levelled(self):
         # no csr_arrays => no closed neighbourhoods to level by

@@ -108,6 +108,25 @@ class TestBetaValidation:
             sim.run(200)
             assert np.all(sim.profiles == 1)
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-12, np.nan, np.inf])
+    def test_best_response_rejects_negative_and_non_finite_tie_tolerance(
+        self, ring5_ising_game, tolerance
+    ):
+        """A negative or NaN tolerance marked no strategy as a best
+        response: every row was NaN and the sampler drove every replica to
+        all-zeros."""
+        with pytest.raises(ValueError, match="tie_tolerance"):
+            BestResponseDynamics(ring5_ising_game, tie_tolerance=tolerance)
+
+    def test_best_response_accepts_zero_tie_tolerance(self, ring5_ising_game):
+        dynamics = BestResponseDynamics(ring5_ising_game, tie_tolerance=0.0)
+        sim = dynamics.ensemble(
+            8, start=np.ones(5, dtype=np.int64), rng=np.random.default_rng(0)
+        )
+        sim.run(20)
+        # all-ones is a strict equilibrium of the ferromagnetic ring
+        assert np.all(sim.profiles == 1)
+
 
 class TestBestResponseDynamics:
     def test_high_beta_logit_converges_to_best_response(self):
