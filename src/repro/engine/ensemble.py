@@ -65,6 +65,7 @@ about a hundred per step.
 
 from __future__ import annotations
 
+import operator
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -577,18 +578,33 @@ class EnsembleSimulator:
     # -- first-passage observables ----------------------------------------
 
     def _first_times(
-        self, in_target: Callable[[np.ndarray | None], np.ndarray], max_steps: int
+        self,
+        in_target: Callable[[np.ndarray | None], np.ndarray],
+        max_steps: int,
+        stop: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-replica first time ``in_target`` holds (``-1`` if never).
 
         ``in_target(sel)`` returns the membership mask of the selected
-        replica positions (all replicas when ``sel`` is ``None``).
+        replica positions (all replicas when ``sel`` is ``None``); ``stop``
+        is the same membership as a boolean ``(|S|,)`` profile-index mask,
+        when the target is an index set (see :meth:`_membership`).
         Replicas that reach the target stop being advanced; the others keep
         their own independent randomness.  Mutates the ensemble state.  For
         kernels with a bounded horizon (finite annealing schedules) the
         search is clamped to the remaining schedule, so exhaustion reads as
         ``-1`` (not reached) rather than a mid-run error.
+
+        Under the seeded sequential kernel with a ``stop`` mask (gather
+        mode) the search runs one refill window at a time: one
+        ``kernel.step`` (which refills exhausted blocks) and one membership
+        test, then
+        :meth:`~repro.engine.kernels.SeededSequentialKernel.advance_window`
+        through the rest of every active replica's block.  Hit times, final
+        states, cursors and streams are those of the one-step-at-a-time
+        loop every other case runs, bit for bit.
         """
+        max_steps = operator.index(max_steps)
         if max_steps < 0:
             raise ValueError("max_steps must be non-negative")
         tracer = self.tracer
@@ -600,15 +616,25 @@ class EnsembleSimulator:
         active = np.flatnonzero(~inside)
         budget = self.kernel.remaining_steps(self)
         if budget is not None:
-            max_steps = min(int(max_steps), budget)
-        for t in range(1, max_steps + 1):
-            if active.size == 0:
-                break
+            max_steps = min(max_steps, budget)
+        windowed = stop is not None and isinstance(self.kernel, SeededSequentialKernel)
+        t = 0
+        while t < max_steps and active.size:
             advanced += active.size
             self.kernel.step(self, where=active)
+            t += 1
             hit = in_target(active)
             times[active[hit]] = t
             active = active[~hit]
+            if not windowed or active.size == 0:
+                continue
+            window = min(self.kernel.block_room(self, active), max_steps - t)
+            if window > 0:
+                hit, taken = self.kernel.advance_window(self, active, window, stop)
+                advanced += int(taken.sum())
+                times[active[hit]] = t + taken[hit]
+                active = active[~hit]
+                t += window
         if tracer.enabled:
             tracer.count("engine.replica_steps", int(advanced))
             tracer.timing(
@@ -620,7 +646,7 @@ class EnsembleSimulator:
 
     def _membership(
         self, targets: int | Sequence[int] | np.ndarray | ProfilePredicate
-    ) -> Callable[[np.ndarray | None], np.ndarray]:
+    ) -> tuple[Callable[[np.ndarray | None], np.ndarray], np.ndarray | None]:
         """Membership evaluator for index targets or a profile predicate.
 
         A callable target is a *profile predicate*: it receives the
@@ -628,14 +654,28 @@ class EnsembleSimulator:
         ``(k,)`` boolean mask.  Predicates are the only target form that
         works past the int64 profile-index ceiling (e.g. a magnetization
         threshold on a 1000-player local-interaction game).  Index targets
-        outside ``[0, |S|)`` raise rather than read as never reached.
+        that are not integral or lie outside ``[0, |S|)`` raise rather than
+        read as some other set or as never reached.
+
+        Returns ``(in_target, stop)``: the evaluator, and in gather mode
+        for an index target the same membership as a boolean ``(|S|,)``
+        profile-index mask (``None`` otherwise), which windowed first
+        passage looks hits up in.
         """
         if callable(targets):
             predicate = targets
-            return lambda sel: np.atleast_1d(
-                np.asarray(predicate(self.state.profiles_at(sel)), dtype=bool)
+            return (
+                lambda sel: np.atleast_1d(
+                    np.asarray(predicate(self.state.profiles_at(sel)), dtype=bool)
+                ),
+                None,
             )
-        target_arr = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+        raw = np.atleast_1d(np.asarray(targets))
+        if raw.dtype.kind not in "biu" and not (
+            raw.dtype.kind == "f" and np.all(np.isfinite(raw) & (raw == np.trunc(raw)))
+        ):
+            raise ValueError(f"target profile indices must be integers, got {raw!r}")
+        target_arr = np.unique(raw.astype(np.int64))
         if target_arr.size and (
             target_arr.min() < 0 or int(target_arr.max()) >= self.space.size
         ):
@@ -643,10 +683,14 @@ class EnsembleSimulator:
                 f"target profile indices must lie in [0, {self.space.size}), "
                 f"got values from {target_arr.min()} to {target_arr.max()}"
             )
+        stop = None
+        if self.mode == "gather":
+            stop = np.zeros(self.space.size, dtype=bool)
+            stop[target_arr] = True
         if target_arr.size == 1:
             target = int(target_arr[0])
-            return lambda sel: self.state.indices_at(sel) == target
-        return lambda sel: np.isin(self.state.indices_at(sel), target_arr)
+            return lambda sel: self.state.indices_at(sel) == target, stop
+        return lambda sel: np.isin(self.state.indices_at(sel), target_arr), stop
 
     def hitting_times(
         self,
@@ -660,10 +704,13 @@ class EnsembleSimulator:
         ``(k, n)`` strategy profiles of the queried replicas to a ``(k,)``
         boolean mask.  Predicates never touch profile indices, so they are
         the target form to use on spaces beyond int64.  Replicas already at
-        a target report 0.  Index targets outside ``[0, |S|)`` and a
-        negative ``max_steps`` raise ``ValueError``.
+        a target report 0.  Index targets that are not integers or lie
+        outside ``[0, |S|)`` and a negative ``max_steps`` raise
+        ``ValueError``; a ``max_steps`` that is not an integer raises
+        ``TypeError``.
         """
-        return self._first_times(self._membership(targets), max_steps)
+        in_target, stop = self._membership(targets)
+        return self._first_times(in_target, max_steps, stop)
 
     def exit_times(
         self,
@@ -675,11 +722,10 @@ class EnsembleSimulator:
         ``states`` is an array of profile indices or a profile predicate
         describing membership of the set being escaped from.
         """
-        if callable(states):
-            inside = self._membership(states)
-        else:
-            inside = self._membership(np.unique(np.asarray(states, dtype=np.int64)))
-        return self._first_times(lambda sel: ~inside(sel), max_steps)
+        inside, stop = self._membership(states)
+        return self._first_times(
+            lambda sel: ~inside(sel), max_steps, None if stop is None else ~stop
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

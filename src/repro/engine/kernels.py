@@ -453,7 +453,11 @@ class SeededSequentialKernel(UpdateKernel):
     refilled lazily, per replica, exactly when that replica has used its
     current block up, so a replica that hits its target early simply stops
     consuming its stream — first-passage retirement can neither perturb
-    the other replicas nor desync the retired one.  Consecutive
+    the other replicas nor desync the retired one.  Gather-mode first
+    passage on an index target advances the active replicas through the
+    rest of their blocks in one window (:meth:`advance_window`); draws past
+    a replica's hit are evaluated but not consumed, so cursors, refills and
+    streams stay those of one step at a time.  Consecutive
     :meth:`~repro.engine.ensemble.EnsembleSimulator.run` / first-passage
     calls therefore continue every stream exactly where that replica
     stopped, even when the calls advanced different subsets of replicas,
@@ -557,6 +561,54 @@ class SeededSequentialKernel(UpdateKernel):
         uniforms = state["uniforms"][sel, off]
         sim._advance_batch(players, uniforms, where=where)
         state["consumed"][sel] += 1
+
+    def block_room(self, sim, where: np.ndarray) -> int:
+        """Steps every replica in ``where`` can take before any needs a refill."""
+        state = sim.kernel_state
+        used = state["consumed"][where] - state["block_start"][where]
+        return self.block_size - int(used.max())
+
+    def advance_window(
+        self, sim, where: np.ndarray, steps: int, stop: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the replicas in ``where`` up to ``steps`` gather-mode steps.
+
+        Each replica stops at its first profile index inside the boolean
+        ``(|S|,)`` mask ``stop``.  The window must fit in every selected
+        replica's current block (``steps <= block_room(sim, where)``), so
+        each step reads its mover and uniform from the pre-drawn block:
+        one table lookup, one count of the cumulative entries below the
+        uniform, one next-profile lookup and one row store into the
+        ``(steps, k)`` path.  The first hit per replica is then found in
+        the path at once.  A replica's draws past its hit are evaluated but
+        not consumed, so its cursor, index and stream advance exactly as
+        :meth:`step` would have advanced them, one step at a time, up to
+        the hit.
+
+        Returns ``(hit, taken)``: whether each replica reached ``stop``,
+        and how many steps it took (its hit step, else ``steps``).
+        """
+        state = sim.kernel_state
+        cum, nxt = sim._gather_tables()
+        k = where.size
+        cols = state["consumed"][where] - state["block_start"][where]
+        cols = cols + np.arange(steps)[:, None]
+        movers = state["players"][where, cols]
+        uniforms = state["uniforms"][where, cols][:, :, None]
+        path = np.empty((steps, k), dtype=np.int64)
+        current = sim.state.take(where)
+        for t in range(steps):
+            mover = movers[t]
+            # the +inf padding of cum keeps the count below each player's
+            # strategy count, so no clamp is needed (sample_from_cumulative)
+            chosen = np.add.reduce(cum[mover, current] <= uniforms[t], axis=1)
+            current = path[t] = nxt[mover, current, chosen]
+        reached = stop[path]
+        hit = reached.any(axis=0)
+        taken = np.where(hit, reached.argmax(axis=0) + 1, steps)
+        sim.state.put(where, path[taken - 1, np.arange(k)])
+        state["consumed"][where] += taken
+        return hit, taken
 
 
 class ProbabilisticKernel(UpdateKernel):

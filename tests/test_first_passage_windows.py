@@ -1,0 +1,215 @@
+"""Windowed seeded first passage matches the one-step-at-a-time loop bit for bit.
+
+Under :class:`~repro.engine.kernels.SeededSequentialKernel` in gather mode,
+first passage on an index target advances the active replicas through the
+rest of their refill blocks in one lean gather loop per window
+(:meth:`~repro.engine.kernels.SeededSequentialKernel.advance_window`) and
+finds the hits in the window's path afterwards.  The oracle here is the
+loop every other case runs: one ``kernel.step(sim, where=active)`` and one
+membership test per step.  Hit times, final profile indices, cursors and
+advanced stream words must all agree.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import LogitDynamics
+from repro.core.samplers import TruncatedHittingSampler
+from repro.engine import EnsembleSimulator
+from repro.games import IsingGame
+from repro.graphs import ring_graph
+from repro.obs import Tracer
+
+GAME = IsingGame(ring_graph(6), coupling=1.0)
+DYNAMICS = LogitDynamics(GAME, 0.7)
+CONSENSUS = GAME.space.size - 1
+REPLICAS = 24
+
+
+def seeded(block_size=256, seed=5, replicas=REPLICAS, tracer=None, starts=None):
+    """Seeded gather-mode ensemble; by default every seventh replica starts
+    at the consensus and the others at random profiles."""
+    if starts is None:
+        starts = np.random.default_rng(seed).integers(0, GAME.space.size, replicas)
+        starts[::7] = CONSENSUS
+    return EnsembleSimulator.seeded(
+        DYNAMICS,
+        np.random.SeedSequence(seed).spawn(replicas),
+        start_indices=starts,
+        mode="gather",
+        block_size=block_size,
+        tracer=tracer,
+    )
+
+
+def stepwise(sim, targets, max_steps, exit=False):
+    """First times, one ``kernel.step`` and one membership test per step."""
+    def reached(sel):
+        inside = np.isin(sim.indices[sel], targets)
+        return ~inside if exit else inside
+
+    times = np.full(sim.num_replicas, -1)
+    start = reached(np.arange(sim.num_replicas))
+    times[start] = 0
+    active = np.flatnonzero(~start)
+    for t in range(1, max_steps + 1):
+        if active.size == 0:
+            break
+        sim.kernel.step(sim, where=active)
+        hit = reached(active)
+        times[active[hit]] = t
+        active = active[~hit]
+    return times
+
+
+def assert_same_run(windowed, reference):
+    ours, theirs = windowed.kernel_state, reference.kernel_state
+    np.testing.assert_array_equal(windowed.indices, reference.indices)
+    for key in ("consumed", "block_start"):
+        np.testing.assert_array_equal(ours[key], theirs[key])
+    # rows never refilled hold uninitialised memory
+    filled = ours["block_start"] >= 0
+    for key in ("players", "uniforms"):
+        np.testing.assert_array_equal(ours[key][filled], theirs[key][filled])
+    np.testing.assert_array_equal(ours["streams"].words, theirs["streams"].words)
+
+
+def horizons(block_size):
+    return sorted({0, 1, block_size - 1, block_size, block_size + 1, 1200})
+
+
+@pytest.mark.parametrize(
+    "block_size, max_steps",
+    [(b, h) for b in (1, 7, 256) for h in horizons(b)],
+)
+def test_hitting_times_match_stepwise(block_size, max_steps):
+    sim, ref = seeded(block_size), seeded(block_size)
+    times = sim.hitting_times(CONSENSUS, max_steps=max_steps)
+    np.testing.assert_array_equal(times, stepwise(ref, [CONSENSUS], max_steps))
+    assert (times[::7] == 0).all()  # replicas starting inside the target
+    assert_same_run(sim, ref)
+
+
+@pytest.mark.parametrize("block_size", [1, 7, 256])
+def test_multi_index_target_matches_stepwise(block_size):
+    targets = [0, 21, 42, CONSENSUS]
+    sim, ref = seeded(block_size), seeded(block_size)
+    np.testing.assert_array_equal(
+        sim.hitting_times(targets, max_steps=700), stepwise(ref, targets, 700)
+    )
+    assert_same_run(sim, ref)
+
+
+@pytest.mark.parametrize("block_size", [1, 7, 256])
+def test_exit_times_match_stepwise(block_size):
+    # a basin around the all-zeros profile: at most one player plays 1
+    well = [0] + [1 << i for i in range(6)]
+    starts = np.tile(well, 4)[:REPLICAS]
+    sim, ref = (seeded(block_size, seed=8, starts=starts) for _ in range(2))
+    times = sim.exit_times(well, max_steps=1200)
+    np.testing.assert_array_equal(times, stepwise(ref, well, 1200, exit=True))
+    assert (times > 0).all()
+    assert_same_run(sim, ref)
+
+
+@pytest.mark.parametrize("block_size", [7, 256])
+@pytest.mark.parametrize("prelude", ["run", "hitting_times"])
+def test_uneven_cursor_offsets_and_resume_match_stepwise(block_size, prelude):
+    """Replicas enter at different block offsets; two calls resume the streams."""
+    sim, ref = seeded(block_size), seeded(block_size)
+    for s in (sim, ref):
+        if prelude == "run":
+            s.run(37)
+        else:
+            s.hitting_times(np.arange(3, 64, 5), max_steps=50)
+    offsets = sim.kernel_state["consumed"] - sim.kernel_state["block_start"]
+    assert np.unique(offsets).size > 1 or prelude == "run"
+    for max_steps in (300, 900):
+        np.testing.assert_array_equal(
+            sim.hitting_times(CONSENSUS, max_steps=max_steps),
+            stepwise(ref, [CONSENSUS], max_steps),
+        )
+        assert_same_run(sim, ref)
+    # and a follow-on exit from a set the replicas now sit in
+    here = np.unique(sim.indices)
+    np.testing.assert_array_equal(
+        sim.exit_times(here, max_steps=500), stepwise(ref, here, 500, exit=True)
+    )
+    assert_same_run(sim, ref)
+
+
+def test_windows_replace_per_step_kernel_calls():
+    """A 256-step block takes one ``kernel.step`` per window, not per step."""
+    sim = seeded(256, replicas=64)
+    calls = 0
+    step = sim.kernel.step
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return step(*args, **kwargs)
+
+    sim.kernel.step = counted
+    times = sim.hitting_times(CONSENSUS, max_steps=1200)
+    steps = 1200 if (times < 0).any() else int(times.max())
+    assert calls <= -(-steps // 255) + 1 < steps
+
+
+def test_pooled_sampler_chunks_match_stepwise():
+    """Chunks {1, 7, 64} pool into the per-step reference's samples."""
+    horizon = 1200
+    children = np.random.SeedSequence(11).spawn(64)
+    sampler = TruncatedHittingSampler(DYNAMICS, 0, CONSENSUS, horizon)
+    ref = EnsembleSimulator.seeded(DYNAMICS, children, start=0)
+    times = stepwise(ref, [CONSENSUS], horizon)
+    expected = np.where(times < 0, horizon, times).astype(float)
+    for chunk in (1, 7, 64):
+        pooled = np.concatenate(
+            [sampler(children[i : i + chunk]) for i in range(0, 64, chunk)]
+        )
+        np.testing.assert_array_equal(pooled, expected)
+
+
+def test_traced_replica_steps_count_every_advanced_step():
+    tracer = Tracer(run_id="windows")
+    sim = seeded(256, replicas=64, tracer=tracer)
+    horizon = 700
+    times = sim.hitting_times(CONSENSUS, max_steps=horizon)
+    advanced = np.where(times < 0, horizon, times)
+    assert tracer.counters["engine.replica_steps"] == int(advanced.sum())
+    assert int(sim.kernel_state["consumed"].sum()) == int(advanced.sum())
+
+
+# -- target and horizon validation --------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["gather", "matrix_free"])
+def test_non_integral_index_targets_raise(mode):
+    sim = DYNAMICS.ensemble(4, start=0, rng=np.random.default_rng(0), mode=mode)
+    for bad in (62.7, [0.9, 1.2], [3, 4.5], float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be integers"):
+            sim.hitting_times(bad, max_steps=10)
+        with pytest.raises(ValueError, match="must be integers"):
+            sim.exit_times(np.atleast_1d(bad), max_steps=10)
+    # integral floats still name their profiles
+    assert sim.hitting_times(0.0, max_steps=10).tolist() == [0] * 4
+    assert sim.exit_times([1.0, 2.0], max_steps=0).tolist() == [0] * 4
+
+
+@pytest.mark.parametrize("seeded_kernel", [True, False])
+def test_max_steps_is_validated_once_on_both_paths(seeded_kernel):
+    """The windowed and per-step paths refuse the same horizons the same way."""
+    if seeded_kernel:
+        sim = seeded(256)
+    else:
+        sim = DYNAMICS.ensemble(REPLICAS, start=0, rng=np.random.default_rng(0))
+    for bad in (12.0, 1e3, "10"):
+        with pytest.raises(TypeError):
+            sim.hitting_times(CONSENSUS, max_steps=bad)
+        with pytest.raises(TypeError):
+            sim.exit_times([0], max_steps=bad)
+    with pytest.raises(ValueError, match="non-negative"):
+        sim.hitting_times(CONSENSUS, max_steps=-1)
+    assert sim.hitting_times(CONSENSUS, max_steps=np.int64(3)).shape == (REPLICAS,)
