@@ -33,14 +33,15 @@ ADAPTIVE_BENCH_MIN_SAVINGS.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 
-from perf_record import bench_tracer, record_bench_cases
 from repro.analysis import render_experiment
 from repro.core import empirical_hitting_times
 from repro.games import IsingGame
+from repro.obs import JsonlTraceSink, Tracer
 from repro.stats import EmpiricalBernsteinCS
 
 PRECISION = float(os.environ.get("ADAPTIVE_BENCH_PRECISION", 0.05))
@@ -51,6 +52,7 @@ MIN_SAVINGS = float(os.environ.get("ADAPTIVE_BENCH_MIN_SAVINGS", 2.0))
 ALPHA = 0.05
 BETA = 0.7
 SEED = 20260728
+TRACE_PATH = Path(__file__).resolve().parent.parent / "TRACE_adaptive_stats.jsonl"
 
 
 def _cases() -> list[tuple[str, IsingGame]]:
@@ -72,7 +74,8 @@ def measure_adaptive_savings() -> tuple[list[list[object]], dict[str, float]]:
     # one trace for the whole benchmark: each case's adaptive run appends
     # its chunk counters and driver.convergence CS-width curve (the trace
     # is exactly the "why did it stop there" record the smoke asserts on)
-    with bench_tracer("adaptive_stats") as tracer:
+    TRACE_PATH.unlink(missing_ok=True)  # the sink appends: one run per file
+    with Tracer(JsonlTraceSink(TRACE_PATH)) as tracer:
         tracer.annotate(bench="adaptive_stats", precision=PRECISION, chunk=CHUNK)
         rows, savings = _measure_cases(rows, savings, target_width, tracer)
     return rows, savings
@@ -133,14 +136,6 @@ def _measure_cases(rows, savings, target_width, tracer):
 def test_adaptive_stopping_pays_for_itself(benchmark):
     rows, savings = benchmark.pedantic(
         measure_adaptive_savings, rounds=1, iterations=1
-    )
-    record_bench_cases(
-        "adaptive_stats",
-        [
-            {"case": f"E-STAT {name}", "n": None, "steps_per_sec": None,
-             "speedup": saved}
-            for name, saved in savings.items()
-        ],
     )
     print()
     print(

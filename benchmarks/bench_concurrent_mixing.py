@@ -19,10 +19,6 @@ sampling band (:func:`repro.stats.confseq.tv_distance_band`), and the
 decay assertion is *certified*: the band's upper endpoint at the end of
 the budget must fall below the start-time TV.
 
-Every run writes the measured cases to ``BENCH_concurrent_mixing.json`` at
-the repo root (see :mod:`benchmarks.perf_record`); CI uploads the file as
-a build artifact.
-
 Tunables: CONC_BENCH_SIZES, CONC_BENCH_TOPOLOGIES (ring/torus),
 CONC_BENCH_REPLICAS, CONC_BENCH_SECONDS (per-family budget),
 CONC_BENCH_REF_MULT, CONC_BENCH_P, CONC_BENCH_BETA, CONC_BENCH_BINS,
@@ -37,7 +33,6 @@ import time
 import networkx as nx
 import numpy as np
 
-from perf_record import record_bench_cases
 from repro.analysis import render_experiment
 from repro.core import (
     ConcurrentLogitDynamics,
@@ -121,9 +116,8 @@ def _run_for_budget(dynamics, game: IsingGame, seconds: float, seed: int):
     return sim, steps, rate
 
 
-def measure_concurrent_mixing() -> tuple[list[list[object]], list[dict], list[tuple]]:
+def measure_concurrent_mixing() -> tuple[list[list[object]], list[tuple]]:
     rows: list[list[object]] = []
-    records: list[dict] = []
     checks: list[tuple] = []
     for topology in TOPOLOGIES:
         for n in SIZES:
@@ -132,7 +126,7 @@ def measure_concurrent_mixing() -> tuple[list[list[object]], list[dict], list[tu
             for family, dynamics in _families(game):
                 case = f"{topology} n={n} {family}"
                 # the family's own long-run law (binned magnetization)
-                ref_sim, ref_steps, _ = _run_for_budget(
+                ref_sim, _, _ = _run_for_budget(
                     dynamics, game, SECONDS * REF_MULT, seed=1
                 )
                 reference = _magnetization_histogram(game, ref_sim)
@@ -155,42 +149,22 @@ def measure_concurrent_mixing() -> tuple[list[list[object]], list[dict], list[tu
                     case, f"{steps:,}", f"{rate:,.0f}",
                     f"{tv_start:.3f}", f"{tv_end:.3f}",
                     f"[{lower:.3f}, {upper:.3f}]",
+                    f"{theorem1207_beta_threshold(max_degree, 1.0):.3f}",
                 ])
-                records.append({
-                    "case": case,
-                    "topology": topology,
-                    "n": n,
-                    "family": family,
-                    "p": P if family != "sequential" else None,
-                    "beta": BETA,
-                    "beta_threshold_1207": theorem1207_beta_threshold(max_degree, 1.0),
-                    "replicas": REPLICAS,
-                    "budget_seconds": SECONDS,
-                    "steps_in_budget": steps,
-                    "steps_per_sec": rate,
-                    "reference_steps": ref_steps,
-                    "tv_start": tv_start,
-                    "tv_end": tv_end,
-                    "tv_band_lower": lower,
-                    "tv_band_upper": upper,
-                    "alpha": ALPHA,
-                    "bins": BINS,
-                })
-    return rows, records, checks
+    return rows, checks
 
 
 def test_concurrent_mixing(benchmark):
-    rows, records, checks = benchmark.pedantic(
+    rows, checks = benchmark.pedantic(
         measure_concurrent_mixing, rounds=1, iterations=1
     )
-    record_bench_cases("concurrent_mixing", records)
     print()
     print(
         render_experiment(
             f"E-CONC  Sequential vs concurrent TV decay at matched wall-clock "
             f"— R={REPLICAS}, beta={BETA}, budget={SECONDS:g}s",
             ["case", "steps", "steps/s", "TV start", "TV end",
-             f"TV band (alpha={ALPHA:g})"],
+             f"TV band (alpha={ALPHA:g})", "1207 beta threshold"],
             rows,
             notes=(
                 "TV on the binned-magnetization histogram against each family's\n"
@@ -198,7 +172,7 @@ def test_concurrent_mixing(benchmark):
                 "differs from Gibbs — the parallel trap — so families are not\n"
                 "compared against each other's target).  Bands are anytime-valid\n"
                 "sampling bands; the decay assertion uses the certified upper\n"
-                "endpoint.  Record written to BENCH_concurrent_mixing.json."
+                "endpoint."
             ),
         )
     )

@@ -13,10 +13,13 @@ consumes it:
 * a warm re-run against the same store — the *resume cross-check*: every
   cell must come back with ``provenance == "store"`` and numbers equal to
   the cold run's bit for bit,
-* the rendered matrix table printed, the JSON payload written to
+* the rendered matrix table printed and the JSON payload written to
   ``SCENARIO_MATRIX.json`` at the repo root (uploaded by CI alongside the
-  ``BENCH_*.json`` records), and the cold/warm wall-clocks recorded in
-  ``BENCH_scenario_matrix.json``.
+  trace).
+
+Wall-clock is not measured here: ``perfbench/run.py`` is the repository's
+timing harness (its ``scenario_grid`` workload times the same cold and
+warm passes).
 
 The default grid is the CI-sized 2-family x 2-topology corner; set
 ``SCENARIO_BENCH_FULL=1`` (as the slow tier does via the ``slow``-marked
@@ -31,11 +34,10 @@ from __future__ import annotations
 
 import json
 import os
-import time
+from pathlib import Path
 
 import numpy as np
 
-from perf_record import REPO_ROOT, bench_tracer, git_rev, record_bench_cases
 from repro.analysis import (
     render_experiment,
     render_scenario_matrix,
@@ -51,6 +53,7 @@ from repro.games import (
     IsingGame,
 )
 from repro.graphs import caterpillar_graph, path_graph, ring_graph, star_graph
+from repro.obs import JsonlTraceSink, Tracer, git_revision
 from repro.parallel import ShardedExecutor
 
 WORKERS = int(os.environ.get("SCENARIO_BENCH_WORKERS", 2))
@@ -59,7 +62,9 @@ MAX_TIME = int(os.environ.get("SCENARIO_BENCH_MAX_TIME", 400))
 FULL = os.environ.get("SCENARIO_BENCH_FULL", "0") == "1"
 BETA = 1.0
 SEED = 20260808
+REPO_ROOT = Path(__file__).resolve().parent.parent
 MATRIX_PATH = REPO_ROOT / "SCENARIO_MATRIX.json"
+TRACE_PATH = REPO_ROOT / "TRACE_scenario_matrix.jsonl"
 
 
 def opinion_family(graph):
@@ -111,9 +116,15 @@ def comparable(result):
     return payload
 
 
+def from_store(result) -> int:
+    """Number of sweep records the run loaded from the store."""
+    return sum(
+        r.extra["provenance"] == "store" for c in result.cells for r in c.sweep.records
+    )
+
+
 def run_matrix(store: str, executor, tracer=None):
-    tic = time.perf_counter()
-    result = scenario_matrix(
+    return scenario_matrix(
         game_families(),
         topologies(),
         dynamics_factories(),
@@ -125,65 +136,51 @@ def run_matrix(store: str, executor, tracer=None):
         store=store,
         tracer=tracer,
     )
-    return time.perf_counter() - tic, result
 
 
 def measure_matrix(store: str):
     """Cold traced run, then the warm resume cross-check on the same store."""
+    TRACE_PATH.unlink(missing_ok=True)  # the sink appends: one run per file
     with ShardedExecutor(num_shards=WORKERS) as executor:
-        with bench_tracer("scenario_matrix") as tracer:
+        with Tracer(JsonlTraceSink(TRACE_PATH)) as tracer:
             tracer.annotate(
                 bench="scenario_matrix",
                 workers=WORKERS,
                 replicas=REPLICAS,
                 full=FULL,
             )
-            cold_time, cold = run_matrix(store, executor, tracer=tracer)
-        warm_time, warm = run_matrix(store, executor)
-    return cold_time, cold, warm_time, warm
+            cold = run_matrix(store, executor, tracer=tracer)
+        warm = run_matrix(store, executor)
+    return cold, warm
 
 
 def test_scenario_matrix_smoke(benchmark, tmp_path):
     store = str(tmp_path / "cells")
-    cold_time, cold, warm_time, warm = benchmark.pedantic(
+    cold, warm = benchmark.pedantic(
         measure_matrix, args=(store,), rounds=1, iterations=1
     )
     cells = len(cold.cells)
-    speedup = cold_time / warm_time if warm_time > 0 else float("inf")
     payload = scenario_matrix_payload(cold)
     MATRIX_PATH.write_text(
         json.dumps(
-            {"git_rev": git_rev(), "matrix": payload},
+            {"git_rev": git_revision(), "matrix": payload},
             indent=2,
             sort_keys=True,
         )
         + "\n"
     )
-    record_bench_cases(
-        "scenario_matrix",
-        [
-            {
-                "case": f"E-MAT grid {'full' if FULL else 'smoke'} x{WORKERS}",
-                "n": cells,
-                "workers": WORKERS,
-                "replicas": REPLICAS,
-                "steps_per_sec": None,
-                "speedup": speedup,
-            }
-        ],
-    )
-    rows = [
-        ["cold (computed)", cells, f"{cold_time:.2f}s", ""],
-        ["warm (store resume)", cells, f"{warm_time:.2f}s", f"{speedup:.1f}x"],
-    ]
+    records = sum(len(c.sweep.records) for c in cold.cells)
     print()
     print(render_scenario_matrix(cold))
     print()
     print(
         render_experiment(
             f"E-MAT  Scenario matrix — {WORKERS}-shard grid run and store resume",
-            ["run", "cells", "wall-clock", "resume speedup"],
-            rows,
+            ["run", "cells", "records", "loaded from store"],
+            [
+                ["cold (computed)", cells, records, from_store(cold)],
+                ["warm (store resume)", cells, records, from_store(warm)],
+            ],
             notes=(
                 f"{len(cold.game_families)} families x "
                 f"{len(cold.topologies)} topologies x "
@@ -191,16 +188,14 @@ def test_scenario_matrix_smoke(benchmark, tmp_path):
                 f"max_time={MAX_TIME}, seed={SEED}.\nThe warm run must load "
                 f"every cell from the store and reproduce the cold numbers "
                 f"bit for bit.\nArtifacts: {MATRIX_PATH.name}, "
-                f"TRACE_scenario_matrix.jsonl, BENCH_scenario_matrix.json."
+                f"{TRACE_PATH.name}."
             ),
         )
     )
     # the resume cross-check: all cells loaded, numbers identical
-    assert all(
-        r.extra["provenance"] == "store"
-        for c in warm.cells
-        for r in c.sweep.records
-    ), "the warm run must resume every cell from the store"
+    assert from_store(warm) == records, (
+        "the warm run must resume every cell from the store"
+    )
     assert comparable(warm) == comparable(cold), (
         "store-resumed cells must reproduce the computed numbers bit for bit"
     )

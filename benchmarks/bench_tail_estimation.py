@@ -31,14 +31,15 @@ TAIL_BENCH_MAX_REPLICAS, TAIL_BENCH_CHUNK, TAIL_BENCH_MIN_SAVINGS.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 
-from perf_record import bench_tracer, record_bench_cases
 from repro.analysis import render_experiment
 from repro.core import empirical_hitting_times
 from repro.games import IsingGame
+from repro.obs import JsonlTraceSink, Tracer
 from repro.stats import QuantileCS
 
 Q = float(os.environ.get("TAIL_BENCH_Q", 0.99))
@@ -50,6 +51,7 @@ MIN_SAVINGS = float(os.environ.get("TAIL_BENCH_MIN_SAVINGS", 2.0))
 ALPHA = 0.05
 BETA = 0.7
 SEED = 20260808
+TRACE_PATH = Path(__file__).resolve().parent.parent / "TRACE_tail_estimation.jsonl"
 
 
 def _cases() -> list[tuple[str, IsingGame]]:
@@ -68,7 +70,8 @@ def measure_tail_savings() -> tuple[list[list[object]], dict[str, float]]:
     # the adaptive runs write TRACE_tail_estimation.jsonl: the quantile
     # CS's driver.convergence width curve is the record of why the run
     # stopped where it did
-    with bench_tracer("tail_estimation") as tracer:
+    TRACE_PATH.unlink(missing_ok=True)  # the sink appends: one run per file
+    with Tracer(JsonlTraceSink(TRACE_PATH)) as tracer:
         tracer.annotate(bench="tail_estimation", q=Q, precision=PRECISION_QUANTILE)
         _measure_tail_cases(rows, savings, target_width, tracer)
     return rows, savings
@@ -130,14 +133,6 @@ def _measure_tail_cases(rows, savings, target_width, tracer) -> None:
 
 def test_adaptive_tail_stopping_pays_for_itself(benchmark):
     rows, savings = benchmark.pedantic(measure_tail_savings, rounds=1, iterations=1)
-    record_bench_cases(
-        "tail_estimation",
-        [
-            {"case": f"E-TAIL {name}", "n": None, "steps_per_sec": None,
-             "speedup": saved}
-            for name, saved in savings.items()
-        ],
-    )
     print()
     print(
         render_experiment(

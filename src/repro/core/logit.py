@@ -36,7 +36,7 @@ from ..games.potential import PotentialGame
 from ..games.space import ProfileSpace
 from ..markov.chain import MarkovChain
 from ..markov.coupling import CouplingResult
-from .stationary import gibbs_measure
+from .stationary import check_beta, gibbs_measure
 
 __all__ = [
     "EngineBackedDynamics",
@@ -45,29 +45,6 @@ __all__ = [
     "UtilityRule",
     "logit_update_distribution",
 ]
-
-
-def check_beta(beta: float) -> float:
-    """Validate the inverse noise of a fixed-``beta`` logit rule, as a float.
-
-    Rejects negative, NaN and infinite values at construction.  At
-    ``beta = inf`` the softmax has no finite form: ``inf * 0`` turns whole
-    rows into NaN and the inverse-CDF sampler maps NaN rows to strategy 0,
-    so the engine would silently simulate a different chain.  The ``beta
-    -> inf`` limit of the logit dynamics is the best-response chain, which
-    has its own class.
-    """
-    beta = float(beta)
-    if np.isnan(beta):
-        raise ValueError("beta must be a number, got nan")
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    if np.isinf(beta):
-        raise ValueError(
-            "beta = inf has no logit softmax; the beta -> inf limit of the "
-            "logit dynamics is BestResponseDynamics (repro.core.variants)"
-        )
-    return beta
 
 
 def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:

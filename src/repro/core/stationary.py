@@ -22,11 +22,33 @@ __all__ = [
 ]
 
 
+def check_beta(beta: float) -> float:
+    """Validate an inverse noise ``beta`` and return it as a float.
+
+    Rejects negative, NaN and infinite values.  At ``beta = inf`` neither
+    the logit softmax nor the Gibbs weights have a finite form: ``inf * 0``
+    turns them into NaN (and the inverse-CDF sampler maps NaN rows to
+    strategy 0, so the engine would silently simulate a different chain).
+    The ``beta -> inf`` limit of the logit dynamics is the best-response
+    chain, which has its own class.
+    """
+    beta = float(beta)
+    if np.isnan(beta):
+        raise ValueError("beta must be a number, got nan")
+    if beta < 0:
+        raise ValueError("beta must be non-negative")
+    if np.isinf(beta):
+        raise ValueError(
+            "beta = inf has no logit softmax; the beta -> inf limit of the "
+            "logit dynamics is BestResponseDynamics (repro.core.variants)"
+        )
+    return beta
+
+
 def gibbs_measure(potential: np.ndarray, beta: float) -> np.ndarray:
     """The Gibbs measure ``pi(x) ∝ exp(-beta Phi(x))``, computed stably."""
     phi = np.asarray(potential, dtype=float)
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    beta = check_beta(beta)
     log_weights = -beta * phi
     log_z = logsumexp(log_weights)
     return np.exp(log_weights - log_z)
@@ -35,8 +57,7 @@ def gibbs_measure(potential: np.ndarray, beta: float) -> np.ndarray:
 def log_partition_function(potential: np.ndarray, beta: float) -> float:
     """``log Z = log sum_x exp(-beta Phi(x))``."""
     phi = np.asarray(potential, dtype=float)
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    beta = check_beta(beta)
     return float(logsumexp(-beta * phi))
 
 

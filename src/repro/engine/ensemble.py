@@ -99,6 +99,9 @@ ProfilePredicate = Callable[[np.ndarray], np.ndarray]
 #: about 20 MB on any graph
 LEVEL_BLOCK_SLOTS = 1 << 17
 
+#: largest profile space ``mode="auto"`` serves in gather mode
+GATHER_CAP = 1 << 16
+
 
 class EnsembleSimulator:
     """Vectorised ensemble of replicas of a single-site update chain.
@@ -131,9 +134,7 @@ class EnsembleSimulator:
     mode:
         ``"matrix_free"``, ``"gather"``, or ``"auto"`` (gather when the
         state is index-backed and the profile space has at most
-        ``gather_cap`` profiles).
-    gather_cap:
-        Small-space threshold used by ``mode="auto"``.
+        ``GATHER_CAP`` = 2**16 profiles).
     kernel:
         The :class:`~repro.engine.kernels.UpdateKernel` deciding who moves
         per step.  Defaults to ``SequentialKernel(dynamics)`` — the paper's
@@ -179,7 +180,6 @@ class EnsembleSimulator:
         start: Sequence[int] | np.ndarray | int | None = None,
         rng: np.random.Generator | None = None,
         mode: str = "auto",
-        gather_cap: int = 1 << 16,
         start_indices: np.ndarray | None = None,
         kernel: UpdateKernel | None = None,
         state: str = "auto",
@@ -214,7 +214,7 @@ class EnsembleSimulator:
                 if (
                     self.state.kind == "index"
                     and self.kernel.supports_gather
-                    and self.space.size <= gather_cap
+                    and self.space.size <= GATHER_CAP
                 )
                 else "matrix_free"
             )

@@ -52,9 +52,11 @@ def sbm(seed):
 
 
 #: the grid's topologies; a star's hub conflicts with every leaf, so its
-#: blocks have about as many levels as steps (the degenerate case)
+#: blocks have about as many levels as steps (the degenerate case), and
+#: ring100's profile space (2**100 or 3**100 profiles) has no int64 index
 TOPOLOGIES = {
     "ring": lambda seed: ring_graph(12),
+    "ring100": lambda seed: ring_graph(100),
     "torus": lambda seed: torus_graph(3, 4),
     "star": lambda seed: star_graph(9),
     "caterpillar": lambda seed: caterpillar_graph(4, 2),

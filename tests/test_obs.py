@@ -398,7 +398,7 @@ class TestNoOpOverhead:
         assert per_short == per_long == 2  # one counter + one timer
 
     def test_noop_tracer_within_tolerance_of_untraced_baseline(self):
-        """Pinned E-ENG ring smoke: replica-steps/s with the default no-op
+        """Pinned ring smoke: replica-steps/s with the default no-op
         tracer vs the bare kernel loop (the pre-telemetry code path).  The
         claim is ~0% overhead (the hot loop is identical; instrumentation
         is two guarded calls per run()); the assertion bound is generous

@@ -55,6 +55,12 @@ class TestGibbsMeasure:
         with pytest.raises(ValueError):
             gibbs_measure(np.zeros(2), -0.1)
 
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    def test_non_finite_beta_rejected(self, beta):
+        # inf * 0 and nan weights would otherwise come back as a NaN measure
+        with pytest.raises(ValueError, match="beta"):
+            gibbs_measure(np.array([0.0, 1.0]), beta)
+
     def test_concentration_as_beta_grows(self):
         """As beta -> infinity the measure concentrates on the minimisers."""
         phi = np.array([0.0, 0.0, 1.0, 2.0])
@@ -79,6 +85,12 @@ class TestPartitionFunction:
     def test_beta_zero_counts_states(self):
         phi = np.random.default_rng(2).normal(size=7)
         assert partition_function(phi, 0.0) == pytest.approx(7.0)
+
+    @pytest.mark.parametrize("beta", [np.inf, np.nan, -1.0])
+    @pytest.mark.parametrize("fn", [log_partition_function, partition_function])
+    def test_invalid_beta_rejected(self, fn, beta):
+        with pytest.raises(ValueError, match="beta"):
+            fn(np.array([0.0, 1.0]), beta)
 
 
 class TestObservables:
