@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..engine.coupled import simulate_grand_coupling_ensemble
-from ..engine.ensemble import EnsembleSimulator
+from ..engine.ensemble import EnsembleSimulator, check_record_every
 from ..engine.kernels import SequentialKernel, UpdateKernel
 from ..engine.sampling import sample_inverse_cdf
 from ..games.base import Game
@@ -79,7 +79,7 @@ def sequential_loop(
     bulk pre-draw, so engine trajectories match this loop bit-for-bit.
     """
     rng = np.random.default_rng() if rng is None else rng
-    record_every = max(int(record_every), 1)
+    record_every = check_record_every(record_every)
     profile = np.asarray(start, dtype=np.int64).copy()
     if profile.shape != (space.num_players,):
         raise ValueError("start profile has wrong length")
@@ -139,7 +139,8 @@ class UtilityRule:
         """Batched update rule: row ``j`` is ``sigma_player(. | x_j)``.
 
         One utility gather and one row-wise rule evaluation for the whole
-        batch — the building block the ensemble engine drives.
+        batch — the building block of the grand-coupling ensemble
+        (:mod:`repro.engine.coupled`).
         """
         return self.move_probabilities(
             self.game.utility_deviations_many(player, profile_indices)
@@ -151,7 +152,7 @@ class UtilityRule:
         """Batched update rule from ``(k, n)`` strategy-profile rows.
 
         The index-free counterpart of :meth:`update_distribution_many`,
-        driven by the engine's matrix state backend: utilities come from
+        driven by the engine's matrix state: utilities come from
         :meth:`~repro.games.Game.utility_deviations_profiles`, so games
         that override it (local-interaction games) never touch a profile
         index and work at any number of players.
@@ -185,7 +186,7 @@ class UtilityRule:
     def player_update_matrix(self, player: int) -> np.ndarray:
         """``(|S|, m_player)`` matrix of update probabilities for every profile.
 
-        Row ``x`` is ``sigma_player(. | x)``; this is both the gather-mode
+        Row ``x`` is ``sigma_player(. | x)``; this is both the gather-table
         precompute of the engine and the vectorised building block of the
         full transition matrix.
         """
@@ -228,7 +229,6 @@ class EngineBackedDynamics:
         num_replicas: int,
         start: Sequence[int] | np.ndarray | int | None = None,
         rng: np.random.Generator | None = None,
-        mode: str = "auto",
         start_indices: np.ndarray | None = None,
         state: str = "auto",
         tracer=None,
@@ -237,17 +237,18 @@ class EngineBackedDynamics:
 
         ``num_replicas`` independent copies advanced in bulk under this
         dynamics' kernel — the scaling entry point for mixing, hitting-time
-        and metastability experiments.  ``state`` picks the replica-state
-        backend (``"auto"``: flat int64 profile indices whenever the space
-        fits in int64, ``(R, n)`` strategy rows beyond — the backend that
-        lifts the ~62-binary-player ceiling for local-interaction games).
+        and metastability experiments.  ``state`` picks the route:
+        ``"index"`` (precomputed gather tables over profile indices),
+        ``"matrix"`` (``(R, n)`` strategy rows, rule rows on demand, any
+        number of players) or ``"auto"`` (index for time-invariant kernels
+        on at most ``GATHER_CAP`` profiles, matrix otherwise; see
+        :class:`~repro.engine.ensemble.EnsembleSimulator`).
         """
         return EnsembleSimulator(
             self,
             num_replicas,
             start=start,
             rng=rng,
-            mode=mode,
             start_indices=start_indices,
             kernel=self.kernel(),
             state=state,
@@ -268,11 +269,12 @@ class EngineBackedDynamics:
         ``record_every`` steps.  Given the same generator state it
         reproduces this dynamics' scalar ``simulate_loop`` exactly.
         """
-        start = np.asarray(start, dtype=np.int64)
+        start = np.asarray(start)
         if start.shape != (self.game.space.num_players,):
             raise ValueError("start profile has wrong length")
-        sim = self.ensemble(1, start=start, rng=rng, mode="matrix_free")
-        snapshots = sim.run(num_steps, record_every=max(int(record_every), 1))
+        # matrix state: gather tables never pay for one lone trajectory
+        sim = self.ensemble(1, start=start, rng=rng, state="matrix")
+        snapshots = sim.run(num_steps, record_every=record_every)
         return snapshots[:, 0, :]
 
     def simulate_hitting_time(
@@ -287,13 +289,11 @@ class EngineBackedDynamics:
         ``targets`` is a profile index, an array of them, or a profile
         predicate (a callable mapping ``(k, n)`` profile rows to a boolean
         mask) — the only target form available past the int64
-        profile-index ceiling.  Runs a single replica matrix-free: gather
-        mode's per-player precompute is never worth it for one lone
-        trajectory.
+        profile-index ceiling.  Runs a single replica on the matrix state:
+        the gather route's per-player precompute is never worth it for one
+        lone trajectory.
         """
-        sim = self.ensemble(
-            1, start=np.asarray(start, dtype=np.int64), rng=rng, mode="matrix_free"
-        )
+        sim = self.ensemble(1, start=np.asarray(start), rng=rng, state="matrix")
         return int(sim.hitting_times(targets, max_steps=max_steps)[0])
 
 

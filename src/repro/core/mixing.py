@@ -340,7 +340,6 @@ def estimate_tv_convergence(
     max_time: int = 10**5,
     check_every: int | None = None,
     rng: np.random.Generator | None = None,
-    mode: str = "auto",
     alpha: float | None = None,
     executor=None,
     seed: int | np.random.SeedSequence | None = None,
@@ -431,7 +430,6 @@ def estimate_tv_convergence(
                 num_replicas,
                 start=start,
                 rng=rng,
-                mode=mode,
                 tracer=tracer,
             )
             budget = sim.kernel.remaining_steps(sim)
@@ -503,7 +501,6 @@ def estimate_mixing_time_ensemble(
     max_time: int = 10**5,
     check_every: int | None = None,
     rng: np.random.Generator | None = None,
-    mode: str = "auto",
     alpha: float | None = None,
     executor=None,
     seed: int | np.random.SeedSequence | None = None,
@@ -556,7 +553,6 @@ def estimate_mixing_time_ensemble(
         max_time=max_time,
         check_every=check_every,
         rng=rng,
-        mode=mode,
         alpha=alpha,
         executor=executor,
         seed=seed,

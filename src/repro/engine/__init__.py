@@ -1,7 +1,7 @@
-"""Batched, matrix-free simulation engine for update dynamics.
+"""Batched simulation engine for update dynamics.
 
 This subsystem is the package's scaling layer: it advances ensembles of
-replicas (and ensembles of coupled pairs) as flat numpy index arrays instead
+replicas (and ensembles of coupled pairs) as flat numpy arrays instead
 of looping over single steps in Python, which is what lets the Monte-Carlo
 estimators reach the regimes the paper's theorems are actually about.
 
@@ -39,11 +39,12 @@ for the full contract):
 Components:
 
 * :class:`~repro.engine.ensemble.EnsembleSimulator` — ``R`` independent
-  replicas advanced in bulk under any kernel, with an optional small-space
-  gather mode for time-invariant kernels;
-* :mod:`~repro.engine.state` — pluggable replica-state backends:
-  :class:`~repro.engine.state.IndexState` (flat int64 profile indices, the
-  tabulated-game fast path) and :class:`~repro.engine.state.MatrixState`
+  replicas advanced in bulk under any kernel, on one of two routes chosen
+  by ``state=``: gather tables for time-invariant kernels on small spaces,
+  or rule rows on demand for everything else;
+* :mod:`~repro.engine.state` — the replica-state backend of each route:
+  :class:`~repro.engine.state.IndexState` (flat int64 profile indices into
+  the gather tables) and :class:`~repro.engine.state.MatrixState`
   (``(R, n)`` strategy rows, index-free — lifts the ~62-binary-player
   int64 ceiling for local-interaction games);
 * :func:`~repro.engine.coupled.simulate_grand_coupling_ensemble` — all

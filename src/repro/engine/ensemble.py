@@ -1,4 +1,4 @@
-"""Batched, matrix-free simulation of update dynamics over replicas.
+"""Batched simulation of update dynamics over replicas.
 
 The Monte-Carlo entry points of the package used to advance one replica of
 the chain one step at a time in pure Python, which caps experiments at toy
@@ -12,40 +12,38 @@ handful of numpy operations:
    movers and uniforms in bulk — a uniformly random player per replica for
    the paper's dynamics, all players for the synchronous variant, the
    cursor player for round-robin scanning,
-2. replicas are grouped by moving player (one stable argsort),
-3. per player, the ``(k, m_i)`` move-distribution rows are produced with one
-   batched rule evaluation (an indexed utility gather for
-   :class:`~repro.engine.state.IndexState`, a profile-row utility
-   computation for :class:`~repro.engine.state.MatrixState`) plus a
-   row-wise softmax / argmax, and
-4. the uniforms are mapped through the row-wise inverse CDF
-   (:func:`repro.engine.sampling.sample_from_cumulative`).
+2. each mover's ``(k, m_i)`` move-distribution rows come from the route
+   the state backend selects (below), and
+3. the uniforms are mapped through the row-wise inverse CDF
+   (:mod:`repro.engine.sampling`).
 
-Two state backends are supported (``state=`` argument):
+Two routes, one per state backend (``state=`` argument):
 
-* ``"index"`` — each replica is a flat int64 profile index
-  (:class:`~repro.engine.state.IndexState`); the fastest representation
-  for tabulated games, limited to profile spaces that fit in int64;
-* ``"matrix"`` — each replica is a strategy row in an ``(R, n)``
-  int8/int16 matrix (:class:`~repro.engine.state.MatrixState`); no index
-  is ever computed on the stepping path, so graph-structured games with
-  thousands of players (:class:`~repro.games.local.LocalInteractionGame`)
-  simulate without ever touching ``|S|``.
-
-and two execution modes:
-
-* *matrix-free* — utilities are produced on demand per step; memory is
-  ``O(R * m)`` (plus ``O(R * n)`` state) regardless of the profile-space
-  size;
-* *gather* (small-space mode, index state only) — every player's full
+* ``"index"`` — *gather*: each replica is a flat int64 profile index
+  (:class:`~repro.engine.state.IndexState`), and every player's full
   update matrix ``sigma_i(. | x)`` over all profiles is precomputed once
-  into one padded cumulative table plus the matching next-profile table,
-  after which a step is one table lookup, one inverse-CDF sample and one
-  index write for the whole batch, whatever the movers — no utility or
-  softmax work and no per-player grouping.  Worth it whenever ``|S|``
-  fits in memory and many steps are simulated, which is the common
-  benchmarking regime.  Only legal for kernels whose update rows are
-  time-invariant (:attr:`~repro.engine.kernels.UpdateKernel.supports_gather`).
+  into one padded cumulative table plus the matching next-profile table.
+  A step is then one table lookup, one inverse-CDF sample and one index
+  write for the whole batch, whatever the movers — no utility or softmax
+  work and no per-player grouping.  Only legal for kernels whose update
+  rows are time-invariant
+  (:attr:`~repro.engine.kernels.UpdateKernel.supports_gather`) and spaces
+  of at most ``DENSE_PROFILE_CAP`` profiles;
+* ``"matrix"`` — each replica is a strategy row in an ``(R, n)``
+  int8/int16 matrix (:class:`~repro.engine.state.MatrixState`), and the
+  rule's rows are produced on demand: one row-wise call per step (per
+  level of a block on CSR-structured games) when the game supports it,
+  otherwise one batched profile-row call per moving player (replicas
+  grouped by one stable argsort).  No index is ever computed on the
+  stepping path, so memory is ``O(R * n)`` whatever ``|S|``, and
+  graph-structured games with thousands of players
+  (:class:`~repro.games.local.LocalInteractionGame`) simulate without
+  ever touching ``|S|``.
+
+``"auto"`` (the default) picks gather for time-invariant kernels on spaces
+of at most :data:`GATHER_CAP` profiles, where building the tables pays
+for itself, and the matrix state otherwise.  Both routes produce the same
+trajectories, bit for bit, under a fixed seed.
 
 Replicas are statistically independent: grouping them by moving player
 within a step is exact, not an approximation, because each replica receives
@@ -80,7 +78,7 @@ from .kernels import (
     seeded_kernel_for,
 )
 from .sampling import sample_from_cumulative, sample_inverse_cdf
-from .state import EngineState, IndexState, MatrixState
+from .state import EngineState, IndexState, MatrixState, integral_array
 from .streams import stream_words
 
 __all__ = ["EnsembleSimulator"]
@@ -99,8 +97,16 @@ ProfilePredicate = Callable[[np.ndarray], np.ndarray]
 #: about 20 MB on any graph
 LEVEL_BLOCK_SLOTS = 1 << 17
 
-#: largest profile space ``mode="auto"`` serves in gather mode
+#: largest profile space ``state="auto"`` serves on the gather route
 GATHER_CAP = 1 << 16
+
+
+def check_record_every(record_every) -> int:
+    """Validate a snapshot interval: an integer of at least 1."""
+    record_every = operator.index(record_every)
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
+    return record_every
 
 
 class EnsembleSimulator:
@@ -110,14 +116,14 @@ class EnsembleSimulator:
     ----------
     dynamics:
         The dynamics to simulate.  Any object exposing ``game`` (a
-        :class:`~repro.games.Game`), ``update_distribution_many(player,
-        profile_indices)`` and — for the matrix state backend —
-        ``update_distribution_profiles(player, profiles)`` works;
+        :class:`~repro.games.Game`), ``player_update_matrix(player)`` for
+        the index state's gather tables and ``update_distribution_profiles(
+        player, profiles)`` for the matrix state works;
         :class:`~repro.core.logit.LogitDynamics` is the canonical provider.
         Without an explicit ``kernel`` it is advanced one uniformly random
         player per step (:class:`~repro.engine.kernels.SequentialKernel`).
     num_replicas:
-        Number of independent replicas ``R``.
+        Number of independent replicas ``R`` (an integer, at least 1).
     start:
         Initial state of the ensemble: ``None`` (all replicas at the
         all-zeros profile), a single profile index, an ``(n,)`` strategy
@@ -131,19 +137,19 @@ class EnsembleSimulator:
         with ``start``.
     rng:
         Numpy random generator (a fresh default generator if omitted).
-    mode:
-        ``"matrix_free"``, ``"gather"``, or ``"auto"`` (gather when the
-        state is index-backed and the profile space has at most
-        ``GATHER_CAP`` = 2**16 profiles).
     kernel:
         The :class:`~repro.engine.kernels.UpdateKernel` deciding who moves
         per step.  Defaults to ``SequentialKernel(dynamics)`` — the paper's
         one-uniformly-random-player-per-step rule.
     state:
-        Replica-state backend: ``"index"``, ``"matrix"``, or ``"auto"``
-        (index whenever the profile space fits in int64, matrix beyond).
-        Small-space trajectories are bit-for-bit identical across the two
-        backends under a fixed seed.
+        The route (see the module docs): ``"index"`` (gather tables over
+        profile indices), ``"matrix"`` (strategy rows, rule rows on
+        demand), or ``"auto"`` (index when the kernel is time-invariant and
+        the space has at most ``GATHER_CAP`` = 2**16 profiles, matrix
+        otherwise).  ``"index"`` raises ``ValueError`` for a
+        time-inhomogeneous kernel and for spaces past
+        ``DENSE_PROFILE_CAP`` or int64.  Trajectories are bit-for-bit
+        identical across the two routes under a fixed seed.
     tracer:
         Telemetry sink (:mod:`repro.obs`): ``None`` (default — the shared
         no-op tracer, zero hot-path cost), a
@@ -171,6 +177,11 @@ class EnsembleSimulator:
     >>> times = sim.hitting_times(consensus, max_steps=10_000)
     >>> times.shape, bool(np.all(times >= 0))
     ((32,), True)
+    >>> sim.state.kind  # 16 profiles: the gather route
+    'index'
+    >>> ring20 = IsingGame(nx.cycle_graph(20), coupling=1.0)  # 2**20 > GATHER_CAP
+    >>> LogitDynamics(ring20, beta=0.8).ensemble(4).state.kind
+    'matrix'
     """
 
     def __init__(
@@ -179,12 +190,12 @@ class EnsembleSimulator:
         num_replicas: int,
         start: Sequence[int] | np.ndarray | int | None = None,
         rng: np.random.Generator | None = None,
-        mode: str = "auto",
         start_indices: np.ndarray | None = None,
         kernel: UpdateKernel | None = None,
         state: str = "auto",
         tracer=None,
     ):
+        num_replicas = operator.index(num_replicas)
         if num_replicas < 1:
             raise ValueError("need at least one replica")
         self.tracer = as_tracer(tracer)
@@ -198,46 +209,33 @@ class EnsembleSimulator:
         self.dynamics = self.kernel.rule
         self.game = self.kernel.game
         self.space = self.game.space
-        self.num_replicas = int(num_replicas)
+        self.num_replicas = num_replicas
         self.rng = np.random.default_rng() if rng is None else rng
         if state == "auto":
-            state = "index" if self.space.fits_int64 else "matrix"
+            state = (
+                "index"
+                if self.kernel.supports_gather and self.space.size <= GATHER_CAP
+                else "matrix"
+            )
         if state == "index":
+            # refuses spaces past int64 itself
             self.state: EngineState = IndexState(self.space)
+            if not self.kernel.supports_gather:
+                raise ValueError(
+                    f"the index state precomputes time-invariant update rows "
+                    f"but {type(self.kernel).__name__} is time-inhomogeneous; "
+                    f"use state='matrix'"
+                )
+            if self.space.size > DENSE_PROFILE_CAP:
+                raise ValueError(
+                    f"the index state precomputes (|S|, m) update tables but "
+                    f"the space has {self.space.size} profiles; use "
+                    f"state='matrix'"
+                )
         elif state == "matrix":
             self.state = MatrixState(self.space)
         else:
             raise ValueError(f"unknown state backend {state!r}")
-        if mode == "auto":
-            mode = (
-                "gather"
-                if (
-                    self.state.kind == "index"
-                    and self.kernel.supports_gather
-                    and self.space.size <= GATHER_CAP
-                )
-                else "matrix_free"
-            )
-        if mode not in ("gather", "matrix_free"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "gather" and not self.kernel.supports_gather:
-            raise ValueError(
-                f"gather mode precomputes time-invariant update rows but "
-                f"{type(self.kernel).__name__} is time-inhomogeneous; use "
-                f"matrix_free"
-            )
-        if mode == "gather" and self.state.kind != "index":
-            raise ValueError(
-                "gather mode indexes precomputed (|S|, m) update matrices by "
-                "profile index and therefore requires the index state "
-                "backend; use matrix_free with state='matrix'"
-            )
-        if mode == "gather" and self.space.size > DENSE_PROFILE_CAP:
-            raise ValueError(
-                f"gather mode precomputes (|S|, m) update matrices but the "
-                f"space has {self.space.size} profiles; use matrix_free"
-            )
-        self.mode = mode
         self._gather: tuple[np.ndarray, np.ndarray] | None = None
         # Row-wise fast path: on the matrix backend, games with uniform
         # strategy counts that expose utility_deviations_rowwise (local-
@@ -245,8 +243,7 @@ class EnsembleSimulator:
         # vectorised rule call instead of ~k per-player groups.  Produces
         # float-identical move distributions, so trajectories are unchanged.
         self._rowwise = (
-            self.mode == "matrix_free"
-            and self.state.kind == "matrix"
+            self.state.kind == "matrix"
             and getattr(self.game, "utility_deviations_rowwise", None) is not None
         )
         # Level schedule: on the row-wise path of a CSR-structured game
@@ -270,7 +267,6 @@ class EnsembleSimulator:
             self.tracer.event(
                 "engine.backend_resolved",
                 state=self.state.kind,
-                mode=self.mode,
                 replicas=self.num_replicas,
             )
         self.reset(start, start_indices=start_indices)
@@ -282,7 +278,6 @@ class EnsembleSimulator:
         seeds,
         start: Sequence[int] | np.ndarray | int | None = None,
         start_indices: np.ndarray | None = None,
-        mode: str = "auto",
         state: str = "auto",
         block_size: int = 256,
         tracer=None,
@@ -327,7 +322,6 @@ class EnsembleSimulator:
             seeds.shape[0],
             start=start,
             start_indices=start_indices,
-            mode=mode,
             state=state,
             kernel=seeded_kernel,
             tracer=tracer,
@@ -433,15 +427,16 @@ class EnsembleSimulator:
         """New strategies of ``player`` for the replicas in ``batch``.
 
         The shared inner move of every kernel: produce the ``(k, m_player)``
-        move-distribution rows (precomputed gather or on-demand rule call
-        through the state backend) and map the uniforms through the
-        row-wise inverse CDF.  ``rule`` as in :meth:`_advance_batch`.
+        move-distribution rows (a gather-table lookup on the index state,
+        an on-demand profile-row rule call on the matrix state) and map the
+        uniforms through the row-wise inverse CDF.  ``rule`` as in
+        :meth:`_advance_batch`.
         """
-        if self.mode == "gather":
+        if self.state.kind == "index":
             cum = self._gather_tables()[0][player, batch]
             return sample_from_cumulative(cum, uniforms)
         rule = self.kernel.rule if rule is None else rule
-        probs = self.state.rule_rows(rule, player, batch)
+        probs = rule.update_distribution_profiles(player, batch)
         return sample_inverse_cdf(probs, uniforms)
 
     def _advance_batch(
@@ -457,20 +452,20 @@ class EnsembleSimulator:
         ``where`` (``(k,)`` replica positions; all replicas when ``None``).
         ``rule`` evaluates that rule instead of the kernel's own (the
         annealed kernel passes the fixed-``beta`` rule of its current step;
-        such kernels never run in gather mode).
+        such kernels never run on the index state).
 
-        In gather mode the whole batch advances through the precomputed
+        On the index state the whole batch advances through the gather
         tables (:meth:`_gather_tables`): one lookup of the cumulative rows,
         one inverse-CDF sample, one next-profile lookup and one write.  On
-        the matrix state backend with a row-wise-capable game the whole
-        batch advances as one vectorised call; otherwise replicas are
-        grouped by moving player (one stable argsort) and each group gets
-        one batched rule evaluation.  All paths produce float-identical
-        move distributions and consume the same uniforms per replica, so
+        the matrix state with a row-wise-capable game the whole batch
+        advances as one vectorised call; otherwise replicas are grouped by
+        moving player (one stable argsort) and each group gets one batched
+        rule evaluation.  All paths produce float-identical move
+        distributions and consume the same uniforms per replica, so
         trajectories do not depend on which one ran.
         """
         state = self.state
-        if self.mode == "gather":
+        if state.kind == "index":
             cum, nxt = self._gather_tables()
             batch = state.take(where)
             chosen = sample_from_cumulative(cum[players, batch], uniforms)
@@ -543,7 +538,8 @@ class EnsembleSimulator:
         Returns ``None`` when ``record_every`` is ``None``; otherwise the
         recorded snapshots as a ``(k, R, n)`` int array whose first entry is
         the state on entry and subsequent entries are snapshots every
-        ``record_every`` steps.
+        ``record_every`` steps (an integer of at least 1:
+        :func:`check_record_every`).
         """
         if num_steps < 0:
             raise ValueError("num_steps must be non-negative")
@@ -552,7 +548,7 @@ class EnsembleSimulator:
         draws = self.kernel.begin_run(self, num_steps)
         snapshots: list[np.ndarray] | None = None
         if record_every is not None:
-            record_every = max(int(record_every), 1)
+            record_every = check_record_every(record_every)
             snapshots = [self.state.snapshot()]
         block = max(1, LEVEL_BLOCK_SLOTS // self.kernel.block_slots(self))
         start = 0
@@ -595,8 +591,8 @@ class EnsembleSimulator:
         search is clamped to the remaining schedule, so exhaustion reads as
         ``-1`` (not reached) rather than a mid-run error.
 
-        Under the seeded sequential kernel with a ``stop`` mask (gather
-        mode) the search runs one refill window at a time: one
+        Under the seeded sequential kernel with a ``stop`` mask (index
+        state) the search runs one refill window at a time: one
         ``kernel.step`` (which refills exhausted blocks) and one membership
         test, then
         :meth:`~repro.engine.kernels.SeededSequentialKernel.advance_window`
@@ -657,8 +653,8 @@ class EnsembleSimulator:
         that are not integral or lie outside ``[0, |S|)`` raise rather than
         read as some other set or as never reached.
 
-        Returns ``(in_target, stop)``: the evaluator, and in gather mode
-        for an index target the same membership as a boolean ``(|S|,)``
+        Returns ``(in_target, stop)``: the evaluator, and on the index
+        state for an index target the same membership as a boolean ``(|S|,)``
         profile-index mask (``None`` otherwise), which windowed first
         passage looks hits up in.
         """
@@ -670,12 +666,9 @@ class EnsembleSimulator:
                 ),
                 None,
             )
-        raw = np.atleast_1d(np.asarray(targets))
-        if raw.dtype.kind not in "biu" and not (
-            raw.dtype.kind == "f" and np.all(np.isfinite(raw) & (raw == np.trunc(raw)))
-        ):
-            raise ValueError(f"target profile indices must be integers, got {raw!r}")
-        target_arr = np.unique(raw.astype(np.int64))
+        target_arr = np.unique(
+            integral_array(np.atleast_1d(targets), "target profile indices")
+        )
         if target_arr.size and (
             target_arr.min() < 0 or int(target_arr.max()) >= self.space.size
         ):
@@ -684,7 +677,7 @@ class EnsembleSimulator:
                 f"got values from {target_arr.min()} to {target_arr.max()}"
             )
         stop = None
-        if self.mode == "gather":
+        if self.state.kind == "index":
             stop = np.zeros(self.space.size, dtype=bool)
             stop[target_arr] = True
         if target_arr.size == 1:
@@ -729,7 +722,7 @@ class EnsembleSimulator:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"EnsembleSimulator(replicas={self.num_replicas}, mode={self.mode!r}, "
+            f"EnsembleSimulator(replicas={self.num_replicas}, "
             f"state={self.state.kind!r}, kernel={type(self.kernel).__name__}, "
             f"game={self.game!r})"
         )

@@ -53,8 +53,9 @@ and ``run_block(sim, draws, start, stop)``
 ``supports_gather``
     Whether the per-player update rows are time-invariant, i.e. whether the
     engine may precompute ``(|S|, m_i)`` cumulative update matrices once
-    and simulate by indexed gathers.  Time-inhomogeneous kernels (annealed
-    schedules) must say ``False``.
+    and simulate by indexed gathers (``state="index"``).
+    Time-inhomogeneous kernels (annealed schedules) must say ``False``;
+    they run on the matrix state.
 
 Randomness contracts (what the cross-validation tests pin down):
 
@@ -143,7 +144,7 @@ class UpdateKernel(abc.ABC):
         schedule of them instead).
     """
 
-    #: whether per-player update rows are time-invariant (gather mode legal)
+    #: whether per-player update rows are time-invariant (index state legal)
     supports_gather: bool = True
 
     def __init__(self, rule):
@@ -453,8 +454,8 @@ class SeededSequentialKernel(UpdateKernel):
     refilled lazily, per replica, exactly when that replica has used its
     current block up, so a replica that hits its target early simply stops
     consuming its stream — first-passage retirement can neither perturb
-    the other replicas nor desync the retired one.  Gather-mode first
-    passage on an index target advances the active replicas through the
+    the other replicas nor desync the retired one.  First passage on the
+    index state to an index target advances the active replicas through the
     rest of their blocks in one window (:meth:`advance_window`); draws past
     a replica's hit are evaluated but not consumed, so cursors, refills and
     streams stay those of one step at a time.  Consecutive
@@ -571,7 +572,7 @@ class SeededSequentialKernel(UpdateKernel):
     def advance_window(
         self, sim, where: np.ndarray, steps: int, stop: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the replicas in ``where`` up to ``steps`` gather-mode steps.
+        """Advance the replicas in ``where`` up to ``steps`` gather-table steps.
 
         Each replica stops at its first profile index inside the boolean
         ``(|S|,)`` mask ``stop``.  The window must fit in every selected

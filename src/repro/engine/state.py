@@ -1,25 +1,21 @@
 """Pluggable replica-state backends for the batched simulation engine.
 
-The original :class:`~repro.engine.ensemble.EnsembleSimulator` stored every
-replica as a flat *profile index* — one int64 per replica.  That is the
-fastest representation for tabulated games (utility lookups are fancy-
-indexed gathers) but it hard-caps the engine at profile spaces of at most
-``2**63 - 1`` profiles, i.e. ~62 binary players, far below the graph-
-structured games with hundreds or thousands of players that the follow-up
-local-interaction literature studies.  This module factors the *state* of
-the ensemble out of the simulator behind a small protocol with two
-interchangeable backends:
+Each backend is one of the engine's two routes
+(:mod:`repro.engine.ensemble`):
 
-* :class:`IndexState` — the original representation, an ``(R,)`` int64
-  array of profile indices.  Wraps the pre-protocol behaviour bit-for-bit
-  (same arrays, same copies, same random-stream interaction) and refuses
-  up front to be built over a profile space that does not fit in int64.
+* :class:`IndexState` — the *gather* route: an ``(R,)`` int64 array of
+  profile indices, which index the simulator's precomputed
+  cumulative-update and next-profile tables.  Refuses up front to be built
+  over a profile space that does not fit in int64 (about 62 binary
+  players).
 * :class:`MatrixState` — an ``(R, n)`` strategy matrix with the smallest
   integer dtype that holds the per-player strategy counts (int8 for up to
-  128 strategies).  No profile index is ever computed on the stepping
-  path, so the representation works for *any* number of players; update
-  rules are consulted through their profile-row methods
-  (``update_distribution_profiles``) instead of the index-batch ones.
+  128 strategies).  Update rules are consulted on demand through their
+  profile-row methods (``update_distribution_profiles``, or
+  ``update_distribution_rowwise`` on games that support it) and no profile
+  index is ever computed on the stepping path, so the representation works
+  for *any* number of players, such as the graph-structured games with
+  thousands of players of the local-interaction literature.
 
 The simulator and the kernels only ever talk to the protocol: which
 players move, how uniforms are consumed and how moves are sampled is
@@ -38,6 +34,21 @@ import numpy as np
 from ..games.space import _INT64_MAX, ProfileSpace
 
 __all__ = ["EngineState", "IndexState", "MatrixState", "strategy_dtype"]
+
+
+def integral_array(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array: integral floats pass, anything else raises.
+
+    The one integrality rule for profile indices and strategies arriving
+    from callers (starts, first-passage targets) — a cast alone would
+    silently truncate ``1.7`` to ``1``.
+    """
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "biu" and not (
+        raw.dtype.kind == "f" and np.all(np.isfinite(raw) & (raw == np.trunc(raw)))
+    ):
+        raise ValueError(f"{what} must be integers, got {raw!r}")
+    return raw.astype(np.int64, copy=False)
 
 
 def strategy_dtype(space: ProfileSpace) -> np.dtype:
@@ -62,15 +73,12 @@ def strategy_dtype(space: ProfileSpace) -> np.dtype:
 class EngineState(abc.ABC):
     """State of ``R`` replicas of a single-site update chain.
 
-    A backend owns the storage of the replicas and translates between the
-    engine's three needs:
+    A backend owns the storage of the replicas and serves the engine's two
+    needs:
 
     * *batch surgery* — :meth:`take` / :meth:`set_strategies` / :meth:`put`
       implement "read the selected replicas, change one player's strategy
       per replica, write them back", the inner move of every kernel;
-    * *rule evaluation* — :meth:`rule_rows` hands a batch to an update
-      rule in the representation the backend stores (profile indices or
-      profile rows);
     * *observables* — :meth:`profiles_at` / :meth:`indices_at` /
       :meth:`snapshot` expose the current state for predicates, histograms
       and trajectory recording.
@@ -106,7 +114,8 @@ class EngineState(abc.ABC):
 
         Returns one of ``("zero", None)``, ``("index", int)``,
         ``("indices", list[int])``, ``("profile", (n,) int64 array)`` or
-        ``("profiles", (R, n) int64 array)``, with ranges fully checked —
+        ``("profiles", (R, n) int64 array)``, with integrality (integral
+        floats pass, anything else raises) and ranges fully checked —
         backends only convert the canonical form into their own storage, so
         both necessarily accept and reject exactly the same inputs.
         """
@@ -116,7 +125,7 @@ class EngineState(abc.ABC):
             if start is not None:
                 raise ValueError("pass either start or start_indices, not both")
             if self.space.fits_int64:
-                arr = np.asarray(start_indices, dtype=np.int64)
+                arr = integral_array(start_indices, "start profile indices")
                 if arr.shape != (R,):
                     raise ValueError(
                         f"start_indices must have shape ({R},), got {arr.shape}"
@@ -132,6 +141,10 @@ class EngineState(abc.ABC):
                     f"start_indices must have shape ({R},), got {arr.shape}"
                 )
             values = [int(v) for v in arr]
+            if any(v != w for v, w in zip(arr, values)):
+                raise ValueError(
+                    f"start profile indices must be integers, got {arr!r}"
+                )
             if any(not 0 <= v < self.space.size for v in values):
                 raise ValueError("start profile index out of range")
             return ("indices", values)
@@ -141,7 +154,7 @@ class EngineState(abc.ABC):
             if not 0 <= int(start) < self.space.size:
                 raise ValueError("start profile index out of range")
             return ("index", int(start))
-        arr = np.asarray(start, dtype=np.int64)
+        arr = integral_array(start, "start profile strategies")
         if arr.ndim == 1 and arr.shape == (n,):
             self._validate_profile_rows(arr[None, :])
             return ("profile", arr)
@@ -182,12 +195,6 @@ class EngineState(abc.ABC):
         input as consumed.
         """
 
-    # -- rule evaluation ---------------------------------------------------
-
-    @abc.abstractmethod
-    def rule_rows(self, rule, player: int, batch: np.ndarray) -> np.ndarray:
-        """``(k, m_player)`` move-distribution rows of ``rule`` for a batch."""
-
     # -- observables -------------------------------------------------------
 
     @abc.abstractmethod
@@ -216,15 +223,14 @@ class EngineState(abc.ABC):
 
 
 class IndexState(EngineState):
-    """Flat profile-index representation — the engine's original state.
+    """Flat profile-index representation — the gather route's state.
 
-    One int64 profile index per replica; single-coordinate surgery is
+    One int64 profile index per replica, which indexes the simulator's
+    gather tables; single-coordinate surgery (the concurrent sweep) is
     mixed-radix arithmetic (:meth:`~repro.games.space.ProfileSpace.
-    set_strategy_many`) and rules are consulted through their index-batch
-    methods.  Requires the profile space to fit in int64 and says so up
-    front — the pre-protocol engine accepted oversized spaces at
-    construction and then died mid-run inside numpy with a cryptic dtype
-    error.
+    set_strategy_many`).  Requires the profile space to fit in int64 and
+    says so up front, rather than dying mid-run inside numpy with a
+    cryptic dtype error.
     """
 
     kind = "index"
@@ -269,9 +275,6 @@ class IndexState(EngineState):
 
     def set_strategies(self, batch, player, strategies):
         return self.space.set_strategy_many(batch, player, strategies)
-
-    def rule_rows(self, rule, player, batch):
-        return rule.update_distribution_many(player, batch)
 
     def indices_at(self, where):
         return self._indices if where is None else self._indices[where]
@@ -353,9 +356,6 @@ class MatrixState(EngineState):
     def set_strategies(self, batch, player, strategies):
         batch[:, player] = strategies
         return batch
-
-    def rule_rows(self, rule, player, batch):
-        return rule.update_distribution_profiles(player, batch)
 
     # -- row-wise fast path ------------------------------------------------
     #

@@ -21,6 +21,7 @@ from repro.core import (
     estimate_mixing_time_ensemble,
     measure_mixing_time,
 )
+from repro.core.variants import ConcurrentLogitDynamics, RoundRobinLogitDynamics
 from repro.engine import (
     EnsembleSimulator,
     maximal_coupling_update_many,
@@ -95,40 +96,41 @@ class TestFixedSeedEquivalence:
         )
         np.testing.assert_array_equal(loop, batched)
 
-    def test_gather_and_matrix_free_agree(self, ring5_ising_game):
+    def test_index_and_matrix_states_agree(self, ring5_ising_game):
         dynamics = LogitDynamics(ring5_ising_game, 0.8)
         start = np.zeros(5, dtype=np.int64)
         runs = {}
-        for mode in ("gather", "matrix_free"):
+        for state in ("index", "matrix"):
             sim = EnsembleSimulator(
-                dynamics, 32, start=start, rng=np.random.default_rng(11), mode=mode
+                dynamics, 32, start=start, rng=np.random.default_rng(11), state=state
             )
-            runs[mode] = sim.run(200, record_every=1)
-        np.testing.assert_array_equal(runs["gather"], runs["matrix_free"])
+            runs[state] = sim.run(200, record_every=1)
+        np.testing.assert_array_equal(runs["index"], runs["matrix"])
 
-    def test_gather_matches_matrix_free_with_unequal_strategy_counts(self):
+    def test_index_matches_matrix_with_unequal_strategy_counts(self):
         # (2, 3, 4): players 0 and 1 read padded columns of the gather table
         game = random_game((2, 3, 4), rng=np.random.default_rng(21))
         dynamics = LogitDynamics(game, 1.3)
         target = game.space.size - 1
         times, finals, runs = {}, {}, {}
-        for mode in ("gather", "matrix_free"):
+        for state in ("index", "matrix"):
             seeds = np.random.SeedSequence(5).spawn(48)
-            sim = EnsembleSimulator.seeded(dynamics, seeds, start=0, mode=mode)
-            times[mode] = sim.hitting_times(target, max_steps=60)
-            finals[mode] = sim.indices
+            sim = EnsembleSimulator.seeded(dynamics, seeds, start=0, state=state)
+            times[state] = sim.hitting_times(target, max_steps=60)
+            finals[state] = sim.indices
             sim = EnsembleSimulator(
-                dynamics, 16, start=0, rng=np.random.default_rng(9), mode=mode
+                dynamics, 16, start=0, rng=np.random.default_rng(9), state=state
             )
-            runs[mode] = sim.run(120, record_every=7)
-        assert (times["gather"] > 0).any() and (times["gather"] < 0).any()
-        np.testing.assert_array_equal(times["gather"], times["matrix_free"])
-        np.testing.assert_array_equal(finals["gather"], finals["matrix_free"])
-        np.testing.assert_array_equal(runs["gather"], runs["matrix_free"])
+            runs[state] = sim.run(120, record_every=7)
+        assert (times["index"] > 0).any() and (times["index"] < 0).any()
+        np.testing.assert_array_equal(times["index"], times["matrix"])
+        np.testing.assert_array_equal(finals["index"], finals["matrix"])
+        np.testing.assert_array_equal(runs["index"], runs["matrix"])
 
     def test_gather_clamps_roundoff_to_each_players_last_strategy(self):
-        # rows summing to 1 - 1e-12 and uniforms above that mass: every mode
-        # must clamp to the mover's own last strategy, never to a padded one
+        # rows summing to 1 - 1e-12 and uniforms above that mass: both
+        # states must clamp to the mover's own last strategy, never to a
+        # padded one
         game = random_game((2, 3, 4), rng=np.random.default_rng(0))
         space = game.space
 
@@ -140,26 +142,30 @@ class TestFixedSeedEquivalence:
                 m = space.num_strategies[player]
                 return np.full((space.size, m), (1.0 - 1e-12) / m)
 
-            def update_distribution_many(self, player, batch):
-                return self.player_update_matrix(player)[batch]
+            def update_distribution_profiles(self, player, profiles):
+                rows = space.encode_many(np.asarray(profiles, dtype=np.int64))
+                return self.player_update_matrix(player)[rows]
 
         rule = ShortMassRule()
         starts = np.arange(space.size, dtype=np.int64)
+        batches = {"index": starts, "matrix": space.decode_many(starts)}
         players = starts % space.num_players
         uniforms = np.where(starts % 2 == 0, 1.0 - 1e-13, 0.4)
         results = {}
-        for mode in ("gather", "matrix_free"):
-            sim = EnsembleSimulator(rule, space.size, start_indices=starts, mode=mode)
+        for state, batch in batches.items():
+            sim = EnsembleSimulator(
+                rule, space.size, start_indices=starts, state=state
+            )
             sim._advance_batch(players, uniforms)
             moves = [
-                sim._sample_moves(i, starts, np.full(space.size, 1.0 - 1e-13))
+                sim._sample_moves(i, batch, np.full(space.size, 1.0 - 1e-13))
                 for i in range(space.num_players)
             ]
-            results[mode] = sim.indices, moves
-        np.testing.assert_array_equal(results["gather"][0], results["matrix_free"][0])
+            results[state] = sim.indices, moves
+        np.testing.assert_array_equal(results["index"][0], results["matrix"][0])
         for i, m in enumerate(space.num_strategies):
-            np.testing.assert_array_equal(results["gather"][1][i], m - 1)
-            np.testing.assert_array_equal(results["matrix_free"][1][i], m - 1)
+            np.testing.assert_array_equal(results["index"][1][i], m - 1)
+            np.testing.assert_array_equal(results["matrix"][1][i], m - 1)
 
     def test_generic_fallback_agrees_with_table_fast_path(self):
         # the same game expressed as a tabulated and as a callable game must
@@ -174,6 +180,42 @@ class TestFixedSeedEquivalence:
                 table.utility_deviations_many(player, idx),
                 callable_game.utility_deviations_many(player, idx),
             )
+
+
+class TestRecordEvery:
+    """One validation rule for the snapshot interval at every recording site."""
+
+    SITES = [
+        "run", "simulate", "sequential_loop", "concurrent_loop", "round_robin_loop"
+    ]
+
+    @staticmethod
+    def record(game, site, every):
+        start = (0,) * game.num_players
+        logit = LogitDynamics(game, 1.0)
+        if site == "run":
+            return logit.ensemble(2).run(4, record_every=every)
+        if site == "simulate":
+            return logit.simulate(start, 4, record_every=every)
+        if site == "sequential_loop":
+            return logit.simulate_loop(start, 4, record_every=every)
+        variant = (
+            ConcurrentLogitDynamics(game, 1.0, p=0.5)
+            if site == "concurrent_loop"
+            else RoundRobinLogitDynamics(game, 1.0)
+        )
+        return variant.simulate_loop(start, 4, record_every=every)
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_rejects_intervals_below_one_and_non_integers(self, ring5_ising_game, site):
+        # regression: max(int(record_every), 1) read 0 and -3 as 1, 2.7 as 2
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="record_every"):
+                self.record(ring5_ising_game, site, bad)
+        for bad in (2.7, 2.0):
+            with pytest.raises(TypeError):
+                self.record(ring5_ising_game, site, bad)
+        assert len(self.record(ring5_ising_game, site, np.int64(2))) == 3
 
 
 class TestEnsembleSimulator:
@@ -223,7 +265,16 @@ class TestEnsembleSimulator:
         with pytest.raises(ValueError):
             EnsembleSimulator(dynamics, 0)
         with pytest.raises(ValueError):
-            EnsembleSimulator(dynamics, 4, mode="warp")
+            EnsembleSimulator(dynamics, 4, state="warp")
+
+    def test_num_replicas_must_be_an_integer(self, ring5_ising_game):
+        # regression: 2.7 was cast to int and built two replicas
+        dynamics = LogitDynamics(ring5_ising_game, 1.0)
+        with pytest.raises(TypeError):
+            EnsembleSimulator(dynamics, 2.7)
+        with pytest.raises(TypeError):
+            dynamics.ensemble(2.0)
+        assert EnsembleSimulator(dynamics, np.int64(3)).num_replicas == 3
 
     def test_empirical_distribution_sums_to_one(self, ring5_ising_game):
         dynamics = LogitDynamics(ring5_ising_game, 0.5)

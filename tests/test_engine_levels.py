@@ -225,14 +225,14 @@ def test_consecutive_runs_continue_the_stream():
 @pytest.mark.parametrize("record_every", [None, 1, 13])
 @pytest.mark.parametrize("family", sorted(GAMES))
 def test_matrix_state_equals_index_state(family, record_every):
-    # n <= 8: the index state's profile-index path is an independent oracle
+    # n <= 8: the index state's gather tables are an independent oracle
     game = GAMES[family](ring_graph(7), 4)
     dynamics = LogitDynamics(game, BETA)
     runs = []
     for state in ("index", "matrix"):
         sim = dynamics.ensemble(
             16, start=(0, 1, 0, 1, 1, 0, 0), rng=np.random.default_rng(42),
-            mode="matrix_free", state=state,
+            state=state,
         )
         assert sim._levelled == (state == "matrix")
         runs.append((sim.run(300, record_every=record_every), sim.profiles))
@@ -354,6 +354,29 @@ def test_ring_run_makes_at_most_ten_calls_per_step():
     assert calls <= 10 * steps, f"{calls / steps:.1f} calls per step"
 
 
+@pytest.mark.parametrize(
+    "graph,limit",
+    [(ring_graph(20), 50), (clique_graph(20), 150)],
+    ids=["ring", "clique"],
+)
+def test_default_state_run_on_20_players_is_lean(graph, limit):
+    """Deterministic perf gate: a warmed default-state ``run(200)``, R = 64.
+
+    2**20 profiles are past ``GATHER_CAP``, so ``state="auto"`` resolves to
+    the matrix state.  The index state without gather tables grouped the
+    movers per player and made about 3,000 Python and C calls per step on
+    both graphs; the matrix state makes about 35 on the levelled ring and
+    120 on the clique, where every update conflicts with every other.
+    """
+    steps = 200
+    game = IsingGame(graph, coupling=0.5)
+    sim = LogitDynamics(game, 1.0).ensemble(64, rng=np.random.default_rng(1))
+    assert sim.state.kind == "matrix"
+    sim.run(steps)  # warm every lazy buffer
+    calls = count_calls(lambda: sim.run(steps))
+    assert calls <= limit * steps, f"{calls / steps:.1f} calls per step"
+
+
 def test_gather_first_passage_makes_at_most_eight_calls_per_step():
     """Deterministic perf gate: a warmed seeded first-passage chunk, gather mode.
 
@@ -374,7 +397,7 @@ def test_gather_first_passage_makes_at_most_eight_calls_per_step():
             LogitDynamics(game, 0.7),
             np.random.SeedSequence(3).spawn(replicas),
             start=0,
-            mode="gather",
+            state="index",
         )
 
     sim = seeded()

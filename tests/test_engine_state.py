@@ -3,9 +3,10 @@
 Three contracts:
 
 * *backend equivalence* — on small games, trajectories produced by the
-  matrix state backend are bit-for-bit identical to the index backend
-  under a fixed seed, for every kernel (the matrix backend is a second
-  implementation of the same dynamics, not an approximation);
+  matrix state backend are bit-for-bit identical to the index backend's
+  gather tables under a fixed seed, for every time-homogeneous kernel, and
+  to the scalar reference loop for the annealed kernel (the matrix backend
+  is a second implementation of the same dynamics, not an approximation);
 * *index-free scaling* — games past the int64 profile-index ceiling
   (>= 63 binary players) run ensembles, hitting times and exit times on
   the matrix backend through every kernel, with profile-predicate targets
@@ -61,11 +62,20 @@ class TestBackendEquivalence:
     def test_all_kernels_match_index_backend(self, ring7_game):
         start = (0, 1, 0, 1, 1, 0, 0)
         for dynamics in _all_dynamics(ring7_game):
+            if not dynamics.kernel().supports_gather:
+                # no gather route: one replica against the scalar loop
+                sim = dynamics.ensemble(
+                    1, start=start, rng=np.random.default_rng(42), state="matrix"
+                )
+                np.testing.assert_array_equal(
+                    sim.run(250, record_every=1)[:, 0, :],
+                    dynamics.simulate_loop(start, 250, rng=np.random.default_rng(42)),
+                )
+                continue
             runs = {}
             for state in ("index", "matrix"):
                 sim = dynamics.ensemble(
-                    16, start=start, rng=np.random.default_rng(42),
-                    mode="matrix_free", state=state,
+                    16, start=start, rng=np.random.default_rng(42), state=state
                 )
                 runs[state] = sim.run(250, record_every=1)
             np.testing.assert_array_equal(
@@ -76,7 +86,7 @@ class TestBackendEquivalence:
     def test_matrix_backend_matches_gather_mode(self, ring7_game):
         dynamics = LogitDynamics(ring7_game, 1.0)
         gather = dynamics.ensemble(
-            8, start=(0,) * 7, rng=np.random.default_rng(3), mode="gather"
+            8, start=(0,) * 7, rng=np.random.default_rng(3), state="index"
         ).run(300, record_every=1)
         matrix = dynamics.ensemble(
             8, start=(0,) * 7, rng=np.random.default_rng(3), state="matrix"
@@ -89,8 +99,7 @@ class TestBackendEquivalence:
         game = SingletonCongestionGame(num_players=4, num_resources=3)
         dynamics = LogitDynamics(game, 1.2)
         a = dynamics.ensemble(
-            8, start=(0, 1, 2, 0), rng=np.random.default_rng(5), state="index",
-            mode="matrix_free",
+            8, start=(0, 1, 2, 0), rng=np.random.default_rng(5), state="index"
         ).run(200, record_every=1)
         b = dynamics.ensemble(
             8, start=(0, 1, 2, 0), rng=np.random.default_rng(5), state="matrix"
@@ -103,8 +112,7 @@ class TestBackendEquivalence:
         times = {}
         for state in ("index", "matrix"):
             sim = dynamics.ensemble(
-                12, start=(0,) * 7, rng=np.random.default_rng(9),
-                mode="matrix_free", state=state,
+                12, start=(0,) * 7, rng=np.random.default_rng(9), state=state
             )
             times[state] = sim.hitting_times(target, max_steps=30_000)
         np.testing.assert_array_equal(times["index"], times["matrix"])
@@ -154,10 +162,10 @@ class TestKernelStateReset:
         sim.reset()
         assert sim.kernel_state["cursor"] == 0
 
-    @pytest.mark.parametrize("state", ["index", "matrix"])
-    def test_annealed_step_counter_resets(self, ring7_game, state):
+    def test_annealed_step_counter_resets(self, ring7_game):
+        # the annealed kernel runs on the matrix state only
         dynamics = AnnealedLogitDynamics(ring7_game, np.linspace(0.0, 1.0, 40))
-        sim = dynamics.ensemble(4, rng=np.random.default_rng(0), state=state)
+        sim = dynamics.ensemble(4, rng=np.random.default_rng(0), state="matrix")
         sim.run(7)
         assert sim.kernel_state["step"] == 7
         sim.reset()
@@ -169,8 +177,7 @@ class TestKernelStateReset:
     def test_reset_reproduces_trajectory(self, ring7_game, state):
         dynamics = LogitDynamics(ring7_game, 1.0)
         sim = dynamics.ensemble(
-            6, start=(0,) * 7, rng=np.random.default_rng(21), state=state,
-            mode="matrix_free",
+            6, start=(0,) * 7, rng=np.random.default_rng(21), state=state
         )
         first = sim.run(100, record_every=1)
         sim.reset((0,) * 7)
@@ -212,6 +219,32 @@ class TestMatrixStateStartForms:
             EnsembleSimulator(dynamics, 4, state="quantum")
 
     @pytest.mark.parametrize("state", ["index", "matrix"])
+    def test_non_integral_starts_rejected_on_both_backends(self, ring7_game, state):
+        # regression: starts were cast to int64, so 1.7 silently ran from 1
+        dynamics = LogitDynamics(ring7_game, 1.0)
+        with pytest.raises(ValueError, match="integers"):
+            dynamics.ensemble(2, start_indices=np.array([1.7, 2.2]), state=state)
+        with pytest.raises(ValueError, match="integers"):
+            dynamics.ensemble(2, start=[0.6, 0, 0, 0, 0, 0, 1.9], state=state)
+        with pytest.raises(ValueError, match="integers"):
+            dynamics.ensemble(2, start=np.full((2, 7), 0.5), state=state)
+        with pytest.raises(ValueError, match="integers"):
+            dynamics.simulate([0.6, 0, 0, 0, 0, 0, 1.9], 5)
+        # integral floats are accepted, as for first-passage targets
+        sim = dynamics.ensemble(2, start_indices=np.array([1.0, 2.0]), state=state)
+        np.testing.assert_array_equal(sim.indices, [1, 2])
+        sim = dynamics.ensemble(2, start=[1.0, 0, 0, 0, 0, 0, 1.0], state=state)
+        np.testing.assert_array_equal(sim.profiles, [[1, 0, 0, 0, 0, 0, 1]] * 2)
+
+    def test_non_integral_start_indices_rejected_past_int64(self):
+        game = IsingGame(nx.cycle_graph(70), coupling=1.0)
+        dynamics = LogitDynamics(game, 1.0)
+        with pytest.raises(ValueError, match="integers"):
+            dynamics.ensemble(2, start_indices=np.array([1.5, 3], dtype=object))
+        sim = dynamics.ensemble(2, start_indices=np.array([2**65, 3.0], dtype=object))
+        assert sim.profiles[0, 65] == 1 and sim.profiles[1, :2].tolist() == [1, 1]
+
+    @pytest.mark.parametrize("state", ["index", "matrix"])
     def test_out_of_range_start_profiles_rejected_on_both_backends(
         self, ring7_game, state
     ):
@@ -243,9 +276,7 @@ class TestSparseOccupation:
     def test_sparse_matches_dense_histogram(self, ring7_game):
         dynamics = LogitDynamics(ring7_game, 0.5)
         for state in ("index", "matrix"):
-            sim = dynamics.ensemble(
-                64, rng=np.random.default_rng(2), state=state, mode="matrix_free"
-            )
+            sim = dynamics.ensemble(64, rng=np.random.default_rng(2), state=state)
             sim.run(200)
             dense = sim.empirical_distribution()
             occupied, counts = sim.empirical_distribution_sparse()
@@ -298,16 +329,15 @@ class TestInt64Boundaries:
         game = IsingGame(nx.cycle_graph(70), coupling=1.0)
         sim = LogitDynamics(game, 1.0).ensemble(4)
         assert sim.state.kind == "matrix"
-        assert sim.mode == "matrix_free"
 
     def test_auto_state_keeps_index_below_int64(self, ring7_game):
         sim = LogitDynamics(ring7_game, 1.0).ensemble(4)
         assert sim.state.kind == "index"
 
-    def test_gather_mode_requires_index_state(self, ring7_game):
-        dynamics = LogitDynamics(ring7_game, 1.0)
-        with pytest.raises(ValueError, match="gather"):
-            dynamics.ensemble(4, mode="gather", state="matrix")
+    def test_index_state_refuses_spaces_past_the_dense_cap(self):
+        game = IsingGame(nx.cycle_graph(30), coupling=1.0)  # 2**30 profiles
+        with pytest.raises(ValueError, match="state='matrix'"):
+            LogitDynamics(game, 1.0).ensemble(4, state="index")
 
     def test_index_observables_raise_clearly_past_int64(self):
         game = IsingGame(nx.cycle_graph(70), coupling=1.0)

@@ -1,10 +1,11 @@
-"""The engine's construction surface: one numpy path, no array-backend knob.
+"""The engine's construction surface: one numpy path, one route knob.
 
-* ``backend=`` is not a parameter of the simulator or of the estimators,
-  so passing it raises ``TypeError`` — whatever the value — instead of
-  quietly running numpy;
-* ``state="auto"`` is index whenever the space fits int64, matrix beyond;
-* a traced simulator reports exactly its state, mode and replica count;
+* ``backend=`` and ``mode=`` are not parameters of the simulator or of the
+  estimators, so passing either raises ``TypeError`` — whatever the value
+  — instead of quietly running numpy or ignoring the route asked for;
+* ``state="auto"`` is index (the gather route) for time-invariant kernels
+  on at most ``GATHER_CAP`` profiles, matrix otherwise;
+* a traced simulator reports exactly its state and replica count;
 * :class:`~repro.core.samplers.TruncatedHittingSampler` keeps a last
   ``backend`` slot that accepts only ``"numpy"``.
 """
@@ -23,6 +24,7 @@ from repro.core import (
     estimate_tv_convergence,
 )
 from repro.core.samplers import TruncatedHittingSampler
+from repro.core.variants import AnnealedLogitDynamics
 from repro.engine import EnsembleSimulator
 from repro.games import IsingGame
 from repro.obs import MemorySink, Tracer
@@ -71,10 +73,38 @@ class TestNoBackendKnob:
                 call()
 
 
+def test_mode_is_not_a_parameter(ring4):
+    game, dyn = ring4
+    calls = [
+        lambda: EnsembleSimulator(dyn, 8, mode="gather"),
+        lambda: EnsembleSimulator.seeded(dyn, [1, 2, 3], mode="gather"),
+        lambda: dyn.ensemble(8, mode="gather"),
+        lambda: estimate_tv_convergence(
+            dyn, dyn.stationary_distribution(), num_replicas=8, max_time=4,
+            mode="gather",
+        ),
+        lambda: estimate_mixing_time_ensemble(
+            game, 0.8, num_replicas=8, max_time=4, mode="gather"
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="mode"):
+            call()
+
+
 class TestAutoState:
     def test_index_when_the_space_fits_int64(self, ring4):
         _, dyn = ring4
         assert EnsembleSimulator(dyn, 4).state.kind == "index"
+
+    def test_matrix_off_the_gather_route(self, ring4):
+        # gather tables need a time-invariant kernel and at most GATHER_CAP
+        # profiles; everything else runs on the matrix state
+        game, _ = ring4
+        annealed = AnnealedLogitDynamics(game, lambda t: 0.05 * t)
+        assert annealed.ensemble(4).state.kind == "matrix"
+        ring20 = IsingGame(nx.cycle_graph(20), coupling=0.5)
+        assert LogitDynamics(ring20, 1.0).ensemble(4).state.kind == "matrix"
 
     def test_matrix_past_int64(self):
         game = IsingGame(nx.cycle_graph(70), coupling=1.0)
@@ -89,7 +119,7 @@ def test_backend_resolved_event_payload(ring4):
         EnsembleSimulator(dyn, 8, rng=np.random.default_rng(0), tracer=tracer)
     events = [e for e in sink.events if e["name"] == "engine.backend_resolved"]
     assert len(events) == 1
-    assert events[0]["payload"] == {"state": "index", "mode": "gather", "replicas": 8}
+    assert events[0]["payload"] == {"state": "index", "replicas": 8}
 
 
 class TestTruncatedHittingSamplerSlot:

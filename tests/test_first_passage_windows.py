@@ -38,7 +38,7 @@ def seeded(block_size=256, seed=5, replicas=REPLICAS, tracer=None, starts=None):
         DYNAMICS,
         np.random.SeedSequence(seed).spawn(replicas),
         start_indices=starts,
-        mode="gather",
+        state="index",
         block_size=block_size,
         tracer=tracer,
     )
@@ -185,9 +185,9 @@ def test_traced_replica_steps_count_every_advanced_step():
 # -- target and horizon validation --------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["gather", "matrix_free"])
-def test_non_integral_index_targets_raise(mode):
-    sim = DYNAMICS.ensemble(4, start=0, rng=np.random.default_rng(0), mode=mode)
+@pytest.mark.parametrize("state", ["index", "matrix"])
+def test_non_integral_index_targets_raise(state):
+    sim = DYNAMICS.ensemble(4, start=0, rng=np.random.default_rng(0), state=state)
     for bad in (62.7, [0.9, 1.2], [3, 4.5], float("nan"), float("inf")):
         with pytest.raises(ValueError, match="must be integers"):
             sim.hitting_times(bad, max_steps=10)

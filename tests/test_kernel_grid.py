@@ -4,11 +4,12 @@ Three contracts:
 
 * *kernel-grid equivalence* — for every softmax kernel family
   (Sequential / Parallel / RoundRobin / Annealed) on a ring Ising game
-  with a field and a 3-strategy torus game, fixed-seed trajectories agree
-  bit for bit across the matrix state, the index state in matrix-free mode
-  and (for time-homogeneous kernels) the index state in gather mode, and
-  the matrix state's levelled multi-step blocks walk the same path as
-  one-step blocks;
+  with a field and a 3-strategy torus game, fixed-seed trajectories and
+  hitting times agree bit for bit between the matrix state and the index
+  state's gather tables (time-homogeneous kernels) or a scalar reference
+  loop (the annealed kernel, which has no gather route), and the matrix
+  state's levelled multi-step blocks walk the same path as one-step
+  blocks;
 * *levelled routing* — which (game, rule, state) combinations run
   ``SequentialKernel.run_block`` level by level: row-wise rules on
   CSR-structured games on the matrix state, nothing else;
@@ -31,6 +32,7 @@ from repro.core.variants import (
     ParallelLogitDynamics,
     RoundRobinLogitDynamics,
 )
+from repro.engine import sample_inverse_cdf
 from repro.games import IsingGame, LocalInteractionGame, TwoWellGame
 from repro.graphs import torus_graph
 from repro.stats import EmpiricalBernsteinCS
@@ -44,7 +46,7 @@ FAMILIES = {
     "annealed": lambda game: AnnealedLogitDynamics(game, lambda t: 0.02 * t),
 }
 
-#: families whose kernel is time-homogeneous, hence runs in gather mode
+#: families whose kernel is time-homogeneous, hence runs on the index state
 GATHER_FAMILIES = ["logit", "parallel", "round_robin"]
 
 
@@ -73,14 +75,46 @@ def _record(dynamics, seed, record_every=1, **kwargs):
     return sim.run(250, record_every=record_every)
 
 
+def _annealed_hitting_time(dynamics, start, rng, hit, max_steps):
+    """Scalar first passage of one annealed replica.
+
+    Draws one mover, then one uniform per step — the annealed kernel's
+    per-step stream at one replica — so it must match the engine's
+    ``hitting_times`` bit for bit.
+    """
+    space = dynamics.game.space
+    profile = np.array(start, dtype=np.int64)
+    for t in range(max_steps):
+        if hit(profile[None, :])[0]:
+            return t
+        player = int(rng.integers(0, space.num_players, size=1)[0])
+        uniform = rng.random(1)[0]
+        probs = dynamics.rule_at(t).update_distribution_by_index(
+            space.encode(profile), player
+        )
+        profile[player] = sample_inverse_cdf(probs, uniform)
+    return max_steps if hit(profile[None, :])[0] else -1
+
+
 class TestKernelGridEquivalence:
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("family", GATHER_FAMILIES)
     @pytest.mark.parametrize("game_fixture", GAMES)
     def test_matrix_matches_index(self, game_fixture, family, request):
         dynamics = FAMILIES[family](request.getfixturevalue(game_fixture))
-        index_run = _record(dynamics, 29, state="index", mode="matrix_free")
+        index_run = _record(dynamics, 29, state="index")
         matrix_run = _record(dynamics, 29, state="matrix")
         np.testing.assert_array_equal(index_run, matrix_run)
+
+    @pytest.mark.parametrize("game_fixture", GAMES)
+    def test_annealed_matrix_matches_loop(self, game_fixture, request):
+        dynamics = FAMILIES["annealed"](request.getfixturevalue(game_fixture))
+        start = _start(dynamics.game)
+        sim = dynamics.ensemble(
+            1, start=start, rng=np.random.default_rng(29), state="matrix"
+        )
+        run = sim.run(250, record_every=1)[:, 0, :]
+        loop = dynamics.simulate_loop(start, 250, rng=np.random.default_rng(29))
+        np.testing.assert_array_equal(run, loop)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("game_fixture", GAMES)
@@ -95,26 +129,33 @@ class TestKernelGridEquivalence:
         np.testing.assert_array_equal(stepped[::50], blocked)
 
     @pytest.mark.parametrize("family", GATHER_FAMILIES)
-    @pytest.mark.parametrize("game_fixture", GAMES)
-    def test_gather_matches_matrix_free(self, game_fixture, family, request):
-        dynamics = FAMILIES[family](request.getfixturevalue(game_fixture))
-        gather_run = _record(dynamics, 5, state="index", mode="gather")
-        free_run = _record(dynamics, 5, state="index", mode="matrix_free")
-        np.testing.assert_array_equal(gather_run, free_run)
-
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_hitting_times_match_across_states(self, ring12_ising, family):
         dynamics = FAMILIES[family](ring12_ising)
         times = {}
         for state in ("index", "matrix"):
             sim = dynamics.ensemble(
-                12, start=(0,) * 12, rng=np.random.default_rng(9), state=state,
-                mode="matrix_free",
+                12, start=(0,) * 12, rng=np.random.default_rng(9), state=state
             )
             times[state] = sim.hitting_times(
                 lambda prof: prof.min(axis=1) == 1, max_steps=30_000
             )
         np.testing.assert_array_equal(times["index"], times["matrix"])
+
+    def test_annealed_hitting_time_matches_loop(self, ring12_ising):
+        dynamics = FAMILIES["annealed"](ring12_ising)
+        all_up = lambda prof: prof.min(axis=1) == 1  # noqa: E731
+        times = []
+        for seed in range(6):
+            sim = dynamics.ensemble(
+                1, start=(0,) * 12, rng=np.random.default_rng(seed), state="matrix"
+            )
+            times.append(sim.hitting_times(all_up, max_steps=2000)[0])
+            loop = _annealed_hitting_time(
+                dynamics, (0,) * 12, np.random.default_rng(seed), all_up, 2000
+            )
+            assert times[-1] == loop
+        # the seeds reach the target and also freeze short of it
+        assert max(times) > 0 and min(times) == -1
 
 
 class TestLevelledRouting:
@@ -157,9 +198,8 @@ class TestLevelledRouting:
         assert not sim._levelled
         assert sim._update_slots == 1
 
-    @pytest.mark.parametrize("mode", ["gather", "matrix_free"])
-    def test_index_state_is_not_levelled(self, ring12_ising, mode):
-        sim = LogitDynamics(ring12_ising, 1.0).ensemble(2, state="index", mode=mode)
+    def test_index_state_is_not_levelled(self, ring12_ising):
+        sim = LogitDynamics(ring12_ising, 1.0).ensemble(2, state="index")
         assert not sim._levelled
 
 

@@ -289,9 +289,7 @@ class TestEngineIntegration:
         dynamics = LogitDynamics(game, 1.0)
         runs = {}
         for state in ("index", "matrix"):
-            sim = dynamics.ensemble(
-                6, rng=np.random.default_rng(0), state=state, mode="matrix_free"
-            )
+            sim = dynamics.ensemble(6, rng=np.random.default_rng(0), state=state)
             runs[state] = sim.run(80, record_every=1)
         np.testing.assert_array_equal(runs["index"], runs["matrix"])
 

@@ -6,8 +6,8 @@ Ising game with a field, and every observable is reduced to a SHA-256
 digest of its raw bytes:
 
 * ``run(300, record_every=30)`` snapshots and predicate ``hitting_times``
-  per state backend and mode (index/gather, index/matrix-free,
-  matrix/matrix-free; the annealed kernel has no gather mode);
+  per engine route (the index state's gather tables and the matrix state;
+  the annealed kernel has no gather route);
 * the scalar ``simulate_loop`` references;
 * the exact matrices: ``transition_matrix()`` (the round-robin family's
   per-player ``player_step_matrix``), the annealed ``transition_matrix_at``
@@ -57,7 +57,7 @@ FAMILIES = {
     "round_robin": lambda game: RoundRobinLogitDynamics(game, BETA),
 }
 
-PATHS = [("index", "gather"), ("index", "matrix_free"), ("matrix", "matrix_free")]
+STATES = ["index", "matrix"]
 
 SEEDED = ["logit", "parallel", "concurrent"]
 
@@ -80,7 +80,7 @@ def mostly_up(profiles: np.ndarray) -> np.ndarray:
     return np.sum(profiles, axis=1) >= 8
 
 
-#: one digest per family: every state backend and mode walks the same path
+#: one digest per family: both engine routes walk the same path
 GOLDEN_RUN = {
     "logit": "b45106bef9cd61235caa93bf394c6b4437391cf242dd96437eff55093a32f6b2",
     "parallel": "d71238cb80b33a191b2aa3aad556de590a4f4f46e76a50d0ac3f73b29a194f28",
@@ -105,7 +105,7 @@ GOLDEN_MATRIX = {
     "annealed": "2c5438f27eda5d6d541e30fea5a222c7c9b944977432277b27b4499f6815e4cd",
     "round_robin": "e0e8a9bfccd42b684dfeb2e522a425873717f63039d04a1675238def9b9db018",
 }
-#: one digest per family, shared by every state backend and mode
+#: one digest per family, shared by both engine routes
 GOLDEN_SEEDED = {
     "logit": "cf0967cfec32f40cc9718e6036aade1a3e3dc35f042c6f069e5420214dd7eddc",
     "parallel": "116b9e063e016103c4f7aa7fb1dcef41caf4ffbb688022dbe95744bdef37a9bd",
@@ -118,10 +118,10 @@ GOLDEN_TV = {
 }
 
 
-def run_case(family: str, state: str, mode: str) -> str:
+def run_case(family: str, state: str) -> str:
     dynamics = FAMILIES[family](ring_game())
     sim = dynamics.ensemble(
-        8, start=start_profile(), rng=np.random.default_rng(21), mode=mode, state=state
+        8, start=start_profile(), rng=np.random.default_rng(21), state=state
     )
     snapshots = sim.run(300, record_every=30)
     sim.reset(start=np.zeros(N, dtype=np.int64))
@@ -149,13 +149,12 @@ def matrix_case(family: str) -> str:
     return digest(dynamics.transition_matrix())
 
 
-def seeded_case(family: str, state: str, mode: str) -> str:
+def seeded_case(family: str, state: str) -> str:
     dynamics = FAMILIES[family](ring_game())
     sim = EnsembleSimulator.seeded(
         dynamics,
         np.random.SeedSequence(11).spawn(6),
         start=start_profile(),
-        mode=mode,
         state=state,
     )
     sim.run(40)
@@ -182,16 +181,16 @@ def tv_case(family: str) -> str:
 
 
 RUN_CASES = [
-    (family, state, mode)
+    (family, state)
     for family in FAMILIES
-    for state, mode in PATHS
-    if not (family == "annealed" and mode == "gather")
+    for state in STATES
+    if not (family == "annealed" and state == "index")
 ]
 
 
-@pytest.mark.parametrize("family,state,mode", RUN_CASES)
-def test_run_and_hitting_times(family, state, mode):
-    assert run_case(family, state, mode) == GOLDEN_RUN[family]
+@pytest.mark.parametrize("family,state", RUN_CASES)
+def test_run_and_hitting_times(family, state):
+    assert run_case(family, state) == GOLDEN_RUN[family]
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
@@ -204,11 +203,9 @@ def test_exact_matrices(family):
     assert matrix_case(family) == GOLDEN_MATRIX[family]
 
 
-@pytest.mark.parametrize(
-    "family,state,mode", [(f, s, m) for f in SEEDED for s, m in PATHS]
-)
-def test_seeded_profiles_and_stream_words(family, state, mode):
-    assert seeded_case(family, state, mode) == GOLDEN_SEEDED[family]
+@pytest.mark.parametrize("family,state", [(f, s) for f in SEEDED for s in STATES])
+def test_seeded_profiles_and_stream_words(family, state):
+    assert seeded_case(family, state) == GOLDEN_SEEDED[family]
 
 
 @pytest.mark.parametrize("family", SEEDED)

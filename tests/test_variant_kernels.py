@@ -97,15 +97,15 @@ class TestFixedSeedEquivalence:
             lambda g: RoundRobinLogitDynamics(g, 0.8),
         ],
     )
-    def test_gather_and_matrix_free_agree(self, factory, two_well_game):
+    def test_index_and_matrix_states_agree(self, factory, two_well_game):
         dynamics = factory(two_well_game)
         runs = {}
-        for mode in ("gather", "matrix_free"):
+        for state in ("index", "matrix"):
             sim = dynamics.ensemble(
-                24, start=(0,) * 4, rng=np.random.default_rng(11), mode=mode
+                24, start=(0,) * 4, rng=np.random.default_rng(11), state=state
             )
-            runs[mode] = sim.run(150, record_every=1)
-        np.testing.assert_array_equal(runs["gather"], runs["matrix_free"])
+            runs[state] = sim.run(150, record_every=1)
+        np.testing.assert_array_equal(runs["index"], runs["matrix"])
 
     def test_kernel_game_mismatch_rejected(self, two_well_game):
         other = ParallelLogitDynamics(coordination_game(), 1.0)
@@ -318,7 +318,7 @@ class TestAnnealedScheduleEdgeCases:
         game = TwoWellGame(3, barrier=1.0)
         dynamics = AnnealedLogitDynamics(game, lambda t: 1.0)
         with pytest.raises(ValueError, match="time-inhomogeneous"):
-            dynamics.ensemble(4, mode="gather")
+            dynamics.ensemble(4, state="index")
 
 
 class TestRoundRobinRoundBookkeeping:
