@@ -7,7 +7,9 @@ digest of its raw bytes:
 
 * ``run(300, record_every=30)`` snapshots and predicate ``hitting_times``
   per engine route (the index state's gather tables and the matrix state;
-  the annealed kernel has no gather route);
+  the annealed kernel has no gather route) and on the default
+  ``state="auto"``, which must resolve to the index state for every
+  time-invariant family and to the matrix state for the annealed one;
 * the scalar ``simulate_loop`` references;
 * the exact matrices: ``transition_matrix()`` (the round-robin family's
   per-player ``player_step_matrix``), the annealed ``transition_matrix_at``
@@ -57,7 +59,10 @@ FAMILIES = {
     "round_robin": lambda game: RoundRobinLogitDynamics(game, BETA),
 }
 
-STATES = ["index", "matrix"]
+STATES = ["index", "matrix", "auto"]
+
+#: the state ``state="auto"`` resolves to on the 10-ring
+AUTO_RESOLVES_TO = {family: "index" for family in FAMILIES} | {"annealed": "matrix"}
 
 SEEDED = ["logit", "parallel", "concurrent"]
 
@@ -80,7 +85,7 @@ def mostly_up(profiles: np.ndarray) -> np.ndarray:
     return np.sum(profiles, axis=1) >= 8
 
 
-#: one digest per family: both engine routes walk the same path
+#: one digest per family: both engine routes and the default walk the same path
 GOLDEN_RUN = {
     "logit": "b45106bef9cd61235caa93bf394c6b4437391cf242dd96437eff55093a32f6b2",
     "parallel": "d71238cb80b33a191b2aa3aad556de590a4f4f46e76a50d0ac3f73b29a194f28",
@@ -105,7 +110,7 @@ GOLDEN_MATRIX = {
     "annealed": "2c5438f27eda5d6d541e30fea5a222c7c9b944977432277b27b4499f6815e4cd",
     "round_robin": "e0e8a9bfccd42b684dfeb2e522a425873717f63039d04a1675238def9b9db018",
 }
-#: one digest per family, shared by both engine routes
+#: one digest per family, shared by both engine routes and the default
 GOLDEN_SEEDED = {
     "logit": "cf0967cfec32f40cc9718e6036aade1a3e3dc35f042c6f069e5420214dd7eddc",
     "parallel": "116b9e063e016103c4f7aa7fb1dcef41caf4ffbb688022dbe95744bdef37a9bd",
@@ -118,11 +123,17 @@ GOLDEN_TV = {
 }
 
 
+def check_resolved(sim: EnsembleSimulator, family: str, state: str) -> None:
+    expected = AUTO_RESOLVES_TO[family] if state == "auto" else state
+    assert sim.state.kind == expected
+
+
 def run_case(family: str, state: str) -> str:
     dynamics = FAMILIES[family](ring_game())
     sim = dynamics.ensemble(
         8, start=start_profile(), rng=np.random.default_rng(21), state=state
     )
+    check_resolved(sim, family, state)
     snapshots = sim.run(300, record_every=30)
     sim.reset(start=np.zeros(N, dtype=np.int64))
     times = sim.hitting_times(mostly_up, max_steps=400)
@@ -157,6 +168,7 @@ def seeded_case(family: str, state: str) -> str:
         start=start_profile(),
         state=state,
     )
+    check_resolved(sim, family, state)
     sim.run(40)
     sim.hitting_times(mostly_up, max_steps=60)
     return digest(sim.profiles.astype(np.int64), sim.kernel_state["streams"].words)
