@@ -32,7 +32,6 @@ from repro import (
     measure_mixing_time,
     render_table,
 )
-from repro.core import expected_hitting_time_exact
 
 NUM_PLAYERS = 6
 # old technology payoff delta0 = 1, new technology payoff delta1 = 1.5
@@ -46,10 +45,9 @@ def analyse(name: str, graph: nx.Graph) -> list[list[object]]:
     rows = []
     for beta in BETAS:
         mixing = measure_mixing_time(game, beta).mixing_time
-        hitting = expected_hitting_time_exact(
-            game, beta, start_index=all_old, target_index=all_new
-        )
-        pi = LogitDynamics(game, beta).stationary_distribution()
+        dynamics = LogitDynamics(game, beta)
+        hitting = float(dynamics.markov_chain().expected_hitting_time(all_new)[all_old])
+        pi = dynamics.stationary_distribution()
         rows.append([name, beta, mixing, hitting, pi[all_new]])
     return rows
 

@@ -17,7 +17,8 @@ Persiano — SPAA 2011 / arXiv:1212.1884).  The package provides:
 * :mod:`repro.engine` — the batched, matrix-free simulation engine:
   replica ensembles and coupled-pair ensembles advanced as flat numpy
   arrays, which is what all Monte-Carlo entry points run on;
-* :mod:`repro.analysis` — parameter sweeps and experiment report tables;
+* :mod:`repro.analysis` — the dynamics-family sweep, the scenario matrix,
+  growth-rate fits, welfare observables and experiment report tables;
 * :mod:`repro.stats` — anytime-valid streaming statistics: confidence
   sequences that survive peeking after every replica chunk, Welford
   accumulators, and the chunked adaptive-stopping driver behind every
@@ -26,7 +27,7 @@ Persiano — SPAA 2011 / arXiv:1212.1884).  The package provides:
   (:class:`~repro.parallel.ShardedExecutor`, bit-for-bit invariant to the
   shard count) and the resumable content-addressed experiment store
   (:class:`~repro.parallel.ExperimentStore`) behind the estimators' and
-  sweeps' ``executor=`` / ``store=`` knobs;
+  the sweep's ``executor=`` / ``store=`` knobs;
 * :mod:`repro.obs` — structured run telemetry behind the same entry
   points' ``tracer=`` knob: counters, timers and JSONL trace events
   across engine, sample driver, shards and store, a no-op default with
@@ -47,20 +48,16 @@ Quickstart::
 from .analysis import (
     SweepRecord,
     SweepResult,
-    beta_sweep,
     dynamics_family_sweep,
-    ensemble_beta_sweep,
     estimate_stationary_welfare,
     exponential_growth_rate,
     format_interval,
-    hitting_time_size_sweep,
     provenance_summary,
     render_experiment,
     render_scenario_matrix,
     render_table,
     scenario_matrix,
     scenario_matrix_payload,
-    size_sweep,
     stationary_expected_welfare,
     welfare_of_profiles,
 )
@@ -92,8 +89,6 @@ from .core import (
     measure_mixing_with_bounds,
     measure_relaxation_time,
     measure_spectral_summary,
-    mixing_time_vs_beta,
-    relaxation_time_vs_beta,
     structural_quantities,
     theorem34_mixing_upper,
     theorem35_mixing_lower,
@@ -196,20 +191,16 @@ __all__ = [
     # analysis
     "SweepRecord",
     "SweepResult",
-    "beta_sweep",
     "dynamics_family_sweep",
-    "ensemble_beta_sweep",
     "estimate_stationary_welfare",
     "exponential_growth_rate",
     "format_interval",
-    "hitting_time_size_sweep",
     "provenance_summary",
     "render_experiment",
     "render_scenario_matrix",
     "render_table",
     "scenario_matrix",
     "scenario_matrix_payload",
-    "size_sweep",
     "stationary_expected_welfare",
     "welfare_of_profiles",
     # core
@@ -240,8 +231,6 @@ __all__ = [
     "measure_mixing_with_bounds",
     "measure_relaxation_time",
     "measure_spectral_summary",
-    "mixing_time_vs_beta",
-    "relaxation_time_vs_beta",
     "structural_quantities",
     "theorem34_mixing_upper",
     "theorem35_mixing_lower",

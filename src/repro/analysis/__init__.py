@@ -27,12 +27,8 @@ from .scenario_matrix import (
 from .sweep import (
     SweepRecord,
     SweepResult,
-    beta_sweep,
     dynamics_family_sweep,
-    ensemble_beta_sweep,
     exponential_growth_rate,
-    hitting_time_size_sweep,
-    size_sweep,
 )
 
 __all__ = [
@@ -56,10 +52,6 @@ __all__ = [
     "scenario_matrix_payload",
     "SweepRecord",
     "SweepResult",
-    "beta_sweep",
     "dynamics_family_sweep",
-    "ensemble_beta_sweep",
     "exponential_growth_rate",
-    "hitting_time_size_sweep",
-    "size_sweep",
 ]

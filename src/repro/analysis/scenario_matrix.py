@@ -38,6 +38,7 @@ from .report import format_interval, format_value, render_table
 from .sweep import (
     SweepResult,
     _cell_lifecycle,
+    _family_entries,
     _named_seed_children,
     dynamics_family_sweep,
 )
@@ -149,10 +150,7 @@ def scenario_matrix(
     families = {str(k): v for k, v in dict(game_families).items()}
     if not families:
         raise ValueError("need at least one game family")
-    if isinstance(dynamics_factories, Mapping):
-        dynamics_names = tuple(str(k) for k in dynamics_factories)
-    else:
-        dynamics_names = tuple(str(k) for k, _ in dynamics_factories)
+    dynamics_names = tuple(str(name) for name, _ in _family_entries(dynamics_factories))
     graphs = _materialise_topologies(topologies)
     if not graphs:
         raise ValueError("need at least one topology")

@@ -52,8 +52,6 @@ __all__ = [
     "estimate_mixing_time_coupling",
     "estimate_mixing_time_ensemble",
     "estimate_tv_convergence",
-    "mixing_time_vs_beta",
-    "relaxation_time_vs_beta",
 ]
 
 #: Refuse to build dense transition matrices beyond this many profiles.
@@ -559,24 +557,3 @@ def estimate_mixing_time_ensemble(
         tracer=tracer,
     )
 
-
-def mixing_time_vs_beta(
-    game: Game,
-    betas: Sequence[float],
-    epsilon: float = 0.25,
-    max_time: int = 10**7,
-) -> np.ndarray:
-    """Exact mixing time for each ``beta``; returns ``(len(betas), 2)`` array."""
-    rows = []
-    for beta in betas:
-        result = measure_mixing_time(game, float(beta), epsilon=epsilon, max_time=max_time)
-        rows.append((float(beta), float(result.mixing_time)))
-    return np.array(rows, dtype=float)
-
-
-def relaxation_time_vs_beta(game: Game, betas: Sequence[float]) -> np.ndarray:
-    """Exact relaxation time for each ``beta``; returns ``(len(betas), 2)``."""
-    rows = []
-    for beta in betas:
-        rows.append((float(beta), measure_relaxation_time(game, float(beta))))
-    return np.array(rows, dtype=float)

@@ -25,7 +25,7 @@ callable descriptors from :func:`describe`) and hashes it with SHA-256,
 so the same experiment hashes identically across processes, Python
 versions and ``PYTHONHASHSEED`` values.  Callables are described by their
 ``module.qualname`` — lambdas and local closures have no stable name and
-are rejected with a pointer to the sweeps' ``store_tag=`` escape hatch.
+are rejected.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def describe(obj) -> object:
         Objects exposing ``store_spec()`` — the games do — are described
         by that spec, recursively; any other object falls back to its
         class name and ``repr``, which is a *weak* identity (reprs are
-        cosmetic) — prefer ``store_spec()`` or the sweeps' ``store_tag=``.
+        cosmetic) — prefer ``store_spec()`` or the sweep's ``store_tag=``.
 
     Returns
     -------
@@ -94,8 +94,7 @@ def describe(obj) -> object:
     ValueError
         For callables without a stable name (lambdas, locally defined
         functions): their description would change between runs, silently
-        splitting the cache.  Pass a module-level function or use the
-        sweeps' ``store_tag=`` override instead.
+        splitting the cache.  Pass a module-level function instead.
     """
     if obj is None or isinstance(obj, (bool, str)):
         return obj

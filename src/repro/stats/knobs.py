@@ -8,9 +8,11 @@ failure mode: accepting a knob that belongs to the *other* mode and
 silently ignoring it would change what the caller asked for.  The
 rejections used to be re-implemented per module with drifting wording;
 this module is the single definition site, with one uniform message per
-conflict, used by :mod:`repro.core.metastability`,
-:mod:`repro.core.mixing`, :mod:`repro.analysis.sweep` and the
-:class:`~repro.stats.stream.SampleDriver` itself.
+conflict, used by the estimators in :mod:`repro.core.metastability`,
+:mod:`repro.core.mixing`, :mod:`repro.analysis.welfare` and
+:mod:`repro.stats.adaptive`.  The sweep's cell lifecycle
+(:mod:`repro.analysis.sweep`) uses only the seed, store and executor
+checks.
 """
 
 from __future__ import annotations
@@ -44,22 +46,18 @@ def reject_fixed_mode_knobs(num_replicas, rng) -> None:
         )
 
 
-def reject_executor_without_precision(
-    precision, executor, fixed_path: str = "runs one shared-rng ensemble"
-) -> None:
+def reject_executor_without_precision(precision, executor) -> None:
     """``executor=`` only shards adaptive chunk samplers; refuse elsewhere.
 
     The fixed-replica path advances one ensemble from a single shared
     ``rng`` stream, which cannot be split across processes without
     changing the samples — accepting-and-ignoring the knob would silently
-    run serial.  ``fixed_path`` names the caller's fixed path in the
-    message (e.g. ``"runs one shared-rng ensemble per size"`` for the
-    sweeps) without changing the uniform wording around it.
+    run serial.
     """
     if precision is None and executor is not None:
         raise ValueError(
             "executor= shards the adaptive (precision=) chunk sampler; the "
-            f"fixed-replica path {fixed_path} and cannot be "
+            "fixed-replica path runs one shared-rng ensemble and cannot be "
             "sharded — pass precision= (and seed=) to use an executor"
         )
 

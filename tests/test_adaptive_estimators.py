@@ -212,6 +212,29 @@ class TestAdaptiveHittingTimes:
                 game, 1.0, lower_well(game), num_replicas=512, precision=0.1,
             )
 
+    @pytest.mark.parametrize("target_kind", ["index", "predicate"])
+    def test_adaptive_brackets_exact_hitting_time(self, ring6_game, target_kind):
+        """The adaptive interval for E[min(tau, T)] must contain the exact
+        linear-system hitting time when T dwarfs it, whether the target is
+        a profile index or the equivalent profile predicate."""
+        beta, max_steps = 0.5, 5000
+        target = consensus_target(ring6_game)
+        exact = LogitDynamics(ring6_game, beta).markov_chain().expected_hitting_time(
+            target
+        )[0]
+        if target_kind == "index":
+            start, targets = 0, target
+        else:
+            start = np.zeros(6, dtype=np.int64)
+            targets = lambda p: p.min(axis=1) == 1  # noqa: E731
+        est = empirical_hitting_times(
+            ring6_game, beta, start, targets, max_steps=max_steps,
+            precision=0.005, seed=7, chunk_size=256, max_replicas=4096,
+        )
+        assert est.stopped_early
+        assert est.samples.max() < max_steps  # the horizon never binds
+        assert est.lower <= exact <= est.upper
+
     def test_profile_start_and_predicate_target(self):
         game = IsingGame(nx.cycle_graph(80), coupling=1.0)
         est = empirical_hitting_times(
@@ -415,55 +438,6 @@ class TestStationaryWelfareEstimator:
 
 
 class TestSweepPropagation:
-    def test_hitting_size_sweep_adaptive_extras(self):
-        from repro.analysis.sweep import hitting_time_size_sweep
-
-        result = hitting_time_size_sweep(
-            lambda n: IsingGame(nx.cycle_graph(n), coupling=1.0),
-            sizes=(6, 8),
-            beta=0.8,
-            start_factory=lambda g: np.zeros(g.space.num_players, dtype=np.int64),
-            target_factory=lambda g: (
-                lambda p: p.sum(axis=1) >= g.space.num_players - 1
-            ),
-            max_steps=1500,
-            precision=0.2,
-            seed=6,
-            chunk_size=32,
-            max_replicas=256,
-        )
-        assert len(result.records) == 2
-        for record in result.records:
-            extra = record.extra
-            assert extra["hitting_lower"] <= extra["mean_hitting_time"]
-            assert extra["mean_hitting_time"] <= extra["hitting_upper"]
-            assert extra["num_replicas_used"] % 32 == 0
-            assert 0.0 <= extra["truncated_fraction"] <= 1.0
-
-    def test_hitting_size_sweep_adaptive_is_seed_reproducible(self):
-        from repro.analysis.sweep import hitting_time_size_sweep
-
-        def run():
-            return hitting_time_size_sweep(
-                lambda n: IsingGame(nx.cycle_graph(n), coupling=1.0),
-                sizes=(6,),
-                beta=0.8,
-                start_factory=lambda g: np.zeros(
-                    g.space.num_players, dtype=np.int64
-                ),
-                target_factory=lambda g: (
-                    lambda p: p.sum(axis=1) >= g.space.num_players - 1
-                ),
-                max_steps=1000,
-                precision=0.25,
-                seed=40,
-                chunk_size=16,
-                max_replicas=128,
-            )
-
-        a, b = run(), run()
-        assert a.records[0].extra == b.records[0].extra
-
     def test_dynamics_family_sweep_welfare_bars(self, ring6_game):
         from repro.analysis.sweep import dynamics_family_sweep
 

@@ -12,8 +12,6 @@ from repro.core import (
     measure_mixing_with_bounds,
     measure_relaxation_time,
     measure_spectral_summary,
-    mixing_time_vs_beta,
-    relaxation_time_vs_beta,
 )
 from repro.games import CoordinationParams, GraphicalCoordinationGame, TwoWellGame
 
@@ -48,17 +46,12 @@ class TestExactMeasurement:
 
     def test_mixing_monotone_in_beta_for_two_well(self, two_well_game):
         """For a two-well potential, raising beta raises the mixing time."""
-        betas = [0.0, 1.0, 2.0]
-        curve = mixing_time_vs_beta(two_well_game, betas)
-        assert curve.shape == (3, 2)
-        times = curve[:, 1]
+        times = [
+            measure_mixing_time(two_well_game, beta).mixing_time
+            for beta in (0.0, 1.0, 2.0)
+        ]
         assert times[0] <= times[1] <= times[2]
         assert times[2] > times[0]
-
-    def test_relaxation_vs_beta_shape(self, two_well_game):
-        curve = relaxation_time_vs_beta(two_well_game, [0.0, 0.5])
-        assert curve.shape == (2, 2)
-        assert np.all(curve[:, 1] >= 1.0)
 
 
 class TestCouplingEstimator:

@@ -469,24 +469,3 @@ class TestLargeScaleAcceptance:
             rng=np.random.default_rng(4),
         )
         assert np.all(times > 0)
-
-    def test_hitting_time_size_sweep_is_index_free(self):
-        from repro.analysis import hitting_time_size_sweep
-
-        result = hitting_time_size_sweep(
-            lambda n: IsingGame(nx.cycle_graph(n), coupling=1.0),
-            sizes=[10, 100],
-            beta=2.0,
-            start_factory=lambda g: np.zeros(g.num_players, dtype=np.int64),
-            target_factory=lambda g: (
-                lambda prof: g.magnetization_of_profiles(prof)
-                >= -1.0 + 4.0 / g.num_players
-            ),
-            num_replicas=8,
-            max_steps=20_000,
-            rng=np.random.default_rng(5),
-        )
-        assert len(result.records) == 2
-        for record in result.records:
-            assert record.extra["reached_fraction"] == 1.0
-            assert record.extra["mean_hitting_time"] > 0

@@ -1,24 +1,24 @@
-"""Experiment store: content addressing, round-trips, resume semantics.
+"""Experiment store: content addressing, round-trips, cached re-runs.
 
-Pins the contracts the sweeps' ``store=`` knob relies on: keys are stable
+Pins the contracts the sweep's ``store=`` knob relies on: keys are stable
 across runs and insensitive to spec-dict representation, records survive a
 JSON/NPZ round-trip exactly, corrupted or partial records read as misses
-(recompute, never crash), cache hits skip *all* ensemble work, and an
-interrupted sweep resumes from its last completed cell.
+(recompute, never crash) and cache hits skip *all* ensemble work.  Resume
+after a kill and the serial/sharded key split are pinned through the
+scenario matrix (``tests/test_scenario_matrix.py``).
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
 import pytest
 
-import repro.core.metastability as metastability
-from repro.analysis.sweep import dynamics_family_sweep, hitting_time_size_sweep
+import repro.analysis.sweep as sweep
+from repro.analysis.sweep import dynamics_family_sweep
 from repro.core.logit import LogitDynamics
 from repro.games import IsingGame
 from repro.parallel import ExperimentStore, as_store, canonical_key, describe
@@ -29,34 +29,8 @@ def make_ring_game(n: int) -> IsingGame:
     return IsingGame(nx.cycle_graph(int(n)), coupling=1.0)
 
 
-def zeros_start(game) -> np.ndarray:
-    return np.zeros(game.num_players, dtype=np.int64)
-
-
-@dataclass
-class MagnetizationAtLeast:
-    game: IsingGame
-    threshold: float
-
-    def __call__(self, profiles):
-        return self.game.magnetization_of_profiles(profiles) >= self.threshold
-
-
-def mag_target(game) -> MagnetizationAtLeast:
-    return MagnetizationAtLeast(game, 0.5)
-
-
-SWEEP_KWARGS = dict(
-    sizes=[5, 6],
-    beta=0.7,
-    start_factory=zeros_start,
-    target_factory=mag_target,
-    precision=0.25,
-    seed=42,
-    max_steps=200,
-    chunk_size=16,
-    max_replicas=64,
-)
+def _logit(beta):
+    return lambda g: LogitDynamics(g, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -221,149 +195,57 @@ def test_as_store_accepts_paths(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# sweep integration: zero ensemble steps on re-run, resume after kill
+# sweep integration: zero ensemble steps on re-run, seed and tag checks
 # ---------------------------------------------------------------------------
 
 
 def test_completed_sweep_reruns_with_zero_ensemble_steps(tmp_path, monkeypatch):
+    game = make_ring_game(5)
     store = ExperimentStore(tmp_path)
-    first = hitting_time_size_sweep(make_ring_game, store=store, **SWEEP_KWARGS)
+    common = dict(
+        num_replicas=64, max_time=200, escape_states=[0], max_escape_steps=100,
+        seed=42, store=store,
+    )
+    first = dynamics_family_sweep(
+        game, {"beta-0.4": _logit(0.4), "beta-0.8": _logit(0.8)}, **common
+    )
 
     calls = {"estimator": 0, "factory": 0}
-    real_estimator = metastability.empirical_hitting_times
+    real_estimator = sweep.estimate_tv_convergence
 
     def counting_estimator(*args, **kwargs):
         calls["estimator"] += 1
         return real_estimator(*args, **kwargs)
 
-    def counting_factory(n):
-        calls["factory"] += 1
-        return make_ring_game(n)
+    def counting(beta):
+        def factory(g):
+            calls["factory"] += 1
+            return LogitDynamics(g, beta)
 
-    counting_factory.__qualname__ = make_ring_game.__qualname__
-    counting_factory.__module__ = make_ring_game.__module__
-    monkeypatch.setattr(metastability, "empirical_hitting_times", counting_estimator)
+        return factory
 
-    second = hitting_time_size_sweep(counting_factory, store=store, **SWEEP_KWARGS)
+    monkeypatch.setattr(sweep, "estimate_tv_convergence", counting_estimator)
+    second = dynamics_family_sweep(
+        game, {"beta-0.4": counting(0.4), "beta-0.8": counting(0.8)}, **common
+    )
     assert calls == {"estimator": 0, "factory": 0}, (
-        "a fully cached sweep must run zero ensemble steps and build no games"
+        "a fully cached sweep must run zero ensemble steps and build no dynamics"
     )
     for a, b in zip(first.records, second.records):
         assert a.parameter == b.parameter
-        assert a.extra["mean_hitting_time"] == b.extra["mean_hitting_time"]
-        assert a.extra["hitting_lower"] == b.extra["hitting_lower"]
+        assert a.mixing_time == b.mixing_time
+        assert a.extra["mean_escape_time"] == b.extra["mean_escape_time"]
+        assert a.extra["welfare_lower"] == b.extra["welfare_lower"]
         assert a.extra["provenance"] == "computed"
         assert b.extra["provenance"] == "store"
 
 
-def test_interrupted_sweep_resumes_from_last_completed_cell(tmp_path):
-    store = ExperimentStore(tmp_path)
-    kwargs = dict(SWEEP_KWARGS, sizes=[5, 6, 7])
-    built: list[int] = []
-
-    def failing_factory(n):
-        if len(built) >= 2:
-            raise KeyboardInterrupt("killed mid-grid")
-        built.append(n)
-        return make_ring_game(n)
-
-    failing_factory.__qualname__ = make_ring_game.__qualname__
-    failing_factory.__module__ = make_ring_game.__module__
-
-    with pytest.raises(KeyboardInterrupt):
-        hitting_time_size_sweep(failing_factory, store=store, **kwargs)
-    assert built == [5, 6]  # two cells completed and were stored
-
-    resumed: list[int] = []
-
-    def resuming_factory(n):
-        resumed.append(n)
-        return make_ring_game(n)
-
-    resuming_factory.__qualname__ = make_ring_game.__qualname__
-    resuming_factory.__module__ = make_ring_game.__module__
-
-    result = hitting_time_size_sweep(resuming_factory, store=store, **kwargs)
-    assert resumed == [7], "only the interrupted cell should be recomputed"
-    assert [r.extra["provenance"] for r in result.records] == [
-        "store",
-        "store",
-        "computed",
-    ]
-
-
-def test_store_requires_seed_and_adaptive_mode():
-    game_factory = make_ring_game
-    with pytest.raises(ValueError, match="seed"):
-        hitting_time_size_sweep(
-            game_factory,
-            sizes=[5],
-            beta=0.5,
-            start_factory=zeros_start,
-            target_factory=mag_target,
-            precision=0.25,
-            store="unused-path",
-        )
-    with pytest.raises(ValueError, match="precision"):
-        hitting_time_size_sweep(
-            game_factory,
-            sizes=[5],
-            beta=0.5,
-            start_factory=zeros_start,
-            target_factory=mag_target,
-            seed=1,
-            store="unused-path",
-        )
-
-
-def test_store_tag_is_the_lambda_escape_hatch(tmp_path):
-    with pytest.raises(ValueError, match="store_tag"):
-        hitting_time_size_sweep(
-            lambda n: make_ring_game(n),
-            store=ExperimentStore(tmp_path),
-            **SWEEP_KWARGS,
-        )
-    result = hitting_time_size_sweep(
-        lambda n: make_ring_game(n),
-        store=ExperimentStore(tmp_path),
-        store_tag="ring-ising-mag0.5",
-        **SWEEP_KWARGS,
-    )
-    assert all(r.extra["provenance"] == "computed" for r in result.records)
-
-
-def test_serial_and_sharded_cells_do_not_share_a_cache_key(tmp_path):
-    """The randomness contract is part of the spec: a serial-rng run and a
-    sharded per-replica-stream run draw different samples from the same
-    seed, so one must never be served from the other's cached cell (the
-    shard *count*, by contrast, never changes results and never splits
-    the cache)."""
-    from repro.analysis.sweep import ensemble_beta_sweep
-    from repro.parallel import ShardedExecutor
-
-    game = make_ring_game(6)
-    store = ExperimentStore(tmp_path)
-    common = dict(betas=[0.3], num_replicas=64, max_time=200, seed=1, store=store)
-    serial = ensemble_beta_sweep(game, **common)
-    sharded = ensemble_beta_sweep(game, executor=ShardedExecutor(2), **common)
-    assert serial.records[0].extra["provenance"] == "computed"
-    assert sharded.records[0].extra["provenance"] == "computed"
-    resharded = ensemble_beta_sweep(game, executor=ShardedExecutor(5), **common)
-    assert resharded.records[0].extra["provenance"] == "store"
-    assert resharded.records[0].mixing_time == sharded.records[0].mixing_time
-
-
 def test_sweep_executor_requires_seed():
-    from repro.analysis.sweep import dynamics_family_sweep, ensemble_beta_sweep
-    from repro.core.logit import LogitDynamics
-
     game = make_ring_game(5)
-    with pytest.raises(ValueError, match="seed="):
-        ensemble_beta_sweep(game, [0.3], num_replicas=8, max_time=20, executor="serial")
     with pytest.raises(ValueError, match="seed="):
         dynamics_family_sweep(
             game,
-            {"seq": lambda g: LogitDynamics(g, 0.5)},
+            {"seq": _logit(0.5)},
             reference=LogitDynamics(game, 0.5).stationary_distribution(),
             num_replicas=8,
             max_time=20,
@@ -373,16 +255,14 @@ def test_sweep_executor_requires_seed():
 
 def test_store_tag_reuse_across_games_cannot_collide_caches(tmp_path):
     """store_tag labels the cell; the game identifies itself by content."""
-    from repro.analysis.sweep import ensemble_beta_sweep
-
     store = ExperimentStore(tmp_path)
     common = dict(
-        betas=[0.3], num_replicas=32, max_time=100, seed=2,
+        num_replicas=32, max_time=100, seed=2,
         store=store, store_tag="same-tag-for-both",
     )
-    first = ensemble_beta_sweep(make_ring_game(6), **common)
-    second = ensemble_beta_sweep(
-        IsingGame(nx.cycle_graph(6), coupling=2.0), **common
+    first = dynamics_family_sweep(make_ring_game(6), {"seq": _logit(0.3)}, **common)
+    second = dynamics_family_sweep(
+        IsingGame(nx.cycle_graph(6), coupling=2.0), {"seq": _logit(0.3)}, **common
     )
     assert first.records[0].extra["provenance"] == "computed"
     assert second.records[0].extra["provenance"] == "computed", (

@@ -438,44 +438,6 @@ class TestEstimatorTails:
 
 
 class TestSweepTailColumns:
-    def test_hitting_size_sweep_quantile_extras(self):
-        from repro.analysis.sweep import hitting_time_size_sweep
-
-        result = hitting_time_size_sweep(
-            lambda n: IsingGame(nx.cycle_graph(n), coupling=1.0),
-            sizes=(6,),
-            beta=0.8,
-            start_factory=lambda g: np.zeros(g.space.num_players, dtype=np.int64),
-            target_factory=lambda g: (
-                lambda p: p.sum(axis=1) >= g.space.num_players - 1
-            ),
-            max_steps=1500,
-            precision=0.2,
-            q=0.9,
-            seed=6,
-            chunk_size=32,
-            max_replicas=256,
-        )
-        extra = result.records[0].extra
-        assert extra["quantile_q"] == 0.9
-        assert extra["quantile_lower"] <= extra["quantile_estimate"]
-        assert extra["quantile_estimate"] <= extra["quantile_upper"]
-
-    def test_sweep_tail_requires_adaptive_mode(self):
-        from repro.analysis.sweep import hitting_time_size_sweep
-
-        with pytest.raises(ValueError, match="tail columns"):
-            hitting_time_size_sweep(
-                lambda n: IsingGame(nx.cycle_graph(n), coupling=1.0),
-                sizes=(6,),
-                beta=0.8,
-                start_factory=lambda g: np.zeros(
-                    g.space.num_players, dtype=np.int64
-                ),
-                target_factory=lambda g: (lambda p: p.sum(axis=1) >= 5),
-                q=0.9,
-            )
-
     def test_family_sweep_tail_requires_escape_states(self):
         from repro.analysis.sweep import dynamics_family_sweep
 

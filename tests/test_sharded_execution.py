@@ -433,21 +433,6 @@ def test_process_backend_does_not_mislabel_worker_bugs_as_pickle_errors():
             )
 
 
-def test_hitting_sweep_executor_requires_seed():
-    from repro.analysis.sweep import hitting_time_size_sweep
-
-    with pytest.raises(ValueError, match="seed="):
-        hitting_time_size_sweep(
-            IsingGame,
-            sizes=[5],
-            beta=0.5,
-            start_factory=np.zeros,
-            target_factory=id,
-            precision=0.5,
-            executor=ShardedExecutor(2),
-        )
-
-
 # ---------------------------------------------------------------------------
 # knob validation
 # ---------------------------------------------------------------------------

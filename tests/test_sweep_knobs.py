@@ -1,10 +1,11 @@
-"""Sweep knobs: hitting-sweep randomness and executor ownership.
+"""Sweep knobs: family names, seed/rng conflicts and executor ownership.
 
-``hitting_time_size_sweep`` honours ``seed=`` on its fixed-replica path
-(one spawned child per size, as ``ensemble_beta_sweep`` does) and refuses
-the knob combinations it cannot honour.  Every sweep and the scenario
-matrix close an executor they created from a string, on success and when a
-cell raises, and never close one the caller passed in.
+``dynamics_family_sweep`` (and ``scenario_matrix``, which forwards its
+families) refuses two families with one name, since the name keys each
+family's seed and store cell, and refuses ``seed`` together with ``rng``.
+The sweep, the scenario matrix and the Monte-Carlo estimator entry points
+close an executor they created from a string, on success and when a cell
+or sampler raises, and never close one the caller passed in.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.scenario_matrix import scenario_matrix
-from repro.analysis.sweep import (
-    dynamics_family_sweep,
-    ensemble_beta_sweep,
-    hitting_time_size_sweep,
-)
+from repro.analysis.sweep import dynamics_family_sweep
+from repro.analysis.welfare import estimate_stationary_welfare
 from repro.core import LogitDynamics
+from repro.core.metastability import empirical_escape_times, empirical_hitting_times
+from repro.core.mixing import estimate_tv_convergence
 from repro.games import IsingGame
 from repro.graphs import ring_graph
+from repro.parallel import ExperimentStore
 from repro.parallel.sharding import ShardedExecutor
 
 
@@ -29,63 +30,64 @@ def ring_game(n: int) -> IsingGame:
     return IsingGame(nx.cycle_graph(int(n)), coupling=1.0)
 
 
-def zeros_start(game) -> np.ndarray:
-    return np.zeros(game.num_players, dtype=np.int64)
-
-
 def all_up(game):
     return lambda profiles: profiles.sum(axis=1) >= game.num_players
 
 
-FIXED = dict(
-    sizes=[4, 5],
-    beta=0.7,
-    start_factory=zeros_start,
-    target_factory=all_up,
-    num_replicas=16,
-    max_steps=400,
-)
+def _logit(beta):
+    return lambda g: LogitDynamics(g, beta)
 
 
-class TestHittingSweepRandomness:
-    def test_fixed_path_seed_is_reproducible(self):
-        first = hitting_time_size_sweep(ring_game, seed=7, **FIXED)
-        second = hitting_time_size_sweep(ring_game, seed=7, **FIXED)
-        assert [r.extra for r in first.records] == [r.extra for r in second.records]
+class TestFamilyNames:
+    """Two families with one name used to share the first one's cell."""
 
-    def test_fixed_path_seeds_each_size_from_its_spawned_child(self):
-        result = hitting_time_size_sweep(ring_game, seed=7, **FIXED)
-        children = np.random.SeedSequence(7).spawn(2)
-        for record, n, child in zip(result.records, FIXED["sizes"], children):
-            game = ring_game(n)
-            sim = LogitDynamics(game, FIXED["beta"]).ensemble(
-                FIXED["num_replicas"],
-                start=zeros_start(game),
-                rng=np.random.default_rng(child),
+    DUPLICATES = [("x", _logit(0.2)), ("x", _logit(3.0))]
+
+    @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
+    @pytest.mark.parametrize(
+        "families, name",
+        [(DUPLICATES, "x"), ({1: _logit(0.2), "1": _logit(3.0)}, "1")],
+        ids=["repeated", "int-and-str"],
+    )
+    def test_duplicate_names_are_refused(self, families, name, with_store, tmp_path):
+        store = ExperimentStore(tmp_path) if with_store else None
+        with pytest.raises(ValueError, match=f"'{name}' appears more than once"):
+            dynamics_family_sweep(
+                ring_game(4),
+                families,
+                num_replicas=16,
+                max_time=20,
+                seed=1,
+                store=store,
             )
-            times = sim.hitting_times(all_up(game), max_steps=FIXED["max_steps"])
-            reached = times[times >= 0]
-            assert record.extra["mean_hitting_time"] == float(reached.mean())
-            assert record.extra["reached_fraction"] == reached.size / times.size
+        if with_store:
+            assert store.keys() == []
 
-    def test_seed_and_rng_together_are_refused(self):
-        with pytest.raises(ValueError, match="not both"):
-            hitting_time_size_sweep(
-                ring_game, seed=7, rng=np.random.default_rng(1), **FIXED
+    def test_duplicate_names_are_refused_through_scenario_matrix(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        with pytest.raises(ValueError, match="'x' appears more than once"):
+            scenario_matrix(
+                {"ising": lambda g: IsingGame(g, coupling=0.5)},
+                {"ring4": ring_graph(4)},
+                self.DUPLICATES,
+                num_replicas=16,
+                max_time=20,
+                seed=1,
+                store=store,
             )
+        assert store.keys() == []
 
-    def test_adaptive_path_refuses_rng(self):
-        with pytest.raises(ValueError, match="rng seeds the fixed-mode run"):
-            hitting_time_size_sweep(
-                ring_game,
-                sizes=[4],
-                beta=0.7,
-                start_factory=zeros_start,
-                target_factory=all_up,
-                max_steps=100,
-                precision=0.3,
-                rng=np.random.default_rng(1),
-            )
+
+def test_seed_and_rng_together_are_refused():
+    with pytest.raises(ValueError, match="not both"):
+        dynamics_family_sweep(
+            ring_game(4),
+            {"logit": _logit(0.5)},
+            num_replicas=16,
+            max_time=20,
+            seed=7,
+            rng=np.random.default_rng(1),
+        )
 
 
 @pytest.fixture
@@ -107,18 +109,6 @@ def _no_stationary(game):
     return object()
 
 
-def _run_ensemble(executor, fail):
-    return ensemble_beta_sweep(
-        ring_game(4),
-        [0.5],
-        num_replicas=16,
-        max_time=20,
-        seed=1,
-        executor=executor,
-        extra=_raise if fail else None,
-    )
-
-
 def _raise(*args):
     raise RuntimeError("cell failed")
 
@@ -126,7 +116,7 @@ def _raise(*args):
 def _run_family(executor, fail):
     return dynamics_family_sweep(
         ring_game(4),
-        {"logit": _no_stationary if fail else (lambda g: LogitDynamics(g, 0.5))},
+        {"logit": _no_stationary if fail else _logit(0.5)},
         num_replicas=16,
         max_time=20,
         seed=2,
@@ -135,12 +125,12 @@ def _run_family(executor, fail):
 
 
 def _run_hitting(executor, fail):
-    return hitting_time_size_sweep(
-        _raise if fail else ring_game,
-        sizes=[4],
-        beta=0.7,
-        start_factory=zeros_start,
-        target_factory=all_up,
+    game = ring_game(4)
+    return empirical_hitting_times(
+        game,
+        0.7,
+        np.zeros(4, dtype=np.int64),
+        _raise if fail else all_up(game),
         max_steps=50,
         precision=0.5,
         chunk_size=16,
@@ -150,11 +140,53 @@ def _run_hitting(executor, fail):
     )
 
 
+def _run_escape(executor, fail):
+    game = ring_game(4)
+    return empirical_escape_times(
+        game,
+        0.7,
+        _raise if fail else (lambda profiles: profiles.sum(axis=1) == 0),
+        max_steps=50,
+        start_profiles=np.zeros(4, dtype=np.int64),
+        precision=0.5,
+        chunk_size=16,
+        max_replicas=16,
+        seed=5,
+        executor=executor,
+    )
+
+
+def _run_tv(executor, fail):
+    dynamics = LogitDynamics(ring_game(4), 0.5)
+    return estimate_tv_convergence(
+        dynamics,
+        dynamics.stationary_distribution(),
+        num_replicas=16,
+        start=np.full(4, 7) if fail else None,
+        max_time=20,
+        seed=6,
+        executor=executor,
+    )
+
+
+def _run_welfare(executor, fail):
+    return estimate_stationary_welfare(
+        ring_game(4),
+        0.5,
+        num_steps=20,
+        num_replicas=16,
+        chunk_size=16,
+        start=np.full(4, 7) if fail else None,
+        seed=8,
+        executor=executor,
+    )
+
+
 def _run_matrix(executor, fail):
     return scenario_matrix(
         {"ising": lambda g: IsingGame(g, coupling=0.5)},
         {"ring4": ring_graph(4)},
-        {"logit": _no_stationary if fail else (lambda g: LogitDynamics(g, 0.5))},
+        {"logit": _no_stationary if fail else _logit(0.5)},
         num_replicas=16,
         max_time=20,
         seed=4,
@@ -162,7 +194,7 @@ def _run_matrix(executor, fail):
     )
 
 
-RUNS = [_run_ensemble, _run_family, _run_hitting, _run_matrix]
+RUNS = [_run_family, _run_matrix, _run_hitting, _run_escape, _run_tv, _run_welfare]
 
 
 class TestExecutorOwnership:

@@ -1,6 +1,6 @@
-"""Golden cell lifecycle of the store-backed sweeps and the scenario matrix.
+"""Golden cell lifecycle of the store-backed sweep and the scenario matrix.
 
-Each sweep runs once against a fresh store (cold) and once more against the
+Each run goes once against a fresh store (cold) and once more against the
 same store (warm).  The test pins what a refactor of the shared cell
 lifecycle must not change: the content addresses of the stored cells, the
 manifest payloads, the ``sweep.*`` / ``matrix.*`` events (names and
@@ -16,11 +16,7 @@ import networkx as nx
 import numpy as np
 
 from repro.analysis.scenario_matrix import scenario_matrix
-from repro.analysis.sweep import (
-    dynamics_family_sweep,
-    ensemble_beta_sweep,
-    hitting_time_size_sweep,
-)
+from repro.analysis.sweep import dynamics_family_sweep
 from repro.core import LogitDynamics
 from repro.games import IsingGame
 from repro.graphs import path_graph, ring_graph
@@ -29,17 +25,9 @@ from repro.parallel import ExperimentStore
 
 # content addresses of the cells each run stores; a changed spec or key
 # derivation would orphan every existing store, so it must fail here
-ENSEMBLE_KEYS = [
-    "655729e67db9287898f788b3c29b591525a37e6f693d8a70085219502f5bc205",
-    "9357d78326067c408427caccd5d778c3ac910644dd3e0118afbdd42cec2b48e9",
-]
 FAMILY_KEYS = [
     "43b1bae6c84348a64478ebb0ae2baefc1672e8ed2f134e3ab434ffcf78d51f0e",
     "64fc791abb9187d9afb5fc69bca0cc85e9508aebb68ffde9d3d1dcc7e9d8d15b",
-]
-HITTING_KEYS = [
-    "60243555b9d5f05445a21068943252434b785531dc1f1a46644e8bd07a1b33e2",
-    "a7d1689d48b63894e8bc319645ef4d82b786e3ba49b16f314616caa21cc375de",
 ]
 MATRIX_KEYS = [
     "73bca0bbb2e18b1370dfba5f7158723aa0e21b4e5dedf81a270d394b3ac71bf0",
@@ -58,19 +46,6 @@ def _families():
     }
 
 
-def _run_ensemble(store, tracer):
-    return ensemble_beta_sweep(
-        ring_game(4),
-        [0.3, 0.6],
-        num_replicas=32,
-        max_time=40,
-        alpha=0.1,
-        seed=11,
-        store=store,
-        tracer=tracer,
-    )
-
-
 def _run_family(store, tracer):
     return dynamics_family_sweep(
         ring_game(4),
@@ -82,27 +57,6 @@ def _run_family(store, tracer):
         tail_q=0.5,
         seed=12,
         store=store,
-        tracer=tracer,
-    )
-
-
-def _run_hitting(store, tracer):
-    return hitting_time_size_sweep(
-        ring_game,
-        sizes=[4, 5],
-        beta=0.7,
-        start_factory=lambda g: np.zeros(g.num_players, dtype=np.int64),
-        target_factory=lambda g: (
-            lambda p: g.magnetization_of_profiles(p) >= 0.5
-        ),
-        max_steps=100,
-        precision=0.3,
-        q=0.5,
-        seed=13,
-        chunk_size=16,
-        max_replicas=32,
-        store=store,
-        store_tag="golden-ring-mag0.5",
         tracer=tracer,
     )
 
@@ -205,18 +159,6 @@ def _sweep_events(sweep, cells, provenance):
     )
 
 
-def test_ensemble_beta_sweep_lifecycle(tmp_path):
-    cells = [0.3, 0.6]
-    _check_golden(
-        tmp_path,
-        _run_ensemble,
-        ENSEMBLE_KEYS,
-        _sweep_events("ensemble_beta_sweep", cells, "computed"),
-        _sweep_events("ensemble_beta_sweep", cells, "store"),
-        cells=2,
-    )
-
-
 def test_dynamics_family_sweep_lifecycle(tmp_path):
     cells = ["cold", "hot"]
     _check_golden(
@@ -225,18 +167,6 @@ def test_dynamics_family_sweep_lifecycle(tmp_path):
         FAMILY_KEYS,
         _sweep_events("dynamics_family_sweep", cells, "computed"),
         _sweep_events("dynamics_family_sweep", cells, "store"),
-        cells=2,
-    )
-
-
-def test_hitting_time_size_sweep_lifecycle(tmp_path):
-    cells = [4, 5]
-    _check_golden(
-        tmp_path,
-        _run_hitting,
-        HITTING_KEYS,
-        _sweep_events("hitting_time_size_sweep", cells, "computed"),
-        _sweep_events("hitting_time_size_sweep", cells, "store"),
         cells=2,
     )
 

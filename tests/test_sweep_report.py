@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import format_value, render_experiment, render_table
-from repro.analysis.sweep import (
-    beta_sweep,
-    dynamics_family_sweep,
-    exponential_growth_rate,
-    size_sweep,
-)
-from repro.games import CoordinationParams, GraphicalCoordinationGame, TwoWellGame
-
-import networkx as nx
+from repro.analysis.sweep import dynamics_family_sweep, exponential_growth_rate
+from repro.games import TwoWellGame
 
 
 class TestReportRendering:
@@ -64,40 +57,22 @@ class TestGrowthRate:
         with pytest.raises(ValueError):
             exponential_growth_rate(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
-
-class TestSweeps:
-    def test_beta_sweep_records(self):
-        game = TwoWellGame(num_players=3, barrier=1.0)
-        result = beta_sweep(game, betas=[0.0, 1.0], include_relaxation=True)
-        assert result.parameter_name == "beta"
-        assert len(result.records) == 2
-        np.testing.assert_allclose(result.parameters(), [0.0, 1.0])
-        assert np.all(result.mixing_times() > 0)
-        assert np.all(result.relaxation_times() >= 1.0)
-
-    def test_beta_sweep_extra_columns(self):
-        game = TwoWellGame(num_players=3, barrier=1.0)
-        result = beta_sweep(
-            game,
-            betas=[0.5],
-            extra=lambda g, b: {"bound": 123.0},
-        )
-        rows = result.as_rows()
-        assert rows[0][-1] == 123.0
-
-    def test_size_sweep(self):
-        def factory(n: int):
-            return GraphicalCoordinationGame(
-                nx.cycle_graph(n), CoordinationParams.ising(1.0)
-            )
-
-        result = size_sweep(factory, sizes=[3, 4], beta=0.5, include_relaxation=False)
-        assert result.parameter_name == "n"
-        np.testing.assert_allclose(result.parameters(), [3.0, 4.0])
-        assert np.all(np.isnan(result.relaxation_times()))
-        # mixing time grows with the ring size
-        times = result.mixing_times()
-        assert times[1] >= times[0]
+    @pytest.mark.parametrize(
+        "parameters, values, message",
+        [
+            ([0.0, 1.0, 2.0], [1.0, np.nan, 4.0], "finite"),
+            ([0.0, 1.0, 2.0], [1.0, np.inf, 4.0], "finite"),
+            ([0.0, np.nan, 2.0], [1.0, 2.0, 4.0], "finite"),
+            ([0.0, 1.0, -np.inf], [1.0, 2.0, 4.0], "finite"),
+            ([1.0, 1.0], [1.0, 2.0], "distinct"),
+            ([0.5, 0.5, 0.5], [1.0, 2.0, 4.0], "distinct"),
+        ],
+        ids=["nan-value", "inf-value", "nan-parameter", "inf-parameter",
+             "two-equal-parameters", "three-equal-parameters"],
+    )
+    def test_rejects_input_no_line_fits(self, parameters, values, message):
+        with pytest.raises(ValueError, match=message):
+            exponential_growth_rate(np.array(parameters), np.array(values))
 
 
 class TestDynamicsFamilySweep:
