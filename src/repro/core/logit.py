@@ -28,9 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..engine.coupled import simulate_grand_coupling_ensemble
-from ..engine.ensemble import EnsembleSimulator, check_record_every
+from ..engine.ensemble import EnsembleSimulator
 from ..engine.kernels import SequentialKernel, UpdateKernel
 from ..engine.sampling import sample_inverse_cdf
+from ..engine.state import check_count
 from ..games.base import Game
 from ..games.potential import PotentialGame
 from ..games.space import ProfileSpace
@@ -51,7 +52,8 @@ def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     """Softmax ``exp(beta u) / sum exp(beta u)`` computed in log space.
 
     ``utilities`` may be 1-D (one profile) or 2-D with one row per profile;
-    the softmax is taken along the last axis.
+    the softmax is taken along the last axis.  Rows stay finite when
+    ``beta * u`` overflows: they tend to the uniform law over the argmax.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
@@ -59,7 +61,15 @@ def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     logits = beta * u
     # max-shifted softmax: overflow-safe and much cheaper than scipy's
     # logsumexp on the hot simulation path
-    logits -= np.max(logits, axis=-1, keepdims=True)
+    peak = np.max(logits, axis=-1, keepdims=True)
+    if np.isfinite(peak).all():
+        logits -= peak
+    else:
+        # beta * u reached +-inf, and inf - inf is NaN: scale the shifted
+        # utilities instead, which keeps every argmax entry at exactly 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = beta * (u - np.max(u, axis=-1, keepdims=True))
+            logits = np.where(np.isfinite(peak), logits - peak, shifted)
     weights = np.exp(logits)
     return weights / np.sum(weights, axis=-1, keepdims=True)
 
@@ -79,7 +89,7 @@ def sequential_loop(
     bulk pre-draw, so engine trajectories match this loop bit-for-bit.
     """
     rng = np.random.default_rng() if rng is None else rng
-    record_every = check_record_every(record_every)
+    record_every = check_count(record_every, "record_every")
     profile = np.asarray(start, dtype=np.int64).copy()
     if profile.shape != (space.num_players,):
         raise ValueError("start profile has wrong length")

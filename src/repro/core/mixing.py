@@ -27,7 +27,7 @@ import numpy as np
 from ..obs import as_tracer
 from ..engine.ensemble import EnsembleSimulator
 from ..engine.kernels import require_sequential_dynamics
-from ..engine.state import IndexState
+from ..engine.state import IndexState, check_count
 from ..engine.streams import spawn_words
 from ..games.base import Game
 from ..games.potential import PotentialGame
@@ -415,10 +415,11 @@ def estimate_tv_convergence(
         start = int(np.argmax(reference))
     elif not isinstance(start, (int, np.integer)):
         start = np.asarray(start, dtype=np.int64)
-    if check_every is None:
-        check_every = max(1, space.num_players)
-    check_every = max(int(check_every), 1)
-    num_replicas, max_time = int(num_replicas), int(max_time)
+    check_every = check_count(
+        space.num_players if check_every is None else check_every, "check_every"
+    )
+    num_replicas = check_count(num_replicas, "num_replicas")
+    max_time = check_count(max_time, "max_time", minimum=0)
     tracer = as_tracer(tracer)
     sharder, owned = claim_executor(executor)
     try:

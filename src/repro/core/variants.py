@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..engine.ensemble import check_record_every
+from ..engine.state import check_count
 from ..engine.kernels import (
     AnnealedKernel,
     ParallelKernel,
@@ -169,7 +169,7 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
         ``p = 1`` both match :class:`ParallelLogitDynamics`).
         """
         rng = np.random.default_rng() if rng is None else rng
-        record_every = check_record_every(record_every)
+        record_every = check_count(record_every, "record_every")
         space = self.game.space
         profile = np.asarray(start, dtype=np.int64).copy()
         if profile.shape != (space.num_players,):
@@ -518,7 +518,7 @@ class RoundRobinLogitDynamics(LogitRule, EngineBackedDynamics):
         :class:`~repro.engine.kernels.RoundRobinKernel` with one replica.
         """
         rng = np.random.default_rng() if rng is None else rng
-        record_every = check_record_every(record_every)
+        record_every = check_count(record_every, "record_every")
         space = self.game.space
         profile = np.asarray(start, dtype=np.int64).copy()
         if profile.shape != (space.num_players,):

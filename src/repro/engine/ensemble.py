@@ -78,7 +78,7 @@ from .kernels import (
     seeded_kernel_for,
 )
 from .sampling import sample_from_cumulative, sample_inverse_cdf
-from .state import EngineState, IndexState, MatrixState, integral_array
+from .state import EngineState, IndexState, MatrixState, check_count, integral_array
 from .streams import stream_words
 
 __all__ = ["EnsembleSimulator"]
@@ -99,14 +99,6 @@ LEVEL_BLOCK_SLOTS = 1 << 17
 
 #: largest profile space ``state="auto"`` serves on the gather route
 GATHER_CAP = 1 << 16
-
-
-def check_record_every(record_every) -> int:
-    """Validate a snapshot interval: an integer of at least 1."""
-    record_every = operator.index(record_every)
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
-    return record_every
 
 
 class EnsembleSimulator:
@@ -195,9 +187,7 @@ class EnsembleSimulator:
         state: str = "auto",
         tracer=None,
     ):
-        num_replicas = operator.index(num_replicas)
-        if num_replicas < 1:
-            raise ValueError("need at least one replica")
+        num_replicas = check_count(num_replicas, "num_replicas")
         self.tracer = as_tracer(tracer)
         self.kernel = SequentialKernel(dynamics) if kernel is None else kernel
         if self.kernel.game is not dynamics.game:
@@ -237,6 +227,7 @@ class EnsembleSimulator:
         else:
             raise ValueError(f"unknown state backend {state!r}")
         self._gather: tuple[np.ndarray, np.ndarray] | None = None
+        self._doubled_next: np.ndarray | None = None
         # Row-wise fast path: on the matrix backend, games with uniform
         # strategy counts that expose utility_deviations_rowwise (local-
         # interaction games) let a step with k distinct movers run as ONE
@@ -421,6 +412,19 @@ class EnsembleSimulator:
             self._gather = cum, nxt
         return self._gather
 
+    def _binary_next(self) -> np.ndarray:
+        """Twice the flattened gather next-profile table, built on first use.
+
+        Serves binary gather tables (last axis 2): the window loop of
+        :meth:`~repro.engine.kernels.SeededSequentialKernel.advance_window`
+        carries doubled profile indices, so one flat position
+        ``2 * (mover * |S| + x) + s`` addresses both a threshold of ``cum``
+        and the doubled index of the profile with the mover on ``s``.
+        """
+        if self._doubled_next is None:
+            self._doubled_next = 2 * self._gather_tables()[1].reshape(-1)
+        return self._doubled_next
+
     def _sample_moves(
         self, player: int, batch: np.ndarray, uniforms: np.ndarray, rule=None
     ) -> np.ndarray:
@@ -539,7 +543,7 @@ class EnsembleSimulator:
         recorded snapshots as a ``(k, R, n)`` int array whose first entry is
         the state on entry and subsequent entries are snapshots every
         ``record_every`` steps (an integer of at least 1:
-        :func:`check_record_every`).
+        :func:`~repro.engine.state.check_count`).
         """
         if num_steps < 0:
             raise ValueError("num_steps must be non-negative")
@@ -548,7 +552,7 @@ class EnsembleSimulator:
         draws = self.kernel.begin_run(self, num_steps)
         snapshots: list[np.ndarray] | None = None
         if record_every is not None:
-            record_every = check_record_every(record_every)
+            record_every = check_count(record_every, "record_every")
             snapshots = [self.state.snapshot()]
         block = max(1, LEVEL_BLOCK_SLOTS // self.kernel.block_slots(self))
         start = 0

@@ -87,6 +87,7 @@ import abc
 
 import numpy as np
 
+from .state import check_count
 from .streams import StreamBank, stream_words
 
 __all__ = [
@@ -477,9 +478,7 @@ class SeededSequentialKernel(UpdateKernel):
 
     def __init__(self, rule, seeds, block_size: int = 256):
         super().__init__(rule)
-        if block_size < 1:
-            raise ValueError("block_size must be positive")
-        self.block_size = int(block_size)
+        self.block_size = check_count(block_size, "block_size")
         self.words = _seed_words(seeds)
 
     @staticmethod
@@ -580,11 +579,18 @@ class SeededSequentialKernel(UpdateKernel):
         each step reads its mover and uniform from the pre-drawn block:
         one table lookup, one count of the cumulative entries below the
         uniform, one next-profile lookup and one row store into the
-        ``(steps, k)`` path.  The first hit per replica is then found in
-        the path at once.  A replica's draws past its hit are evaluated but
-        not consumed, so its cursor, index and stream advance exactly as
-        :meth:`step` would have advanced them, one step at a time, up to
-        the hit.
+        ``(steps, k)`` path.  Binary tables (last axis 2, single-strategy
+        players included) take a flat loop instead: column 1 is ``+inf``,
+        so the mover's one finite threshold sits at flat position
+        ``2 * (mover * |S| + x)`` of ``cum``, and the same position plus
+        the chosen strategy indexes the doubled next-profile table
+        (:meth:`~repro.engine.ensemble.EnsembleSimulator._binary_next`).
+        The loop carries doubled indices, so a step is subscripts and
+        operators only, and halves the path once.  The first hit per
+        replica is then found in the path at once.  A replica's draws past
+        its hit are evaluated but not consumed, so its cursor, index and
+        stream advance exactly as :meth:`step` would have advanced them,
+        one step at a time, up to the hit.
 
         Returns ``(hit, taken)``: whether each replica reached ``stop``,
         and how many steps it took (its hit step, else ``steps``).
@@ -595,15 +601,26 @@ class SeededSequentialKernel(UpdateKernel):
         cols = state["consumed"][where] - state["block_start"][where]
         cols = cols + np.arange(steps)[:, None]
         movers = state["players"][where, cols]
-        uniforms = state["uniforms"][where, cols][:, :, None]
+        uniforms = state["uniforms"][where, cols]
         path = np.empty((steps, k), dtype=np.int64)
         current = sim.state.take(where)
-        for t in range(steps):
-            mover = movers[t]
-            # the +inf padding of cum keeps the count below each player's
-            # strategy count, so no clamp is needed (sample_from_cumulative)
-            chosen = np.add.reduce(cum[mover, current] <= uniforms[t], axis=1)
-            current = path[t] = nxt[mover, current, chosen]
+        if cum.shape[2] == 2:
+            thresholds = cum.reshape(-1)
+            doubled = sim._binary_next()
+            base = movers * (2 * sim.space.size)
+            current = 2 * current
+            for t in range(steps):
+                j = base[t] + current
+                current = path[t] = doubled[j + (thresholds[j] <= uniforms[t])]
+            path >>= 1
+        else:
+            uniforms = uniforms[:, :, None]
+            for t in range(steps):
+                mover = movers[t]
+                # the +inf padding of cum keeps the count below each player's
+                # strategy count, so no clamp is needed (sample_from_cumulative)
+                chosen = np.add.reduce(cum[mover, current] <= uniforms[t], axis=1)
+                current = path[t] = nxt[mover, current, chosen]
         reached = stop[path]
         hit = reached.any(axis=0)
         taken = np.where(hit, reached.argmax(axis=0) + 1, steps)

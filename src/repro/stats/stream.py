@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..engine.state import check_count
 from ..obs import as_tracer
 
 __all__ = ["ChunkSampler", "SampleDriver"]
@@ -108,12 +109,10 @@ class SampleDriver:
     ):
         from ..parallel.sharding import claim_executor
 
-        if max_n < 1:
-            raise ValueError("max_n must be positive")
         self._tracer = as_tracer(tracer)
         self._sampler = sampler
-        self._chunk_size = max(int(chunk_size), 1)
-        self._max_n = int(max_n)
+        self._chunk_size = check_count(chunk_size, "chunk_size")
+        self._max_n = check_count(max_n, "max_n")
         self._keep_samples = bool(keep_samples)
         self._sharder, self._owned = claim_executor(executor)
         self._root = (

@@ -18,7 +18,7 @@ import pytest
 from repro.core import LogitDynamics
 from repro.core.samplers import TruncatedHittingSampler
 from repro.engine import EnsembleSimulator
-from repro.games import IsingGame
+from repro.games import IsingGame, random_game
 from repro.graphs import ring_graph
 from repro.obs import Tracer
 
@@ -137,6 +137,50 @@ def test_uneven_cursor_offsets_and_resume_match_stepwise(block_size, prelude):
     np.testing.assert_array_equal(
         sim.exit_times(here, max_steps=500), stepwise(ref, here, 500, exit=True)
     )
+    assert_same_run(sim, ref)
+
+
+# -- the binary loop's boundary: multi-strategy and single-strategy players --
+
+SHAPES = [(3, 2, 4), (3, 3, 3, 3), (2, 5), (2, 1, 2)]
+
+
+def seeded_game(shape, block_size, seed=13, replicas=REPLICAS):
+    """Seeded gather-mode ensemble of ``random_game(shape)`` at beta = 1."""
+    game = random_game(shape, rng=np.random.default_rng(seed))
+    starts = np.random.default_rng(seed + 1).integers(0, game.space.size, replicas)
+    return EnsembleSimulator.seeded(
+        LogitDynamics(game, 1.0),
+        np.random.SeedSequence(seed).spawn(replicas),
+        start_indices=starts,
+        state="index",
+        block_size=block_size,
+    )
+
+
+@pytest.mark.parametrize("block_size", [7, 256])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_multi_strategy_hitting_times_match_stepwise(shape, block_size):
+    sim, ref = seeded_game(shape, block_size), seeded_game(shape, block_size)
+    # binary tables (single-strategy players included) take the flat loop
+    binary = max(shape) == 2
+    assert (sim._gather_tables()[0].shape[2] == 2) == binary
+    targets = [0, sim.space.size - 1]
+    times = sim.hitting_times(targets, max_steps=600)
+    np.testing.assert_array_equal(times, stepwise(ref, targets, 600))
+    assert (times > 0).any()
+    assert (sim._doubled_next is not None) == binary
+    assert_same_run(sim, ref)
+
+
+@pytest.mark.parametrize("block_size", [7, 256])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_multi_strategy_exit_times_match_stepwise(shape, block_size):
+    sim, ref = seeded_game(shape, block_size), seeded_game(shape, block_size)
+    well = np.arange(0, sim.space.size, 2)
+    times = sim.exit_times(well, max_steps=600)
+    np.testing.assert_array_equal(times, stepwise(ref, well, 600, exit=True))
+    assert (times > 0).any()
     assert_same_run(sim, ref)
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import LogitDynamics, gibbs_measure, logit_update_distribution
-from repro.games import random_game
+from repro.games import IsingGame, random_game
+from repro.graphs import ring_graph
 from repro.markov.chain import is_stochastic_matrix
 from repro.markov.tv import total_variation
 
@@ -30,6 +31,36 @@ class TestUpdateRule:
         probs = logit_update_distribution(np.array([1000.0, -1000.0]), beta=100.0)
         assert np.all(np.isfinite(probs))
         assert probs[0] == pytest.approx(1.0)
+
+    def test_overflowing_beta_gives_the_argmax_uniform_rows(self):
+        # regression: beta * u = +-inf made inf - inf = NaN rows
+        utilities = np.array([[1.0, 1.0, -1.0], [-2.0, 3.0, 2.0], [-4.0, -4.0, -4.0]])
+        with np.errstate(over="ignore"):
+            probs = logit_update_distribution(utilities, beta=1e308)
+        np.testing.assert_array_equal(
+            probs, [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3]]
+        )
+
+    @pytest.mark.parametrize("state", ["index", "matrix"])
+    def test_engine_at_overflowing_beta_runs_the_large_beta_chain(self, state):
+        """At beta = 1e308 the ring stays at its all-ones consensus, as at 1e6.
+
+        NaN update rows used to make the inverse-CDF sampler pick strategy 0,
+        so every replica silently drifted to all-zeros.
+        """
+        game = IsingGame(ring_graph(4))
+        runs = []
+        for beta in (1e6, 1e308):
+            dynamics = LogitDynamics(game, beta)
+            with np.errstate(over="ignore"):
+                for player in range(4):
+                    assert np.isfinite(dynamics.player_update_matrix(player)).all()
+                sim = dynamics.ensemble(
+                    2, start=np.ones(4, dtype=int), rng=np.random.default_rng(0), state=state
+                )
+                runs.append(sim.run(200, record_every=50))
+        np.testing.assert_array_equal(runs[1], runs[0])
+        assert (runs[1][-1] == 1).all()
 
     def test_batched_rows(self):
         utilities = np.array([[0.0, 1.0], [2.0, 2.0]])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,6 +24,20 @@ strategy_shapes = st.lists(st.integers(min_value=1, max_value=4), min_size=1, ma
 small_binary_players = st.integers(min_value=2, max_value=5)
 
 betas = st.floats(min_value=0.0, max_value=20.0, allow_nan=False, allow_infinity=False)
+
+#: inverse noises and utilities whose product can overflow to +-inf
+extreme_betas = st.one_of(
+    st.floats(min_value=0.0, max_value=1e308),
+    st.sampled_from([0.0, 1.0, 1e6, 1e300, 1e308]),
+)
+extreme_utilities = arrays(
+    dtype=np.float64,
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5)),
+    elements=st.one_of(
+        st.floats(min_value=-1e308, max_value=1e308),
+        st.sampled_from([-1e300, -2.0, 0.0, 1.0, 1e300]),
+    ),
+)
 
 
 def potentials(num_profiles: int):
@@ -103,6 +117,34 @@ class TestGibbsProperties:
         probs = logit_update_distribution(utilities, beta)
         assert np.all(probs >= 0)
         assert probs.sum() == pytest.approx(1.0)
+
+    @given(beta=extreme_betas, utilities=extreme_utilities)
+    @settings(max_examples=200, deadline=None)
+    def test_softmax_rows_stay_distributions_under_overflow(self, beta, utilities):
+        with np.errstate(over="ignore"):
+            probs = logit_update_distribution(utilities, beta)
+        assert np.isfinite(probs).all()
+        assert (probs >= 0).all()
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-12)
+        # every argmax entry carries the same, largest mass
+        top = utilities == utilities.max(axis=-1, keepdims=True)
+        largest = probs.max(axis=-1, keepdims=True)
+        assert (np.where(top, probs, largest) == largest).all()
+
+    @given(beta=extreme_betas, utilities=extreme_utilities)
+    @settings(max_examples=200, deadline=None)
+    def test_softmax_is_the_max_shift_formula_when_nothing_overflows(
+        self, beta, utilities
+    ):
+        # the max shift itself may still overflow to -inf, weight 0
+        with np.errstate(over="ignore"):
+            logits = beta * utilities
+            assume(np.isfinite(logits).all())
+            logits -= np.max(logits, axis=-1, keepdims=True)
+            weights = np.exp(logits)
+            expected = weights / np.sum(weights, axis=-1, keepdims=True)
+            probs = logit_update_distribution(utilities, beta)
+        np.testing.assert_array_equal(probs, expected)
 
     @given(num_profiles=st.integers(min_value=2, max_value=16), data=st.data())
     @settings(max_examples=30, deadline=None)
