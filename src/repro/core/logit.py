@@ -58,7 +58,13 @@ def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     if beta < 0:
         raise ValueError("beta must be non-negative")
     u = np.asarray(utilities, dtype=float)
-    logits = beta * u
+    if beta > 1.0:
+        # only a factor above 1 can overflow a finite utility; the context
+        # costs about 3 us, so beta <= 1 skips it
+        with np.errstate(over="ignore"):
+            logits = beta * u
+    else:
+        logits = beta * u
     # max-shifted softmax: overflow-safe and much cheaper than scipy's
     # logsumexp on the hot simulation path
     peak = np.max(logits, axis=-1, keepdims=True)
@@ -117,6 +123,27 @@ class UtilityRule:
     """
 
     game: Game
+
+    def __getstate__(self) -> dict:
+        """The rule's parameters, without its derived caches.
+
+        Gather tables, transition matrices and chains are rebuilt on first
+        use, so pickling a rule — a process-backend payload — never ships
+        them.
+        """
+        state = self.__dict__.copy()
+        state.pop("_cache", None)
+        return state
+
+    def _cached(self, key: str, build: Callable[[], object]):
+        """``build()``, built on the first call and kept for the rule's life.
+
+        Safe because a rule's parameters are read-only after ``__init__``.
+        """
+        cache = self.__dict__.setdefault("_cache", {})
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     def move_probabilities(self, utilities: np.ndarray) -> np.ndarray:
         """Move-distribution rows for ``(..., m)`` utilities (last axis)."""
@@ -203,19 +230,67 @@ class UtilityRule:
         devs = self.game.space.deviation_matrix(player)  # (|S|, m)
         return self.move_probabilities(self.game.utility_matrix(player)[devs])
 
+    def gather_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The engine's gather-mode ``(cum, next)`` tables, built once per rule.
+
+        Both are ``(n, |S|, m_max)``: ``cum[i, x]`` holds the cumulative
+        sums of ``sigma_i(. | x)`` with player ``i``'s own last column and
+        every padding column set to ``+inf``, so the inverse-CDF count can
+        never pass ``i``'s last strategy (the round-off clamp, per player);
+        ``next[i, x, s]`` is the profile index with ``i`` switched to
+        ``s`` (``-1`` in the unreachable padding).  Every index-state
+        simulator of this rule reads the same tables, so an adaptive
+        estimator builds them once, not once per chunk.
+        """
+
+        def build():
+            space = self.game.space
+            counts = space.num_strategies
+            shape = (len(counts), space.size, max(counts))
+            cum = np.full(shape, np.inf)
+            nxt = np.full(shape, -1, dtype=np.int64)
+            for player, m in enumerate(counts):
+                probs = self.player_update_matrix(player)
+                cum[player, :, : m - 1] = np.cumsum(probs, axis=1)[:, :-1]
+                nxt[player, :, :m] = space.deviation_matrix(player)
+            return cum, nxt
+
+        return self._cached("gather", build)
+
+    def binary_next(self) -> np.ndarray:
+        """Twice the flattened gather next-profile table, built once per rule.
+
+        Serves binary gather tables (last axis 2): the window loop of
+        :meth:`~repro.engine.kernels.SeededSequentialKernel.advance_window`
+        carries doubled profile indices, so one flat position
+        ``2 * (mover * |S| + x) + s`` addresses both a threshold of ``cum``
+        and the doubled index of the profile with the mover on ``s``.
+        """
+        return self._cached(
+            "binary_next", lambda: 2 * self.gather_tables()[1].reshape(-1)
+        )
+
 
 class LogitRule(UtilityRule):
-    """The softmax of Equation (2) at a fixed ``beta`` (subclasses set it).
+    """The softmax of Equation (2) at a fixed, read-only ``beta``.
 
     Shared by the standard chain and the parallel / concurrent /
     round-robin variants, which differ only in who moves.
     """
 
-    beta: float
+    def __init__(self, game: Game, beta: float):
+        self.game = game
+        self._beta = check_beta(beta)
+
+    @property
+    def beta(self) -> float:
+        """The inverse noise; read-only, as the rule's cached tables derive from it."""
+        return self._beta
 
     def move_probabilities(self, utilities: np.ndarray) -> np.ndarray:
         """Softmax rows ``exp(beta u) / sum exp(beta u)``."""
-        return logit_update_distribution(utilities, self.beta)
+        # the field, not the property: this runs on every engine step
+        return logit_update_distribution(utilities, self._beta)
 
 
 class EngineBackedDynamics:
@@ -321,13 +396,6 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
         (``beta -> inf`` is :class:`~repro.core.variants.BestResponseDynamics`).
     """
 
-    def __init__(self, game: Game, beta: float):
-        self.game = game
-        self.beta = check_beta(beta)
-        self._matrix: np.ndarray | None = None
-        self._sparse = None
-        self._chain: MarkovChain | None = None
-
     # -- update rule -------------------------------------------------------
 
     def update_distribution(self, profile: Sequence[int] | np.ndarray, player: int) -> np.ndarray:
@@ -342,9 +410,7 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
 
     def transition_matrix(self) -> np.ndarray:
         """Dense ``(|S|, |S|)`` transition matrix of Equation (3)."""
-        if self._matrix is None:
-            self._matrix = self._sequential_matrix()
-        return self._matrix
+        return self._cached("matrix", self._sequential_matrix)
 
     def sparse_transition_matrix(self):
         """CSR sparse transition matrix of Equation (3).
@@ -355,8 +421,9 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
         tools.  Cached on first build, like the dense matrix and the
         :class:`~repro.markov.MarkovChain` wrapper.
         """
-        if self._sparse is not None:
-            return self._sparse
+        return self._cached("sparse", self._sparse_matrix)
+
+    def _sparse_matrix(self):
         import scipy.sparse as sp
 
         space = self.game.space
@@ -380,8 +447,7 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
             ),
             shape=(size, size),
         )
-        self._sparse = matrix.tocsr()
-        return self._sparse
+        return matrix.tocsr()
 
     def sparse_markov_chain(self):
         """The chain wrapped as a :class:`repro.markov.sparse.SparseMarkovChain`."""
@@ -400,12 +466,14 @@ class LogitDynamics(LogitRule, EngineBackedDynamics):
 
     def markov_chain(self) -> MarkovChain:
         """The chain wrapped as a :class:`~repro.markov.MarkovChain`."""
-        if self._chain is None:
+
+        def build() -> MarkovChain:
             stationary = None
             if isinstance(self.game, PotentialGame):
                 stationary = gibbs_measure(self.game.potential_vector(), self.beta)
-            self._chain = MarkovChain(self.transition_matrix(), stationary=stationary)
-        return self._chain
+            return MarkovChain(self.transition_matrix(), stationary=stationary)
+
+        return self._cached("chain", build)
 
     # -- simulation (matrix-free) -------------------------------------------
 

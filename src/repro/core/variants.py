@@ -64,7 +64,6 @@ from .logit import (
     LogitDynamics,
     LogitRule,
     UtilityRule,
-    check_beta,
     sequential_loop,
 )
 
@@ -105,10 +104,13 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
     """
 
     def __init__(self, game: Game, beta: float, p: float = 1.0):
-        self.p = check_update_probability(p)
-        self.game = game
-        self.beta = check_beta(beta)
-        self._matrix: np.ndarray | None = None
+        self._p = check_update_probability(p)
+        super().__init__(game, beta)
+
+    @property
+    def p(self) -> float:
+        """The update probability; read-only, as the cached matrix derives from it."""
+        return self._p
 
     # -- update rule (the engine's rule contract) --------------------------
 
@@ -126,7 +128,8 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
 
     def transition_matrix(self) -> np.ndarray:
         """Dense ``P(x, y) = prod_i [p sigma_i(y_i | x) + (1-p) 1{y_i = x_i}]``."""
-        if self._matrix is None:
+
+        def build() -> np.ndarray:
             space = self.game.space
             size = space.size
             P = np.ones((size, size), dtype=float)
@@ -139,8 +142,9 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
                     stay = np.equal.outer(target[:, player], target[:, player])
                     factor[stay] += 1.0 - self.p
                 P *= factor
-            self._matrix = P
-        return self._matrix
+            return P
+
+        return self._cached("matrix", build)
 
     def markov_chain(self) -> MarkovChain:
         """The concurrent chain (stationary distribution computed numerically)."""
@@ -259,14 +263,19 @@ class BestResponseDynamics(UtilityRule, EngineBackedDynamics):
                 f"tie_tolerance must be finite and >= 0, got {tie_tolerance}"
             )
         self.game = game
-        self.tie_tolerance = tie_tolerance
+        self._tie_tolerance = tie_tolerance
+
+    @property
+    def tie_tolerance(self) -> float:
+        """The best-response tie tolerance; read-only, as cached tables derive from it."""
+        return self._tie_tolerance
 
     # -- update rule (the engine's rule contract) --------------------------
 
     def move_probabilities(self, utilities: np.ndarray) -> np.ndarray:
         """Uniform-over-argmax rows for utilities of any (row-major) shape."""
         utilities = np.asarray(utilities, dtype=float)
-        best = utilities >= np.max(utilities, axis=-1, keepdims=True) - self.tie_tolerance
+        best = utilities >= np.max(utilities, axis=-1, keepdims=True) - self._tie_tolerance
         probs = best.astype(float)
         return probs / probs.sum(axis=-1, keepdims=True)
 
@@ -460,10 +469,6 @@ class RoundRobinLogitDynamics(LogitRule, EngineBackedDynamics):
     recording or by splitting a run into several ``run`` calls, so
     recording mid-round never desyncs the player order.
     """
-
-    def __init__(self, game: Game, beta: float):
-        self.game = game
-        self.beta = check_beta(beta)
 
     # -- update rule (the engine's rule contract) --------------------------
 

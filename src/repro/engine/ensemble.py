@@ -107,10 +107,11 @@ class EnsembleSimulator:
     Parameters
     ----------
     dynamics:
-        The dynamics to simulate.  Any object exposing ``game`` (a
-        :class:`~repro.games.Game`), ``player_update_matrix(player)`` for
-        the index state's gather tables and ``update_distribution_profiles(
-        player, profiles)`` for the matrix state works;
+        The dynamics to simulate: a
+        :class:`~repro.core.logit.UtilityRule`, which supplies ``game``, the
+        index state's ``gather_tables()`` (built once per rule from
+        ``player_update_matrix``) and the matrix state's
+        ``update_distribution_profiles(player, profiles)``;
         :class:`~repro.core.logit.LogitDynamics` is the canonical provider.
         Without an explicit ``kernel`` it is advanced one uniformly random
         player per step (:class:`~repro.engine.kernels.SequentialKernel`).
@@ -227,7 +228,6 @@ class EnsembleSimulator:
         else:
             raise ValueError(f"unknown state backend {state!r}")
         self._gather: tuple[np.ndarray, np.ndarray] | None = None
-        self._doubled_next: np.ndarray | None = None
         # Row-wise fast path: on the matrix backend, games with uniform
         # strategy counts that expose utility_deviations_rowwise (local-
         # interaction games) let a step with k distinct movers run as ONE
@@ -391,39 +391,16 @@ class EnsembleSimulator:
     # -- stepping ---------------------------------------------------------
 
     def _gather_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gather-mode ``(cum, next)`` tables, built on first use.
+        """The rule's gather-mode ``(cum, next)`` tables, fetched on first use.
 
-        Both are ``(n, |S|, m_max)``: ``cum[i, x]`` holds the cumulative
-        sums of ``sigma_i(. | x)`` with player ``i``'s own last column and
-        every padding column set to ``+inf``, so the inverse-CDF count can
-        never pass ``i``'s last strategy (the round-off clamp, per player);
-        ``next[i, x, s]`` is the profile index with ``i`` switched to
-        ``s`` (``-1`` in the unreachable padding).
+        The rule builds and keeps them
+        (:meth:`~repro.core.logit.UtilityRule.gather_tables`), so every
+        simulator of one rule shares a single build; the simulator keeps
+        the reference, so a step pays one call for it.
         """
         if self._gather is None:
-            counts = self.space.num_strategies
-            shape = (len(counts), self.space.size, max(counts))
-            cum = np.full(shape, np.inf)
-            nxt = np.full(shape, -1, dtype=np.int64)
-            for player, m in enumerate(counts):
-                probs = self.kernel.rule.player_update_matrix(player)
-                cum[player, :, : m - 1] = np.cumsum(probs, axis=1)[:, :-1]
-                nxt[player, :, :m] = self.space.deviation_matrix(player)
-            self._gather = cum, nxt
+            self._gather = self.kernel.rule.gather_tables()
         return self._gather
-
-    def _binary_next(self) -> np.ndarray:
-        """Twice the flattened gather next-profile table, built on first use.
-
-        Serves binary gather tables (last axis 2): the window loop of
-        :meth:`~repro.engine.kernels.SeededSequentialKernel.advance_window`
-        carries doubled profile indices, so one flat position
-        ``2 * (mover * |S| + x) + s`` addresses both a threshold of ``cum``
-        and the doubled index of the profile with the mover on ``s``.
-        """
-        if self._doubled_next is None:
-            self._doubled_next = 2 * self._gather_tables()[1].reshape(-1)
-        return self._doubled_next
 
     def _sample_moves(
         self, player: int, batch: np.ndarray, uniforms: np.ndarray, rule=None

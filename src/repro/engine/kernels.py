@@ -449,8 +449,10 @@ class SeededSequentialKernel(UpdateKernel):
     builds on.
 
     Per replica, randomness is consumed in blocks of ``block_size`` steps
-    (a players block, then a uniforms block, drawn with two vectorised
-    generator calls); ``block_size`` is part of the stream definition, like
+    (a players block, then a uniforms block: ``integers(0, n, block_size)``
+    then ``random(block_size)``, which one
+    :meth:`~repro.engine.streams.StreamBank.refill` draws for every replica
+    due a block); ``block_size`` is part of the stream definition, like
     the seed.  Every replica carries its own consumption cursor: blocks are
     refilled lazily, per replica, exactly when that replica has used its
     current block up, so a replica that hits its target early simply stops
@@ -552,10 +554,9 @@ class SeededSequentialKernel(UpdateKernel):
         n = sim.space.num_players
         sel = np.arange(sim.num_replicas) if where is None else where
         exhausted = sel[state["consumed"][sel] - state["block_start"][sel] >= B]
-        for r, g in state["streams"].streams(exhausted):
-            state["players"][r] = g.integers(0, n, size=B)
-            state["uniforms"][r] = g.random(B)
-            state["block_start"][r] = state["consumed"][r]
+        if exhausted.size:
+            state["streams"].refill(exhausted, n, state["players"], state["uniforms"])
+            state["block_start"][exhausted] = state["consumed"][exhausted]
         off = state["consumed"][sel] - state["block_start"][sel]
         players = state["players"][sel, off]
         uniforms = state["uniforms"][sel, off]
@@ -584,7 +585,7 @@ class SeededSequentialKernel(UpdateKernel):
         so the mover's one finite threshold sits at flat position
         ``2 * (mover * |S| + x)`` of ``cum``, and the same position plus
         the chosen strategy indexes the doubled next-profile table
-        (:meth:`~repro.engine.ensemble.EnsembleSimulator._binary_next`).
+        (:meth:`~repro.core.logit.UtilityRule.binary_next`).
         The loop carries doubled indices, so a step is subscripts and
         operators only, and halves the path once.  The first hit per
         replica is then found in the path at once.  A replica's draws past
@@ -596,7 +597,7 @@ class SeededSequentialKernel(UpdateKernel):
         and how many steps it took (its hit step, else ``steps``).
         """
         state = sim.kernel_state
-        cum, nxt = sim._gather_tables()
+        cum, nxt = self.rule.gather_tables()
         k = where.size
         cols = state["consumed"][where] - state["block_start"][where]
         cols = cols + np.arange(steps)[:, None]
@@ -606,7 +607,7 @@ class SeededSequentialKernel(UpdateKernel):
         current = sim.state.take(where)
         if cum.shape[2] == 2:
             thresholds = cum.reshape(-1)
-            doubled = sim._binary_next()
+            doubled = self.rule.binary_next()
             base = movers * (2 * sim.space.size)
             current = 2 * current
             for t in range(steps):

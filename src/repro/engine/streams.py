@@ -26,6 +26,7 @@ The parity tests in ``tests/test_streams.py`` pin every path against
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = ["WORDS_PER_STREAM", "StreamBank", "spawn_words", "stream_words"]
 WORDS_PER_STREAM = 6
 
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A = 0x43B0D7E5
@@ -55,6 +57,25 @@ _DEFAULT_POOL_SIZE = 4
 # PCG64's 128-bit LCG multiplier, as (high, low) 64-bit halves
 _PCG_MULT_HI = 2549297995355413924
 _PCG_MULT_LO = 4865540595714422341
+
+
+@functools.lru_cache(maxsize=64)
+def _lcg_jump(count: int) -> tuple[int, int]:
+    """``(A, C)`` with ``count`` PCG64 LCG steps taking ``s`` to ``A s + C inc``.
+
+    Square-and-multiply over the step ``s -> a s + inc`` (mod 2**128), the
+    jump-ahead of PCG's ``advance``.
+    """
+    mult, plus = 1, 0
+    step_mult, step_plus = _PCG_MULT_HI << 64 | _PCG_MULT_LO, 1
+    while count:
+        if count & 1:
+            mult = mult * step_mult & _MASK128
+            plus = (plus * step_mult + step_plus) & _MASK128
+        step_plus = (step_mult + 1) * step_plus & _MASK128
+        step_mult = step_mult * step_mult & _MASK128
+        count >>= 1
+    return mult, plus
 
 
 class _HashConst:
@@ -233,8 +254,7 @@ class StreamBank:
     """``R`` PCG64 streams as one ``(R, 6)`` word array, drawn through one generator.
 
     ``words`` is copied, so a bank never advances its caller's array; the
-    advanced words are :attr:`words`.  :meth:`streams` is the only way to
-    draw::
+    advanced words are :attr:`words`.  :meth:`streams` draws anything::
 
         for r, g in bank.streams(rows):
             block[r] = g.random(256)
@@ -242,6 +262,18 @@ class StreamBank:
     Each iteration loads replica ``r``'s words into the scratch generator
     ``g`` and, when the loop moves on (or exits), stores the advanced
     state back — so ``g`` must not be kept past its iteration.
+    :meth:`refill` draws the sequential kernel's blocks of many streams at
+    once, bit for bit what ``integers(0, n, size)`` then ``random(size)``
+    draw from each:
+
+    >>> bank = StreamBank([7])
+    >>> players, uniforms = np.empty((1, 256), dtype=np.int64), np.empty((1, 256))
+    >>> bank.refill([0], 6, players, uniforms)
+    >>> g = np.random.default_rng(7)
+    >>> bool(np.array_equal(players[0], g.integers(0, 6, 256)))
+    True
+    >>> bool(np.array_equal(uniforms[0], g.random(256)))
+    True
     """
 
     def __init__(self, words) -> None:
@@ -276,3 +308,81 @@ class StreamBank:
                     state["has_uint32"],
                     state["uinteger"],
                 )
+
+    def _raw(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """``(len(rows), count)`` raw 64-bit outputs, ``count`` per stream.
+
+        Advances each stream's LCG words only: a raw output never touches
+        the ``has_uint32`` / ``uinteger`` buffer, so those words are the
+        caller's to set.  The advanced state is the LCG jumped ``count``
+        steps in Python integers, cheaper than reading the generator's
+        state back.
+        """
+        bits, words = self._bits, self.words
+        mult, plus = _lcg_jump(count)
+        raw = np.empty((rows.size, count), dtype=np.uint64)
+        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+        advanced = []
+        for j, (s_hi, s_lo, i_hi, i_lo) in enumerate(words[rows, :4].tolist()):
+            s, inc = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+            state["state"] = {"state": s, "inc": inc}
+            bits.state = state
+            raw[j] = bits.random_raw(count)
+            advanced.append((mult * s + plus * inc) & _MASK128)
+        words[rows, 0] = [s >> 64 for s in advanced]
+        words[rows, 1] = [s & _MASK64 for s in advanced]
+        return raw
+
+    def refill(self, rows, n: int, players: np.ndarray, uniforms: np.ndarray) -> None:
+        """Draw row ``r`` of the ``(R, B)`` block arrays from stream ``r``.
+
+        ``players[r]`` (int64) and ``uniforms[r]`` (float) receive, bit for
+        bit, what ``integers(0, n, B)`` then ``random(B)`` draw from stream
+        ``r``, and the stream's words advance as those two calls advance
+        them.  Only the distinct ``rows`` are drawn.
+
+        Each stream makes one raw draw of ``B // 2 + B`` words.  The first
+        ``B // 2`` give the players: each word is two 32-bit draws, low
+        half first, and a player is numpy's 32-bit Lemire draw
+        ``(x * n) >> 32``.  The rest give the uniforms,
+        ``(w >> 11) * 2**-53``.  ``uinteger`` ends as the high half of the
+        last player word.  A one-player game draws no player words.
+
+        Three kinds of stream go through :meth:`streams` and the generator
+        calls instead.  A buffered 32-bit half (``has_uint32``) or an odd
+        ``B`` shifts the halves.  A Lemire rejection (the low half of
+        ``x * n`` below ``2**32 mod n``) redraws an unknown number of
+        words; such a stream's words are restored first.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        words = self.words
+        size = players.shape[1]
+        half = size // 2 if n > 1 else 0
+        if n == 1:
+            bulk, slow = rows, rows[:0]
+        elif size % 2 or n >= 2**32:
+            bulk, slow = rows[:0], rows
+        else:
+            buffered = words[rows, 4] != 0
+            bulk, slow = rows[~buffered], rows[buffered]
+        if bulk.size:
+            saved = words[bulk]
+            raw = self._raw(bulk, half + size)
+            uniforms[bulk] = (raw[:, half:] >> np.uint64(11)) * 2.0**-53
+            if half:
+                # little-endian 32-bit halves: low, high, low, high, ...
+                halves = np.ascontiguousarray(raw[:, :half], dtype="<u8").view("<u4")
+                scaled = np.multiply(halves, n, dtype=np.uint64)
+                players[bulk] = scaled >> np.uint64(32)
+                words[bulk, 5] = raw[:, half - 1] >> np.uint64(32)
+                # uint32 products wrap to the low half of x * n
+                low = np.multiply(halves, n, dtype=np.uint32)
+                rejected = (low < 2**32 % n).any(axis=1)
+                if rejected.any():
+                    words[bulk[rejected]] = saved[rejected]
+                    slow = np.concatenate([slow, bulk[rejected]])
+            else:
+                players[bulk] = 0
+        for r, g in self.streams(slow):
+            players[r] = g.integers(0, n, size=size)
+            uniforms[r] = g.random(size)

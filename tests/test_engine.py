@@ -21,6 +21,7 @@ from repro.core import (
     estimate_mixing_time_ensemble,
     measure_mixing_time,
 )
+from repro.core.logit import UtilityRule
 from repro.core.variants import ConcurrentLogitDynamics, RoundRobinLogitDynamics
 from repro.engine import (
     EnsembleSimulator,
@@ -134,7 +135,7 @@ class TestFixedSeedEquivalence:
         game = random_game((2, 3, 4), rng=np.random.default_rng(0))
         space = game.space
 
-        class ShortMassRule:
+        class ShortMassRule(UtilityRule):
             def __init__(self):
                 self.game = game
 

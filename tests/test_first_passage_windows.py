@@ -169,7 +169,7 @@ def test_multi_strategy_hitting_times_match_stepwise(shape, block_size):
     times = sim.hitting_times(targets, max_steps=600)
     np.testing.assert_array_equal(times, stepwise(ref, targets, 600))
     assert (times > 0).any()
-    assert (sim._doubled_next is not None) == binary
+    assert ("binary_next" in sim.dynamics._cache) == binary
     assert_same_run(sim, ref)
 
 

@@ -159,6 +159,85 @@ def test_bank_draws_equal_per_replica_generators(block_size):
         np.testing.assert_array_equal(bank.words[r], words_of(g.bit_generator.state))
 
 
+def rejecting_words(inc_words: np.ndarray) -> np.ndarray:
+    """A stream whose next 64-bit output is 0: post-step LCG state 0.
+
+    The state one LCG step before 0 is ``-inc * a**-1`` mod 2**128.  Its
+    first 32-bit draws are 0, which numpy's Lemire method rejects for any
+    ``n`` that does not divide 2**32, so numpy redraws where a
+    non-rejecting Lemire would not.
+    """
+    a = (2549297995355413924 << 64) | 4865540595714422341
+    inc = int(inc_words[2]) << 64 | int(inc_words[3])
+    state = (-inc * pow(a, -1, 2**128)) % 2**128
+    words = inc_words.copy()
+    words[0], words[1], words[4], words[5] = state >> 64, state & ((1 << 64) - 1), 0, 0
+    return words
+
+
+@pytest.mark.parametrize("size", [1, 7, 256])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 62])
+def test_bulk_refill_equals_per_replica_generator_calls(n, size):
+    """One bank refill ≡ ``integers(0, n, size)`` then ``random(size)`` per row.
+
+    Players, uniforms and all six words, with a row carrying a buffered
+    32-bit half (``has_uint32 = 1``) and a row whose first 32-bit output
+    is rejected mixed in among ordinary rows.
+    """
+    words = spawn_words(np.random.SeedSequence(21), 0, 6)
+    words[2, 4], words[2, 5] = 1, 123456789
+    words[4] = rejecting_words(words[4])
+    reference = StreamBank(words)
+    expected = [
+        (g.integers(0, n, size=size), g.random(size))
+        for _, g in reference.streams(range(6))
+    ]
+    bank = StreamBank(words)
+    players, uniforms = np.full((6, size), -1, dtype=np.int64), np.full((6, size), -1.0)
+    bank.refill([5, 0, 4, 2, 1], n, players, uniforms)
+    for r in [5, 0, 4, 2, 1]:
+        np.testing.assert_array_equal(players[r], expected[r][0])
+        np.testing.assert_array_equal(uniforms[r], expected[r][1])
+    # a row left out is neither drawn nor advanced
+    assert (players[3] == -1).all() and (uniforms[3] == -1.0).all()
+    np.testing.assert_array_equal(bank.words[3], words[3])
+    np.testing.assert_array_equal(bank.words[:3], reference.words[:3])
+    np.testing.assert_array_equal(bank.words[4:], reference.words[4:])
+    if n in (3, 6, 62) and size == 256:
+        # the rejecting row really takes numpy's redraw path
+        raw = np.random.PCG64(0)
+        raw.state = {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": int(words[4, 0]) << 64 | int(words[4, 1]),
+                "inc": int(words[4, 2]) << 64 | int(words[4, 3]),
+            },
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        halves = raw.random_raw(size // 2)
+        mask = np.uint64(0xFFFFFFFF)
+        draws = np.stack([halves & mask, halves >> np.uint64(32)], axis=1)
+        lemire = (draws.reshape(-1) * np.uint64(n)) >> np.uint64(32)
+        assert not np.array_equal(lemire, expected[4][0])
+
+
+def test_bulk_refill_past_32_bit_player_counts_uses_numpy():
+    """``n >= 2**32`` takes numpy's 64-bit draw, through the generator."""
+    words = spawn_words(np.random.SeedSequence(2), 0, 2)
+    reference = StreamBank(words)
+    expected = [
+        (g.integers(0, 2**33, size=4), g.random(4)) for _, g in reference.streams([0, 1])
+    ]
+    bank = StreamBank(words)
+    players, uniforms = np.empty((2, 4), dtype=np.int64), np.empty((2, 4))
+    bank.refill([0, 1], 2**33, players, uniforms)
+    for r in range(2):
+        np.testing.assert_array_equal(players[r], expected[r][0])
+        np.testing.assert_array_equal(uniforms[r], expected[r][1])
+    np.testing.assert_array_equal(bank.words, reference.words)
+
+
 def test_bank_copies_its_words():
     words = spawn_words(np.random.SeedSequence(1), 0, 2)
     before = words.copy()
