@@ -54,23 +54,24 @@ def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     ``utilities`` may be 1-D (one profile) or 2-D with one row per profile;
     the softmax is taken along the last axis.  Rows stay finite when
     ``beta * u`` overflows: they tend to the uniform law over the argmax.
+    Neither the product nor the max shift warns when it overflows.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
     u = np.asarray(utilities, dtype=float)
-    if beta > 1.0:
-        # only a factor above 1 can overflow a finite utility; the context
-        # costs about 3 us, so beta <= 1 skips it
-        with np.errstate(over="ignore"):
-            logits = beta * u
-    else:
-        logits = beta * u
     # max-shifted softmax: overflow-safe and much cheaper than scipy's
-    # logsumexp on the hot simulation path
-    peak = np.max(logits, axis=-1, keepdims=True)
-    if np.isfinite(peak).all():
-        logits -= peak
-    else:
+    # logsumexp on the hot simulation path.  A large beta can overflow the
+    # product, and logits wider than the largest float overflow the shift
+    # to -inf, whose weight 0 is right.  The context makes 6 Python and C
+    # calls; on the 10^5-node ring (R = 64) the level schedule calls this
+    # about once per 32 steps, so it adds 0.19 calls per step.
+    with np.errstate(over="ignore"):
+        logits = beta * u
+        peak = np.max(logits, axis=-1, keepdims=True)
+        finite = np.isfinite(peak).all()
+        if finite:
+            logits -= peak
+    if not finite:
         # beta * u reached +-inf, and inf - inf is NaN: scale the shifted
         # utilities instead, which keeps every argmax entry at exactly 0
         with np.errstate(over="ignore", invalid="ignore"):

@@ -395,8 +395,11 @@ class EnsembleSimulator:
 
         The rule builds and keeps them
         (:meth:`~repro.core.logit.UtilityRule.gather_tables`), so every
-        simulator of one rule shares a single build; the simulator keeps
-        the reference, so a step pays one call for it.
+        simulator of one rule shares a single build.  Every engine read of
+        the tables comes through here (the index-state step, the inverse
+        CDF and the seeded kernel's first-passage window); the simulator
+        keeps the reference, so a step pays one call for it, not the
+        rule's three.
         """
         if self._gather is None:
             self._gather = self.kernel.rule.gather_tables()

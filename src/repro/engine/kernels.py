@@ -597,7 +597,7 @@ class SeededSequentialKernel(UpdateKernel):
         and how many steps it took (its hit step, else ``steps``).
         """
         state = sim.kernel_state
-        cum, nxt = self.rule.gather_tables()
+        cum, nxt = sim._gather_tables()
         k = where.size
         cols = state["consumed"][where] - state["block_start"][where]
         cols = cols + np.arange(steps)[:, None]

@@ -339,7 +339,7 @@ class StreamBank:
         ``players[r]`` (int64) and ``uniforms[r]`` (float) receive, bit for
         bit, what ``integers(0, n, B)`` then ``random(B)`` draw from stream
         ``r``, and the stream's words advance as those two calls advance
-        them.  Only the distinct ``rows`` are drawn.
+        them.  A row listed more than once is drawn once.
 
         Each stream makes one raw draw of ``B // 2 + B`` words.  The first
         ``B // 2`` give the players: each word is two 32-bit draws, low
@@ -383,6 +383,10 @@ class StreamBank:
                     slow = np.concatenate([slow, bulk[rejected]])
             else:
                 players[bulk] = 0
+        if slow.size > 1:
+            # the bulk pass writes a repeated row's one draw twice over; a
+            # repeated generator row would advance twice
+            slow = np.unique(slow)
         for r, g in self.streams(slow):
             players[r] = g.integers(0, n, size=size)
             uniforms[r] = g.random(size)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -130,6 +132,17 @@ class TestGibbsProperties:
         top = utilities == utilities.max(axis=-1, keepdims=True)
         largest = probs.max(axis=-1, keepdims=True)
         assert (np.where(top, probs, largest) == largest).all()
+
+    @given(beta=extreme_betas, utilities=extreme_utilities)
+    @settings(max_examples=200, deadline=None)
+    @example(beta=1.0, utilities=np.array([[-1e308, 1e308]]))
+    @example(beta=1e308, utilities=np.array([[-1.0, 1.0]]))
+    def test_softmax_overflow_raises_no_warning(self, beta, utilities):
+        # the product and the max shift may each overflow, at any beta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = logit_update_distribution(utilities, beta)
+        assert np.isfinite(probs).all()
 
     @given(beta=extreme_betas, utilities=extreme_utilities)
     @settings(max_examples=200, deadline=None)

@@ -92,9 +92,18 @@ def test_pickle_drops_the_derived_caches(ring4):
     np.testing.assert_array_equal(clone.gather_tables()[0], built.gather_tables()[0])
 
 
-def test_huge_beta_softmax_emits_no_overflow_warning(ring4):
-    """``beta * u`` overflowing at beta = 1e308 stays silent and finite."""
-    dynamics = LogitDynamics(ring4, 1e308)
+@pytest.mark.parametrize(
+    "coupling", [1.0, 0.5], ids=["product_overflows", "shift_overflows"]
+)
+def test_huge_beta_softmax_emits_no_overflow_warning(coupling):
+    """No overflow warning at beta = 1e308, and the rows stay finite.
+
+    At coupling 1 the utilities are +-2 and ``beta * u`` overflows to
+    +-inf.  At coupling 0.5 they are +-1, so the logits are a finite
+    +-1e308, but their max shift (-2e308) overflows.
+    """
+    game = IsingGame(nx.cycle_graph(4), coupling=coupling)
+    dynamics = LogitDynamics(game, 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = dynamics.player_update_matrix(0)
@@ -107,4 +116,5 @@ def test_huge_beta_softmax_emits_no_overflow_warning(ring4):
             sim.run(50)
             finals[state] = sim.profiles
     np.testing.assert_allclose(rows.sum(axis=1), 1.0)
+    assert set(np.unique(rows)) <= {0.0, 0.5, 1.0}
     np.testing.assert_array_equal(finals["index"], finals["matrix"])

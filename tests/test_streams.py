@@ -222,6 +222,29 @@ def test_bulk_refill_equals_per_replica_generator_calls(n, size):
         assert not np.array_equal(lemire, expected[4][0])
 
 
+@pytest.mark.parametrize("size", [7, 256])
+@pytest.mark.parametrize("n", [1, 3])
+def test_refill_draws_a_repeated_row_once(n, size):
+    """Listing a row twice draws and advances it once, on every path.
+
+    An odd block sends every row through the generator calls; at 256 the
+    ordinary rows take the bulk pass and the buffered and rejecting rows
+    the generator calls.
+    """
+    words = spawn_words(np.random.SeedSequence(8), 0, 4)
+    words[1, 4], words[1, 5] = 1, 987654321
+    words[2] = rejecting_words(words[2])
+    once, twice = StreamBank(words), StreamBank(words)
+    blocks = [
+        (np.zeros((4, size), dtype=np.int64), np.zeros((4, size))) for _ in range(2)
+    ]
+    once.refill([0, 1, 2, 3], n, *blocks[0])
+    twice.refill([3, 0, 1, 2, 2, 1, 0, 3], n, *blocks[1])
+    np.testing.assert_array_equal(blocks[1][0], blocks[0][0])
+    np.testing.assert_array_equal(blocks[1][1], blocks[0][1])
+    np.testing.assert_array_equal(twice.words, once.words)
+
+
 def test_bulk_refill_past_32_bit_player_counts_uses_numpy():
     """``n >= 2**32`` takes numpy's 64-bit draw, through the generator."""
     words = spawn_words(np.random.SeedSequence(2), 0, 2)
