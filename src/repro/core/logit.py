@@ -55,10 +55,22 @@ def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     the softmax is taken along the last axis.  Rows stay finite when
     ``beta * u`` overflows: they tend to the uniform law over the argmax.
     Neither the product nor the max shift warns when it overflows.
+
+    Every reduction along the strategy axis is a pass over the ``m``
+    columns (numpy reduces a short row per call, which costs ~50x more
+    than a column pass on ``(k, 2)`` rows).  The running column sum is
+    numpy's own row sum for ``m < 8``; a 1-D row is one ``(1, m)`` row, so
+    the scalar loops and the engine share one summation order at every
+    ``m``.
+
+    >>> logit_update_distribution(np.array([[0.0, 2.0, 2.0], [1.0, 1.0, 0.0]]), 1e308)
+    array([[0. , 0.5, 0.5],
+           [0.5, 0.5, 0. ]])
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
     u = np.asarray(utilities, dtype=float)
+    m = u.shape[-1]
     # max-shifted softmax: overflow-safe and much cheaper than scipy's
     # logsumexp on the hot simulation path.  A large beta can overflow the
     # product, and logits wider than the largest float overflow the shift
@@ -67,18 +79,36 @@ def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     # about once per 32 steps, so it adds 0.19 calls per step.
     with np.errstate(over="ignore"):
         logits = beta * u
-        peak = np.max(logits, axis=-1, keepdims=True)
+        rows = logits.reshape(-1, m)
+        peak = _column_max(rows)
         finite = np.isfinite(peak).all()
         if finite:
-            logits -= peak
+            for j in range(m):
+                rows[:, j] -= peak
     if not finite:
         # beta * u reached +-inf, and inf - inf is NaN: scale the shifted
         # utilities instead, which keeps every argmax entry at exactly 0
         with np.errstate(over="ignore", invalid="ignore"):
-            shifted = beta * (u - np.max(u, axis=-1, keepdims=True))
-            logits = np.where(np.isfinite(peak), logits - peak, shifted)
-    weights = np.exp(logits)
-    return weights / np.sum(weights, axis=-1, keepdims=True)
+            u_rows = u.reshape(-1, m)
+            shifted = beta * (u_rows - _column_max(u_rows)[:, None])
+            rows = np.where(np.isfinite(peak)[:, None], rows - peak[:, None], shifted)
+    # in place: a fresh (k, m) array costs more in page faults than exp
+    weights = np.exp(rows, out=rows)
+    total = peak  # the shift is done; its buffer takes the running sum
+    total[:] = weights[:, 0]
+    for j in range(1, m):
+        total += weights[:, j]
+    for j in range(m):
+        weights[:, j] /= total
+    return weights.reshape(u.shape)
+
+
+def _column_max(rows: np.ndarray) -> np.ndarray:
+    """Row maxima of ``(k, m)`` rows as a running maximum over the columns."""
+    peak = rows[:, 0].copy()
+    for j in range(1, rows.shape[1]):
+        np.maximum(peak, rows[:, j], out=peak)
+    return peak
 
 
 def sequential_loop(

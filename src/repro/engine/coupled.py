@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ..markov.coupling import CouplingResult
-from .sampling import sample_from_cumulative
+from .sampling import sample_inverse_cdf
 
 __all__ = ["maximal_coupling_update_many", "simulate_grand_coupling_ensemble"]
 
@@ -62,14 +62,14 @@ def maximal_coupling_update_many(
     ell = overlap.sum(axis=1)
     same = u < ell
     # prefix of the interval: both copies draw the same strategy from the overlap
-    s_same = sample_from_cumulative(np.cumsum(overlap, axis=1), u)
+    s_same = sample_inverse_cdf(overlap, u)
     # suffix: each copy draws from its own normalised excess mass
     rem = u - ell
-    s_x = sample_from_cumulative(np.cumsum(px - overlap, axis=1), rem)
-    s_y = sample_from_cumulative(np.cumsum(py - overlap, axis=1), rem)
+    s_x = sample_inverse_cdf(px - overlap, rem)
+    s_y = sample_inverse_cdf(py - overlap, rem)
     # identical-up-to-round-off rows have no residual mass to draw from
     degenerate = ~same & (1.0 - ell <= 0)
-    s_degenerate = sample_from_cumulative(np.cumsum(px, axis=1), u)
+    s_degenerate = sample_inverse_cdf(px, u)
 
     out_x = np.where(same, s_same, np.where(degenerate, s_degenerate, s_x))
     out_y = np.where(same, s_same, np.where(degenerate, s_degenerate, s_y))

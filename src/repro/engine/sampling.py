@@ -18,9 +18,7 @@ __all__ = ["sample_from_cumulative", "sample_inverse_cdf"]
 
 
 def sample_from_cumulative(
-    cumulative: np.ndarray,
-    uniforms: np.ndarray | float,
-    out: np.ndarray | None = None,
+    cumulative: np.ndarray, uniforms: np.ndarray | float
 ) -> np.ndarray | int:
     """Inverse-CDF sample(s) given precomputed cumulative sums.
 
@@ -32,44 +30,21 @@ def sample_from_cumulative(
     uniforms:
         A scalar for the 1-D case, a ``(k,)`` array matched row-by-row for
         the 2-D case.
-    out:
-        Optional ``(k,)`` int64 buffer for the 2-D case — steady-state
-        stepping loops pass a reused scratch array so sampling allocates
-        nothing.  Ignored (and rejected) for the 1-D case.
 
     Returns
     -------
     The chosen category per distribution: an int for the 1-D case, an
-    ``(k,)`` int64 array (``out`` if given) for the 2-D case.  Matches
+    ``(k,)`` int64 array for the 2-D case.  Matches
     ``np.searchsorted(cumulative, u, side="right")`` clamped to the last
     category, which tolerates cumulative sums that fall short of 1.0 by
     round-off.
     """
     cum = np.asarray(cumulative, dtype=float)
     if cum.ndim == 1:
-        if out is not None:
-            raise ValueError("out= is only supported for the 2-D batched case")
         s = int(np.searchsorted(cum, float(uniforms), side="right"))
         return min(s, cum.size - 1)
-    if cum.ndim != 2:
-        raise ValueError(f"cumulative must be 1-D or 2-D, got shape {cum.shape}")
-    u = np.asarray(uniforms, dtype=float)
-    if u.shape != (cum.shape[0],):
-        raise ValueError(
-            f"uniforms must have shape ({cum.shape[0]},), got {u.shape}"
-        )
-    # Per-row count of entries <= u — identical to searchsorted side="right".
-    if out is None:
-        s = np.sum(cum <= u[:, None], axis=1)
-        return np.minimum(s, cum.shape[1] - 1).astype(np.int64)
-    if out.shape != (cum.shape[0],) or out.dtype != np.int64:
-        raise ValueError(
-            f"out must be an int64 array of shape ({cum.shape[0]},), got "
-            f"{out.dtype} {out.shape}"
-        )
-    np.sum(cum <= u[:, None], axis=1, out=out)
-    np.minimum(out, cum.shape[1] - 1, out=out)
-    return out
+    u = _row_uniforms(cum, uniforms, "cumulative")
+    return _count_at_or_below((cum[:, j] for j in range(cum.shape[1] - 1)), u)
 
 
 def sample_inverse_cdf(
@@ -79,7 +54,52 @@ def sample_inverse_cdf(
 
     ``probabilities`` may be a single distribution (1-D, with a scalar
     uniform) or one distribution per row (2-D, with a ``(k,)`` array of
-    uniforms).  Thin wrapper over :func:`sample_from_cumulative`.
+    uniforms).  Rows are read as columns: a running column sum is
+    ``np.cumsum`` along the row, bit for bit, and the count stops before
+    the last column, which is the clamp.  A row whose sum falls short of 1
+    by round-off draws its last strategy, as ``np.searchsorted`` clamped:
+
+    >>> p = np.array([[0.2, 0.3, 0.5], [0.5, 0.25, 0.25], [0.3, 0.3, 0.3999]])
+    >>> u = np.array([0.6, 0.5, 0.99995])
+    >>> sample_inverse_cdf(p, u)
+    array([2, 1, 2])
+    >>> [min(int(np.searchsorted(np.cumsum(r), x, side="right")), 2) for r, x in zip(p, u)]
+    [2, 1, 2]
     """
     probs = np.asarray(probabilities, dtype=float)
-    return sample_from_cumulative(np.cumsum(probs, axis=-1), uniforms)
+    if probs.ndim == 1:
+        return sample_from_cumulative(np.cumsum(probs), uniforms)
+    u = _row_uniforms(probs, uniforms, "probabilities")
+    return _count_at_or_below(_running_sums(probs), u)
+
+
+def _row_uniforms(rows: np.ndarray, uniforms, name: str) -> np.ndarray:
+    """``uniforms`` as a float ``(k,)`` array matched to the ``(k, m)`` rows."""
+    if rows.ndim != 2:
+        raise ValueError(f"{name} must be 1-D or 2-D, got shape {rows.shape}")
+    u = np.asarray(uniforms, dtype=float)
+    if u.shape != (rows.shape[0],):
+        raise ValueError(f"uniforms must have shape ({rows.shape[0]},), got {u.shape}")
+    return u
+
+
+def _running_sums(probs: np.ndarray):
+    """Running sums of the first ``m - 1`` columns of ``(k, m)`` rows."""
+    if probs.shape[1] > 1:
+        run = probs[:, 0]
+        yield run
+        for j in range(1, probs.shape[1] - 1):
+            run = run + probs[:, j]
+            yield run
+
+
+def _count_at_or_below(columns, u: np.ndarray) -> np.ndarray:
+    """Per-row count of the columns' entries ``<= u``, one column at a time.
+
+    Over the first ``m - 1`` columns of non-decreasing rows this is the
+    right-side ``searchsorted`` clamped to ``m - 1``.
+    """
+    count = np.zeros(u.shape, dtype=np.int64)
+    for column in columns:
+        count += column <= u
+    return count

@@ -459,9 +459,12 @@ class LocalInteractionGame(PotentialGame):
         everywhere).  Summation order per row matches the CSR order of
         :meth:`utility_deviations_profiles` (padding contributes exact
         zeros at the tail), so both paths produce identical floats: the sum
-        over the slots is a running sum, sequential in slot order for every
-        ``k`` (a plain reduction over one row's slots would switch to
-        numpy's pairwise summation at ``k = 1``).
+        over the slots is sequential in slot order for every ``k``.  For
+        ``k >= 2`` it is one reduction over the slot axis of the slot-major
+        ``(D, k)`` block, which numpy adds a whole slot row at a time, in
+        order; a single mover's block is one contiguous row, which numpy
+        would sum pairwise once ``D >= 8``, so ``k = 1`` takes the running
+        sum instead.
 
         ``rows`` (``(k,)`` row indices) lets each mover read another row:
         row ``j`` is then evaluated at ``profiles[rows[j]]``, and
@@ -519,8 +522,13 @@ class LocalInteractionGame(PotentialGame):
             np.add(s.base, strategy * m, out=s.flat)
             np.take(self._edge_payoffs_flat, s.flat, out=s.pick)
             np.multiply(s.pick, s.mask, out=s.pick)
-            np.add.accumulate(s.pick, axis=0, out=s.running)
-            s.util[:, strategy] = s.running[-1]
+            if k > 1:
+                np.add.reduce(s.pick, axis=0, out=s.util[:, strategy])
+            else:
+                # one mover's slots are one contiguous row: numpy would
+                # reduce it pairwise, so take the running sum
+                np.add.accumulate(s.pick, axis=0, out=s.running)
+                s.util[:, strategy] = s.running[-1]
         np.take(self._field, p, axis=0, out=s.field)
         np.add(s.util, s.field, out=s.util)
         # the returned buffer is reused by the next call — callers that keep

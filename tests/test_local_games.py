@@ -97,18 +97,29 @@ class TestUtilityPaths:
                 )
 
     def test_rowwise_matches_per_player_rows(self, game, rng):
-        k = 17
-        idx = rng.integers(0, game.space.size, size=k)
-        players = rng.integers(0, game.num_players, size=k)
-        profiles = game.space.decode_many(idx)
-        rowwise = game.utility_deviations_rowwise(players, profiles)
-        for j in range(k):
-            np.testing.assert_array_equal(
-                rowwise[j],
-                game.utility_deviations_profiles(
-                    int(players[j]), profiles[j : j + 1]
-                )[0],
-            )
+        # the 3-regular +-1 game cannot show summation order; the hub's 11
+        # random edge payoffs can, past numpy's pairwise threshold (8 slots)
+        hub = LocalInteractionGame(
+            nx.star_graph(11),
+            {edge: rng.normal(size=(2, 2)) for edge in nx.star_graph(11).edges()},
+            external_field=rng.normal(size=(12, 2)),
+        )
+        for g in (game, hub):
+            for k in (1, 2, 17):
+                for _ in range(5):
+                    profiles = g.space.decode_many(
+                        rng.integers(0, g.space.size, size=k)
+                    )
+                    players = rng.integers(0, g.num_players, size=k)
+                    players[0] = 0  # the hub moves in every batch
+                    rowwise = g.utility_deviations_rowwise(players, profiles)
+                    for j in range(k):
+                        np.testing.assert_array_equal(
+                            rowwise[j],
+                            g.utility_deviations_profiles(
+                                int(players[j]), profiles[j : j + 1]
+                            )[0],
+                        )
 
     def test_rowwise_reuses_scratch_allocation_free(self, game, rng):
         # perf regression guard: the padded-gather scratch is hoisted into

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import LogitDynamics, gibbs_measure, logit_update_distribution
+from repro.engine import sample_from_cumulative, sample_inverse_cdf
 from repro.games import ExplicitPotentialGame, random_game
 from repro.games.potential import zeta_barrier, zeta_barrier_bruteforce
 from repro.games.space import ProfileSpace
@@ -40,6 +41,54 @@ extreme_utilities = arrays(
         st.sampled_from([-1e300, -2.0, 0.0, 1.0, 1e300]),
     ),
 )
+
+
+#: the column passes' shapes: every strategy count up to and past numpy's
+#: pairwise-summation threshold (8), one row, a few rows and many rows
+column_pass_ms = range(1, 10)
+column_pass_ks = (1, 2, 3, 64)
+
+
+def row_reduction_softmax(utilities: np.ndarray, beta: float) -> np.ndarray:
+    """The softmax as numpy row reductions along the last axis (the oracle)."""
+    u = np.asarray(utilities, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = beta * u
+        peak = np.max(logits, axis=-1, keepdims=True)
+        shifted = beta * (u - np.max(u, axis=-1, keepdims=True))
+        logits = np.where(np.isfinite(peak), logits - peak, shifted)
+    weights = np.exp(logits)
+    return weights / np.sum(weights, axis=-1, keepdims=True)
+
+
+def row_reduction_count(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Right-side ``searchsorted`` per row, clamped to the last column (the oracle)."""
+    count = np.sum(cumulative <= uniforms[:, None], axis=1)
+    return np.minimum(count, cumulative.shape[1] - 1)
+
+
+def column_pass_utilities(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
+    """Non-dyadic ``(k, m)`` utilities with entries at +-1e308 and ties."""
+    u = rng.normal(scale=3.0, size=(k, m))
+    extreme = rng.random((k, m)) < 0.2
+    u[extreme] = rng.choice([-1e308, 1e308], size=int(extreme.sum()))
+    u[rng.random(k) < 0.2] = 0.5  # whole rows of ties
+    return u
+
+
+def column_pass_rows(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
+    """``(k, m)`` probability rows, some short of 1 and some with zeros."""
+    probs = rng.dirichlet(np.ones(m), size=k)
+    probs[rng.random((k, m)) < 0.2] = 0.0
+    return probs * rng.choice([1.0, 1.0 - 1e-12], size=(k, 1))
+
+
+def column_pass_uniforms(rng: np.random.Generator, k: int) -> np.ndarray:
+    """``(k,)`` uniforms, with the ends of ``[0, 1)`` among them."""
+    u = rng.random(k)
+    u[rng.random(k) < 0.2] = 0.0
+    u[rng.random(k) < 0.2] = np.nextafter(1.0, 0.0)
+    return u
 
 
 def potentials(num_profiles: int):
@@ -158,6 +207,56 @@ class TestGibbsProperties:
             expected = weights / np.sum(weights, axis=-1, keepdims=True)
             probs = logit_update_distribution(utilities, beta)
         np.testing.assert_array_equal(probs, expected)
+
+    @pytest.mark.parametrize("k", column_pass_ks)
+    @pytest.mark.parametrize("m", column_pass_ms)
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 1e6, 1e308])
+    def test_softmax_column_passes_match_row_reductions(self, m, k, beta):
+        rng = np.random.default_rng([m, k])
+        u = column_pass_utilities(rng, k, m)
+        probs = logit_update_distribution(u, beta)
+        expected = row_reduction_softmax(u, beta)
+        if m < 8:
+            # the running column sum is numpy's sequential short-row sum
+            np.testing.assert_array_equal(probs, expected)
+        else:
+            # numpy sums rows of 8 or more pairwise
+            np.testing.assert_allclose(probs, expected, rtol=1e-15, atol=0)
+        # a 1-D row is one (1, m) row: the scalar loops' floats, at every m
+        for row, got in zip(u, probs):
+            np.testing.assert_array_equal(logit_update_distribution(row, beta), got)
+
+    @pytest.mark.parametrize("k", column_pass_ks)
+    @pytest.mark.parametrize("m", column_pass_ms)
+    def test_inverse_cdf_column_count_matches_searchsorted(self, m, k):
+        rng = np.random.default_rng([m, k])
+        probs = column_pass_rows(rng, k, m)
+        uniforms = column_pass_uniforms(rng, k)
+        cum = np.cumsum(probs, axis=-1)
+        expected = row_reduction_count(cum, uniforms)
+        chosen = sample_inverse_cdf(probs, uniforms)
+        assert chosen.dtype == np.int64
+        np.testing.assert_array_equal(chosen, expected)
+        np.testing.assert_array_equal(sample_from_cumulative(cum, uniforms), expected)
+        # the 1-D path (searchsorted) agrees row by row
+        for row, x, got in zip(probs, uniforms, chosen):
+            assert sample_inverse_cdf(row, float(x)) == got
+
+    @pytest.mark.parametrize("k", column_pass_ks)
+    @pytest.mark.parametrize("m", column_pass_ms)
+    def test_inverse_cdf_count_on_gather_rows_with_inf_padding(self, m, k):
+        # gather tables: a row's own last column and its padding are +inf,
+        # so the count stops at the row's own last strategy
+        rng = np.random.default_rng([m, k, 1])
+        own = rng.integers(1, m + 1, size=k)
+        cum = np.cumsum(column_pass_rows(rng, k, m), axis=-1)
+        cum[np.arange(m) >= own[:, None] - 1] = np.inf
+        uniforms = column_pass_uniforms(rng, k)
+        chosen = sample_from_cumulative(cum, uniforms)
+        np.testing.assert_array_equal(chosen, row_reduction_count(cum, uniforms))
+        assert (chosen < own).all()
+        for row, x, got in zip(cum, uniforms, chosen):
+            assert np.searchsorted(row, x, side="right") == got
 
     @given(num_profiles=st.integers(min_value=2, max_value=16), data=st.data())
     @settings(max_examples=30, deadline=None)
