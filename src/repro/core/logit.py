@@ -30,7 +30,7 @@ import numpy as np
 from ..engine.coupled import simulate_grand_coupling_ensemble
 from ..engine.ensemble import EnsembleSimulator
 from ..engine.kernels import SequentialKernel, UpdateKernel
-from ..engine.sampling import sample_inverse_cdf
+from ..engine.sampling import columns_pay, sample_inverse_cdf
 from ..engine.state import check_count
 from ..games.base import Game
 from ..games.potential import PotentialGame
@@ -56,11 +56,12 @@ def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     ``beta * u`` overflows: they tend to the uniform law over the argmax.
     Neither the product nor the max shift warns when it overflows.
 
-    Every reduction along the strategy axis is a pass over the ``m``
-    columns (numpy reduces a short row per call, which costs ~50x more
-    than a column pass on ``(k, 2)`` rows).  The running column sum is
-    numpy's own row sum for ``m < 8``; a 1-D row is one ``(1, m)`` row, so
-    the scalar loops and the engine share one summation order at every
+    Tall batches (:func:`~repro.engine.sampling.columns_pay`) with ``m <
+    8`` reduce along the strategy axis as passes over the ``m`` columns,
+    other rows as numpy row reductions (numpy reduces a short row per
+    call, which costs ~50x more than a column pass on ``(k, 2)`` rows).
+    Both give the same floats: the running column sum is numpy's own row
+    sum for ``m < 8``, so a 1-D row and a row of any batch agree at every
     ``m``.
 
     >>> logit_update_distribution(np.array([[0.0, 2.0, 2.0], [1.0, 1.0, 0.0]]), 1e308)
@@ -80,35 +81,53 @@ def logit_update_distribution(utilities: np.ndarray, beta: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         logits = beta * u
         rows = logits.reshape(-1, m)
-        peak = _column_max(rows)
+        # numpy sums a row of 8 or more pairwise, a column pass in sequence
+        columns = m < 8 and columns_pay(*rows.shape)
+        peak = _row_max(rows, columns)
         finite = np.isfinite(peak).all()
         if finite:
-            for j in range(m):
-                rows[:, j] -= peak
+            _per_row(np.subtract, rows, peak, columns)
     if not finite:
         # beta * u reached +-inf, and inf - inf is NaN: scale the shifted
         # utilities instead, which keeps every argmax entry at exactly 0
         with np.errstate(over="ignore", invalid="ignore"):
             u_rows = u.reshape(-1, m)
-            shifted = beta * (u_rows - _column_max(u_rows)[:, None])
+            shifted = beta * (u_rows - np.max(u_rows, axis=1, keepdims=True))
             rows = np.where(np.isfinite(peak)[:, None], rows - peak[:, None], shifted)
     # in place: a fresh (k, m) array costs more in page faults than exp
     weights = np.exp(rows, out=rows)
-    total = peak  # the shift is done; its buffer takes the running sum
-    total[:] = weights[:, 0]
-    for j in range(1, m):
-        total += weights[:, j]
-    for j in range(m):
-        weights[:, j] /= total
+    # the shift is done; the peak's buffer takes the row totals
+    _per_row(np.divide, weights, _row_sum(weights, columns, out=peak), columns)
     return weights.reshape(u.shape)
 
 
-def _column_max(rows: np.ndarray) -> np.ndarray:
-    """Row maxima of ``(k, m)`` rows as a running maximum over the columns."""
+def _row_max(rows: np.ndarray, columns: bool) -> np.ndarray:
+    """Maxima of ``(k, m)`` rows: a running maximum over the columns, or per row."""
+    if not columns:
+        return np.maximum.reduce(rows, axis=1)
     peak = rows[:, 0].copy()
     for j in range(1, rows.shape[1]):
         np.maximum(peak, rows[:, j], out=peak)
     return peak
+
+
+def _row_sum(rows: np.ndarray, columns: bool, out: np.ndarray) -> np.ndarray:
+    """Sums of ``(k, m)`` rows into ``out``: a running column sum, or per row."""
+    if not columns:
+        return np.add.reduce(rows, axis=1, out=out)
+    out[:] = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        out += rows[:, j]
+    return out
+
+
+def _per_row(ufunc: np.ufunc, rows: np.ndarray, values: np.ndarray, columns: bool) -> None:
+    """``rows[j] = ufunc(rows[j], values[j])`` in place, column by column or at once."""
+    if not columns:
+        ufunc(rows, values[:, None], out=rows)
+        return
+    for j in range(rows.shape[1]):
+        ufunc(rows[:, j], values, out=rows[:, j])
 
 
 def sequential_loop(

@@ -143,7 +143,7 @@ class _RowwiseScratch:
         D, m = self.D, self.m
         if k > self.capacity:
             self._ints = np.empty((4, D * k), dtype=np.int64)
-            self._floats = np.empty((3, D * k), dtype=float)
+            self._floats = np.empty((2, D * k), dtype=float)
             self._rows = np.empty((2, k * m), dtype=float)
             #: row start of each profile row in a flattened (k, n) matrix
             self._identity = np.arange(k, dtype=np.int64) * self.n
@@ -153,7 +153,7 @@ class _RowwiseScratch:
         self.nbr, self.eid, self.base, self.flat = (
             buf[: D * k].reshape(D, k) for buf in self._ints
         )
-        self.mask, self.pick, self.running = (
+        self.mask, self.pick = (
             buf[: D * k].reshape(D, k) for buf in self._floats
         )
         self.util, self.field = (buf[: k * m].reshape(k, m) for buf in self._rows)
@@ -526,9 +526,9 @@ class LocalInteractionGame(PotentialGame):
                 np.add.reduce(s.pick, axis=0, out=s.util[:, strategy])
             else:
                 # one mover's slots are one contiguous row: numpy would
-                # reduce it pairwise, so take the running sum
-                np.add.accumulate(s.pick, axis=0, out=s.running)
-                s.util[:, strategy] = s.running[-1]
+                # reduce it pairwise, so take the running sum (in place)
+                np.add.accumulate(s.pick, axis=0, out=s.pick)
+                s.util[:, strategy] = s.pick[-1]
         np.take(self._field, p, axis=0, out=s.field)
         np.add(s.util, s.field, out=s.util)
         # the returned buffer is reused by the next call — callers that keep

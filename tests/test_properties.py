@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core import LogitDynamics, gibbs_measure, logit_update_distribution
 from repro.engine import sample_from_cumulative, sample_inverse_cdf
+from repro.engine.sampling import columns_pay
 from repro.games import ExplicitPotentialGame, random_game
 from repro.games.potential import zeta_barrier, zeta_barrier_bruteforce
 from repro.games.space import ProfileSpace
@@ -44,9 +45,10 @@ extreme_utilities = arrays(
 
 
 #: the column passes' shapes: every strategy count up to and past numpy's
-#: pairwise-summation threshold (8), one row, a few rows and many rows
+#: pairwise-summation threshold (8), one row, a few rows and many rows;
+#: 700 rows take the column passes at every m here, the others do not
 column_pass_ms = range(1, 10)
-column_pass_ks = (1, 2, 3, 64)
+column_pass_ks = (1, 2, 3, 64, 700)
 
 
 def row_reduction_softmax(utilities: np.ndarray, beta: float) -> np.ndarray:
@@ -215,16 +217,18 @@ class TestGibbsProperties:
         rng = np.random.default_rng([m, k])
         u = column_pass_utilities(rng, k, m)
         probs = logit_update_distribution(u, beta)
-        expected = row_reduction_softmax(u, beta)
-        if m < 8:
-            # the running column sum is numpy's sequential short-row sum
-            np.testing.assert_array_equal(probs, expected)
-        else:
-            # numpy sums rows of 8 or more pairwise
-            np.testing.assert_allclose(probs, expected, rtol=1e-15, atol=0)
-        # a 1-D row is one (1, m) row: the scalar loops' floats, at every m
+        # the running column sum is numpy's sequential short-row sum (m < 8);
+        # rows of 8 or more, which numpy sums pairwise, stay row reductions
+        np.testing.assert_array_equal(probs, row_reduction_softmax(u, beta))
+        # a 1-D row and a row of any batch agree: the scalar loops' floats
         for row, got in zip(u, probs):
             np.testing.assert_array_equal(logit_update_distribution(row, beta), got)
+
+    @pytest.mark.parametrize("m", column_pass_ms)
+    def test_column_pass_shapes_reach_both_paths(self, m):
+        # the shapes above exercise the column passes and the row reductions
+        taken = {columns_pay(k, m) for k in column_pass_ks}
+        assert taken == {True, False}
 
     @pytest.mark.parametrize("k", column_pass_ks)
     @pytest.mark.parametrize("m", column_pass_ms)
