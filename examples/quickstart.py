@@ -91,9 +91,9 @@ def main() -> None:
     # -- the same chain through the batched ensemble engine -----------------
     rng = np.random.default_rng(0)
     rows = []
-    for beta in BETAS:
+    for seed, beta in enumerate(BETAS):
         estimate = estimate_mixing_time_ensemble(
-            game, beta, num_replicas=4096, check_every=NUM_PLAYERS, rng=rng
+            game, beta, num_replicas=4096, check_every=NUM_PLAYERS, seed=seed
         )
         coupling = LogitDynamics(game, beta).grand_coupling(
             start_x=(0,) * NUM_PLAYERS,

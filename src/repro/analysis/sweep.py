@@ -23,16 +23,13 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..core.mixing import estimate_tv_convergence
+from ..engine.streams import as_seed_sequence
 from ..games.base import Game
 from ..obs import as_tracer
 from ..parallel.sharding import ShardedExecutor, claim_executor
 from ..parallel.store import ExperimentStore, as_store, describe
 from ..stats.confseq import NormalMixtureCS
-from ..stats.knobs import (
-    reject_seed_rng_conflict,
-    require_executor_seed,
-    require_store_seed,
-)
+from ..stats.knobs import require_executor_seed, require_store_seed
 from ..stats.quantile import QuantileCS
 
 __all__ = [
@@ -175,8 +172,8 @@ def _cell_lifecycle(
     require_store_seed(store, seed)
     require_executor_seed(executor, seed)
     executor, owned_executor = claim_executor(executor)
-    if seed is not None and not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
+    if seed is not None:
+        seed = as_seed_sequence(seed)
     kind, head = ("sweep", {"sweep": sweep}) if sweep is not None else ("matrix", {})
     life = _CellLifecycle(sweep, tracer, store, executor, seed)
     try:
@@ -264,7 +261,6 @@ def dynamics_family_sweep(
     start: Sequence[int] | int | None = None,
     escape_states: Sequence[int] | np.ndarray | None = None,
     max_escape_steps: int = 10**5,
-    rng: np.random.Generator | None = None,
     welfare_alpha: float = 0.05,
     seed: int | np.random.SeedSequence | None = None,
     executor=None,
@@ -307,13 +303,15 @@ def dynamics_family_sweep(
     estimator and the engine's first-passage machinery, so running out of
     schedule is likewise reported as ``capped``, not raised.
 
-    ``seed`` makes the sweep reproducible — every family gets its own
-    spawned master-seed children (one for the TV measurement, one for the
-    escape ensemble; mutually exclusive with ``rng``).  ``executor`` runs
-    each family's TV measurement on the sharded multi-process driver
+    ``seed`` (an int, a ``SeedSequence``, or ``None`` for fresh entropy)
+    is the sweep's one randomness knob and makes it reproducible — every
+    family gets its own spawned master-seed children (one for the TV
+    measurement, one for the escape ensemble).  ``executor`` runs each
+    family's TV measurement on the sharded multi-process driver
     (sequential families only — the per-replica-stream contract; see
-    :func:`~repro.core.mixing.estimate_tv_convergence`).  ``store`` caches
-    each family's cell under a content address of (game, family *name*,
+    :func:`~repro.core.mixing.estimate_tv_convergence`; it draws
+    different samples from one seed than the serial driver).  ``store``
+    caches each family's cell under a content address of (game, family *name*,
     parameters, seed): the name — the mapping key — identifies the
     factory in the spec, so renaming a family recomputes it while
     reordering families does not, and two families with one name are
@@ -346,8 +344,6 @@ def dynamics_family_sweep(
             "escape_states to say which well the escapes are measured from"
         )
     entries = _family_entries(dynamics_factories)
-    reject_seed_rng_conflict(seed, rng)
-    rng = np.random.default_rng() if rng is None and seed is None else rng
     with _cell_lifecycle(
         "dynamics_family_sweep", len(entries), seed, executor, store, tracer
     ) as life:
@@ -412,13 +408,8 @@ def dynamics_family_sweep(
                     start=start,
                     max_time=max_time,
                     check_every=check_every,
-                    rng=(
-                        np.random.default_rng(tv_seed)
-                        if tv_seed is not None and not sharded
-                        else rng
-                    ),
                     executor=life.executor,
-                    seed=tv_seed if sharded else None,
+                    seed=tv_seed,
                     tracer=life.tracer,
                 )
                 # utilitarian welfare of the settled ensemble: one batched
@@ -445,11 +436,7 @@ def dynamics_family_sweep(
                 }
                 if escape_states is not None:
                     well = np.unique(np.asarray(escape_states, dtype=np.int64))
-                    escape_rng = (
-                        np.random.default_rng(escape_seed)
-                        if escape_seed is not None
-                        else rng
-                    )
+                    escape_rng = np.random.default_rng(escape_seed)
                     sim = dynamics.ensemble(
                         num_replicas,
                         start_indices=escape_rng.choice(well, size=num_replicas),

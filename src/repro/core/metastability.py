@@ -32,6 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from ..engine.kernels import require_sequential_dynamics
+from ..engine.state import check_count
+from ..engine.streams import as_seed_sequence
 from ..games.base import Game
 from ..games.potential import PotentialGame
 from ..markov.chain import MarkovChain
@@ -238,7 +240,6 @@ def empirical_escape_times(
     num_replicas: int | None = None,
     max_steps: int = 10**6,
     start_distribution: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
     dynamics=None,
     start_profiles: np.ndarray | None = None,
     precision: float | None = None,
@@ -289,11 +290,17 @@ def empirical_escape_times(
     :class:`~repro.stats.accumulators.StreamingEstimate` carrying the
     interval; with ``precision=None`` (default) the legacy fixed-replica
     sample array is returned, bit-for-bit unchanged.  Adaptive mode sizes
-    and seeds the run itself: it is seeded by ``seed`` (not ``rng``) and
-    budgeted by ``max_replicas`` (not ``num_replicas``) — passing either
-    fixed-mode knob together with ``precision`` is an error, not a silent
-    ignore.  It needs sequential dynamics, and for a predicate well
-    accepts only a single shared ``(n,)`` start profile.
+    the run itself: it is budgeted by ``max_replicas`` (not
+    ``num_replicas``) — passing ``num_replicas`` together with
+    ``precision`` is an error, not a silent ignore.  It needs sequential
+    dynamics, and for a predicate well accepts only a single shared
+    ``(n,)`` start profile.
+
+    ``seed`` (an int, a ``SeedSequence``, or ``None`` for fresh entropy)
+    is the one randomness knob of both modes: the fixed-replica path
+    draws its starts and the whole ensemble from
+    ``numpy.random.default_rng(seed)``, and adaptive mode spawns one
+    ``SeedSequence`` child per replica from it.
 
     ``executor`` (adaptive mode only) shards each replica chunk across
     processes via :class:`repro.parallel.ShardedExecutor` — pooled samples
@@ -310,17 +317,21 @@ def empirical_escape_times(
     adaptive mode exactly like ``precision=`` does.
     """
     adaptive = precision is not None or q is not None
+    max_steps = check_count(max_steps, "max_steps", minimum=0)
     reject_quantile_knob_conflicts(q, precision_quantile, (0.0, float(max_steps)))
     if adaptive:
-        reject_fixed_mode_knobs(num_replicas, rng)
+        reject_fixed_mode_knobs(num_replicas)
     else:
         reject_executor_without_precision(precision, executor)
-    num_replicas = 128 if num_replicas is None else int(num_replicas)
-    rng = np.random.default_rng() if rng is None else rng
+    num_replicas = (
+        128 if num_replicas is None else check_count(num_replicas, "num_replicas")
+    )
     if dynamics is None:
         dynamics = LogitDynamics(game, beta)
     if adaptive:
         require_sequential_dynamics(dynamics)
+    else:
+        rng = np.random.default_rng(as_seed_sequence(seed))
     if callable(states):
         if start_distribution is not None:
             raise ValueError(
@@ -344,7 +355,7 @@ def empirical_escape_times(
                 )
             return _adaptive_truncated_times(
                 TruncatedPredicateEscapeSampler(
-                    dynamics, profile, states, int(max_steps)
+                    dynamics, profile, states, max_steps
                 ),
                 precision, alpha, max_steps,
                 chunk_size, max_replicas, seed, keep_samples, executor,
@@ -374,7 +385,7 @@ def empirical_escape_times(
         weights = weights / total
     if adaptive:
         return _adaptive_truncated_times(
-            TruncatedGibbsEscapeSampler(dynamics, idx, weights, int(max_steps)),
+            TruncatedGibbsEscapeSampler(dynamics, idx, weights, max_steps),
             precision, alpha, max_steps,
             chunk_size, max_replicas, seed, keep_samples, executor,
             q, precision_quantile, tracer,
@@ -391,7 +402,6 @@ def empirical_hitting_times(
     targets,
     num_replicas: int | None = None,
     max_steps: int = 10**6,
-    rng: np.random.Generator | None = None,
     dynamics=None,
     precision: float | None = None,
     alpha: float = 0.05,
@@ -423,14 +433,22 @@ def empirical_hitting_times(
     ``precision`` switches to adaptive mode (see
     :func:`empirical_escape_times` — same chunked ``SeedSequence.spawn``
     discipline, same truncated-mean estimand ``E[min(tau, max_steps)]``,
-    same stopping rule, same rejection of the fixed-mode ``num_replicas`` /
-    ``rng`` knobs): the return type becomes a
+    same stopping rule, same rejection of the fixed-mode ``num_replicas``
+    knob): the return type becomes a
     :class:`~repro.stats.accumulators.StreamingEstimate` whose interval is
     at most ``precision * max_steps`` wide when ``stopped_early`` is true.
     With ``precision=None`` the legacy fixed-replica sample array is
     returned unchanged.  ``executor`` shards the adaptive chunks across
-    processes without changing any sample (see
-    :func:`empirical_escape_times`).
+    processes without changing any sample, and ``seed`` seeds either mode
+    (both see :func:`empirical_escape_times`): in fixed mode one seed
+    gives one array.
+
+    >>> from repro import IsingGame, ring_graph
+    >>> game = IsingGame(ring_graph(6), coupling=1.0)
+    >>> a = empirical_hitting_times(game, 1.0, 0, 63, num_replicas=8, seed=3)
+    >>> b = empirical_hitting_times(game, 1.0, 0, 63, num_replicas=8, seed=3)
+    >>> bool((a == b).all())
+    True
 
     ``q`` / ``precision_quantile`` certify (and optionally stop on) a
     quantile of the truncated hitting time — e.g. ``q=0.99,
@@ -439,12 +457,15 @@ def empirical_hitting_times(
     (see :func:`empirical_escape_times`).
     """
     adaptive = precision is not None or q is not None
+    max_steps = check_count(max_steps, "max_steps", minimum=0)
     reject_quantile_knob_conflicts(q, precision_quantile, (0.0, float(max_steps)))
     if adaptive:
-        reject_fixed_mode_knobs(num_replicas, rng)
+        reject_fixed_mode_knobs(num_replicas)
     else:
         reject_executor_without_precision(precision, executor)
-    num_replicas = 128 if num_replicas is None else int(num_replicas)
+    num_replicas = (
+        128 if num_replicas is None else check_count(num_replicas, "num_replicas")
+    )
     if dynamics is None:
         dynamics = LogitDynamics(game, beta)
     if isinstance(start, (int, np.integer)):
@@ -461,12 +482,17 @@ def empirical_hitting_times(
             )
 
         return _adaptive_truncated_times(
-            TruncatedHittingSampler(dynamics, start_state, targets, int(max_steps)),
+            TruncatedHittingSampler(dynamics, start_state, targets, max_steps),
             precision, alpha, max_steps,
             chunk_size, max_replicas, seed, keep_samples, executor,
             q, precision_quantile, tracer,
         )
-    sim = dynamics.ensemble(num_replicas, start=start_state, rng=rng, tracer=tracer)
+    sim = dynamics.ensemble(
+        num_replicas,
+        start=start_state,
+        rng=np.random.default_rng(as_seed_sequence(seed)),
+        tracer=tracer,
+    )
     return sim.hitting_times(targets, max_steps=max_steps)
 
 

@@ -28,7 +28,7 @@ from ..obs import as_tracer
 from ..engine.ensemble import EnsembleSimulator
 from ..engine.kernels import require_sequential_dynamics
 from ..engine.state import IndexState, check_count
-from ..engine.streams import spawn_words
+from ..engine.streams import as_seed_sequence, spawn_words
 from ..games.base import Game
 from ..games.potential import PotentialGame
 from ..markov.coupling import coalescence_time_bound
@@ -37,10 +37,6 @@ from ..markov.spectral import SpectralSummary, relaxation_mixing_bounds, spectra
 from ..markov.tv import total_variation
 from ..parallel.sharding import claim_executor, shard_plan
 from ..stats.confseq import checkpoint_alpha, tv_distance_band
-from ..stats.knobs import (
-    reject_rng_with_sharded_driver,
-    reject_seed_without_sharded_driver,
-)
 from .logit import LogitDynamics
 
 __all__ = [
@@ -261,10 +257,10 @@ def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, tracer):
     (:func:`~repro.engine.streams.spawn_words`, run in the worker), so the
     pooled indices — hence the TV curve, the band and the estimate — are
     bit-for-bit identical for **any** shard count and executor.  Note the
-    randomness contract differs from the ``rng``-driven serial path
-    (per-replica streams vs one shared stream, and a fresh draw block
-    after every checkpoint): results are reproducible against the same
-    ``seed`` and checkpoint schedule, not against ``executor=None`` runs.
+    randomness contract differs from the serial path (per-replica streams
+    vs one shared stream, and a fresh draw block after every checkpoint):
+    results are reproducible against the same ``seed`` and checkpoint
+    schedule, not against ``executor=None`` runs.
 
     ``indices`` — the t = 0 occupation — is the start itself, validated
     and encoded here, so a bad start raises before any dispatch and a run
@@ -279,11 +275,7 @@ def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, tracer):
     require_sequential_dynamics(dynamics)
     state = IndexState(dynamics.game.space)
     state.init(num_replicas, start, None)
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
+    root = as_seed_sequence(seed)
     plan = shard_plan(num_replicas, executor.num_shards)
     streams = [(root, root.n_children_spawned + off, cnt) for off, cnt in plan]
     per_replica = np.ndim(start) == 2
@@ -337,7 +329,6 @@ def estimate_tv_convergence(
     start: Sequence[int] | int | None = None,
     max_time: int = 10**5,
     check_every: int | None = None,
-    rng: np.random.Generator | None = None,
     alpha: float | None = None,
     executor=None,
     seed: int | np.random.SeedSequence | None = None,
@@ -381,19 +372,21 @@ def estimate_tv_convergence(
     out of horizon is reported as such, not as a convergence time at the
     last checkpoint.
 
-    ``executor`` (``"serial"``, ``"process"``, or a
-    :class:`repro.parallel.ShardedExecutor`) switches to the *sharded*
-    driver: the ensemble splits into contiguous replica shards, each
-    advanced in its own process between checkpoints, with one independent
-    ``SeedSequence`` child per replica spawned from ``seed``.  Pooled
-    checkpoint histograms — and therefore the whole estimate — are
-    bit-for-bit identical for every shard count (an ``(R, n)`` start hands
-    each shard its own rows), so the shard count is purely a wall-clock
-    knob.  Sharded mode requires a dynamics whose
+    ``seed`` (an int, a ``SeedSequence``, or ``None`` for fresh entropy)
+    is the one randomness knob.  The serial path draws the whole ensemble
+    from ``numpy.random.default_rng(seed)``.  ``executor`` (``"serial"``,
+    ``"process"``, or a :class:`repro.parallel.ShardedExecutor`) switches
+    to the *sharded* driver: the ensemble splits into contiguous replica
+    shards, each advanced in its own process between checkpoints, with
+    one independent ``SeedSequence`` child per replica spawned from
+    ``seed``.  Pooled checkpoint histograms — and therefore the whole
+    estimate — are bit-for-bit identical for every shard count (an
+    ``(R, n)`` start hands each shard its own rows), so the shard count
+    is purely a wall-clock knob.  Sharded mode requires a dynamics whose
     kernel has a seeded per-replica-stream variant (sequential, parallel
-    or probabilistic schedules) and is seeded by ``seed``, not ``rng``;
-    its randomness contract differs from the ``rng``-driven serial path,
-    so compare sharded runs against sharded runs.
+    or probabilistic schedules).  The serial and sharded drivers draw
+    different samples from one seed, so compare sharded runs against
+    sharded runs.
 
     ``tracer`` (:mod:`repro.obs`) records ``mixing.checkpoint`` events
     (TV, and the band when ``alpha`` is set), ``engine.replica_steps``
@@ -424,11 +417,10 @@ def estimate_tv_convergence(
     sharder, owned = claim_executor(executor)
     try:
         if sharder is None:
-            reject_seed_without_sharded_driver(seed)
             sim = dynamics.ensemble(
                 num_replicas,
                 start=start,
-                rng=rng,
+                rng=np.random.default_rng(as_seed_sequence(seed)),
                 tracer=tracer,
             )
             budget = sim.kernel.remaining_steps(sim)
@@ -441,7 +433,6 @@ def estimate_tv_convergence(
                 return sim.indices
 
         else:
-            reject_rng_with_sharded_driver(rng)
             indices, advance = _sharded_tv_stepper(
                 dynamics, num_replicas, start, seed, sharder, tracer
             )
@@ -499,7 +490,6 @@ def estimate_mixing_time_ensemble(
     start: Sequence[int] | int | None = None,
     max_time: int = 10**5,
     check_every: int | None = None,
-    rng: np.random.Generator | None = None,
     alpha: float | None = None,
     executor=None,
     seed: int | np.random.SeedSequence | None = None,
@@ -531,10 +521,10 @@ def estimate_mixing_time_ensemble(
 
     A run that never crosses ``epsilon`` within ``max_time`` reports
     ``converged False`` and the ``-1`` sentinel, never the last checkpoint
-    as if it were a measurement; ``alpha`` additionally requests the
-    anytime-valid TV sampling band and certified stopping, and
-    ``executor`` + ``seed`` the sharded multi-process driver with
-    shard-count-invariant results (both see
+    as if it were a measurement; ``seed`` seeds the run, ``alpha``
+    additionally requests the anytime-valid TV sampling band and
+    certified stopping, and ``executor`` the sharded multi-process driver
+    with shard-count-invariant results (all three see
     :func:`estimate_tv_convergence`).
     """
     dynamics = LogitDynamics(game, beta)
@@ -551,7 +541,6 @@ def estimate_mixing_time_ensemble(
         start=start,
         max_time=max_time,
         check_every=check_every,
-        rng=rng,
         alpha=alpha,
         executor=executor,
         seed=seed,

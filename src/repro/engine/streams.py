@@ -36,7 +36,13 @@ try:  # numpy's own entropy coercion, so bulk seeding hashes what numpy hashes
 except ImportError:  # pragma: no cover - numpy layout change: seed via numpy
     _coerce_to_uint32_array = None
 
-__all__ = ["WORDS_PER_STREAM", "StreamBank", "spawn_words", "stream_words"]
+__all__ = [
+    "WORDS_PER_STREAM",
+    "StreamBank",
+    "as_seed_sequence",
+    "spawn_words",
+    "stream_words",
+]
 
 #: columns of a stream-word array: state hi/lo, inc hi/lo, has_uint32, uinteger
 WORDS_PER_STREAM = 6
@@ -172,6 +178,29 @@ def _numpy_words(seed) -> np.ndarray:
     )
 
 
+def as_seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` as a ``SeedSequence``: the one seed rule of the package.
+
+    A ``SeedSequence`` passes through (its spawn cursor stays the
+    caller's), an int or ``None`` seeds a new one (``None`` draws fresh
+    entropy).  ``numpy.random.default_rng(as_seed_sequence(s))`` is
+    bit-for-bit ``numpy.random.default_rng(s)``.  A ``Generator`` or a
+    ``BitGenerator`` raises ``TypeError`` (so does a float, by numpy's
+    own check): a seed is a value the run is a pure function of, while a
+    generator's state would be copied, so the caller's object would stop
+    advancing with the run.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise TypeError(
+            "seeds are ints or SeedSequence objects, not "
+            f"{type(seed).__name__} objects: a generator's state would be "
+            "copied, so the caller's object would stop advancing with the run"
+        )
+    return np.random.SeedSequence(seed)
+
+
 def spawn_words(root: np.random.SeedSequence, offset: int, count: int) -> np.ndarray:
     """Stream words of children ``offset .. offset + count - 1`` of ``root``.
 
@@ -230,16 +259,7 @@ def stream_words(seeds) -> np.ndarray:
         return seeds.copy()
     seqs = []
     for seed in seeds:
-        if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-            raise TypeError(
-                "per-replica streams are seeded from SeedSequence objects, ints "
-                f"or an (R, {WORDS_PER_STREAM}) uint64 stream-word array, not "
-                f"{type(seed).__name__} objects: the kernel copies a stream's "
-                "state, so a pre-built generator would stop advancing with it"
-            )
-        seqs.append(
-            seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        )
+        seqs.append(as_seed_sequence(seed))
     words = np.zeros((len(seqs), WORDS_PER_STREAM), dtype=np.uint64)
     bulk = [i for i, s in enumerate(seqs) if s.pool_size == _DEFAULT_POOL_SIZE]
     if bulk:

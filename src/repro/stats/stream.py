@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..engine.state import check_count
+from ..engine.streams import as_seed_sequence
 from ..obs import as_tracer
 
 __all__ = ["ChunkSampler", "SampleDriver"]
@@ -115,11 +116,7 @@ class SampleDriver:
         self._max_n = check_count(max_n, "max_n")
         self._keep_samples = bool(keep_samples)
         self._sharder, self._owned = claim_executor(executor)
-        self._root = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
+        self._root = as_seed_sequence(seed)
         # absolute spawn position of the next child, so sharded chunks can
         # reconstruct their seed blocks without the root's mutable cursor
         self._base = self._root.n_children_spawned

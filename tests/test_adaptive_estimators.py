@@ -140,7 +140,7 @@ class TestAdaptiveHittingTimes:
         target = consensus_target(ring6_game)
         got = empirical_hitting_times(
             ring6_game, 1.0, 0, target, num_replicas=32, max_steps=3000,
-            rng=np.random.default_rng(77),
+            seed=77,
         )
         sim = LogitDynamics(ring6_game, 1.0).ensemble(
             32, start=0, rng=np.random.default_rng(77)
@@ -193,18 +193,13 @@ class TestAdaptiveHittingTimes:
             )
 
     def test_fixed_mode_knobs_rejected_in_adaptive_mode(self, ring6_game):
-        """num_replicas / rng belong to the fixed path; accepting and
-        silently ignoring them next to precision= would change what the
-        caller asked for."""
+        """num_replicas belongs to the fixed path; accepting and silently
+        ignoring it next to precision= would change what the caller asked
+        for."""
         target = consensus_target(ring6_game)
         with pytest.raises(ValueError, match="max_replicas"):
             empirical_hitting_times(
                 ring6_game, 1.0, 0, target, num_replicas=20_000, precision=0.1,
-            )
-        with pytest.raises(ValueError, match="seed"):
-            empirical_hitting_times(
-                ring6_game, 1.0, 0, target, precision=0.1,
-                rng=np.random.default_rng(0),
             )
         game = TwoWellGame(num_players=4, barrier=1.5)
         with pytest.raises(ValueError, match="max_replicas"):
@@ -253,7 +248,7 @@ class TestAdaptiveEscapeTimes:
         well = lower_well(game)
         got = empirical_escape_times(
             game, 1.2, well, num_replicas=24, max_steps=4000,
-            rng=np.random.default_rng(13),
+            seed=13,
         )
         # the legacy path: conditional-Gibbs starts then a bulk exit-time run
         rng = np.random.default_rng(13)
@@ -319,7 +314,7 @@ class TestConvergedSentinel:
         distinguishable from genuine convergence at the last checkpoint."""
         estimate = estimate_mixing_time_ensemble(
             ring6_game, 2.5, num_replicas=64, max_time=30,
-            rng=np.random.default_rng(0),
+            seed=0,
         )
         assert not estimate.converged
         assert estimate.capped
@@ -328,7 +323,7 @@ class TestConvergedSentinel:
     def test_converged_run_reports_time_and_flag(self, ring6_game):
         estimate = estimate_mixing_time_ensemble(
             ring6_game, 0.2, num_replicas=512, max_time=5000,
-            rng=np.random.default_rng(1),
+            seed=1,
         )
         assert estimate.converged
         assert not estimate.capped
@@ -340,7 +335,7 @@ class TestConvergedSentinel:
         pi = LogitDynamics(ring6_game, 0.2).stationary_distribution()
         certified = estimate_tv_convergence(
             LogitDynamics(ring6_game, 0.2), pi, num_replicas=4096,
-            epsilon=0.25, max_time=2000, rng=np.random.default_rng(3),
+            epsilon=0.25, max_time=2000, seed=3,
             alpha=0.05,
         )
         assert certified.alpha == 0.05
@@ -354,7 +349,7 @@ class TestConvergedSentinel:
             # certification is stricter than the point-estimate rule
             point = estimate_tv_convergence(
                 LogitDynamics(ring6_game, 0.2), pi, num_replicas=4096,
-                epsilon=0.25, max_time=2000, rng=np.random.default_rng(3),
+                epsilon=0.25, max_time=2000, seed=3,
             )
             assert certified.mixing_time_estimate >= point.mixing_time_estimate
 
@@ -363,7 +358,7 @@ class TestConvergedSentinel:
         pi = LogitDynamics(ring6_game, 0.3).stationary_distribution()
         a = estimate_tv_convergence(
             LogitDynamics(ring6_game, 0.3), pi, num_replicas=256,
-            max_time=1000, rng=np.random.default_rng(5),
+            max_time=1000, seed=5,
         )
         assert a.tv_band is None and a.alpha is None
         assert a.converged == (not a.capped)
@@ -446,7 +441,7 @@ class TestSweepPropagation:
             {"sequential": lambda g: LogitDynamics(g, 0.3)},
             num_replicas=256,
             max_time=2000,
-            rng=np.random.default_rng(8),
+            seed=8,
         )
         extra = result.records[0].extra
         assert extra["welfare_lower"] <= extra["mean_welfare"]

@@ -310,7 +310,7 @@ class TestEnsembleSimulator:
         with pytest.raises(ValueError, match="must lie in"):
             empirical_hitting_times(
                 game, 0.7, 0, 64, num_replicas=8, max_steps=10,
-                rng=np.random.default_rng(1),
+                seed=1,
             )
         assert sim.hitting_times([0, 63], max_steps=10).tolist() == [0] * 8
 
@@ -331,7 +331,7 @@ class TestEnsembleSimulator:
             states=[all0],
             num_replicas=32,
             max_steps=10_000,
-            rng=np.random.default_rng(8),
+            seed=8,
         )
         assert np.all(times > 0)
 
@@ -453,7 +453,7 @@ class TestEnsembleMixingEstimate:
             num_replicas=64,
             epsilon=1e-9,  # unreachable: force the run to the horizon
             max_time=10**4,
-            rng=np.random.default_rng(0),
+            seed=0,
         )
         assert estimate.capped
         assert estimate.mixing_time_estimate <= 50
@@ -480,7 +480,7 @@ class TestEnsembleMixingEstimate:
             beta,
             num_replicas=4096,
             check_every=1,
-            rng=np.random.default_rng(10),
+            seed=10,
         )
         assert not estimate.capped
         # single-start sampled estimate vs worst-case exact quantity, with
@@ -490,7 +490,7 @@ class TestEnsembleMixingEstimate:
     def test_tv_curve_is_recorded_and_decreasing_overall(self):
         game = IsingGame(nx.cycle_graph(5))
         estimate = estimate_mixing_time_ensemble(
-            game, 0.3, num_replicas=512, rng=np.random.default_rng(3), max_time=500
+            game, 0.3, num_replicas=512, seed=3, max_time=500
         )
         curve = estimate.tv_curve
         assert curve.ndim == 2 and curve.shape[1] == 2
@@ -524,7 +524,7 @@ class TestEnsembleMetastability:
             well,
             num_replicas=400,
             max_steps=200_000,
-            rng=np.random.default_rng(12),
+            seed=12,
         )
         assert np.all(samples > 0)
         assert samples.mean() == pytest.approx(exact, rel=0.35)
@@ -538,7 +538,7 @@ class TestEnsembleMetastability:
             targets=all1,
             num_replicas=32,
             max_steps=100_000,
-            rng=np.random.default_rng(13),
+            seed=13,
         )
         assert np.all(samples > 0)
 

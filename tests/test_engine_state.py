@@ -453,7 +453,7 @@ class TestLargeScaleAcceptance:
             max_steps=20_000,
             start_profiles=np.zeros(BIG_N, dtype=np.int64),
             dynamics=dynamics,
-            rng=np.random.default_rng(3),
+            seed=3,
         )
         assert np.all(times > 0)
 
@@ -466,6 +466,6 @@ class TestLargeScaleAcceptance:
             targets=lambda prof: game.magnetization_of_profiles(prof) >= -0.99,
             num_replicas=4,
             max_steps=50_000,
-            rng=np.random.default_rng(4),
+            seed=4,
         )
         assert np.all(times > 0)

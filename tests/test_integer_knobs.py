@@ -14,7 +14,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core import LogitDynamics, empirical_hitting_times, estimate_tv_convergence
+from repro.core import (
+    LogitDynamics,
+    empirical_escape_times,
+    empirical_hitting_times,
+    estimate_tv_convergence,
+)
 from repro.engine import EnsembleSimulator
 from repro.games import IsingGame
 from repro.stats import SampleDriver
@@ -74,6 +79,29 @@ def test_adaptive_hitting_times_refuse_a_zero_chunk():
         )
 
 
+def first_passage(kind, **knobs):
+    if kind == "hitting":
+        return empirical_hitting_times(GAME, 1.0, 0, CONSENSUS, seed=3, **knobs)
+    return empirical_escape_times(GAME, 1.0, [0], seed=3, **knobs)
+
+
+@pytest.mark.parametrize("kind", ["hitting", "escape"])
+@pytest.mark.parametrize(
+    "knobs, error",
+    [
+        ({"num_replicas": 2.7, "max_steps": 50}, TypeError),  # regression: ran 2
+        ({"num_replicas": 3.9, "max_steps": 50}, TypeError),  # regression: ran 3
+        # regression: the adaptive path sampled a 300-step horizon and
+        # certified it against a 300.7-step support
+        ({"max_steps": 300.7, "precision": 0.5, "max_replicas": 64}, TypeError),
+        ({"max_steps": -1, "precision": 0.5, "max_replicas": 64}, ValueError),
+    ],
+)
+def test_first_passage_knobs_are_validated(kind, knobs, error):
+    with pytest.raises(error, match=next(iter(knobs))):
+        first_passage(kind, **knobs)
+
+
 @pytest.mark.parametrize(
     "knobs, error",
     [
@@ -89,7 +117,7 @@ def test_tv_convergence_knobs_are_validated(knobs, error):
     with pytest.raises(error, match=next(iter(knobs))):
         estimate_tv_convergence(
             DYNAMICS, reference, **{"num_replicas": 64, "max_time": 40, **knobs},
-            rng=np.random.default_rng(0),
+            seed=0,
         )
 
 
@@ -97,6 +125,6 @@ def test_tv_convergence_still_takes_a_zero_horizon():
     reference = DYNAMICS.stationary_distribution()
     est = estimate_tv_convergence(
         DYNAMICS, reference, num_replicas=16, start=0, max_time=0,
-        rng=np.random.default_rng(0),
+        seed=0,
     )
     assert est.tv_curve.shape == (1, 2)

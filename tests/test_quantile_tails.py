@@ -449,7 +449,7 @@ class TestSweepTailColumns:
                 num_replicas=16,
                 max_time=50,
                 tail_q=0.9,
-                rng=np.random.default_rng(0),
+                seed=0,
             )
 
     def test_family_sweep_escape_quantile_extras(self):
@@ -464,7 +464,7 @@ class TestSweepTailColumns:
             escape_states=lower_well(game),
             max_escape_steps=500,
             tail_q=0.9,
-            rng=np.random.default_rng(2),
+            seed=2,
         )
         extra = result.records[0].extra
         assert extra["escape_quantile_q"] == 0.9

@@ -471,20 +471,3 @@ def test_executor_requires_adaptive_mode():
         empirical_hitting_times(game, 0.5, 0, 1, executor=ShardedExecutor(2))
     with pytest.raises(ValueError, match="precision"):
         empirical_escape_times(game, 0.5, [0, 1], executor=ShardedExecutor(2))
-
-
-def test_tv_convergence_knob_conflicts():
-    game = IsingGame(nx.cycle_graph(5), coupling=1.0)
-    dynamics = LogitDynamics(game, 0.5)
-    pi = dynamics.stationary_distribution()
-    with pytest.raises(ValueError, match="rng"):
-        estimate_tv_convergence(
-            dynamics,
-            pi,
-            num_replicas=8,
-            max_time=10,
-            rng=np.random.default_rng(0),
-            executor=ShardedExecutor(2),
-        )
-    with pytest.raises(ValueError, match="seed"):
-        estimate_tv_convergence(dynamics, pi, num_replicas=8, max_time=10, seed=3)

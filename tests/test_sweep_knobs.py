@@ -1,9 +1,8 @@
-"""Sweep knobs: family names, seed/rng conflicts and executor ownership.
+"""Sweep knobs: family names and executor ownership.
 
 ``dynamics_family_sweep`` (and ``scenario_matrix``, which forwards its
 families) refuses two families with one name, since the name keys each
-family's seed and store cell, and refuses ``seed`` together with ``rng``.
-The sweep, the scenario matrix and the Monte-Carlo estimator entry points
+family's seed and store cell.  The sweep, the scenario matrix and the Monte-Carlo estimator entry points
 close an executor they created from a string, on success and when a cell
 or sampler raises, and never close one the caller passed in.
 """
@@ -76,18 +75,6 @@ class TestFamilyNames:
                 store=store,
             )
         assert store.keys() == []
-
-
-def test_seed_and_rng_together_are_refused():
-    with pytest.raises(ValueError, match="not both"):
-        dynamics_family_sweep(
-            ring_game(4),
-            {"logit": _logit(0.5)},
-            num_replicas=16,
-            max_time=20,
-            seed=7,
-            rng=np.random.default_rng(1),
-        )
 
 
 @pytest.fixture

@@ -96,7 +96,7 @@ class TestDynamicsFamilySweep:
             start=0,
             escape_states=[0],
             max_escape_steps=5000,
-            rng=np.random.default_rng(0),
+            seed=0,
         )
         assert result.parameter_name == "dynamics_family"
         assert [r.extra["dynamics"] for r in result.records] == [
@@ -133,7 +133,7 @@ class TestDynamicsFamilySweep:
             max_time=10**4,
             escape_states=[0],
             max_escape_steps=10**4,
-            rng=np.random.default_rng(1),
+            seed=1,
         )
         record = result.records[0]
         assert record.extra["capped"]
