@@ -58,7 +58,7 @@ def variant_rows() -> list[list[object]]:
     return rows
 
 
-def test_welfare_vs_beta(benchmark):
+def test_stationary_welfare_by_beta(benchmark):
     rows = benchmark(welfare_rows)
     print()
     print(

@@ -17,8 +17,6 @@ Run with:  python examples/dominant_vs_potential.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import (
     estimate_mixing_time_coupling,
     measure_mixing_time,
@@ -38,8 +36,7 @@ def main() -> None:
     delta_phi = potential_game.max_global_variation()
 
     rows = []
-    rng = np.random.default_rng(7)
-    for beta in BETAS:
+    for seed, beta in enumerate(BETAS):
         two_well_mix = measure_mixing_time(potential_game, beta).mixing_time
         dominant_mix = measure_mixing_time(dominant_game, beta).mixing_time
         coupling_estimate = estimate_mixing_time_coupling(
@@ -49,7 +46,7 @@ def main() -> None:
             start_y=(1,) * NUM_PLAYERS,
             horizon=4000,
             num_runs=48,
-            rng=rng,
+            seed=seed,
         )
         rows.append(
             [

@@ -8,8 +8,8 @@ Persiano — SPAA 2011 / arXiv:1212.1884).  The package provides:
   coordination / dominant-strategy / lower-bound constructions, congestion
   games and the Ising model;
 * :mod:`repro.markov` — a generic finite-Markov-chain toolkit (stationary
-  distributions, exact mixing time, spectral gaps, couplings, canonical
-  paths, bottleneck ratios);
+  distributions, exact mixing time, spectral gaps, couplings, bottleneck
+  ratios);
 * :mod:`repro.graphs` — social-network topologies and cutwidth computation;
 * :mod:`repro.core` — the logit dynamics itself, the Gibbs stationary
   measure, mixing-time measurement drivers, and every theorem-level bound
@@ -69,7 +69,6 @@ from .core import (
     LogitDynamics,
     ParallelLogitDynamics,
     RoundRobinLogitDynamics,
-    MixingMeasurement,
     StructuralQuantities,
     clique_potential_barrier,
     empirical_escape_times,
@@ -86,7 +85,6 @@ from .core import (
     lemma1311_social_cost_sandwich,
     logit_update_distribution,
     measure_mixing_time,
-    measure_mixing_with_bounds,
     measure_relaxation_time,
     measure_spectral_summary,
     structural_quantities,
@@ -211,7 +209,6 @@ __all__ = [
     "LogitDynamics",
     "ParallelLogitDynamics",
     "RoundRobinLogitDynamics",
-    "MixingMeasurement",
     "StructuralQuantities",
     "clique_potential_barrier",
     "empirical_escape_times",
@@ -228,7 +225,6 @@ __all__ = [
     "lemma1311_social_cost_sandwich",
     "logit_update_distribution",
     "measure_mixing_time",
-    "measure_mixing_with_bounds",
     "measure_relaxation_time",
     "measure_spectral_summary",
     "structural_quantities",

@@ -2,13 +2,10 @@
 
 from .welfare import (
     estimate_stationary_welfare,
-    logit_price_of_anarchy,
     optimal_welfare,
     social_welfare_vector,
     stationary_expected_welfare,
     welfare_of_profiles,
-    welfare_vs_beta,
-    worst_equilibrium_welfare,
 )
 from .report import (
     format_interval,
@@ -33,13 +30,10 @@ from .sweep import (
 
 __all__ = [
     "estimate_stationary_welfare",
-    "logit_price_of_anarchy",
     "optimal_welfare",
     "social_welfare_vector",
     "stationary_expected_welfare",
     "welfare_of_profiles",
-    "welfare_vs_beta",
-    "worst_equilibrium_welfare",
     "format_interval",
     "format_value",
     "provenance_summary",

@@ -9,13 +9,14 @@ evaluation axis as well:
 
 * :func:`social_welfare_vector` — utilitarian welfare (sum of utilities) of
   every profile;
-* :func:`stationary_expected_welfare` — its expectation under the logit
-  stationary distribution at a given beta;
-* :func:`optimal_welfare` / :func:`worst_equilibrium_welfare` — the usual
-  price-of-anarchy style reference points;
-* :func:`logit_price_of_anarchy` — the ratio between the optimum and the
-  stationary expectation, as a function of beta;
-* :func:`welfare_vs_beta` — a sweep helper for the welfare-vs-noise curves.
+* :func:`stationary_expected_welfare` — its exact expectation under the
+  logit stationary distribution at a given beta;
+* :func:`welfare_of_profiles` — the welfare of a batch of profile rows,
+  without profile indices, for spaces beyond the dense cap;
+* :func:`estimate_stationary_welfare` — a Monte-Carlo estimate of that
+  expectation after a burn-in, with an anytime-valid confidence interval;
+* :func:`optimal_welfare` — the social optimum, the reference point of the
+  welfare tables.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import numpy as np
 from ..core.logit import LogitDynamics
 from ..core.samplers import BurnInWelfareSampler
 from ..engine.kernels import require_sequential_dynamics
-from ..games.base import Game, pure_nash_equilibria
+from ..games.base import Game
 from ..games.space import DENSE_PROFILE_CAP
+from ..markov.chain import check_count
 from ..stats.accumulators import StreamingEstimate
 from ..stats.adaptive import run_until_width
 from ..stats.confseq import EmpiricalBernsteinCS, NormalMixtureCS
@@ -41,9 +43,6 @@ __all__ = [
     "estimate_stationary_welfare",
     "welfare_of_profiles",
     "optimal_welfare",
-    "worst_equilibrium_welfare",
-    "logit_price_of_anarchy",
-    "welfare_vs_beta",
 ]
 
 
@@ -151,11 +150,9 @@ def estimate_stationary_welfare(
         raise ValueError(
             "precision_quantile must be positive (absolute welfare units)"
         )
-    n = game.space.num_players
     if num_steps is None:
-        num_steps = 100 * n
-    if num_steps < 0:
-        raise ValueError("num_steps must be non-negative")
+        num_steps = 100 * game.space.num_players
+    num_steps = check_count(num_steps, "num_steps", minimum=0)
     if support == "auto":
         if game.space.size <= DENSE_PROFILE_CAP:
             welfare = social_welfare_vector(game)
@@ -186,7 +183,7 @@ def estimate_stationary_welfare(
         cs = NormalMixtureCS(alpha=alpha)
     adaptive = precision is not None or precision_quantile is not None
     return run_until_width(
-        BurnInWelfareSampler(game, dynamics, start, int(num_steps)),
+        BurnInWelfareSampler(game, dynamics, start, num_steps),
         target_width=float(precision) if precision is not None else 0.0,
         alpha=alpha,
         max_n=max_replicas if adaptive else num_replicas,
@@ -204,46 +201,3 @@ def estimate_stationary_welfare(
 def optimal_welfare(game: Game) -> float:
     """The maximum social welfare over all profiles (the social optimum)."""
     return float(np.max(social_welfare_vector(game)))
-
-
-def worst_equilibrium_welfare(game: Game) -> float | None:
-    """The minimum welfare over pure Nash equilibria (``None`` if there are none).
-
-    This is the reference point of the classical price of anarchy; comparing
-    it with :func:`stationary_expected_welfare` shows whether the logit
-    dynamics spends its time in better or worse states than the worst PNE.
-    """
-    equilibria = pure_nash_equilibria(game)
-    if not equilibria:
-        return None
-    welfare = social_welfare_vector(game)
-    return float(np.min(welfare[equilibria]))
-
-
-def logit_price_of_anarchy(game: Game, beta: float) -> float:
-    """``optimal_welfare / stationary_expected_welfare`` at the given beta.
-
-    Only meaningful for games with positive welfare everywhere (raises
-    otherwise) — the convention used by the companion paper.  Values close
-    to 1 mean the logit dynamics spends its time near socially optimal
-    profiles.
-    """
-    expected = stationary_expected_welfare(game, beta)
-    optimum = optimal_welfare(game)
-    if expected <= 0:
-        raise ValueError(
-            "stationary expected welfare is not positive; the ratio is undefined "
-            "(shift utilities to be positive if a ratio is required)"
-        )
-    return optimum / expected
-
-
-def welfare_vs_beta(game: Game, betas: Sequence[float]) -> np.ndarray:
-    """Sweep: rows ``(beta, E_pi[W], optimal W, ratio)`` for each beta."""
-    optimum = optimal_welfare(game)
-    rows = []
-    for beta in betas:
-        expected = stationary_expected_welfare(game, float(beta))
-        ratio = optimum / expected if expected > 0 else float("nan")
-        rows.append((float(beta), expected, optimum, ratio))
-    return np.array(rows, dtype=float)

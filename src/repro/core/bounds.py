@@ -515,7 +515,7 @@ def theorem1207_mixing_lower(
     """Low-temperature mixing lower bound via a bottleneck cut.
 
     A cut whose crossing requires climbing a doubled-potential barrier
-    ``barrier`` over at most ``cut_pairs`` boundary pairs has conductance
+    ``barrier`` over at most ``cut_pairs`` boundary pairs has bottleneck ratio
     ``O(cut_pairs e^{-beta barrier})``, so
     ``t_mix(eps) >= (1 - 2 eps) / (2 cut_pairs) * e^{beta barrier}``.
     """

@@ -31,11 +31,10 @@ from ..engine.coupled import simulate_grand_coupling_ensemble
 from ..engine.ensemble import EnsembleSimulator
 from ..engine.kernels import SequentialKernel, UpdateKernel
 from ..engine.sampling import columns_pay, sample_inverse_cdf
-from ..engine.state import check_count
 from ..games.base import Game
 from ..games.potential import PotentialGame
 from ..games.space import ProfileSpace
-from ..markov.chain import MarkovChain
+from ..markov.chain import MarkovChain, check_count
 from ..markov.coupling import CouplingResult
 from .stationary import check_beta, gibbs_measure
 
@@ -145,6 +144,7 @@ def sequential_loop(
     bulk pre-draw, so engine trajectories match this loop bit-for-bit.
     """
     rng = np.random.default_rng() if rng is None else rng
+    num_steps = check_count(num_steps, "num_steps", minimum=0)
     record_every = check_count(record_every, "record_every")
     profile = np.asarray(start, dtype=np.int64).copy()
     if profile.shape != (space.num_players,):

@@ -32,11 +32,10 @@ from typing import Sequence
 import numpy as np
 
 from ..engine.kernels import require_sequential_dynamics
-from ..engine.state import check_count
 from ..engine.streams import as_seed_sequence
 from ..games.base import Game
 from ..games.potential import PotentialGame
-from ..markov.chain import MarkovChain
+from ..markov.chain import MarkovChain, check_count
 from ..markov.tv import total_variation
 from ..stats.accumulators import StreamingEstimate
 from ..stats.adaptive import run_until_width

@@ -1,16 +1,16 @@
 """Mixing-time measurement drivers for the logit dynamics.
 
 These are the high-level entry points the benchmarks and examples use: give
-them a game and a ``beta`` and they build the logit chain, compute exact or
-estimated convergence quantities, and package the results with the matching
-theoretical bounds where applicable.
+them a game and a ``beta`` and they build the logit chain and compute exact
+or estimated convergence quantities.
 
 Two measurement regimes are supported, mirroring DESIGN.md §6:
 
 * *exact* — for profile spaces small enough to hold the dense transition
   matrix: exact worst-case total-variation mixing time
   (:func:`measure_mixing_time`), exact relaxation time
-  (:func:`measure_relaxation_time`) and the Theorem 2.3 sandwich;
+  (:func:`measure_relaxation_time`) and the full spectrum
+  (:func:`measure_spectral_summary`);
 * *Monte Carlo* — for larger spaces: the grand-coupling coalescence-time
   estimator (:func:`estimate_mixing_time_coupling`), which upper-bounds the
   mixing time in expectation per Theorem 2.1.
@@ -27,13 +27,14 @@ import numpy as np
 from ..obs import as_tracer
 from ..engine.ensemble import EnsembleSimulator
 from ..engine.kernels import require_sequential_dynamics
-from ..engine.state import IndexState, check_count
+from ..engine.state import IndexState
 from ..engine.streams import as_seed_sequence, spawn_words
 from ..games.base import Game
 from ..games.potential import PotentialGame
+from ..markov.chain import check_count
 from ..markov.coupling import coalescence_time_bound
 from ..markov.mixing import MixingTimeResult, mixing_time
-from ..markov.spectral import SpectralSummary, relaxation_mixing_bounds, spectral_summary
+from ..markov.spectral import SpectralSummary, spectral_summary
 from ..markov.tv import total_variation
 from ..parallel.sharding import claim_executor, shard_plan
 from ..stats.confseq import checkpoint_alpha, tv_distance_band
@@ -41,7 +42,6 @@ from .logit import LogitDynamics
 
 __all__ = [
     "EnsembleMixingEstimate",
-    "MixingMeasurement",
     "measure_mixing_time",
     "measure_relaxation_time",
     "measure_spectral_summary",
@@ -111,20 +111,6 @@ def _advance_tv_shard(dynamics, streams, start, steps: int):
     )
 
 
-@dataclass(frozen=True)
-class MixingMeasurement:
-    """A measured mixing time together with the chain's basic facts."""
-
-    beta: float
-    num_profiles: int
-    mixing_time: int
-    epsilon: float
-    relaxation_time: float
-    theorem23_lower: float
-    theorem23_upper: float
-    capped: bool
-
-
 def _exact_guard(game: Game) -> None:
     if game.space.size > MAX_EXACT_PROFILES:
         raise ValueError(
@@ -157,28 +143,6 @@ def measure_spectral_summary(game: Game, beta: float) -> SpectralSummary:
     return spectral_summary(dynamics.markov_chain())
 
 
-def measure_mixing_with_bounds(
-    game: Game, beta: float, epsilon: float = 0.25, max_time: int = 10**7
-) -> MixingMeasurement:
-    """Exact mixing + relaxation time and the Theorem 2.3 sandwich, in one call."""
-    _exact_guard(game)
-    dynamics = LogitDynamics(game, beta)
-    chain = dynamics.markov_chain()
-    mix = mixing_time(chain, epsilon=epsilon, max_time=max_time)
-    summary = spectral_summary(chain)
-    lower, upper = relaxation_mixing_bounds(chain, epsilon=epsilon)
-    return MixingMeasurement(
-        beta=beta,
-        num_profiles=game.space.size,
-        mixing_time=mix.mixing_time,
-        epsilon=epsilon,
-        relaxation_time=summary.relaxation_time,
-        theorem23_lower=lower,
-        theorem23_upper=upper,
-        capped=mix.capped,
-    )
-
-
 def estimate_mixing_time_coupling(
     game: Game,
     beta: float,
@@ -187,7 +151,7 @@ def estimate_mixing_time_coupling(
     horizon: int,
     num_runs: int = 32,
     epsilon: float = 0.25,
-    rng: np.random.Generator | None = None,
+    seed: int | np.random.SeedSequence | None = None,
 ) -> float:
     """Monte-Carlo upper estimate of the mixing time via the grand coupling.
 
@@ -195,11 +159,17 @@ def estimate_mixing_time_coupling(
     profiles and returns the empirical ``(1 - eps)``-quantile of the
     coalescence time (Theorem 2.1).  For a worst-case estimate pick the two
     profiles expected to be hardest to couple, e.g. the two consensus
-    profiles of a coordination game.
+    profiles of a coordination game.  ``seed`` (an int, a ``SeedSequence``
+    or ``None`` for fresh entropy) seeds the one stream all runs draw from;
+    an int gives the runs of ``rng=numpy.random.default_rng(seed)``.
     """
     dynamics = LogitDynamics(game, beta)
     result = dynamics.grand_coupling(
-        start_x=start_x, start_y=start_y, horizon=horizon, num_runs=num_runs, rng=rng
+        start_x=start_x,
+        start_y=start_y,
+        horizon=horizon,
+        num_runs=num_runs,
+        rng=np.random.default_rng(as_seed_sequence(seed)),
     )
     return coalescence_time_bound(result, epsilon=epsilon)
 

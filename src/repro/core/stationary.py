@@ -1,4 +1,4 @@
-"""Gibbs measures and partition functions (Equation 4 of the paper).
+"""Gibbs measures (Equation 4 of the paper).
 
 For a potential game with potential ``Phi`` the logit dynamics with inverse
 noise ``beta`` is reversible and its stationary distribution is the Gibbs
@@ -14,11 +14,8 @@ from scipy.special import logsumexp
 
 __all__ = [
     "gibbs_measure",
-    "log_partition_function",
-    "partition_function",
     "gibbs_expectation",
     "stationary_mass",
-    "min_stationary_probability_bound",
 ]
 
 
@@ -54,18 +51,6 @@ def gibbs_measure(potential: np.ndarray, beta: float) -> np.ndarray:
     return np.exp(log_weights - log_z)
 
 
-def log_partition_function(potential: np.ndarray, beta: float) -> float:
-    """``log Z = log sum_x exp(-beta Phi(x))``."""
-    phi = np.asarray(potential, dtype=float)
-    beta = check_beta(beta)
-    return float(logsumexp(-beta * phi))
-
-
-def partition_function(potential: np.ndarray, beta: float) -> float:
-    """``Z`` itself — may overflow for large ``beta``; prefer the log form."""
-    return float(np.exp(log_partition_function(potential, beta)))
-
-
 def gibbs_expectation(potential: np.ndarray, beta: float, observable: np.ndarray) -> float:
     """Expectation of an observable (one value per profile) under the Gibbs measure."""
     pi = gibbs_measure(potential, beta)
@@ -80,17 +65,3 @@ def stationary_mass(potential: np.ndarray, beta: float, states: np.ndarray) -> f
     pi = gibbs_measure(potential, beta)
     idx = np.asarray(states, dtype=np.int64)
     return float(np.sum(pi[idx]))
-
-
-def min_stationary_probability_bound(
-    num_profiles: int, beta: float, delta_phi: float
-) -> float:
-    """The paper's bound ``pi_min >= 1 / (e^{beta DeltaPhi} |S|)``.
-
-    Used in Theorem 3.4 / 3.8 to convert relaxation-time bounds into
-    mixing-time bounds via Theorem 2.3.  Returned in log-safe form (may be
-    a denormal/zero float for huge exponents, which is fine for reporting).
-    """
-    if num_profiles < 1:
-        raise ValueError("need at least one profile")
-    return float(np.exp(-beta * delta_phi - np.log(num_profiles)))

@@ -47,7 +47,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..engine.state import check_count
 from ..engine.kernels import (
     AnnealedKernel,
     ParallelKernel,
@@ -58,7 +57,7 @@ from ..engine.kernels import (
 )
 from ..engine.sampling import sample_inverse_cdf
 from ..games.base import Game
-from ..markov.chain import MarkovChain
+from ..markov.chain import MarkovChain, check_count
 from .logit import (
     EngineBackedDynamics,
     LogitDynamics,
@@ -173,6 +172,7 @@ class ConcurrentLogitDynamics(LogitRule, EngineBackedDynamics):
         ``p = 1`` both match :class:`ParallelLogitDynamics`).
         """
         rng = np.random.default_rng() if rng is None else rng
+        num_steps = check_count(num_steps, "num_steps", minimum=0)
         record_every = check_count(record_every, "record_every")
         space = self.game.space
         profile = np.asarray(start, dtype=np.int64).copy()
@@ -418,8 +418,9 @@ class AnnealedLogitDynamics(EngineBackedDynamics):
         mu = np.asarray(distribution, dtype=float)
         if mu.shape != (self.game.space.size,):
             raise ValueError("distribution has wrong length")
-        self.validate_horizon(0, int(num_steps))
-        for t in range(int(num_steps)):
+        num_steps = check_count(num_steps, "num_steps", minimum=0)
+        self.validate_horizon(0, num_steps)
+        for t in range(num_steps):
             mu = mu @ self.transition_matrix_at(t)
         return mu
 
@@ -438,7 +439,8 @@ class AnnealedLogitDynamics(EngineBackedDynamics):
         (:func:`repro.core.logit.sequential_loop`) under the rule of each
         step; a finite schedule shorter than the run raises first.
         """
-        self.validate_horizon(0, int(num_steps))
+        num_steps = check_count(num_steps, "num_steps", minimum=0)
+        self.validate_horizon(0, num_steps)
         return sequential_loop(
             self.game.space, self.rule_at, start, num_steps, rng, record_every
         )
@@ -523,6 +525,7 @@ class RoundRobinLogitDynamics(LogitRule, EngineBackedDynamics):
         :class:`~repro.engine.kernels.RoundRobinKernel` with one replica.
         """
         rng = np.random.default_rng() if rng is None else rng
+        num_steps = check_count(num_steps, "num_steps", minimum=0)
         record_every = check_count(record_every, "record_every")
         space = self.game.space
         profile = np.asarray(start, dtype=np.int64).copy()

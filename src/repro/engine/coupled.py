@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..markov.chain import check_count
 from ..markov.coupling import CouplingResult
 from .sampling import sample_inverse_cdf
 
@@ -121,10 +122,8 @@ def simulate_grand_coupling_ensemble(
     stop being advanced (the coupling is sticky: once merged, copies never
     separate, so this loses nothing).
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
-    if num_runs < 1:
-        raise ValueError(f"num_runs must be at least 1, got {num_runs}")
+    horizon = check_count(horizon, "horizon", minimum=0)
+    num_runs = check_count(num_runs, "num_runs")
     rng = np.random.default_rng() if rng is None else rng
     space = dynamics.game.space
     if not space.fits_int64:

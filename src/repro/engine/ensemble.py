@@ -63,13 +63,13 @@ about a hundred per step.
 
 from __future__ import annotations
 
-import operator
 from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..games.space import DENSE_PROFILE_CAP
+from ..markov.chain import check_count
 from ..obs import as_tracer
 from .kernels import (
     SeededSequentialKernel,
@@ -78,7 +78,7 @@ from .kernels import (
     seeded_kernel_for,
 )
 from .sampling import sample_from_cumulative, sample_inverse_cdf
-from .state import EngineState, IndexState, MatrixState, check_count, integral_array
+from .state import EngineState, IndexState, MatrixState, integral_array
 from .streams import stream_words
 
 __all__ = ["EnsembleSimulator"]
@@ -584,9 +584,7 @@ class EnsembleSimulator:
         states, cursors and streams are those of the one-step-at-a-time
         loop every other case runs, bit for bit.
         """
-        max_steps = operator.index(max_steps)
-        if max_steps < 0:
-            raise ValueError("max_steps must be non-negative")
+        max_steps = check_count(max_steps, "max_steps", minimum=0)
         tracer = self.tracer
         tic = perf_counter() if tracer.enabled else 0.0
         advanced = 0

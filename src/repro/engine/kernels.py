@@ -87,7 +87,7 @@ import abc
 
 import numpy as np
 
-from .state import check_count
+from ..markov.chain import check_count
 from .streams import StreamBank, stream_words
 
 __all__ = [

@@ -27,7 +27,6 @@ the two backends bit-for-bit equal under a fixed seed (pinned by
 from __future__ import annotations
 
 import abc
-import operator
 from typing import Sequence
 
 import numpy as np
@@ -35,22 +34,6 @@ import numpy as np
 from ..games.space import _INT64_MAX, ProfileSpace
 
 __all__ = ["EngineState", "IndexState", "MatrixState", "strategy_dtype"]
-
-
-def check_count(value, name: str, minimum: int = 1) -> int:
-    """``value`` as an int of at least ``minimum``; the one rule for integer knobs.
-
-    Non-integers, integral floats included, raise ``TypeError`` and smaller
-    values ``ValueError``: a cast or clamp would silently run with another
-    block size, chunk size, interval or horizon than the one asked for.
-    """
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if count < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {count}")
-    return count
 
 
 def integral_array(values, what: str) -> np.ndarray:

@@ -6,12 +6,9 @@ constructions, congestion games, the Ising model and finite opinion games.
 """
 
 from .base import (
-    CallableGame,
     Game,
     NormalFormGame,
     TableGame,
-    best_responses,
-    pure_nash_equilibria,
     random_game,
 )
 from .constructions import (
@@ -45,22 +42,15 @@ from .local import LocalInteractionGame, derive_edge_potential
 from .opinion import FiniteOpinionGame, opinion_edge_payoffs, opinion_edge_potential
 from .ising import (
     IsingGame,
-    glauber_update_probability,
-    ising_hamiltonian,
-    profile_from_spins,
     spins_from_profile,
 )
 from .potential import (
     ExplicitPotentialGame,
     PotentialGame,
-    is_potential_game,
     local_variations,
     max_global_variation,
     max_local_variation,
-    minimax_barrier_matrix,
-    potential_from_game,
     zeta_barrier,
-    zeta_barrier_bruteforce,
 )
 from .space import ProfileSpace, hamming_distance
 
@@ -69,12 +59,9 @@ __all__ = [
     "is_max_solvable",
     "max_solve",
     "never_best_response_strategies",
-    "CallableGame",
     "Game",
     "NormalFormGame",
     "TableGame",
-    "best_responses",
-    "pure_nash_equilibria",
     "random_game",
     "BirthDeathPotentialGame",
     "Theorem35Game",
@@ -99,20 +86,13 @@ __all__ = [
     "opinion_edge_payoffs",
     "opinion_edge_potential",
     "IsingGame",
-    "glauber_update_probability",
-    "ising_hamiltonian",
-    "profile_from_spins",
     "spins_from_profile",
     "ExplicitPotentialGame",
     "PotentialGame",
-    "is_potential_game",
     "local_variations",
     "max_global_variation",
     "max_local_variation",
-    "minimax_barrier_matrix",
-    "potential_from_game",
     "zeta_barrier",
-    "zeta_barrier_bruteforce",
     "ProfileSpace",
     "hamming_distance",
 ]

@@ -32,10 +32,7 @@ __all__ = [
     "Game",
     "TableGame",
     "NormalFormGame",
-    "CallableGame",
     "random_game",
-    "best_responses",
-    "pure_nash_equilibria",
 ]
 
 
@@ -282,27 +279,6 @@ class NormalFormGame(TableGame):
         self.payoff_col = payoff_col.copy()
 
 
-class CallableGame(Game):
-    """Game whose utilities are computed on demand from a callable.
-
-    Useful for games whose profile space is too large to tabulate but whose
-    utilities have a cheap closed form (e.g. graphical games evaluated
-    during Monte-Carlo simulation).  ``utility_fn(player, profile_tuple)``
-    must be a pure function.
-    """
-
-    def __init__(
-        self,
-        num_strategies: Sequence[int],
-        utility_fn: Callable[[int, tuple[int, ...]], float],
-    ):
-        self.space = ProfileSpace(num_strategies)
-        self._fn = utility_fn
-
-    def utility(self, player: int, profile_index: int) -> float:
-        return float(self._fn(player, self.space.decode(profile_index)))
-
-
 def random_game(
     num_strategies: Sequence[int],
     rng: np.random.Generator | None = None,
@@ -314,25 +290,3 @@ def random_game(
     space = ProfileSpace(num_strategies)
     utilities = rng.uniform(low, high, size=(space.num_players, space.size))
     return TableGame(num_strategies, utilities)
-
-
-def best_responses(game: Game, player: int, profile_index: int, tol: float = 1e-12) -> np.ndarray:
-    """Strategies of ``player`` that are best responses to ``x_-i``."""
-    utils = game.utility_deviations(player, profile_index)
-    return np.flatnonzero(utils >= np.max(utils) - tol)
-
-
-def pure_nash_equilibria(game: Game, tol: float = 1e-12) -> list[int]:
-    """Profile indices of all pure Nash equilibria of the game.
-
-    Exhaustive check — only sensible for tabulated games of modest size.
-    """
-    equilibria = []
-    for x in range(game.space.size):
-        if all(
-            game.utility_deviations(i, x)[game.space.strategy_of(x, i)]
-            >= np.max(game.utility_deviations(i, x)) - tol
-            for i in range(game.num_players)
-        ):
-            equilibria.append(x)
-    return equilibria

@@ -14,17 +14,13 @@ dynamics of that game.  This module makes the correspondence executable:
   engine's matrix state backend with it) scales to thousands of spins,
   while the dense accessors (``potential_vector``, ``utility_matrix``)
   stay available below the dense cap;
-* :func:`ising_hamiltonian` — the usual physics Hamiltonian
-  ``H(sigma) = -J sum_{(u,v)} sigma_u sigma_v - h sum_u sigma_u`` over spins
-  ``sigma in {-1, +1}^n``;
-* :func:`spins_from_profile` / :func:`profile_from_spins` — the 0/1 <-> ±1
-  mapping;
-* :func:`glauber_update_probability` — the heat-bath update rule, equal to
-  the logit update probability of the corresponding game.
+* :func:`spins_from_profile` — the 0/1 -> ±1 mapping.
 
-The game potential *is* the Hamiltonian (the per-edge potentials are
-passed explicitly rather than derived, pinning the physics normalisation),
-so ``pi(x) ∝ exp(-beta H(sigma(x)))`` is the textbook Gibbs distribution
+The game potential *is* the physics Hamiltonian
+``H(sigma) = -J sum_{(u,v)} sigma_u sigma_v - h sum_u sigma_u`` over spins
+``sigma in {-1, +1}^n`` (the per-edge potentials are passed explicitly
+rather than derived, pinning the physics normalisation), so
+``pi(x) ∝ exp(-beta H(sigma(x)))`` is the textbook Gibbs distribution
 and the logit dynamics is single-site heat-bath (Glauber) dynamics:
 flipping a spin changes ``H`` by ``2 J (#disagreeing - #agreeing
 neighbors)`` and changes the game potential by exactly the same amount.
@@ -40,10 +36,7 @@ from .local import LocalInteractionGame
 
 __all__ = [
     "IsingGame",
-    "ising_hamiltonian",
     "spins_from_profile",
-    "profile_from_spins",
-    "glauber_update_probability",
 ]
 
 
@@ -51,36 +44,6 @@ def spins_from_profile(profile: np.ndarray) -> np.ndarray:
     """Map strategies in ``{0, 1}`` to spins in ``{-1, +1}`` (1 -> +1)."""
     arr = np.asarray(profile)
     return 2 * arr - 1
-
-
-def profile_from_spins(spins: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`spins_from_profile`."""
-    arr = np.asarray(spins)
-    return ((arr + 1) // 2).astype(np.int64)
-
-
-def ising_hamiltonian(
-    graph: nx.Graph, spins: np.ndarray, coupling: float = 1.0, field: float = 0.0
-) -> float:
-    """Ising energy ``H = -J * sum_edges s_u s_v - h * sum_u s_u``."""
-    spins = np.asarray(spins, dtype=float)
-    nodes = sorted(graph.nodes())
-    index = {node: i for i, node in enumerate(nodes)}
-    pair_sum = sum(spins[index[u]] * spins[index[v]] for u, v in graph.edges())
-    return float(-coupling * pair_sum - field * np.sum(spins))
-
-
-def glauber_update_probability(
-    local_field: float, beta: float
-) -> float:
-    """Heat-bath probability of setting a spin to ``+1``.
-
-    ``local_field = J * sum_{v ~ u} sigma_v + h`` is the effective field at
-    the updated site; the Glauber rule sets the spin to ``+1`` with
-    probability ``1 / (1 + exp(-2 beta local_field))``, which coincides with
-    the logit update probability of the corresponding coordination game.
-    """
-    return float(1.0 / (1.0 + np.exp(-2.0 * beta * local_field)))
 
 
 class IsingGame(LocalInteractionGame):

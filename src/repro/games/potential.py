@@ -37,14 +37,10 @@ from .space import ProfileSpace
 __all__ = [
     "PotentialGame",
     "ExplicitPotentialGame",
-    "potential_from_game",
-    "is_potential_game",
     "max_global_variation",
     "max_local_variation",
     "local_variations",
     "zeta_barrier",
-    "zeta_barrier_bruteforce",
-    "minimax_barrier_matrix",
 ]
 
 
@@ -159,52 +155,6 @@ class ExplicitPotentialGame(TableGame, PotentialGame):
 
 
 # ---------------------------------------------------------------------------
-# Potential extraction / verification for arbitrary games
-# ---------------------------------------------------------------------------
-
-
-def potential_from_game(game: Game, tol: float = 1e-9) -> np.ndarray | None:
-    """Recover an exact potential for ``game``, or ``None`` if none exists.
-
-    The candidate potential is built by integrating utility differences
-    along bit-fixing paths from profile 0 (the standard Monderer–Shapley
-    construction), then verified exhaustively against Equation (1).  Runs in
-    ``O(n * |S| * m)`` time.
-    """
-    space = game.space
-    phi = np.zeros(space.size, dtype=float)
-    visited = np.zeros(space.size, dtype=bool)
-    visited[0] = True
-    # Integrate along the canonical order: fix players one at a time.  A
-    # profile x with first non-zero coordinate at player i is reached from
-    # the profile with that coordinate zeroed, using player i's utility.
-    for x in range(1, space.size):
-        prof = space.decode(x)
-        # first coordinate where prof differs from the all-zero profile
-        player = next(i for i, s in enumerate(prof) if s != 0)
-        prev = space.replace(x, player, 0)
-        # Equation (1): Phi(x) - Phi(prev) = u_i(prev) - u_i(x)
-        phi[x] = phi[prev] + game.utility(player, prev) - game.utility(player, x)
-        visited[x] = True
-    # verification
-    candidate = ExplicitPotentialGame(
-        space.num_strategies,
-        np.stack([game.utility_matrix(i) for i in range(game.num_players)]),
-        phi,
-    )
-    if candidate.verify_potential(tol=tol):
-        return phi
-    return None
-
-
-def is_potential_game(game: Game, tol: float = 1e-9) -> bool:
-    """Whether ``game`` admits an exact potential (Equation 1)."""
-    if isinstance(game, PotentialGame):
-        return True
-    return potential_from_game(game, tol=tol) is not None
-
-
-# ---------------------------------------------------------------------------
 # Structural quantities of a potential
 # ---------------------------------------------------------------------------
 
@@ -285,33 +235,3 @@ def zeta_barrier(potential: np.ndarray, space: ProfileSpace) -> float:
             parent[ru] = rv
             comp_min[rv] = min(comp_min[rv], comp_min[ru])
     return float(zeta)
-
-
-def minimax_barrier_matrix(potential: np.ndarray, space: ProfileSpace) -> np.ndarray:
-    """Matrix ``M[x, y]`` = minimum over paths of the max potential level.
-
-    Brute-force (Floyd–Warshall-style) reference implementation; quadratic
-    memory in ``|S|`` so only use for small spaces and tests.
-    """
-    phi = np.asarray(potential, dtype=float)
-    n = space.size
-    big = np.inf
-    M = np.full((n, n), big, dtype=float)
-    np.fill_diagonal(M, phi)
-    for x in range(n):
-        for y in space.neighbors(x):
-            y = int(y)
-            M[x, y] = max(phi[x], phi[y])
-    # minimax path closure
-    for k in range(n):
-        via = np.maximum(M[:, k][:, None], M[k, :][None, :])
-        np.minimum(M, via, out=M)
-    return M
-
-
-def zeta_barrier_bruteforce(potential: np.ndarray, space: ProfileSpace) -> float:
-    """Quadratic reference implementation of :func:`zeta_barrier`."""
-    phi = np.asarray(potential, dtype=float)
-    M = minimax_barrier_matrix(potential, space)
-    pairwise_floor = np.maximum(phi[:, None], phi[None, :])
-    return float(np.max(M - pairwise_floor))

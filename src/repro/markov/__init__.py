@@ -4,7 +4,6 @@ from .bottleneck import (
     BottleneckResult,
     best_sublevel_bottleneck,
     bottleneck_ratio,
-    conductance,
     mixing_time_lower_bound,
 )
 from .chain import MarkovChain, is_stochastic_matrix, stationary_distribution
@@ -16,16 +15,7 @@ from .coupling import (
 from .mixing import (
     MixingTimeResult,
     mixing_time,
-    mixing_time_from_state,
-    tv_decay_curve,
     worst_case_tv,
-)
-from .paths import (
-    PathFamily,
-    canonical_paths_congestion,
-    canonical_paths_relaxation_bound,
-    comparison_congestion_ratio,
-    path_edges,
 )
 from .sparse import (
     SparseMarkovChain,
@@ -36,7 +26,6 @@ from .sparse import (
 )
 from .spectral import (
     SpectralSummary,
-    relaxation_mixing_bounds,
     relaxation_time,
     reversible_eigenvalues,
     spectral_gap,
@@ -47,7 +36,6 @@ from .tv import (
     normalize_distribution,
     total_variation,
     total_variation_to_reference,
-    uniform_distribution,
 )
 
 __all__ = [
@@ -59,7 +47,6 @@ __all__ = [
     "BottleneckResult",
     "best_sublevel_bottleneck",
     "bottleneck_ratio",
-    "conductance",
     "mixing_time_lower_bound",
     "MarkovChain",
     "is_stochastic_matrix",
@@ -69,16 +56,8 @@ __all__ = [
     "maximal_coupling_update",
     "MixingTimeResult",
     "mixing_time",
-    "mixing_time_from_state",
-    "tv_decay_curve",
     "worst_case_tv",
-    "PathFamily",
-    "canonical_paths_congestion",
-    "canonical_paths_relaxation_bound",
-    "comparison_congestion_ratio",
-    "path_edges",
     "SpectralSummary",
-    "relaxation_mixing_bounds",
     "relaxation_time",
     "reversible_eigenvalues",
     "spectral_gap",
@@ -87,5 +66,4 @@ __all__ = [
     "normalize_distribution",
     "total_variation",
     "total_variation_to_reference",
-    "uniform_distribution",
 ]

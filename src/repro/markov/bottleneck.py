@@ -23,7 +23,6 @@ __all__ = [
     "mixing_time_lower_bound",
     "BottleneckResult",
     "best_sublevel_bottleneck",
-    "conductance",
 ]
 
 
@@ -50,22 +49,6 @@ def bottleneck_ratio(chain: MarkovChain, states: Sequence[int] | np.ndarray) -> 
     escape = P[idx][:, ~mask].sum(axis=1)
     q_out = float(np.sum(pi[idx] * escape))
     return q_out / pi_R
-
-
-def conductance(chain: MarkovChain, states: Sequence[int] | np.ndarray) -> float:
-    """The conductance-style ratio ``Q(R, R^c) / min(pi(R), pi(R^c))``."""
-    idx = _as_index_array(states, chain.num_states)
-    pi = chain.stationary
-    P = chain.transition_matrix
-    mask = np.zeros(chain.num_states, dtype=bool)
-    mask[idx] = True
-    pi_R = float(np.sum(pi[idx]))
-    pi_Rc = 1.0 - pi_R
-    if min(pi_R, pi_Rc) <= 0:
-        raise ValueError("both R and its complement must have positive mass")
-    escape = P[idx][:, ~mask].sum(axis=1)
-    q_out = float(np.sum(pi[idx] * escape))
-    return q_out / min(pi_R, pi_Rc)
 
 
 def mixing_time_lower_bound(

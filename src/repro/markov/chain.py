@@ -9,13 +9,16 @@ This is the generic substrate beneath the logit dynamics: a
 * the stationary distribution, computed either from a supplied Gibbs
   measure or from the leading left eigenvector;
 * single-step and multi-step evolution of distributions, and sampling of
-  trajectories;
-* the edge stationary distribution ``Q(x, y) = pi(x) P(x, y)`` used by the
-  canonical-path and bottleneck machinery of the paper (Section 2.1).
+  trajectories.
+
+It also holds :func:`check_count`, the one validation rule for integer
+knobs, low enough in the package that the markov, engine, stats and core
+layers all share it.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +28,23 @@ import scipy.sparse.csgraph as csgraph
 from .tv import is_distribution, normalize_distribution
 
 __all__ = ["MarkovChain", "stationary_distribution", "is_stochastic_matrix"]
+
+
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int of at least ``minimum``; the one rule for integer knobs.
+
+    Non-integers, integral floats included, raise ``TypeError`` and smaller
+    values ``ValueError``: a cast or clamp would silently run with another
+    block size, chunk size, interval or horizon than the one asked for.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {count}")
+    return count
 
 
 def is_stochastic_matrix(P: np.ndarray, tol: float = 1e-9) -> bool:
@@ -164,24 +184,18 @@ class MarkovChain:
 
     # -- dynamics -----------------------------------------------------------
 
-    def edge_stationary(self) -> np.ndarray:
-        """The edge stationary distribution ``Q(x, y) = pi(x) P(x, y)``."""
-        return self.stationary[:, None] * self._P
-
     def step_distribution(self, distribution: np.ndarray, steps: int = 1) -> np.ndarray:
         """Evolve a distribution ``mu`` forward: ``mu P^steps``."""
         mu = np.asarray(distribution, dtype=float)
         if mu.shape != (self.num_states,):
             raise ValueError("distribution has wrong length")
-        for _ in range(int(steps)):
+        for _ in range(check_count(steps, "steps", minimum=0)):
             mu = mu @ self._P
         return mu
 
     def t_step_matrix(self, steps: int) -> np.ndarray:
         """``P^steps`` computed by repeated squaring."""
-        steps = int(steps)
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
+        steps = check_count(steps, "steps", minimum=0)
         result = np.eye(self.num_states)
         base = self._P.copy()
         while steps:
@@ -202,6 +216,7 @@ class MarkovChain:
         rng = np.random.default_rng() if rng is None else rng
         if not 0 <= start < self.num_states:
             raise ValueError("start state out of range")
+        length = check_count(length, "length", minimum=0)
         path = np.empty(length + 1, dtype=np.int64)
         path[0] = start
         cumulative = np.cumsum(self._P, axis=1)

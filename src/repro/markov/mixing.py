@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarkovChain
+from .chain import MarkovChain, check_count
 from .tv import total_variation_to_reference
 
 __all__ = [
     "worst_case_tv",
-    "tv_decay_curve",
     "MixingTimeResult",
     "mixing_time",
-    "mixing_time_from_state",
 ]
 
 
@@ -36,29 +34,6 @@ def worst_case_tv(chain: MarkovChain, t: int) -> float:
     Pt = chain.t_step_matrix(t)
     distances = total_variation_to_reference(Pt, chain.stationary)
     return float(np.max(distances))
-
-
-def tv_decay_curve(chain: MarkovChain, horizon: int, stride: int = 1) -> np.ndarray:
-    """``d(t)`` for ``t = 0, stride, 2*stride, ..., <= horizon``.
-
-    Returns an array of shape ``(k, 2)`` with columns ``(t, d(t))``; used by
-    the examples to plot/print convergence profiles.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    stride = max(int(stride), 1)
-    pi = chain.stationary
-    P_stride = chain.t_step_matrix(stride)
-    rows = np.eye(chain.num_states)
-    out = []
-    t = 0
-    while t <= horizon:
-        d_t = float(np.max(total_variation_to_reference(rows, pi)))
-        out.append((t, d_t))
-        t += stride
-        if t <= horizon:
-            rows = rows @ P_stride
-    return np.array(out, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -74,10 +49,6 @@ class MixingTimeResult:
 
     def __int__(self) -> int:  # pragma: no cover - convenience
         return self.mixing_time
-
-
-def _tv_at(chain: MarkovChain, t: int) -> float:
-    return worst_case_tv(chain, t)
 
 
 def mixing_time(
@@ -100,9 +71,10 @@ def mixing_time(
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
+    max_time = check_count(max_time, "max_time")
     evaluations = 0
 
-    d0 = _tv_at(chain, 0)
+    d0 = worst_case_tv(chain, 0)
     evaluations += 1
     if d0 <= epsilon:
         return MixingTimeResult(0, epsilon, d0, d0, evaluations, False)
@@ -111,7 +83,7 @@ def mixing_time(
     lo, d_lo = 0, d0
     hi = 1
     while True:
-        d_hi = _tv_at(chain, hi)
+        d_hi = worst_case_tv(chain, hi)
         evaluations += 1
         if d_hi <= epsilon:
             break
@@ -124,41 +96,10 @@ def mixing_time(
     d_at_hi = d_hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        d_mid = _tv_at(chain, mid)
+        d_mid = worst_case_tv(chain, mid)
         evaluations += 1
         if d_mid <= epsilon:
             hi, d_at_hi = mid, d_mid
         else:
             lo, d_lo = mid, d_mid
     return MixingTimeResult(hi, epsilon, d_at_hi, d_lo, evaluations, False)
-
-
-def mixing_time_from_state(
-    chain: MarkovChain,
-    start: int,
-    epsilon: float = 0.25,
-    max_time: int = 10**7,
-) -> int:
-    """Smallest ``t`` with ``||P^t(start, .) - pi||_TV <= eps``.
-
-    This is the *single-start* mixing time; the paper's ``t_mix`` is the
-    maximum of this quantity over all starts, but lower-bound experiments
-    (which start the chain inside a bottleneck set) use the single-start
-    variant directly.
-    """
-    if not 0 <= start < chain.num_states:
-        raise ValueError("start state out of range")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    pi = chain.stationary
-    P = chain.transition_matrix
-    row = np.zeros(chain.num_states)
-    row[start] = 1.0
-    t = 0
-    while t <= max_time:
-        tv = float(total_variation_to_reference(row, pi)[0])
-        if tv <= epsilon:
-            return t
-        row = row @ P
-        t += 1
-    return max_time

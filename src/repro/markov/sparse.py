@@ -27,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .chain import check_count
 from .tv import total_variation
 
 __all__ = [
@@ -105,7 +106,7 @@ class SparseMarkovChain:
         mu = np.asarray(distribution, dtype=float)
         if mu.shape != (self.num_states,):
             raise ValueError("distribution has wrong length")
-        for _ in range(int(steps)):
+        for _ in range(check_count(steps, "steps", minimum=0)):
             mu = mu @ self._P
         return np.asarray(mu).ravel()
 
@@ -190,6 +191,7 @@ def sparse_mixing_time_from_state(
         raise ValueError("start state out of range")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
+    max_time = check_count(max_time, "max_time")
     pi = chain.stationary
     row = np.zeros(chain.num_states)
     row[start] = 1.0

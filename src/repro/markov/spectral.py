@@ -26,7 +26,6 @@ __all__ = [
     "spectral_gap",
     "relaxation_time",
     "spectral_summary",
-    "relaxation_mixing_bounds",
 ]
 
 
@@ -99,21 +98,3 @@ def spectral_summary(chain: MarkovChain) -> SpectralSummary:
         absolute_spectral_gap=float(abs_gap),
         relaxation_time=float(t_rel),
     )
-
-
-def relaxation_mixing_bounds(
-    chain: MarkovChain, epsilon: float = 0.25
-) -> tuple[float, float]:
-    """The Theorem 2.3 sandwich on the mixing time.
-
-    Returns ``(lower, upper)`` with
-    ``lower = (t_rel - 1) * log(1 / (2 eps))`` and
-    ``upper = t_rel * log(1 / (eps * pi_min))``.
-    """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    summary = spectral_summary(chain)
-    pi_min = float(np.min(chain.stationary))
-    lower = (summary.relaxation_time - 1.0) * np.log(1.0 / (2.0 * epsilon))
-    upper = summary.relaxation_time * np.log(1.0 / (epsilon * pi_min))
-    return float(max(lower, 0.0)), float(upper)

@@ -16,7 +16,6 @@ __all__ = [
     "total_variation_to_reference",
     "is_distribution",
     "normalize_distribution",
-    "uniform_distribution",
 ]
 
 
@@ -37,13 +36,6 @@ def normalize_distribution(weights: np.ndarray) -> np.ndarray:
     if total <= 0:
         raise ValueError("weights must not all be zero")
     return w / total
-
-
-def uniform_distribution(size: int) -> np.ndarray:
-    """The uniform distribution on ``size`` states."""
-    if size < 1:
-        raise ValueError("size must be positive")
-    return np.full(size, 1.0 / size)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

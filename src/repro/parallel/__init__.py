@@ -26,7 +26,6 @@ from .sharding import (
     ShardedExecutor,
     as_executor,
     claim_executor,
-    merge_shard_moments,
     pool_shard_samples,
     shard_plan,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "canonical_key",
     "claim_executor",
     "describe",
-    "merge_shard_moments",
     "pool_shard_samples",
     "shard_plan",
 ]

@@ -26,9 +26,8 @@ Two executor backends are provided behind one interface:
   :mod:`repro.analysis.welfare` ship picklable sampler objects for exactly
   this reason.
 
-Per-shard moment statistics travel back as
-:class:`~repro.stats.accumulators.StreamingMoments` and are merged through
-the accumulator's exact Chan fold (:func:`merge_shard_moments`); the
+Each shard's samples travel back with their
+:class:`~repro.stats.accumulators.StreamingMoments`; the
 confidence-sequence state is order-sensitive, so it is *folded* — each
 shard's samples are applied to the coordinator's CS in sample order via
 the existing chunk ``update`` — rather than merged commutatively.
@@ -45,6 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..engine.kernels import SeededSequentialKernel
+from ..markov.chain import check_count
 from ..obs import as_tracer
 from ..stats.accumulators import StreamingMoments
 
@@ -53,7 +53,6 @@ __all__ = [
     "ShardedExecutor",
     "as_executor",
     "claim_executor",
-    "merge_shard_moments",
     "pool_shard_samples",
     "shard_plan",
 ]
@@ -80,8 +79,9 @@ class ShardSample:
         ``offset + j`` only.
     moments:
         :class:`~repro.stats.accumulators.StreamingMoments` over
-        ``samples`` — the shard-local Welford state merged downstream via
-        :func:`merge_shard_moments`.
+        ``samples`` — the shard-local Welford state, which
+        :meth:`~repro.stats.accumulators.StreamingMoments.merge` combines
+        exactly.
     seconds:
         Worker-side wall-clock spent inside the sampler for this shard —
         the telemetry layer's per-shard load signal.  Carries no
@@ -181,21 +181,6 @@ def pool_shard_samples(shards: Sequence[ShardSample]) -> np.ndarray:
     return np.concatenate([s.samples for s in ordered])
 
 
-def merge_shard_moments(shards: Sequence[ShardSample]) -> StreamingMoments:
-    """Merge per-shard Welford accumulators with the exact Chan combine.
-
-    The merge is order-independent and algebraically exact (the
-    :meth:`~repro.stats.accumulators.StreamingMoments.merge` fold), so the
-    merged count always matches the pooled sample count and the merged
-    mean/variance agree with a direct computation up to floating-point
-    accumulation order.
-    """
-    merged = StreamingMoments()
-    for shard in sorted(shards, key=lambda s: s.offset):
-        merged.merge(shard.moments)
-    return merged
-
-
 def _payload_pickles(fn, tasks) -> bool:
     """Whether a task batch would survive the worker-queue round trip."""
     try:
@@ -250,15 +235,13 @@ class ShardedExecutor:
         backend: str = "serial",
         max_workers: int | None = None,
     ):
-        if num_shards < 1:
-            raise ValueError("need at least one shard")
         if backend not in ("serial", "process"):
             raise ValueError(f"unknown backend {backend!r}; use 'serial' or 'process'")
-        self.num_shards = int(num_shards)
+        self.num_shards = check_count(num_shards, "num_shards")
         self.backend = backend
-        self.max_workers = int(max_workers) if max_workers is not None else self.num_shards
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be positive")
+        self.max_workers = (
+            self.num_shards if max_workers is None else check_count(max_workers, "max_workers")
+        )
         self._pool = None
 
     # -- backend plumbing --------------------------------------------------
@@ -347,7 +330,7 @@ class ShardedExecutor:
         -------
         list[ShardSample]
             One entry per scheduled shard, in offset order; pool with
-            :func:`pool_shard_samples` / :func:`merge_shard_moments`.
+            :func:`pool_shard_samples`.
         """
         tracer = as_tracer(tracer)
         plan = shard_plan(count, self.num_shards)

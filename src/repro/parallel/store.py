@@ -152,7 +152,7 @@ def describe(obj) -> object:
             raise ValueError(
                 f"cannot build a stable store key for {obj!r}: lambdas and "
                 f"locally defined callables have no run-to-run-stable name; "
-                f"pass a module-level function/class or set store_tag="
+                f"pass a module-level function/class"
             )
         return {"__callable__": f"{module}.{qualname}"}
     return {"__object__": type(obj).__qualname__, "repr": repr(obj)}

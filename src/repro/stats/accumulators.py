@@ -82,11 +82,9 @@ class StreamingMoments:
         other:
             A :class:`StreamingMoments` over the *same* estimand axis;
             not mutated.  The combine is the algebraically exact Chan
-            fold — the fold operation the sharded executors use to merge
-            per-shard accumulators
-            (:func:`repro.parallel.merge_shard_moments`) — so splitting a
-            stream into shards of any sizes produces the same moments as
-            one big update, up to floating-point accumulation order.
+            fold, so splitting a stream into parts of any sizes and
+            merging them produces the same moments as one big update, up
+            to floating-point accumulation order.
         """
         if other.count == 0:
             return

@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..engine.state import check_count
 from ..engine.streams import as_seed_sequence
+from ..markov.chain import check_count
 from ..obs import as_tracer
 
 __all__ = ["ChunkSampler", "SampleDriver"]

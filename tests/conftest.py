@@ -1,6 +1,13 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and reference implementations for the test suite.
+
+The reference implementations (imported as ``from conftest import ...``)
+are oracles for library code: slow or naive versions the fast paths are
+checked against.  They are not part of the package.
+"""
 
 from __future__ import annotations
+
+from typing import Callable, Sequence
 
 import networkx as nx
 import numpy as np
@@ -9,11 +16,98 @@ import pytest
 from repro.games import (
     AnonymousDominantGame,
     CoordinationParams,
+    ExplicitPotentialGame,
+    Game,
     GraphicalCoordinationGame,
+    ProfileSpace,
     Theorem35Game,
     TwoWellGame,
     random_game,
 )
+
+
+class CallableGame(Game):
+    """Game whose utilities come from ``utility_fn(player, profile_tuple)``.
+
+    Implements only :meth:`Game.utility`, so every batched accessor runs
+    ``Game``'s generic fallback; large profile spaces stay untabulated.
+    """
+
+    def __init__(
+        self,
+        num_strategies: Sequence[int],
+        utility_fn: Callable[[int, tuple[int, ...]], float],
+    ):
+        self.space = ProfileSpace(num_strategies)
+        self._fn = utility_fn
+
+    def utility(self, player: int, profile_index: int) -> float:
+        return float(self._fn(player, self.space.decode(profile_index)))
+
+
+def pure_nash_equilibria(game: Game, tol: float = 1e-12) -> list[int]:
+    """Profile indices of all pure Nash equilibria, by exhaustive check."""
+    equilibria = []
+    for x in range(game.space.size):
+        if all(
+            game.utility_deviations(i, x)[game.space.strategy_of(x, i)]
+            >= np.max(game.utility_deviations(i, x)) - tol
+            for i in range(game.num_players)
+        ):
+            equilibria.append(x)
+    return equilibria
+
+
+def potential_from_game(game: Game, tol: float = 1e-9) -> np.ndarray | None:
+    """An exact potential for ``game`` (Equation 1), or ``None`` if none exists.
+
+    Integrates utility differences along bit-fixing paths from profile 0
+    (the Monderer–Shapley construction), then verifies the candidate
+    exhaustively.
+    """
+    space = game.space
+    phi = np.zeros(space.size, dtype=float)
+    for x in range(1, space.size):
+        # fix the first non-zero coordinate: Phi(x) - Phi(prev) = u_i(prev) - u_i(x)
+        player = next(i for i, s in enumerate(space.decode(x)) if s != 0)
+        prev = space.replace(x, player, 0)
+        phi[x] = phi[prev] + game.utility(player, prev) - game.utility(player, x)
+    utilities = np.stack([game.utility_matrix(i) for i in range(game.num_players)])
+    candidate = ExplicitPotentialGame(space.num_strategies, utilities, phi)
+    return phi if candidate.verify_potential(tol=tol) else None
+
+
+def ising_hamiltonian(
+    graph: nx.Graph, spins: np.ndarray, coupling: float = 1.0, field: float = 0.0
+) -> float:
+    """Ising energy ``H = -J * sum_edges s_u s_v - h * sum_u s_u``."""
+    spins = np.asarray(spins, dtype=float)
+    index = {node: i for i, node in enumerate(sorted(graph.nodes()))}
+    pair_sum = sum(spins[index[u]] * spins[index[v]] for u, v in graph.edges())
+    return float(-coupling * pair_sum - field * np.sum(spins))
+
+
+def minimax_barrier_matrix(potential: np.ndarray, space: ProfileSpace) -> np.ndarray:
+    """``M[x, y]``: the minimum over Hamming paths of the max potential level.
+
+    Floyd–Warshall-style closure, quadratic memory in ``|S|``.
+    """
+    phi = np.asarray(potential, dtype=float)
+    M = np.full((space.size, space.size), np.inf)
+    np.fill_diagonal(M, phi)
+    for x in range(space.size):
+        for y in space.neighbors(x):
+            M[x, int(y)] = max(phi[x], phi[int(y)])
+    for k in range(space.size):
+        np.minimum(M, np.maximum(M[:, k][:, None], M[k, :][None, :]), out=M)
+    return M
+
+
+def zeta_barrier_bruteforce(potential: np.ndarray, space: ProfileSpace) -> float:
+    """Quadratic reference for :func:`repro.games.zeta_barrier`."""
+    phi = np.asarray(potential, dtype=float)
+    pairwise_floor = np.maximum(phi[:, None], phi[None, :])
+    return float(np.max(minimax_barrier_matrix(phi, space) - pairwise_floor))
 
 
 @pytest.fixture

@@ -5,14 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.games.base import (
-    CallableGame,
-    NormalFormGame,
-    TableGame,
-    best_responses,
-    pure_nash_equilibria,
-    random_game,
-)
+from repro.games.base import NormalFormGame, TableGame, random_game
+
+from conftest import CallableGame, pure_nash_equilibria
 
 
 def prisoners_dilemma() -> NormalFormGame:
@@ -83,8 +78,6 @@ class TestTableGame:
 
     def test_utility_profile_many_generic_fallback_agrees(self):
         table = TableGame.from_function((2, 2), lambda i, prof: float(prof[0] - 2 * prof[1] + i))
-        from repro.games import CallableGame
-
         callable_game = CallableGame((2, 2), lambda i, prof: float(prof[0] - 2 * prof[1] + i))
         idx = np.array([0, 3, 1, 2], dtype=np.int64)
         np.testing.assert_allclose(
@@ -135,11 +128,6 @@ class TestEquilibria:
         game = NormalFormGame(row, row.T)
         eq = set(pure_nash_equilibria(game))
         assert eq == {game.space.encode((0, 0)), game.space.encode((1, 1))}
-
-    def test_best_responses(self):
-        game = prisoners_dilemma()
-        idx = game.space.encode((1, 1))
-        np.testing.assert_array_equal(best_responses(game, 0, idx), [0])
 
     def test_is_best_response(self):
         game = prisoners_dilemma()

@@ -10,7 +10,6 @@ from repro.games import Theorem35Game, TwoWellGame
 from repro.markov.bottleneck import (
     best_sublevel_bottleneck,
     bottleneck_ratio,
-    conductance,
     mixing_time_lower_bound,
 )
 from repro.markov.chain import MarkovChain
@@ -39,11 +38,6 @@ class TestBottleneckRatio:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             bottleneck_ratio(two_state_chain(), [5])
-
-    def test_conductance_symmetric_in_complement(self):
-        chain = two_state_chain(0.3, 0.2)
-        # reversibility: Q(R, Rc) = Q(Rc, R) so conductance agrees on both sides
-        assert conductance(chain, [0]) == pytest.approx(conductance(chain, [1]))
 
 
 class TestTheorem27LowerBound:

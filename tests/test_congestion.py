@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.games.congestion import CongestionGame, SingletonCongestionGame, linear_delays
-from repro.games.potential import potential_from_game
+
+from conftest import potential_from_game
 
 
 class TestSingletonCongestionGame:

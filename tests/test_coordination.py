@@ -6,13 +6,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.games.base import pure_nash_equilibria
 from repro.games.coordination import (
     CoordinationParams,
     GraphicalCoordinationGame,
     TwoPlayerCoordinationGame,
     basic_coordination_payoffs,
 )
+
+from conftest import pure_nash_equilibria
 
 
 class TestCoordinationParams:

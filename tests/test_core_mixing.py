@@ -7,13 +7,14 @@ import pytest
 
 import repro.core.mixing as core_mixing
 from repro.core import (
+    LogitDynamics,
     estimate_mixing_time_coupling,
     measure_mixing_time,
-    measure_mixing_with_bounds,
     measure_relaxation_time,
     measure_spectral_summary,
 )
 from repro.games import CoordinationParams, GraphicalCoordinationGame, TwoWellGame
+from repro.markov.coupling import coalescence_time_bound
 
 import networkx as nx
 
@@ -32,11 +33,6 @@ class TestExactMeasurement:
         spectrum."""
         summary = measure_spectral_summary(clique4_game, beta=1.4)
         assert summary.all_nonnegative
-
-    def test_measure_with_bounds_sandwich(self, two_well_game):
-        m = measure_mixing_with_bounds(two_well_game, beta=1.0)
-        assert m.theorem23_lower <= m.mixing_time <= m.theorem23_upper
-        assert m.num_profiles == two_well_game.space.size
 
     def test_exact_guard_rejects_huge_spaces(self, monkeypatch):
         monkeypatch.setattr(core_mixing, "MAX_EXACT_PROFILES", 8)
@@ -66,7 +62,7 @@ class TestCouplingEstimator:
             start_y=(1, 1, 1, 1),
             horizon=200 * exact,
             num_runs=64,
-            rng=np.random.default_rng(11),
+            seed=11,
         )
         # coupling-time quantile is an upper bound in expectation; allow
         # Monte-Carlo slack of a factor of 2 on the lower side
@@ -80,7 +76,37 @@ class TestCouplingEstimator:
             start_y=(0, 0, 0),
             horizon=5000,
             num_runs=16,
-            rng=np.random.default_rng(2),
+            seed=2,
         )
         assert np.isfinite(estimate)
         assert estimate < 5000
+
+    def test_seed_gives_the_generator_runs(self, ring5_ising_game):
+        # an int seed is bit for bit the former rng=np.random.default_rng(seed)
+        args = (ring5_ising_game, 1.0, (0,) * 5, (1,) * 5, 400)
+        estimate = estimate_mixing_time_coupling(*args, num_runs=24, seed=7)
+        assert estimate_mixing_time_coupling(*args, num_runs=24, seed=7) == estimate
+        coupled = LogitDynamics(ring5_ising_game, 1.0).grand_coupling(
+            (0,) * 5, (1,) * 5, 400, num_runs=24, rng=np.random.default_rng(7)
+        )
+        assert estimate == coalescence_time_bound(coupled, epsilon=0.25)
+
+    def test_seed_sequence_is_a_seed(self, ring5_ising_game):
+        args = (ring5_ising_game, 1.0, (0,) * 5, (1,) * 5, 400)
+        assert estimate_mixing_time_coupling(
+            *args, num_runs=24, seed=np.random.SeedSequence(7)
+        ) == estimate_mixing_time_coupling(*args, num_runs=24, seed=7)
+
+    def test_rng_is_not_a_knob(self, ring5_ising_game):
+        with pytest.raises(TypeError, match="rng"):
+            estimate_mixing_time_coupling(
+                ring5_ising_game, 1.0, (0,) * 5, (1,) * 5, 10,
+                rng=np.random.default_rng(1),
+            )
+
+    def test_generator_seed_is_refused(self, ring5_ising_game):
+        with pytest.raises(TypeError, match="Generator"):
+            estimate_mixing_time_coupling(
+                ring5_ising_game, 1.0, (0,) * 5, (1,) * 5, 10,
+                seed=np.random.default_rng(1),
+            )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.games.base import NormalFormGame, pure_nash_equilibria, random_game
+from repro.games.base import NormalFormGame, random_game
 from repro.games.dominant import (
     AnonymousDominantGame,
     dominant_profile,
@@ -13,6 +13,8 @@ from repro.games.dominant import (
     has_dominant_profile,
     random_dominant_game,
 )
+
+from conftest import pure_nash_equilibria
 
 
 def prisoners_dilemma() -> NormalFormGame:

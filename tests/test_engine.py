@@ -31,7 +31,6 @@ from repro.engine import (
     simulate_grand_coupling_ensemble,
 )
 from repro.games import (
-    CallableGame,
     CoordinationParams,
     GraphicalCoordinationGame,
     IsingGame,
@@ -39,6 +38,8 @@ from repro.games import (
     random_game,
 )
 from repro.markov.coupling import maximal_coupling_update
+
+from conftest import CallableGame
 
 
 class TestSamplingHelpers:

@@ -2,7 +2,7 @@
 
 Block sizes, chunk sizes, sample budgets, replica counts, checkpoint
 intervals and horizons all go through one rule
-(:func:`repro.engine.state.check_count`): a non-integer raises
+(:func:`repro.markov.chain.check_count`): a non-integer raises
 ``TypeError`` and a value below the knob's minimum ``ValueError``.  A cast
 or a clamp would run with another value than the one asked for; the block
 size is even part of the seeded stream definition.
@@ -14,14 +14,22 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.analysis import estimate_stationary_welfare
 from repro.core import (
+    AnnealedLogitDynamics,
     LogitDynamics,
+    ParallelLogitDynamics,
+    RoundRobinLogitDynamics,
     empirical_escape_times,
     empirical_hitting_times,
+    estimate_mixing_time_coupling,
     estimate_tv_convergence,
+    pseudo_mixing_time,
 )
 from repro.engine import EnsembleSimulator
 from repro.games import IsingGame
+from repro.markov import mixing_time, sparse_mixing_time_from_state
+from repro.parallel import ShardedExecutor
 from repro.stats import SampleDriver
 
 GAME = IsingGame(nx.cycle_graph(6), coupling=1.0)
@@ -34,7 +42,7 @@ def one_uniform(children):
 
 
 def test_check_count_accepts_integers_and_refuses_the_rest():
-    from repro.engine.state import check_count
+    from repro.markov.chain import check_count
 
     assert check_count(np.int64(3), "k") == 3
     assert check_count(0, "k", minimum=0) == 0
@@ -43,6 +51,19 @@ def test_check_count_accepts_integers_and_refuses_the_rest():
             check_count(bad, "k")
     with pytest.raises(ValueError, match="k must be at least 1, got 0"):
         check_count(0, "k")
+
+
+@pytest.mark.parametrize(
+    "knobs, error",
+    [
+        ({"num_shards": 2.5}, TypeError),  # regression: ran 2 shards
+        ({"num_shards": 0}, ValueError),
+        ({"num_shards": 2, "max_workers": 1.5}, TypeError),  # regression: 1 worker
+    ],
+)
+def test_sharded_executor_knobs_are_validated(knobs, error):
+    with pytest.raises(error, match=list(knobs)[-1]):
+        ShardedExecutor(**knobs)
 
 
 def test_seeded_block_size_is_not_truncated():
@@ -128,3 +149,155 @@ def test_tv_convergence_still_takes_a_zero_horizon():
         seed=0,
     )
     assert est.tv_curve.shape == (1, 2)
+
+
+RING4 = LogitDynamics(IsingGame(nx.cycle_graph(4), coupling=1.0), 1.0)
+CHAIN4 = RING4.markov_chain()
+POINT_MASS = np.eye(16)[0]
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        # regression: came back as MixingTimeResult(mixing_time=-5, capped=True)
+        pytest.param(
+            lambda: mixing_time(CHAIN4, max_time=-5), ValueError, "max_time",
+            id="mixing_time-negative",
+        ),
+        # regression: reported d(1) as the TV at t = 0
+        pytest.param(
+            lambda: mixing_time(CHAIN4, max_time=0), ValueError, "max_time",
+            id="mixing_time-zero",
+        ),
+        # regression: mixing_time=2.5, its TV read off P^2
+        pytest.param(
+            lambda: mixing_time(CHAIN4, max_time=2.5), TypeError, "max_time",
+            id="mixing_time-fraction",
+        ),
+        # regression: the float 3.0 came back as the mixing time
+        pytest.param(
+            lambda: mixing_time(CHAIN4, max_time=3.0), TypeError, "max_time",
+            id="mixing_time-integral-float",
+        ),
+        # regression: returned -1
+        pytest.param(
+            lambda: pseudo_mixing_time(CHAIN4, [0, 1], max_time=-1),
+            ValueError, "max_time",
+            id="pseudo_mixing_time-negative",
+        ),
+        # regression: returned -3
+        pytest.param(
+            lambda: sparse_mixing_time_from_state(RING4.sparse_markov_chain(), 0, max_time=-3),
+            ValueError, "max_time",
+            id="sparse_mixing_time-negative",
+        ),
+        pytest.param(
+            lambda: sparse_mixing_time_from_state(RING4.sparse_markov_chain(), 0, max_time=2.5),
+            TypeError, "max_time",
+            id="sparse_mixing_time-fraction",
+        ),
+        # regression: int(2.5) gave P^2
+        pytest.param(
+            lambda: CHAIN4.t_step_matrix(2.5), TypeError, "steps must be an integer",
+            id="t_step_matrix-fraction",
+        ),
+        # regression: numpy's "'float' object cannot be interpreted as an integer"
+        pytest.param(
+            lambda: RING4.ensemble(4, start=0).hitting_times(15, max_steps=2.5),
+            TypeError, "max_steps must be an integer",
+            id="first_times-fraction",
+        ),
+        # regression: ran 2 steps
+        pytest.param(
+            lambda: CHAIN4.step_distribution(POINT_MASS, 2.5), TypeError, "steps",
+            id="step_distribution-fraction",
+        ),
+        # regression: returned the distribution unchanged
+        pytest.param(
+            lambda: CHAIN4.step_distribution(POINT_MASS, -1), ValueError, "steps",
+            id="step_distribution-negative",
+        ),
+        pytest.param(
+            lambda: RING4.sparse_markov_chain().step_distribution(POINT_MASS, 2.5),
+            TypeError, "steps",
+            id="sparse_step_distribution-fraction",
+        ),
+        pytest.param(
+            lambda: RING4.sparse_markov_chain().step_distribution(POINT_MASS, -1),
+            ValueError, "steps",
+            id="sparse_step_distribution-negative",
+        ),
+        # regression: ran 2 annealed steps
+        pytest.param(
+            lambda: AnnealedLogitDynamics(RING4.game, [1.0] * 4).evolve_distribution(POINT_MASS, 2.5),
+            TypeError, "num_steps",
+            id="evolve_distribution-fraction",
+        ),
+        # regression: returned the distribution unchanged
+        pytest.param(
+            lambda: AnnealedLogitDynamics(RING4.game, [1.0] * 4).evolve_distribution(POINT_MASS, -1),
+            ValueError, "num_steps",
+            id="evolve_distribution-negative",
+        ),
+        # regression: numpy's "got '3.5'" and an IndexError
+        pytest.param(
+            lambda: CHAIN4.sample_path(0, 2.5), TypeError, "length",
+            id="sample_path-fraction",
+        ),
+        pytest.param(
+            lambda: CHAIN4.sample_path(0, -1), ValueError, "length",
+            id="sample_path-negative",
+        ),
+        # regression: the burn-in ran 2 steps
+        pytest.param(
+            lambda: estimate_stationary_welfare(RING4.game, 1.0, num_steps=2.5, num_replicas=8, seed=1),
+            TypeError, "num_steps",
+            id="welfare_burn_in-fraction",
+        ),
+        # regression: numpy's "negative dimensions are not allowed"
+        pytest.param(
+            lambda: RING4.simulate_loop((0,) * 4, -1), ValueError, "num_steps",
+            id="sequential_loop-negative",
+        ),
+        # regression: returned a one-row trajectory
+        pytest.param(
+            lambda: ParallelLogitDynamics(RING4.game, 1.0).simulate_loop((0,) * 4, -1),
+            ValueError, "num_steps",
+            id="parallel_loop-negative",
+        ),
+        pytest.param(
+            lambda: ParallelLogitDynamics(RING4.game, 1.0).simulate_loop((0,) * 4, 2.5),
+            TypeError, "num_steps",
+            id="parallel_loop-fraction",
+        ),
+        # regression: returned a one-row trajectory
+        pytest.param(
+            lambda: RoundRobinLogitDynamics(RING4.game, 1.0).simulate_loop((0,) * 4, -1),
+            ValueError, "num_steps",
+            id="round_robin_loop-negative",
+        ),
+        # regression: errors that did not name the knob
+        pytest.param(
+            lambda: estimate_mixing_time_coupling(RING4.game, 1.0, (0,) * 4, (1,) * 4, 2.5),
+            TypeError, "horizon",
+            id="coupling_horizon-fraction",
+        ),
+        pytest.param(
+            lambda: estimate_mixing_time_coupling(
+                RING4.game, 1.0, (0,) * 4, (1,) * 4, 10, num_runs=2.5
+            ),
+            TypeError, "num_runs",
+            id="coupling_runs-fraction",
+        ),
+    ],
+)
+def test_horizons_are_validated(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_exact_pipeline_takes_integer_horizons():
+    assert CHAIN4.t_step_matrix(np.int64(0)).tolist() == np.eye(16).tolist()
+    capped = mixing_time(CHAIN4, max_time=1)
+    assert capped.capped and capped.mixing_time == 1
+    assert mixing_time(CHAIN4, max_time=np.int64(10**7)) == mixing_time(CHAIN4)

@@ -7,13 +7,19 @@ import numpy as np
 import pytest
 
 from repro.core import LogitDynamics, gibbs_measure
-from repro.games.ising import (
-    IsingGame,
-    glauber_update_probability,
-    ising_hamiltonian,
-    profile_from_spins,
-    spins_from_profile,
-)
+from repro.games.ising import IsingGame, spins_from_profile
+
+from conftest import ising_hamiltonian
+
+
+def glauber_update_probability(local_field: float, beta: float) -> float:
+    """Heat-bath probability of setting a spin to ``+1``.
+
+    ``local_field = J * sum_{v ~ u} sigma_v + h`` is the effective field at
+    the updated site; the Glauber rule sets the spin to ``+1`` with
+    probability ``1 / (1 + exp(-2 beta local_field))``.
+    """
+    return float(1.0 / (1.0 + np.exp(-2.0 * beta * local_field)))
 
 
 class TestSpinMapping:
@@ -21,7 +27,7 @@ class TestSpinMapping:
         profile = np.array([0, 1, 1, 0])
         spins = spins_from_profile(profile)
         np.testing.assert_array_equal(spins, [-1, 1, 1, -1])
-        np.testing.assert_array_equal(profile_from_spins(spins), profile)
+        np.testing.assert_array_equal((spins + 1) // 2, profile)
 
     def test_hamiltonian_ferromagnetic_ground_states(self):
         graph = nx.cycle_graph(4)

@@ -22,7 +22,9 @@ from repro.games import (
     LocalInteractionGame,
     derive_edge_potential,
 )
-from repro.games.ising import ising_hamiltonian, spins_from_profile
+from repro.games.ising import spins_from_profile
+
+from conftest import ising_hamiltonian
 
 
 class TestAgainstDenseConstructions:

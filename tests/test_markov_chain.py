@@ -122,10 +122,6 @@ class TestStructure:
 
 
 class TestDynamics:
-    def test_edge_stationary_sums_to_one(self):
-        chain = random_walk_cycle(5)
-        assert chain.edge_stationary().sum() == pytest.approx(1.0)
-
     def test_step_distribution_preserves_mass(self):
         chain = two_state_chain()
         mu = np.array([1.0, 0.0])

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.markov.chain import MarkovChain
-from repro.markov.mixing import (
-    mixing_time,
-    mixing_time_from_state,
-    tv_decay_curve,
-    worst_case_tv,
-)
+from repro.markov.mixing import mixing_time, worst_case_tv
 
 
 def two_state_chain(p: float = 0.3, q: float = 0.2) -> MarkovChain:
@@ -41,13 +36,6 @@ class TestWorstCaseTV:
     def test_converges_to_zero(self):
         chain = two_state_chain()
         assert worst_case_tv(chain, 200) < 1e-8
-
-    def test_decay_curve_shape(self):
-        chain = lazy_cycle(5)
-        curve = tv_decay_curve(chain, horizon=10, stride=2)
-        assert curve.shape == (6, 2)
-        np.testing.assert_array_equal(curve[:, 0], [0, 2, 4, 6, 8, 10])
-        assert np.all(np.diff(curve[:, 1]) <= 1e-12)
 
 
 class TestMixingTime:
@@ -106,14 +94,3 @@ class TestMixingTime:
         t_small = mixing_time(chain, epsilon=0.25**3).mixing_time
         assert t_small <= 3 * t_quarter + 3
 
-
-class TestMixingTimeFromState:
-    def test_single_start_below_worst_case(self):
-        chain = lazy_cycle(6)
-        worst = mixing_time(chain, epsilon=0.25).mixing_time
-        singles = [mixing_time_from_state(chain, s, epsilon=0.25) for s in range(6)]
-        assert max(singles) == worst
-
-    def test_start_validation(self):
-        with pytest.raises(ValueError):
-            mixing_time_from_state(two_state_chain(), 9)

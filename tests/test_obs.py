@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import tracemalloc
@@ -336,7 +337,12 @@ class TestMemorySink:
 
 
 def _count_calls(fn) -> int:
-    """Python and C calls ``fn()`` makes, as ``sys.setprofile`` sees them."""
+    """Python and C calls ``fn()`` makes, as ``sys.setprofile`` sees them.
+
+    The cyclic garbage collector is drained first and held off while
+    counting: a collection inside the counted region would run finalizers
+    left by earlier code, and the profiler would count their calls too.
+    """
     calls = 0
 
     def profile(frame, event, arg):
@@ -344,11 +350,14 @@ def _count_calls(fn) -> int:
         if event in ("call", "c_call"):
             calls += 1
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls
 
 

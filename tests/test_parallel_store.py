@@ -62,7 +62,7 @@ def test_describe_rejects_lambdas_but_accepts_named_callables():
     assert describe(make_ring_game)["__callable__"].endswith("make_ring_game")
     partial = functools.partial(make_ring_game, 6)
     assert "__partial__" in describe(partial)
-    with pytest.raises(ValueError, match="store_tag"):
+    with pytest.raises(ValueError, match="module-level function/class"):
         describe(lambda n: n)
 
 

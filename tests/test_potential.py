@@ -8,16 +8,14 @@ import pytest
 from repro.games.base import NormalFormGame, TableGame, random_game
 from repro.games.potential import (
     ExplicitPotentialGame,
-    is_potential_game,
     local_variations,
     max_global_variation,
     max_local_variation,
-    minimax_barrier_matrix,
-    potential_from_game,
     zeta_barrier,
-    zeta_barrier_bruteforce,
 )
 from repro.games.space import ProfileSpace
+
+from conftest import minimax_barrier_matrix, potential_from_game, zeta_barrier_bruteforce
 
 
 def coordination_2x2(delta0: float = 2.0, delta1: float = 1.0) -> NormalFormGame:
@@ -53,9 +51,6 @@ class TestExplicitPotentialGame:
 
 
 class TestPotentialExtraction:
-    def test_coordination_game_is_potential(self):
-        assert is_potential_game(coordination_2x2())
-
     def test_extracted_potential_satisfies_equation1(self):
         game = coordination_2x2(2.0, 1.0)
         phi = potential_from_game(game)

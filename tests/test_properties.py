@@ -14,10 +14,12 @@ from repro.core import LogitDynamics, gibbs_measure, logit_update_distribution
 from repro.engine import sample_from_cumulative, sample_inverse_cdf
 from repro.engine.sampling import columns_pay
 from repro.games import ExplicitPotentialGame, random_game
-from repro.games.potential import zeta_barrier, zeta_barrier_bruteforce
+from repro.games.potential import zeta_barrier
 from repro.games.space import ProfileSpace
 from repro.markov.chain import is_stochastic_matrix
 from repro.markov.tv import normalize_distribution, total_variation
+
+from conftest import zeta_barrier_bruteforce
 
 # -- strategies -------------------------------------------------------------
 

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 
 from repro.core import LogitDynamics, measure_mixing_time, measure_relaxation_time
 from repro.games import CoordinationParams, GraphicalCoordinationGame, TwoWellGame
-from repro.markov.mixing import mixing_time_from_state
+from repro.markov.chain import MarkovChain
+from repro.markov.mixing import mixing_time
 from repro.markov.sparse import (
     SparseMarkovChain,
     sparse_mixing_time_from_state,
@@ -17,6 +18,28 @@ from repro.markov.sparse import (
     sparse_spectral_gap,
     sparse_stationary_power_iteration,
 )
+
+
+def mixing_time_from_state(chain: MarkovChain, start: int, epsilon: float = 0.25) -> int:
+    """Dense reference: smallest ``t`` with ``||P^t(start, .) - pi||_TV <= eps``."""
+    row = np.zeros(chain.num_states)
+    row[start] = 1.0
+    t = 0
+    while 0.5 * np.abs(row - chain.stationary).sum() > epsilon:
+        row = row @ chain.transition_matrix
+        t += 1
+    return t
+
+
+def test_dense_reference_maximised_over_starts_is_the_mixing_time():
+    P = np.zeros((6, 6))
+    for i in range(6):
+        P[i, i] = 0.5
+        P[i, (i + 1) % 6] += 0.25
+        P[i, (i - 1) % 6] += 0.25
+    chain = MarkovChain(P)
+    singles = [mixing_time_from_state(chain, s) for s in range(6)]
+    assert max(singles) == mixing_time(chain).mixing_time
 
 
 def lazy_cycle_sparse(n: int = 6) -> SparseMarkovChain:

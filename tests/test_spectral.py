@@ -9,12 +9,22 @@ from repro.core import LogitDynamics
 from repro.markov.chain import MarkovChain
 from repro.markov.mixing import mixing_time
 from repro.markov.spectral import (
-    relaxation_mixing_bounds,
     relaxation_time,
     reversible_eigenvalues,
     spectral_gap,
     spectral_summary,
 )
+
+
+def relaxation_mixing_bounds(chain: MarkovChain, epsilon: float = 0.25) -> tuple[float, float]:
+    """The Theorem 2.3 sandwich ``(t_rel - 1) log(1/(2 eps)) <= t_mix(eps)
+    <= t_rel log(1/(eps pi_min))``."""
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
+    t_rel = spectral_summary(chain).relaxation_time
+    lower = (t_rel - 1.0) * np.log(1.0 / (2.0 * epsilon))
+    upper = t_rel * np.log(1.0 / (epsilon * np.min(chain.stationary)))
+    return max(lower, 0.0), upper
 
 
 def two_state_chain(p: float = 0.3, q: float = 0.2) -> MarkovChain:

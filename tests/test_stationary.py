@@ -8,9 +8,6 @@ import pytest
 from repro.core.stationary import (
     gibbs_expectation,
     gibbs_measure,
-    log_partition_function,
-    min_stationary_probability_bound,
-    partition_function,
     stationary_mass,
 )
 
@@ -69,30 +66,6 @@ class TestGibbsMeasure:
         assert pi[1] == pytest.approx(0.5, abs=1e-9)
 
 
-class TestPartitionFunction:
-    def test_log_partition_closed_form(self):
-        phi = np.array([0.0, 1.0])
-        beta = 2.0
-        expected = np.log(1.0 + np.exp(-2.0))
-        assert log_partition_function(phi, beta) == pytest.approx(expected)
-
-    def test_partition_consistent_with_log(self):
-        phi = np.array([0.0, 0.5, 1.0])
-        assert partition_function(phi, 1.0) == pytest.approx(
-            np.exp(log_partition_function(phi, 1.0))
-        )
-
-    def test_beta_zero_counts_states(self):
-        phi = np.random.default_rng(2).normal(size=7)
-        assert partition_function(phi, 0.0) == pytest.approx(7.0)
-
-    @pytest.mark.parametrize("beta", [np.inf, np.nan, -1.0])
-    @pytest.mark.parametrize("fn", [log_partition_function, partition_function])
-    def test_invalid_beta_rejected(self, fn, beta):
-        with pytest.raises(ValueError, match="beta"):
-            fn(np.array([0.0, 1.0]), beta)
-
-
 class TestObservables:
     def test_gibbs_expectation_uniform_case(self):
         phi = np.zeros(4)
@@ -107,15 +80,3 @@ class TestObservables:
         phi = np.array([0.0, 0.0, 10.0, 10.0])
         mass = stationary_mass(phi, beta=5.0, states=np.array([0, 1]))
         assert mass == pytest.approx(1.0, abs=1e-9)
-
-    def test_min_probability_bound_is_a_lower_bound(self):
-        rng = np.random.default_rng(3)
-        phi = rng.uniform(0.0, 2.0, size=16)
-        beta = 1.5
-        pi = gibbs_measure(phi, beta)
-        bound = min_stationary_probability_bound(16, beta, float(np.ptp(phi)))
-        assert np.min(pi) >= bound - 1e-15
-
-    def test_min_probability_bound_validation(self):
-        with pytest.raises(ValueError):
-            min_stationary_probability_bound(0, 1.0, 1.0)

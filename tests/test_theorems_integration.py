@@ -38,9 +38,11 @@ from repro.games import (
     random_dominant_game,
     random_game,
 )
-from repro.games.potential import ExplicitPotentialGame, potential_from_game
+from repro.games.potential import ExplicitPotentialGame
 from repro.graphs.cutwidth import cutwidth_exact
 from repro.markov.bottleneck import mixing_time_lower_bound
+
+from conftest import potential_from_game
 
 
 class TestTheorem31Spectrum:

@@ -10,7 +10,6 @@ from repro.markov.tv import (
     normalize_distribution,
     total_variation,
     total_variation_to_reference,
-    uniform_distribution,
 )
 
 
@@ -32,11 +31,6 @@ class TestDistributionHelpers:
     def test_normalize_rejects_zero(self):
         with pytest.raises(ValueError):
             normalize_distribution([0.0, 0.0])
-
-    def test_uniform(self):
-        np.testing.assert_allclose(uniform_distribution(4), [0.25] * 4)
-        with pytest.raises(ValueError):
-            uniform_distribution(0)
 
 
 class TestTotalVariation:

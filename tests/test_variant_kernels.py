@@ -37,9 +37,10 @@ from repro.games import (
     TableGame,
     TwoPlayerCoordinationGame,
     TwoWellGame,
-    pure_nash_equilibria,
 )
 from repro.markov.tv import total_variation
+
+from conftest import pure_nash_equilibria
 
 
 def coordination_game() -> TwoPlayerCoordinationGame:

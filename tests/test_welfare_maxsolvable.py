@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.welfare import (
-    logit_price_of_anarchy,
     optimal_welfare,
     social_welfare_vector,
     stationary_expected_welfare,
-    welfare_vs_beta,
-    worst_equilibrium_welfare,
 )
 from repro.games import (
     AnonymousDominantGame,
@@ -44,10 +41,6 @@ class TestSocialWelfare:
     def test_optimal_welfare(self):
         assert optimal_welfare(prisoners_dilemma()) == pytest.approx(6.0)
 
-    def test_worst_equilibrium_welfare(self):
-        assert worst_equilibrium_welfare(prisoners_dilemma()) == pytest.approx(2.0)
-        assert worst_equilibrium_welfare(matching_pennies()) is None
-
     def test_stationary_welfare_beta_zero_is_profile_average(self):
         game = prisoners_dilemma()
         expected = float(np.mean(social_welfare_vector(game)))
@@ -70,22 +63,6 @@ class TestSocialWelfare:
         w_high = stationary_expected_welfare(game, 10.0)
         assert w_high > w_low
         assert w_high == pytest.approx(4.0, abs=0.1)  # both players get a = 2
-
-    def test_price_of_anarchy_at_high_beta(self):
-        game = prisoners_dilemma()
-        ratio = logit_price_of_anarchy(game, 10.0)
-        assert ratio == pytest.approx(3.0, rel=0.1)  # 6 / 2
-
-    def test_price_of_anarchy_rejects_nonpositive_welfare(self):
-        game = matching_pennies()  # zero-sum: welfare identically 0
-        with pytest.raises(ValueError):
-            logit_price_of_anarchy(game, 1.0)
-
-    def test_welfare_vs_beta_shape(self):
-        game = TwoPlayerCoordinationGame(CoordinationParams.from_deltas(2.0, 1.0))
-        table = welfare_vs_beta(game, [0.0, 1.0, 5.0])
-        assert table.shape == (3, 4)
-        assert np.all(np.diff(table[:, 1]) >= -1e-9)  # welfare non-decreasing here
 
 
 class TestMaxSolvable:
