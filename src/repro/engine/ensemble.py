@@ -525,8 +525,7 @@ class EnsembleSimulator:
         ``record_every`` steps (an integer of at least 1:
         :func:`~repro.engine.state.check_count`).
         """
-        if num_steps < 0:
-            raise ValueError("num_steps must be non-negative")
+        num_steps = check_count(num_steps, "num_steps", minimum=0)
         tracer = self.tracer
         tic = perf_counter() if tracer.enabled else 0.0
         draws = self.kernel.begin_run(self, num_steps)

@@ -106,6 +106,14 @@ __all__ = [
     "seeded_kernel_for",
 ]
 
+# Binary first-passage windows with at most this many live replicas step
+# replica by replica over Python ints (SeededSequentialKernel.advance_window).
+# A time-major numpy step costs about 5 us at any width and a replica-major
+# replica-step about 0.3 us, so on 255-step windows in which no replica hits
+# the two loops break even at 16-20 replicas (2-core x86, 6-ring); a replica
+# that hits early stops early, which only favours the replica-major loop.
+REPLICA_MAJOR_WINDOW = 16
+
 
 def require_sequential_dynamics(dynamics) -> None:
     """Refuse dynamics the seeded per-replica streams cannot represent.
@@ -577,19 +585,26 @@ class SeededSequentialKernel(UpdateKernel):
         Each replica stops at its first profile index inside the boolean
         ``(|S|,)`` mask ``stop``.  The window must fit in every selected
         replica's current block (``steps <= block_room(sim, where)``), so
-        each step reads its mover and uniform from the pre-drawn block:
+        each step reads its mover and uniform from the pre-drawn block.
+
+        Binary tables (last axis 2, single-strategy players included) step
+        by flat subscripts: column 1 is ``+inf``, so the mover's one finite
+        threshold sits at flat position ``2 * (mover * |S| + x)`` of
+        ``cum``, and the same position plus the chosen strategy indexes the
+        doubled next-profile table
+        (:meth:`~repro.core.logit.UtilityRule.binary_next`).  A binary
+        window of at most ``REPLICA_MAJOR_WINDOW`` replicas runs replica by
+        replica: a Python loop over each replica's movers and uniforms that
+        carries its doubled index as an int, reads the flat thresholds, the
+        doubled table and ``stop`` through ``memoryview``s, and stops at the
+        replica's hit.  Wider binary windows run time-major, one numpy row
+        of the ``(steps, k)`` path per step, since a numpy step costs the
+        same at any width; other tables take the same time-major loop with
         one table lookup, one count of the cumulative entries below the
-        uniform, one next-profile lookup and one row store into the
-        ``(steps, k)`` path.  Binary tables (last axis 2, single-strategy
-        players included) take a flat loop instead: column 1 is ``+inf``,
-        so the mover's one finite threshold sits at flat position
-        ``2 * (mover * |S| + x)`` of ``cum``, and the same position plus
-        the chosen strategy indexes the doubled next-profile table
-        (:meth:`~repro.core.logit.UtilityRule.binary_next`).
-        The loop carries doubled indices, so a step is subscripts and
-        operators only, and halves the path once.  The first hit per
-        replica is then found in the path at once.  A replica's draws past
-        its hit are evaluated but not consumed, so its cursor, index and
+        uniform and one next-profile lookup per step.  The time-major loops
+        run every replica to the end of the window and find the first hit
+        per replica in the path afterwards: a replica's draws past its hit
+        are evaluated but not consumed.  Either way its cursor, index and
         stream advance exactly as :meth:`step` would have advanced them,
         one step at a time, up to the hit.
 
@@ -599,12 +614,41 @@ class SeededSequentialKernel(UpdateKernel):
         state = sim.kernel_state
         cum, nxt = sim._gather_tables()
         k = where.size
-        cols = state["consumed"][where] - state["block_start"][where]
-        cols = cols + np.arange(steps)[:, None]
+        offsets = state["consumed"][where] - state["block_start"][where]
+        current = sim.state.take(where)
+        if cum.shape[2] == 2 and k <= REPLICA_MAJOR_WINDOW:
+            cols = offsets[:, None] + np.arange(steps)
+            rows = where[:, None]
+            bases = (state["players"][rows, cols] * (2 * sim.space.size)).tolist()
+            chances = state["uniforms"][rows, cols].tolist()
+            thresholds = memoryview(cum.reshape(-1))
+            doubled = memoryview(self.rule.binary_next())
+            inside = memoryview(stop)
+            final = [0] * k
+            taken = [0] * k
+            for r, (x, movers, uniforms) in enumerate(
+                zip(current.tolist(), bases, chances)
+            ):
+                x *= 2
+                t = 0
+                for base, u in zip(movers, uniforms):
+                    j = base + x
+                    x = doubled[j + (thresholds[j] <= u)]
+                    t += 1
+                    if inside[x >> 1]:
+                        break
+                final[r] = x >> 1
+                taken[r] = t
+            # a replica's last state is in stop exactly when it stopped there
+            hit = stop[final]
+            taken = np.array(taken)
+            sim.state.put(where, final)
+            state["consumed"][where] += taken
+            return hit, taken
+        cols = offsets + np.arange(steps)[:, None]
         movers = state["players"][where, cols]
         uniforms = state["uniforms"][where, cols]
         path = np.empty((steps, k), dtype=np.int64)
-        current = sim.state.take(where)
         if cum.shape[2] == 2:
             thresholds = cum.reshape(-1)
             doubled = self.rule.binary_next()

@@ -495,6 +495,10 @@ class LocalInteractionGame(PotentialGame):
                 f"with rows, profiles must have shape (R, {n}) and rows shape "
                 f"({k},); got {prof.shape} and {np.shape(rows)}"
             )
+        # one range check, so the per-player takes below can clip: a negative
+        # player wraps to a huge unsigned value, so one max covers both bounds
+        if k and int(p.view(np.uint64).max()) >= n:
+            raise IndexError(f"players must lie in [0, {n})")
         if self.num_edges == 0:
             # nothing to gather (padding would index an empty edge stack)
             return self._field[p]
@@ -503,10 +507,11 @@ class LocalInteractionGame(PotentialGame):
         if s is None:
             s = self._rowwise_scratch = _RowwiseScratch(self._pad_nbr.shape[1], n, m)
         s.fit(k)
-        # slot-major gathers of the movers' padded adjacency rows
-        np.take(self._pad_nbr_t, p, axis=1, out=s.nbr)
-        np.take(self._pad_edge_t, p, axis=1, out=s.eid)
-        np.take(self._pad_mask_t, p, axis=1, out=s.mask)
+        # slot-major gathers of the movers' padded adjacency rows; the players
+        # are checked above, and numpy's default mode="raise" buffers out=
+        np.take(self._pad_nbr_t, p, axis=1, out=s.nbr, mode="clip")
+        np.take(self._pad_edge_t, p, axis=1, out=s.eid, mode="clip")
+        np.take(self._pad_mask_t, p, axis=1, out=s.mask, mode="clip")
         # neighbor strategies: gathered[d, j] = prof[rows[j], nbr[d, j]]
         # (rows[j] = j without rows), through the flattened profile matrix
         offsets = s.identity if rows is None else np.multiply(rows, n, out=s.offsets)
@@ -529,7 +534,7 @@ class LocalInteractionGame(PotentialGame):
                 # reduce it pairwise, so take the running sum (in place)
                 np.add.accumulate(s.pick, axis=0, out=s.pick)
                 s.util[:, strategy] = s.pick[-1]
-        np.take(self._field, p, axis=0, out=s.field)
+        np.take(self._field, p, axis=0, out=s.field, mode="clip")
         np.add(s.util, s.field, out=s.util)
         # the returned buffer is reused by the next call — callers that keep
         # utilities across steps must copy (the engine consumes them

@@ -36,8 +36,11 @@ def check_count(value, name: str, minimum: int = 1) -> int:
     Non-integers, integral floats included, raise ``TypeError`` and smaller
     values ``ValueError``: a cast or clamp would silently run with another
     block size, chunk size, interval or horizon than the one asked for.
+    A ``bool`` is refused too: ``True`` is no count, only an int subclass.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None

@@ -26,11 +26,10 @@ Two executor backends are provided behind one interface:
   :mod:`repro.analysis.welfare` ship picklable sampler objects for exactly
   this reason.
 
-Each shard's samples travel back with their
-:class:`~repro.stats.accumulators.StreamingMoments`; the
-confidence-sequence state is order-sensitive, so it is *folded* — each
-shard's samples are applied to the coordinator's CS in sample order via
-the existing chunk ``update`` — rather than merged commutatively.
+Each shard sends back its samples only; the confidence-sequence state is
+order-sensitive, so it is *folded* — each shard's samples are applied to
+the coordinator's CS in sample order via the existing chunk ``update`` —
+rather than merged commutatively.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import numpy as np
 from ..engine.kernels import SeededSequentialKernel
 from ..markov.chain import check_count
 from ..obs import as_tracer
-from ..stats.accumulators import StreamingMoments
 
 __all__ = [
     "ShardSample",
@@ -77,11 +75,6 @@ class ShardSample:
     samples:
         ``(count,)`` float array, sample ``j`` derived from seed child
         ``offset + j`` only.
-    moments:
-        :class:`~repro.stats.accumulators.StreamingMoments` over
-        ``samples`` — the shard-local Welford state, which
-        :meth:`~repro.stats.accumulators.StreamingMoments.merge` combines
-        exactly.
     seconds:
         Worker-side wall-clock spent inside the sampler for this shard —
         the telemetry layer's per-shard load signal.  Carries no
@@ -90,7 +83,6 @@ class ShardSample:
 
     offset: int
     samples: np.ndarray
-    moments: StreamingMoments
     seconds: float = field(default=0.0, compare=False)
 
 
@@ -140,7 +132,7 @@ def _sample_shard(
     start: int,
     count: int,
 ) -> ShardSample:
-    """Evaluate one shard: reconstruct its seed block, sample, accumulate.
+    """Evaluate one shard: reconstruct its seed block and sample it.
 
     Module-level (not a closure) so the process backend can pickle it; the
     shard needs only ``(root, start, count)`` to rebuild exactly the
@@ -156,11 +148,7 @@ def _sample_shard(
             f"sampler returned shape {samples.shape} for {count} children; "
             f"sharded execution needs exactly one sample per spawned child"
         )
-    moments = StreamingMoments()
-    moments.update(samples)
-    return ShardSample(
-        offset=start, samples=samples, moments=moments, seconds=seconds
-    )
+    return ShardSample(offset=start, samples=samples, seconds=seconds)
 
 
 def pool_shard_samples(shards: Sequence[ShardSample]) -> np.ndarray:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import LogitDynamics
 from repro.core.samplers import TruncatedHittingSampler
-from repro.engine import EnsembleSimulator
+from repro.engine import EnsembleSimulator, kernels
 from repro.games import IsingGame, random_game
 from repro.graphs import ring_graph
 from repro.obs import Tracer
@@ -182,6 +182,149 @@ def test_multi_strategy_exit_times_match_stepwise(shape, block_size):
     np.testing.assert_array_equal(times, stepwise(ref, well, 600, exit=True))
     assert (times > 0).any()
     assert_same_run(sim, ref)
+
+
+# -- replica-major windows: few live replicas step one replica at a time --
+
+CAP = kernels.REPLICA_MAJOR_WINDOW
+WIDTHS = [1, CAP, CAP + 1, 64]
+WIDE = 70  # replicas per ensemble; a window advances a subset of them
+WINDOW_BLOCK = 16
+
+
+def window_sims(count, seed=21):
+    """``count`` identical seeded ensembles, each with a filled block and
+    uneven cursors: every replica stepped once, the even ones three more."""
+    sims = [seeded(WINDOW_BLOCK, seed=seed, replicas=WIDE) for _ in range(count)]
+    for sim in sims:
+        sim.kernel.step(sim)
+        for _ in range(3):
+            sim.kernel.step(sim, where=np.arange(0, WIDE, 2))
+    return sims
+
+
+def step_until(sim, where, steps, stop):
+    """The window contract one ``kernel.step`` at a time: each replica of
+    ``where`` steps until its first profile in ``stop``, at most ``steps``."""
+    hit = np.zeros(where.size, dtype=bool)
+    taken = np.full(where.size, steps)
+    live = np.arange(where.size)
+    for t in range(1, steps + 1):
+        if live.size == 0:
+            break
+        sim.kernel.step(sim, where=where[live])
+        inside = stop[sim.indices[where[live]]]
+        hit[live[inside]] = True
+        taken[live[inside]] = t
+        live = live[~inside]
+    return hit, taken
+
+
+def window_case(case, paths, where):
+    """``(stop, steps)`` of a window case, given each replica's ``paths``
+    through the block room."""
+    stop = np.zeros(GAME.space.size, dtype=bool)
+    steps = len(paths)
+    if case == "first":
+        stop[paths[0, where[0]]] = True
+    elif case == "last":
+        # the longest window whose last step is some replica's first visit
+        # to a profile; one step always qualifies
+        def fresh(t):
+            return [r for r in where if paths[t - 1, r] not in paths[: t - 1, r]]
+
+        while not fresh(steps):
+            steps -= 1
+        stop[paths[steps - 1, fresh(steps)[0]]] = True
+    elif case == "several":
+        stop[[0, 21, 42, CONSENSUS]] = True
+    elif case == "exit":
+        stop[:] = True  # the complement of a basin, as exit_times builds it
+        stop[[0] + [1 << i for i in range(6)]] = False
+    return stop, steps
+
+
+def run_window(sim, where, steps, stop, cap, monkeypatch):
+    monkeypatch.setattr(kernels, "REPLICA_MAJOR_WINDOW", cap)
+    return sim.kernel.advance_window(sim, where, steps, stop)
+
+
+@pytest.mark.parametrize("case", ["first", "last", "none", "several", "exit"])
+@pytest.mark.parametrize("k", WIDTHS)
+def test_replica_major_windows_match_time_major_and_stepwise(k, case, monkeypatch):
+    probe, by_replica, by_time, oracle = window_sims(4)
+    where = np.sort(np.random.default_rng(k).choice(WIDE, size=k, replace=False))
+    paths = np.empty((probe.kernel.block_room(probe, where), WIDE), dtype=np.int64)
+    for t in range(len(paths)):
+        probe.kernel.step(probe)
+        paths[t] = probe.indices
+    stop, steps = window_case(case, paths, where)
+    replica_major = run_window(by_replica, where, steps, stop, WIDE, monkeypatch)
+    time_major = run_window(by_time, where, steps, stop, 0, monkeypatch)
+    expected = step_until(oracle, where, steps, stop)
+    for got in (replica_major, time_major):
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+    hit, taken = expected
+    if case == "first":
+        assert hit[0] and taken[0] == 1
+    elif case == "last":
+        assert (hit & (taken == steps)).any()
+    elif case == "none":
+        assert not hit.any() and (taken == steps).all()
+    for sim in (by_replica, by_time):
+        assert_same_run(sim, oracle)
+    # the run continues from the partial window: refills, then new windows
+    expected = stepwise(oracle, [CONSENSUS], 100)
+    for sim, cap in ((by_replica, WIDE), (by_time, 0)):
+        monkeypatch.setattr(kernels, "REPLICA_MAJOR_WINDOW", cap)
+        np.testing.assert_array_equal(
+            sim.hitting_times(CONSENSUS, max_steps=100), expected
+        )
+        assert_same_run(sim, oracle)
+
+
+@pytest.mark.parametrize("block_size", [7, 256])
+@pytest.mark.parametrize("cap", [0, WIDE], ids=["time-major", "replica-major"])
+def test_each_window_loop_alone_matches_stepwise(cap, block_size, monkeypatch):
+    monkeypatch.setattr(kernels, "REPLICA_MAJOR_WINDOW", cap)
+    # the ring: several targets, then an exit from where the replicas sit
+    sim, ref = seeded(block_size), seeded(block_size)
+    targets = [0, 21, 42, CONSENSUS]
+    np.testing.assert_array_equal(
+        sim.hitting_times(targets, max_steps=700), stepwise(ref, targets, 700)
+    )
+    here = np.unique(sim.indices)
+    np.testing.assert_array_equal(
+        sim.exit_times(here, max_steps=500), stepwise(ref, here, 500, exit=True)
+    )
+    assert_same_run(sim, ref)
+    # a single-strategy player: both of its thresholds are +inf
+    sim, ref = (seeded_game((2, 1, 2), block_size) for _ in range(2))
+    targets = [0, sim.space.size - 1]
+    np.testing.assert_array_equal(
+        sim.hitting_times(targets, max_steps=600), stepwise(ref, targets, 600)
+    )
+    well = np.arange(0, sim.space.size, 2)
+    np.testing.assert_array_equal(
+        sim.exit_times(well, max_steps=600), stepwise(ref, well, 600, exit=True)
+    )
+    assert_same_run(sim, ref)
+
+
+def test_window_widths_reach_both_loops(monkeypatch):
+    assert {k <= CAP for k in WIDTHS} == {True, False}
+    # a default first passage opens wide and narrows as replicas retire
+    widths = []
+    advance = kernels.SeededSequentialKernel.advance_window
+
+    def recorded(self, sim, where, steps, stop):
+        widths.append(where.size)
+        return advance(self, sim, where, steps, stop)
+
+    monkeypatch.setattr(kernels.SeededSequentialKernel, "advance_window", recorded)
+    seeded(256, replicas=64).hitting_times(CONSENSUS, max_steps=1200)
+    assert {k <= CAP for k in widths} == {True, False}
 
 
 def test_windows_replace_per_step_kernel_calls():

@@ -276,6 +276,26 @@ POINT_MASS = np.eye(16)[0]
             ValueError, "num_steps",
             id="round_robin_loop-negative",
         ),
+        # regression: numpy's "'float' object cannot be interpreted as an
+        # integer" (and "an integer is required" for True) on both states
+        *[
+            pytest.param(
+                lambda s=state, v=value: RING4.ensemble(4, start=0, state=s).run(v),
+                TypeError, "num_steps must be an integer",
+                id=f"run-{state}-{label}",
+            )
+            for state in ("index", "matrix")
+            for label, value in [
+                ("fraction", 2.5),
+                ("integral-float", 3.0),
+                ("numpy-float", np.float64(3.0)),
+                ("bool", True),
+            ]
+        ],
+        pytest.param(
+            lambda: RING4.simulate((0,) * 4, 3.0), TypeError, "num_steps",
+            id="simulate-integral-float",
+        ),
         # regression: errors that did not name the knob
         pytest.param(
             lambda: estimate_mixing_time_coupling(RING4.game, 1.0, (0,) * 4, (1,) * 4, 2.5),

@@ -160,6 +160,20 @@ class TestUtilityPaths:
         assert np.shares_memory(out, first)
         np.testing.assert_array_equal(out, fresh(p, profiles[rows]))
 
+    @pytest.mark.parametrize("graph", [nx.cycle_graph(5), nx.empty_graph(5)])
+    @pytest.mark.parametrize("bad", [-1, -5, 5, 6])
+    def test_rowwise_refuses_players_out_of_range(self, graph, bad):
+        # regression: player -1 silently read player 4's row ([[2.0, -2.0]]
+        # at the 5-ring's all-zeros profile) instead of raising
+        game = IsingGame(graph, coupling=1.0)
+        profiles = np.zeros((2, 5), dtype=np.int64)
+        with pytest.raises(IndexError, match="players"):
+            game.utility_deviations_rowwise(np.array([0, bad]), profiles)
+        ok = game.utility_deviations_rowwise(np.array([0, 4]), profiles)
+        np.testing.assert_array_equal(
+            ok[1], game.utility_deviations_profiles(4, profiles[:1])[0]
+        )
+
     def test_utility_profile_many_matches_scalar(self, game, rng):
         idx = rng.integers(0, game.space.size, size=9)
         bulk = game.utility_profile_many(idx)
