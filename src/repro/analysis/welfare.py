@@ -33,8 +33,7 @@ from ..games.space import DENSE_PROFILE_CAP
 from ..markov.chain import check_count
 from ..stats.accumulators import StreamingEstimate
 from ..stats.adaptive import run_until_width
-from ..stats.confseq import EmpiricalBernsteinCS, NormalMixtureCS
-from ..stats.knobs import reject_quantile_knob_conflicts
+from ..stats.knobs import reject_fixed_mode_knobs, reject_quantile_knob_conflicts
 from ..stats.quantile import QuantileEstimate
 
 __all__ = [
@@ -84,7 +83,7 @@ def estimate_stationary_welfare(
     num_steps: int | None = None,
     precision: float | None = None,
     alpha: float = 0.05,
-    num_replicas: int = 256,
+    num_replicas: int | None = None,
     chunk_size: int = 64,
     max_replicas: int = 4096,
     seed: int | np.random.SeedSequence | None = None,
@@ -112,7 +111,9 @@ def estimate_stationary_welfare(
     ``precision`` given, chunks keep coming until the confidence interval
     is at most ``precision`` wide — absolute welfare units — or
     ``max_replicas`` is reached, otherwise exactly ``num_replicas``
-    replicas run and the interval is whatever they support.  ``support``
+    (default 256) replicas run and the interval is whatever they support.
+    Passing ``num_replicas`` together with ``precision`` or
+    ``precision_quantile`` is an error, not a silent ignore.  ``support``
     selects the boundary: an explicit ``(lo, hi)`` welfare range uses the
     empirical-Bernstein CS, ``None`` the CLT-style normal-mixture CS, and
     ``"auto"`` (default) derives the exact range from
@@ -150,6 +151,11 @@ def estimate_stationary_welfare(
         raise ValueError(
             "precision_quantile must be positive (absolute welfare units)"
         )
+    adaptive = precision is not None or precision_quantile is not None
+    if adaptive:
+        reject_fixed_mode_knobs(num_replicas)
+    elif num_replicas is None:
+        num_replicas = 256
     if num_steps is None:
         num_steps = 100 * game.space.num_players
     num_steps = check_count(num_steps, "num_steps", minimum=0)
@@ -177,11 +183,6 @@ def estimate_stationary_welfare(
             ),
         )
 
-    if support is not None:
-        cs = EmpiricalBernsteinCS(alpha=alpha, support=support)
-    else:
-        cs = NormalMixtureCS(alpha=alpha)
-    adaptive = precision is not None or precision_quantile is not None
     return run_until_width(
         BurnInWelfareSampler(game, dynamics, start, num_steps),
         target_width=float(precision) if precision is not None else 0.0,
@@ -189,7 +190,6 @@ def estimate_stationary_welfare(
         max_n=max_replicas if adaptive else num_replicas,
         chunk_size=chunk_size,
         seed=seed,
-        cs=cs,
         executor=executor,
         support=support,
         q=q,

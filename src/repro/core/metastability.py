@@ -186,7 +186,6 @@ def _adaptive_truncated_times(
     chunk_size: int,
     max_replicas: int,
     seed,
-    keep_samples: bool,
     executor=None,
     q: float | None = None,
     precision_quantile: float | None = None,
@@ -220,7 +219,6 @@ def _adaptive_truncated_times(
         chunk_size=chunk_size,
         support=(0.0, float(max_steps)),
         seed=seed,
-        keep_samples=keep_samples,
         executor=executor,
         q=q,
         precision_quantile=(
@@ -246,7 +244,6 @@ def empirical_escape_times(
     chunk_size: int = 64,
     max_replicas: int = 4096,
     seed: int | np.random.SeedSequence | None = None,
-    keep_samples: bool = True,
     executor=None,
     q: float | None = None,
     precision_quantile: float | None = None,
@@ -357,7 +354,7 @@ def empirical_escape_times(
                     dynamics, profile, states, max_steps
                 ),
                 precision, alpha, max_steps,
-                chunk_size, max_replicas, seed, keep_samples, executor,
+                chunk_size, max_replicas, seed, executor,
                 q, precision_quantile, tracer,
             )
         sim = dynamics.ensemble(
@@ -386,7 +383,7 @@ def empirical_escape_times(
         return _adaptive_truncated_times(
             TruncatedGibbsEscapeSampler(dynamics, idx, weights, max_steps),
             precision, alpha, max_steps,
-            chunk_size, max_replicas, seed, keep_samples, executor,
+            chunk_size, max_replicas, seed, executor,
             q, precision_quantile, tracer,
         )
     starts = rng.choice(idx, size=num_replicas, p=weights)
@@ -407,7 +404,6 @@ def empirical_hitting_times(
     chunk_size: int = 64,
     max_replicas: int = 4096,
     seed: int | np.random.SeedSequence | None = None,
-    keep_samples: bool = True,
     executor=None,
     q: float | None = None,
     precision_quantile: float | None = None,
@@ -483,7 +479,7 @@ def empirical_hitting_times(
         return _adaptive_truncated_times(
             TruncatedHittingSampler(dynamics, start_state, targets, max_steps),
             precision, alpha, max_steps,
-            chunk_size, max_replicas, seed, keep_samples, executor,
+            chunk_size, max_replicas, seed, executor,
             q, precision_quantile, tracer,
         )
     sim = dynamics.ensemble(

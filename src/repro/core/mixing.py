@@ -36,7 +36,7 @@ from ..markov.coupling import coalescence_time_bound
 from ..markov.mixing import MixingTimeResult, mixing_time
 from ..markov.spectral import SpectralSummary, spectral_summary
 from ..markov.tv import total_variation
-from ..parallel.sharding import claim_executor, shard_plan
+from ..parallel.sharding import _trace_round, claim_executor, shard_plan
 from ..stats.confseq import checkpoint_alpha, tv_distance_band
 from .logit import LogitDynamics
 
@@ -260,31 +260,13 @@ def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, tracer):
             # workers build their sims untraced, so the coordinator does
             # the counting: every shard advanced `steps` steps per replica
             tracer.count("engine.replica_steps", int(steps) * int(num_replicas))
-            seconds = [float(r[3]) for r in results]
-            for j, worker_seconds in enumerate(seconds):
-                tracer.event(
-                    "shard.complete",
-                    shard=j,
-                    replicas=plan[j][1],
-                    steps=int(steps),
-                    seconds=worker_seconds,
-                )
-            mean = sum(seconds) / len(seconds)
-            bytes_out = sum(_array_bytes(task) for task in tasks)
-            bytes_in = sum(_array_bytes(result) for result in results)
-            tracer.count("shard.chunks", 1)
-            tracer.count("shard.worker_seconds", sum(seconds))
-            tracer.count("shard.bytes_out", bytes_out)
-            tracer.count("shard.bytes_in", bytes_in)
-            tracer.event(
-                "shard.chunk",
-                shards=len(seconds),
+            _trace_round(
+                tracer,
+                [float(r[3]) for r in results],
+                [{"replicas": cnt, "steps": int(steps)} for _, cnt in plan],
                 steps=int(steps),
-                max_seconds=max(seconds),
-                mean_seconds=mean,
-                imbalance=(max(seconds) / mean) if mean > 0 else 1.0,
-                bytes_out=bytes_out,
-                bytes_in=bytes_in,
+                bytes_out=sum(_array_bytes(task) for task in tasks),
+                bytes_in=sum(_array_bytes(result) for result in results),
             )
         return np.concatenate([r[2] for r in results])
 

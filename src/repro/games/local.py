@@ -63,39 +63,26 @@ def derive_edge_potential(payoff: np.ndarray, tol: float = 1e-9) -> np.ndarray |
     (``P[0, 0] = 0``) or ``None`` when the edge game has no exact
     potential.
     """
-    M = np.asarray(payoff, dtype=float)
-    P = M[0, 0] - M[:, 0][np.newaxis, :] + M[0, :][np.newaxis, :] - M
-    if _edge_potential_consistent(M, P, tol=tol):
-        return P
+    M = np.asarray(payoff, dtype=float)[np.newaxis]
+    P = _derive_edge_potential_stack(M)
+    if _edge_potential_consistent_stack(M, P, tol=tol)[0]:
+        return P[0]
     return None
 
 
-def _edge_potential_consistent(
-    payoff: np.ndarray, potential: np.ndarray, tol: float = 1e-9
-) -> bool:
-    """Equation (1) on one edge, for both endpoints: ``M[a,t] - M[b,t] =
-    P[b,t] - P[a,t]`` for all ``a, b, t`` and ``P`` symmetric."""
-    M = np.asarray(payoff, dtype=float)
-    P = np.asarray(potential, dtype=float)
-    if not np.allclose(P, P.T, atol=tol):
-        return False
-    du = M[:, None, :] - M[None, :, :]  # (a, b, t) -> M[a,t] - M[b,t]
-    dp = P[None, :, :] - P[:, None, :]  # (a, b, t) -> P[b,t] - P[a,t]
-    return bool(np.allclose(du, dp, atol=tol))
-
-
 #: rtol of np.isclose — the stack helpers below replicate np.allclose
-#: elementwise so that their per-edge verdicts match the scalar helpers
+#: elementwise, so each edge's verdict is np.allclose's
 _ISCLOSE_RTOL = 1e-5
 
 
 def _derive_edge_potential_stack(payoffs: np.ndarray) -> np.ndarray:
     """:func:`derive_edge_potential`'s candidate for a whole ``(E, m, m)`` stack.
 
-    Same path integration, same float-op order per edge — one vectorised
-    pass instead of an ``O(E)`` Python loop, which is what keeps
-    construction of million-edge games in milliseconds.  Candidates are
-    *not* verified here; pair with :func:`_edge_potential_consistent_stack`.
+    The path integration of :func:`derive_edge_potential`, for every edge
+    in one vectorised pass instead of an ``O(E)`` Python loop, which is
+    what keeps construction of million-edge games in milliseconds.
+    Candidates are *not* verified here; pair with
+    :func:`_edge_potential_consistent_stack`.
     """
     M = payoffs
     return M[:, 0, 0][:, None, None] - M[:, :, 0][:, None, :] + M[:, 0, :][:, None, :] - M
@@ -104,7 +91,13 @@ def _derive_edge_potential_stack(payoffs: np.ndarray) -> np.ndarray:
 def _edge_potential_consistent_stack(
     payoffs: np.ndarray, potentials: np.ndarray, tol: float = 1e-9
 ) -> np.ndarray:
-    """Per-edge Equation (1) verdicts for whole stacks: an ``(E,)`` bool array."""
+    """Per-edge Equation (1) verdicts for whole stacks: an ``(E,)`` bool array.
+
+    Edge ``e`` passes when ``M[a,t] - M[b,t] = P[b,t] - P[a,t]`` for all
+    ``a, b, t`` (both endpoints read the edge with their own strategy as
+    the row) and ``P`` is symmetric, each within ``np.allclose``'s
+    tolerances with ``atol=tol``.
+    """
     M = np.asarray(payoffs, dtype=float)
     P = np.asarray(potentials, dtype=float)
 
@@ -499,6 +492,11 @@ class LocalInteractionGame(PotentialGame):
         # player wraps to a huge unsigned value, so one max covers both bounds
         if k and int(p.view(np.uint64).max()) >= n:
             raise IndexError(f"players must lie in [0, {n})")
+        # the same check for rows, which the flat profile take would wrap
+        if k and rows is not None:
+            wrapped = np.asarray(rows, dtype=np.int64).view(np.uint64)
+            if int(wrapped.max()) >= prof.shape[0]:
+                raise IndexError(f"rows must lie in [0, {prof.shape[0]})")
         if self.num_edges == 0:
             # nothing to gather (padding would index an empty edge stack)
             return self._field[p]

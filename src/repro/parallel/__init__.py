@@ -22,11 +22,9 @@ number.
 """
 
 from .sharding import (
-    ShardSample,
     ShardedExecutor,
     as_executor,
     claim_executor,
-    pool_shard_samples,
     shard_plan,
 )
 from .store import (
@@ -39,7 +37,6 @@ from .store import (
 
 __all__ = [
     "ExperimentStore",
-    "ShardSample",
     "ShardedExecutor",
     "as_executor",
     "as_store",
@@ -47,6 +44,5 @@ __all__ = [
     "canonical_key",
     "claim_executor",
     "describe",
-    "pool_shard_samples",
     "shard_plan",
 ]

@@ -8,11 +8,11 @@ boundaries*: a chunk of children is split into contiguous shards
 (:func:`shard_plan`), each shard reconstructs its own seed block with
 :meth:`repro.engine.SeededSequentialKernel.spawn_block` (no shared spawn
 cursor, so shards need no coordination), evaluates the caller's sampler on
-it, and the coordinator pools the per-shard sample arrays back **in sample
-order**.  Pooled samples — and therefore every downstream estimate and
-confidence sequence — are bit-for-bit identical to the single-process run
-for *any* shard count (``tests/test_sharded_execution.py`` pins
-``k in {1, 3, 8}``).
+it, and the coordinator concatenates the per-shard sample arrays in task
+order, which is **sample order**.  Pooled samples — and therefore every
+downstream estimate and confidence sequence — are bit-for-bit identical to
+the single-process run for *any* shard count
+(``tests/test_sharded_execution.py`` pins ``k in {1, 3, 8}``).
 
 Two executor backends are provided behind one interface:
 
@@ -26,64 +26,34 @@ Two executor backends are provided behind one interface:
   :mod:`repro.analysis.welfare` ship picklable sampler objects for exactly
   this reason.
 
-Each shard sends back its samples only; the confidence-sequence state is
-order-sensitive, so it is *folded* — each shard's samples are applied to
-the coordinator's CS in sample order via the existing chunk ``update`` —
-rather than merged commutatively.
+Each shard sends back its samples and its worker wall-clock only; the
+confidence-sequence state is order-sensitive, so the pooled chunk is
+*folded* into the coordinator's consumers in sample order rather than
+merged commutatively.  Both kinds of shard round — a sample chunk
+(:meth:`ShardedExecutor.map_chunk`) and a sharded TV advance
+(:func:`repro.core.mixing.estimate_tv_convergence`) — report their
+telemetry through one helper, :func:`_trace_round`.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Sequence
 
 import numpy as np
 
 from ..engine.kernels import SeededSequentialKernel
 from ..markov.chain import check_count
 from ..obs import as_tracer
+from ..stats.stream import ChunkSampler
 
 __all__ = [
-    "ShardSample",
     "ShardedExecutor",
     "as_executor",
     "claim_executor",
-    "pool_shard_samples",
     "shard_plan",
 ]
-
-#: A chunk sampler: receives one spawned ``SeedSequence`` child per
-#: requested sample and returns that many float samples, sample ``i``
-#: derived from child ``i`` only.  Identical to the
-#: :data:`repro.stats.adaptive.ChunkSampler` contract — the same object is
-#: used for serial chunks and for shards.
-ChunkSampler = Callable[[Sequence[np.random.SeedSequence]], np.ndarray]
-
-
-@dataclass(frozen=True)
-class ShardSample:
-    """One shard's contribution to a chunk of samples.
-
-    Parameters/attributes
-    ---------------------
-    offset:
-        Absolute index (within the run's sample stream) of this shard's
-        first sample; the coordinator pools shards sorted by offset.
-    samples:
-        ``(count,)`` float array, sample ``j`` derived from seed child
-        ``offset + j`` only.
-    seconds:
-        Worker-side wall-clock spent inside the sampler for this shard —
-        the telemetry layer's per-shard load signal.  Carries no
-        randomness and never influences pooling.
-    """
-
-    offset: int
-    samples: np.ndarray
-    seconds: float = field(default=0.0, compare=False)
 
 
 def shard_plan(total: int, num_shards: int) -> list[tuple[int, int]]:
@@ -131,13 +101,14 @@ def _sample_shard(
     root: np.random.SeedSequence,
     start: int,
     count: int,
-) -> ShardSample:
+) -> tuple[np.ndarray, float]:
     """Evaluate one shard: reconstruct its seed block and sample it.
 
     Module-level (not a closure) so the process backend can pickle it; the
     shard needs only ``(root, start, count)`` to rebuild exactly the
     children a serial ``root.spawn`` would have produced at those
-    positions.
+    positions.  Returns the ``(count,)`` samples, sample ``j`` derived from
+    child ``start + j`` only, and the worker wall-clock spent sampling.
     """
     tic = perf_counter()
     children = SeededSequentialKernel.spawn_block(root, start, count)
@@ -148,25 +119,36 @@ def _sample_shard(
             f"sampler returned shape {samples.shape} for {count} children; "
             f"sharded execution needs exactly one sample per spawned child"
         )
-    return ShardSample(offset=start, samples=samples, seconds=seconds)
+    return samples, seconds
 
 
-def pool_shard_samples(shards: Sequence[ShardSample]) -> np.ndarray:
-    """Concatenate shard samples back into sample order.
+def _trace_round(tracer, seconds, shards, **chunk) -> None:
+    """Emit one shard round's telemetry on an enabled ``tracer``.
 
-    Parameters
-    ----------
-    shards:
-        The :class:`ShardSample` results of one chunk, in any order.
-
-    Returns
-    -------
-    numpy.ndarray
-        The chunk's samples sorted by shard offset — bit-for-bit the array
-        a single-process evaluation of the whole chunk would have produced.
+    The one emitter for both kinds of round.  ``seconds`` holds each
+    shard's worker wall-clock and ``shards`` its ``shard.complete``
+    fields.  ``chunk`` holds the round's ``shard.chunk`` fields; its
+    ``bytes_out`` / ``bytes_in``, when given, also feed the counters of
+    the same names.  The chunk event carries the load-imbalance ratio
+    (max/mean shard seconds).
     """
-    ordered = sorted(shards, key=lambda s: s.offset)
-    return np.concatenate([s.samples for s in ordered])
+    for j, (fields, worker) in enumerate(zip(shards, seconds)):
+        tracer.event("shard.complete", shard=j, **fields, seconds=worker)
+    mean = sum(seconds) / len(seconds)
+    moved = {key: chunk.pop(key) for key in ("bytes_out", "bytes_in") if key in chunk}
+    tracer.count("shard.chunks", 1)
+    tracer.count("shard.worker_seconds", sum(seconds))
+    for key, value in moved.items():
+        tracer.count(f"shard.{key}", value)
+    tracer.event(
+        "shard.chunk",
+        shards=len(seconds),
+        **chunk,
+        max_seconds=max(seconds),
+        mean_seconds=mean,
+        imbalance=(max(seconds) / mean) if mean > 0 else 1.0,
+        **moved,
+    )
 
 
 def _payload_pickles(fn, tasks) -> bool:
@@ -208,11 +190,9 @@ class ShardedExecutor:
     >>> def one_uniform(children):
     ...     return np.array([np.random.default_rng(c).random() for c in children])
     >>> root = np.random.SeedSequence(11)
-    >>> serial = pool_shard_samples(
-    ...     ShardedExecutor(num_shards=1).map_chunk(one_uniform, root, 0, 12)
-    ... )
+    >>> serial = ShardedExecutor(num_shards=1).map_chunk(one_uniform, root, 0, 12)
     >>> with ShardedExecutor(num_shards=3) as ex:
-    ...     sharded = pool_shard_samples(ex.map_chunk(one_uniform, root, 0, 12))
+    ...     sharded = ex.map_chunk(one_uniform, root, 0, 12)
     >>> bool(np.array_equal(serial, sharded))
     True
     """
@@ -292,7 +272,7 @@ class ShardedExecutor:
         start: int,
         count: int,
         tracer=None,
-    ) -> list[ShardSample]:
+    ) -> np.ndarray:
         """Evaluate samples ``start .. start + count - 1`` across the shards.
 
         Parameters
@@ -309,43 +289,30 @@ class ShardedExecutor:
             Chunk size.
         tracer:
             Telemetry sink (:mod:`repro.obs`).  When enabled, each shard's
-            worker wall-clock (:attr:`ShardSample.seconds`) is emitted as
-            a ``shard.complete`` event and the chunk closes with a
-            ``shard.chunk`` event carrying the load-imbalance ratio
-            (max/mean shard seconds).
+            worker wall-clock is emitted as a ``shard.complete`` event and
+            the chunk closes with a ``shard.chunk`` event carrying the
+            load-imbalance ratio (max/mean shard seconds).
 
         Returns
         -------
-        list[ShardSample]
-            One entry per scheduled shard, in offset order; pool with
-            :func:`pool_shard_samples`.
+        numpy.ndarray
+            The chunk's ``(count,)`` samples in sample order — bit-for-bit
+            the array a single-process evaluation of the whole chunk
+            produces, since :meth:`map_tasks` keeps task order.
         """
         tracer = as_tracer(tracer)
         plan = shard_plan(count, self.num_shards)
         tasks = [(sampler, root, start + off, cnt) for off, cnt in plan]
-        shards = self.map_tasks(_sample_shard, tasks, tracer=tracer)
-        if tracer.enabled and shards:
-            seconds = [float(s.seconds) for s in shards]
-            for index, shard in enumerate(shards):
-                tracer.event(
-                    "shard.complete",
-                    shard=index,
-                    offset=int(shard.offset),
-                    samples=int(shard.samples.size),
-                    seconds=float(shard.seconds),
-                )
-            mean = sum(seconds) / len(seconds)
-            tracer.count("shard.chunks", 1)
-            tracer.count("shard.worker_seconds", sum(seconds))
-            tracer.event(
-                "shard.chunk",
-                shards=len(shards),
+        results = self.map_tasks(_sample_shard, tasks, tracer=tracer)
+        pooled = np.concatenate([samples for samples, _ in results])
+        if tracer.enabled:
+            _trace_round(
+                tracer,
+                [float(seconds) for _, seconds in results],
+                [{"offset": start + off, "samples": cnt} for off, cnt in plan],
                 samples=int(count),
-                max_seconds=max(seconds),
-                mean_seconds=mean,
-                imbalance=(max(seconds) / mean) if mean > 0 else 1.0,
             )
-        return shards
+        return pooled
 
     def close(self) -> None:
         """Shut the process pool down (no-op for the serial backend)."""

@@ -38,12 +38,9 @@ def run_until_width(
     chunk_size: int = 64,
     support: tuple[float, float] | None = None,
     seed: int | np.random.SeedSequence | None = None,
-    cs=None,
-    keep_samples: bool = True,
     executor=None,
     q: float | None = None,
     precision_quantile: float | None = None,
-    quantile_grid: int = 512,
     tracer=None,
 ) -> StreamingEstimate:
     """Sample in chunks until the confidence interval is ``target_width`` wide.
@@ -82,12 +79,6 @@ def run_until_width(
     seed:
         Master seed (int or ``SeedSequence``); a fresh entropy-seeded
         ``SeedSequence`` when omitted.
-    cs:
-        Explicit confidence-sequence instance overriding the
-        ``support``-based choice (must expose ``update`` and ``interval``).
-    keep_samples:
-        Attach the pooled raw samples to the result (the chunking
-        regression and the benchmarks read them); disable for huge runs.
     executor:
         ``None`` (default — the serial fast path), ``"serial"``,
         ``"process"``, or a :class:`repro.parallel.ShardedExecutor`: each
@@ -112,9 +103,6 @@ def run_until_width(
         When both ``target_width`` and ``precision_quantile`` are active,
         *both* intervals must be tight before the driver stops.  Requires
         ``q``.
-    quantile_grid:
-        Threshold-grid resolution of the quantile CS (interval endpoints
-        are quantised to grid values).
     tracer:
         Telemetry sink (:mod:`repro.obs`), forwarded to the underlying
         :class:`~repro.stats.stream.SampleDriver`: chunk counters/timers
@@ -127,7 +115,7 @@ def run_until_width(
     StreamingEstimate
         The pooled sample mean with its time-uniform ``(1 - alpha)``
         interval at the stopping time, the sample count consumed, the
-        ``stopped_early`` flag, (``keep_samples``) the raw samples, and
+        ``stopped_early`` flag, the raw samples in sample order, and
         (``q=``) the quantile estimate from the same stream.
 
     Example
@@ -170,27 +158,23 @@ def run_until_width(
     0.9
     """
     reject_quantile_knob_conflicts(q, precision_quantile, support)
-    if cs is None:
-        if support is not None:
-            cs = EmpiricalBernsteinCS(alpha=alpha, support=support)
-        else:
-            cs = NormalMixtureCS(alpha=alpha)
     driver = SampleDriver(
         make_chunk,
         seed=seed,
         chunk_size=chunk_size,
         max_n=max_n,
         executor=executor,
-        keep_samples=keep_samples,
         tracer=tracer,
     )
-    driver.register(cs)
+    cs = driver.register(
+        EmpiricalBernsteinCS(alpha=alpha, support=support)
+        if support is not None
+        else NormalMixtureCS(alpha=alpha)
+    )
     moments = driver.register(StreamingMoments())
     qcs = None
     if q is not None:
-        qcs = driver.register(
-            QuantileCS(q, alpha=alpha, support=support, grid_size=quantile_grid)
-        )
+        qcs = driver.register(QuantileCS(q, alpha=alpha, support=support))
 
     state = {"lower": -np.inf, "upper": np.inf}
 

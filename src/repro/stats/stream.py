@@ -7,12 +7,15 @@ construction; :meth:`SampleDriver.run` then draws replica chunks under
 the ``SeedSequence.spawn`` discipline (one child per sample, sample ``i``
 a pure function of child ``i``) and feeds **every registered consumer**
 — mean confidence sequence, Welford moments, quantile/CDF tail
-accumulators — from the *same* pooled stream.  Because the stream is a
-pure function of the master seed, it is bit-for-bit invariant to the
-chunk size and to the shard count of the executor; every consumer
-therefore inherits that invariance for free, which is what lets one run
-certify a mean, a variance and a P99 simultaneously without three
-estimator loops drifting apart.
+accumulators — from the *same* pooled stream.  With an executor, a chunk
+comes back from :meth:`~repro.parallel.ShardedExecutor.map_chunk` as one
+``(k,)`` array in sample order, the array the serial path draws; the
+driver keeps every chunk, so :attr:`SampleDriver.samples` is the whole
+stream.  Because the stream is a pure function of the master seed, it is
+bit-for-bit invariant to the chunk size and to the shard count of the
+executor; every consumer therefore inherits that invariance for free,
+which is what lets one run certify a mean, a variance and a P99
+simultaneously without three estimator loops drifting apart.
 
 :func:`~repro.stats.adaptive.run_until_width` is the thin estimator-facing
 wrapper: it registers the standard consumers and a stopping rule on a
@@ -64,11 +67,8 @@ class SampleDriver:
         ``None`` (serial fast path), ``"serial"``, ``"process"``, or a
         :class:`repro.parallel.ShardedExecutor`; resolved once here.  Each
         chunk's children are split into contiguous shards and the
-        per-shard samples pooled back in sample order, so the stream is
+        shards' samples concatenated back in sample order, so the stream is
         bit-for-bit identical for every shard count and backend.
-    keep_samples:
-        Keep the pooled raw samples (:attr:`samples`) for regression
-        tests and benchmarks; disable for huge runs.
     tracer:
         Telemetry sink (:mod:`repro.obs`); ``None`` (default) is the
         shared no-op tracer.  When enabled the driver counts
@@ -105,7 +105,6 @@ class SampleDriver:
         chunk_size: int = 64,
         max_n: int = 4096,
         executor=None,
-        keep_samples: bool = True,
         tracer=None,
     ):
         from ..parallel.sharding import claim_executor
@@ -114,7 +113,6 @@ class SampleDriver:
         self._sampler = sampler
         self._chunk_size = check_count(chunk_size, "chunk_size")
         self._max_n = check_count(max_n, "max_n")
-        self._keep_samples = bool(keep_samples)
         self._sharder, self._owned = claim_executor(executor)
         self._root = as_seed_sequence(seed)
         # absolute spawn position of the next child, so sharded chunks can
@@ -147,8 +145,8 @@ class SampleDriver:
 
     @property
     def samples(self) -> np.ndarray | None:
-        """Pooled raw samples (``None`` when ``keep_samples=False`` or empty)."""
-        if not self._keep_samples or not self._pooled:
+        """Pooled raw samples in sample order (``None`` before the first chunk)."""
+        if not self._pooled:
             return None
         return np.concatenate(self._pooled)
 
@@ -162,8 +160,6 @@ class SampleDriver:
         is closed when the run finishes, so ``run`` is one-shot in that
         case; caller-owned executors stay open.
         """
-        from ..parallel.sharding import pool_shard_samples
-
         tracer = self._tracer
         try:
             while self._n < self._max_n:
@@ -173,11 +169,10 @@ class SampleDriver:
                     children = self._root.spawn(k)
                     samples = np.asarray(self._sampler(children), dtype=float)
                 else:
-                    shards = self._sharder.map_chunk(
+                    samples = self._sharder.map_chunk(
                         self._sampler, self._root, self._base + self._n, k,
                         tracer=tracer,
                     )
-                    samples = pool_shard_samples(shards)
                     # keep the root's cursor consistent with serial use
                     self._root.spawn(k)
                 if samples.shape != (k,):
@@ -188,8 +183,7 @@ class SampleDriver:
                     )
                 for consumer in self._consumers:
                     consumer.update(samples)
-                if self._keep_samples:
-                    self._pooled.append(samples)
+                self._pooled.append(samples)
                 self._n += k
                 if tracer.enabled:
                     tracer.count("driver.chunks", 1)

@@ -418,6 +418,19 @@ class TestStationaryWelfareEstimator:
         with pytest.raises(ValueError, match="precision"):
             estimate_stationary_welfare(ring6_game, 0.5, precision=0.0)
 
+    @pytest.mark.parametrize(
+        "adaptive",
+        [dict(precision=0.5), dict(q=0.5, precision_quantile=0.5)],
+    )
+    def test_num_replicas_refused_in_adaptive_mode(self, ring6_game, adaptive):
+        # regression: precision=0.5 with num_replicas=10 silently ran 64
+        # samples under max_replicas=64
+        with pytest.raises(ValueError, match="num_replicas is the fixed-mode"):
+            estimate_stationary_welfare(
+                ring6_game, 0.5, num_steps=20, num_replicas=10,
+                max_replicas=64, seed=1, **adaptive,
+            )
+
     def test_tracer_knob_leaves_samples_unchanged(self, ring6_game):
         from repro.obs import Tracer
 

@@ -174,6 +174,24 @@ class TestUtilityPaths:
             ok[1], game.utility_deviations_profiles(4, profiles[:1])[0]
         )
 
+    @pytest.mark.parametrize("graph", [nx.cycle_graph(5), nx.empty_graph(5)])
+    @pytest.mark.parametrize("bad", [-1, -3, 2, 7])
+    def test_rowwise_refuses_rows_out_of_range(self, graph, bad):
+        # regression: rows=[-1] silently read row 1 of a two-row matrix
+        # instead of raising, and rows=[2] failed inside numpy's take
+        game = IsingGame(graph, coupling=1.0)
+        profiles = np.array([[0, 0, 0, 0, 0], [1, 1, 0, 0, 0]], dtype=np.int64)
+        with pytest.raises(IndexError, match="rows must lie in"):
+            game.utility_deviations_rowwise(
+                np.array([0]), profiles, rows=np.array([bad])
+            )
+        ok = game.utility_deviations_rowwise(
+            np.array([0]), profiles, rows=np.array([1])
+        )
+        np.testing.assert_array_equal(
+            ok[0], game.utility_deviations_profiles(0, profiles[1:])[0]
+        )
+
     def test_utility_profile_many_matches_scalar(self, game, rng):
         idx = rng.integers(0, game.space.size, size=9)
         bulk = game.utility_profile_many(idx)

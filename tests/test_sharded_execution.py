@@ -28,7 +28,6 @@ from repro.games import IsingGame, TwoWellGame
 from repro.parallel import (
     ShardedExecutor,
     as_executor,
-    pool_shard_samples,
     shard_plan,
 )
 from repro.stats import run_until_width
@@ -374,8 +373,7 @@ def test_tv_convergence_bad_start_raises_before_dispatch(start):
 def test_process_backend_bit_for_bit():
     root = np.random.SeedSequence(55)
     with ShardedExecutor(num_shards=2, backend="process") as executor:
-        shards = executor.map_chunk(uniform_sampler, root, 0, 10)
-    pooled = pool_shard_samples(shards)
+        pooled = executor.map_chunk(uniform_sampler, root, 0, 10)
     serial = uniform_sampler(np.random.SeedSequence(55).spawn(10))
     np.testing.assert_array_equal(pooled, serial)
 
@@ -466,3 +464,87 @@ def test_executor_requires_adaptive_mode():
         empirical_hitting_times(game, 0.5, 0, 1, executor=ShardedExecutor(2))
     with pytest.raises(ValueError, match="precision"):
         empirical_escape_times(game, 0.5, [0, 1], executor=ShardedExecutor(2))
+
+
+# ---------------------------------------------------------------------------
+# shard telemetry: sample chunks and TV rounds report through one emitter
+# ---------------------------------------------------------------------------
+
+
+def _shard_rounds(tracer, num_shards):
+    """Each round's ``shard.chunk`` payload, checked against its shards."""
+    events = [
+        e for e in tracer.events
+        if e["kind"] == "event" and e["name"].startswith("shard.")
+    ]
+    rounds, shards = [], []
+    for e in events:
+        payload = e["payload"]
+        if e["name"] == "shard.complete":
+            assert payload["shard"] == len(shards)
+            assert isinstance(payload["seconds"], float) and payload["seconds"] >= 0
+            shards.append(payload["seconds"])
+        elif e["name"] == "shard.chunk":
+            assert payload["shards"] == len(shards) == num_shards
+            mean = sum(shards) / len(shards)
+            assert payload["max_seconds"] == max(shards)
+            assert payload["mean_seconds"] == mean
+            assert payload["imbalance"] == max(shards) / mean >= 1.0
+            rounds.append(payload)
+            shards = []
+    assert shards == []
+    seconds = [
+        e["payload"]["seconds"] for e in events if e["name"] == "shard.complete"
+    ]
+    assert tracer.counters["shard.tasks"] == num_shards * len(rounds)
+    assert tracer.counters["shard.chunks"] == len(rounds)
+    assert tracer.counters["shard.worker_seconds"] == pytest.approx(sum(seconds))
+    return rounds
+
+
+def test_sample_chunk_shard_telemetry():
+    from repro.obs import Tracer
+
+    game = IsingGame(nx.cycle_graph(6), coupling=1.0)
+    target = int(game.space.encode(np.ones(6, dtype=np.int64)))
+    tracer = Tracer(run_id="sample-rounds")
+    empirical_hitting_times(
+        game, 0.7, 0, target, max_steps=200, precision=1e-9, chunk_size=16,
+        max_replicas=32, seed=5, executor=ShardedExecutor(3), tracer=tracer,
+    )
+    rounds = _shard_rounds(tracer, 3)
+    assert [r["samples"] for r in rounds] == [16, 16]
+    complete = [e["payload"] for e in tracer.events if e["name"] == "shard.complete"]
+    assert [(c["offset"], c["samples"]) for c in complete] == [
+        (0, 6), (6, 5), (11, 5), (16, 6), (22, 5), (27, 5)
+    ]
+    # a sample round ships seeds, not arrays: no byte counts
+    assert all("bytes_out" not in r and "bytes_in" not in r for r in rounds)
+    assert "shard.bytes_out" not in tracer.counters
+
+
+def test_tv_round_shard_telemetry():
+    from repro.obs import Tracer
+
+    game = IsingGame(nx.cycle_graph(6), coupling=1.0)
+    tracer = Tracer(run_id="tv-rounds")
+    est = estimate_tv_convergence(
+        LogitDynamics(game, 0.5),
+        np.full(game.space.size, 1.0 / game.space.size),
+        num_replicas=40,
+        epsilon=1e-9,
+        start=(0,) * 6,
+        max_time=12,
+        check_every=6,
+        seed=5,
+        executor=ShardedExecutor(3),
+        tracer=tracer,
+    )
+    rounds = _shard_rounds(tracer, 3)
+    assert len(rounds) == len(est.tv_curve) - 1 == 2
+    assert [r["steps"] for r in rounds] == [6, 6]
+    complete = [e["payload"] for e in tracer.events if e["name"] == "shard.complete"]
+    assert [(c["replicas"], c["steps"]) for c in complete] == [(14, 6), (13, 6), (13, 6)] * 2
+    for key in ("bytes_out", "bytes_in"):
+        assert all(r[key] > 0 for r in rounds)
+        assert tracer.counters[f"shard.{key}"] == sum(r[key] for r in rounds)
