@@ -143,8 +143,6 @@ from .engine import (
 from .graphs import (
     clique_graph,
     cutwidth_exact,
-    cutwidth_greedy,
-    cutwidth_known,
     cutwidth_of_ordering,
     ring_graph,
 )
@@ -280,8 +278,6 @@ __all__ = [
     # graphs
     "clique_graph",
     "cutwidth_exact",
-    "cutwidth_greedy",
-    "cutwidth_known",
     "cutwidth_of_ordering",
     "ring_graph",
     # obs

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..games.potential import PotentialGame
-from ..graphs.cutwidth import cutwidth_exact, cutwidth_known
 
 __all__ = [
     "StructuralQuantities",
@@ -677,14 +676,6 @@ def _local_symmetric_arrays(game):
             "asymmetric"
         )
     return offsets, nbr, nbr_edge, payoffs, field
-
-
-def cutwidth_for_bound(graph) -> int:
-    """Cutwidth used by the Theorem 5.1 bound: closed form if known, else exact DP."""
-    known = cutwidth_known(graph)
-    if known is not None:
-        return known
-    return cutwidth_exact(graph)
 
 
 def _check_common(num_players: int, max_strategies: int, beta: float) -> None:

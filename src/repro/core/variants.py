@@ -299,20 +299,6 @@ class BestResponseDynamics(UtilityRule, EngineBackedDynamics):
         """The best-response chain (may be non-ergodic; absorbing at strict PNE)."""
         return MarkovChain(self.transition_matrix())
 
-    def absorbing_profiles(self) -> np.ndarray:
-        """Profile indices that are fixed points of the best-response chain."""
-        P = self.transition_matrix()
-        return np.flatnonzero(np.isclose(np.diag(P), 1.0))
-
-    def is_limit_of_logit(self, beta: float = 200.0, atol: float = 1e-6) -> bool:
-        """Numerically check that a very high-beta logit chain matches this chain.
-
-        Only meaningful for games without payoff ties (where the limit is
-        unambiguous); used by the tests as a consistency check.
-        """
-        logit = LogitDynamics(self.game, beta)
-        return bool(np.allclose(logit.transition_matrix(), self.transition_matrix(), atol=atol))
-
     # -- simulation ---------------------------------------------------------
 
     def simulate_loop(

@@ -52,7 +52,7 @@ from .potential import (
     max_local_variation,
     zeta_barrier,
 )
-from .space import ProfileSpace, hamming_distance
+from .space import ProfileSpace
 
 __all__ = [
     "MaxSolvableResult",
@@ -94,5 +94,4 @@ __all__ = [
     "max_local_variation",
     "zeta_barrier",
     "ProfileSpace",
-    "hamming_distance",
 ]

@@ -22,7 +22,7 @@ can operate on flat profile indices with vectorised numpy.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,11 +132,6 @@ class Game(abc.ABC):
             [self.utility(player, x) for x in range(self.space.size)], dtype=float
         )
 
-    def utility_profile(self, profile: Sequence[int]) -> np.ndarray:
-        """Utilities of *all* players at a profile given as a tuple."""
-        idx = self.space.encode(profile)
-        return np.array([self.utility(i, idx) for i in range(self.num_players)])
-
     def utility_profile_many(self, profile_indices: np.ndarray) -> np.ndarray:
         """Batched all-player utilities: ``(k, n)`` for ``k`` profile indices.
 
@@ -152,14 +147,6 @@ class Game(abc.ABC):
         return np.array(
             [[self.utility(i, int(x)) for i in range(n)] for x in idx], dtype=float
         )
-
-    # -- convenience ------------------------------------------------------
-
-    def is_best_response(self, player: int, profile_index: int) -> bool:
-        """Whether ``player``'s strategy in the profile is a best response."""
-        utils = self.utility_deviations(player, profile_index)
-        current = self.space.strategy_of(profile_index, player)
-        return bool(utils[current] >= np.max(utils) - 1e-12)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(players={self.num_players}, strategies={self.num_strategies})"
@@ -194,21 +181,6 @@ class TableGame(Game):
         if not np.all(np.isfinite(utilities)):
             raise ValueError("utilities must be finite")
         self._utilities = utilities
-
-    @classmethod
-    def from_function(
-        cls,
-        num_strategies: Sequence[int],
-        utility_fn: Callable[[int, tuple[int, ...]], float],
-    ) -> "TableGame":
-        """Tabulate a game from ``utility_fn(player, profile_tuple)``."""
-        space = ProfileSpace(num_strategies)
-        utilities = np.empty((space.num_players, space.size), dtype=float)
-        for x in range(space.size):
-            prof = space.decode(x)
-            for i in range(space.num_players):
-                utilities[i, x] = utility_fn(i, prof)
-        return cls(num_strategies, utilities)
 
     def utility(self, player: int, profile_index: int) -> float:
         return float(self._utilities[player, profile_index])

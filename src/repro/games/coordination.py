@@ -72,15 +72,6 @@ class CoordinationParams:
         """Advantage of coordinating on strategy 1: ``b - c``."""
         return self.b - self.c
 
-    @property
-    def risk_dominant(self) -> int | None:
-        """0 or 1 for the risk dominant equilibrium, ``None`` if there is none."""
-        if self.delta0 > self.delta1:
-            return 0
-        if self.delta1 > self.delta0:
-            return 1
-        return None
-
     @classmethod
     def from_deltas(cls, delta0: float, delta1: float) -> "CoordinationParams":
         """Convenience constructor fixing ``c = d = 0``."""
@@ -185,14 +176,6 @@ class GraphicalCoordinationGame(ExplicitPotentialGame):
         """Indices of the all-0 and all-1 profiles (the two consensus PNE)."""
         n = self.num_players
         return self.space.encode((0,) * n), self.space.encode((1,) * n)
-
-    def risk_dominant_profile(self) -> int | None:
-        """Index of the risk dominant consensus profile, if any."""
-        rd = self.params.risk_dominant
-        if rd is None:
-            return None
-        all0, all1 = self.consensus_profiles()
-        return all0 if rd == 0 else all1
 
     def potential_by_ones_count(self) -> np.ndarray | None:
         """Potential as a function of ``k`` = number of players on strategy 1.

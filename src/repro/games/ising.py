@@ -117,10 +117,3 @@ class IsingGame(LocalInteractionGame):
         prof = np.asarray(profiles)
         return spins_from_profile(prof).mean(axis=-1)
 
-    def energy(self, profile_index: int) -> float:
-        """Hamiltonian value of the profile (same as the game potential)."""
-        return self.potential(profile_index)
-
-    def energy_of_profiles(self, profiles: np.ndarray) -> np.ndarray:
-        """``(k,)`` Hamiltonian values of profile rows (index-free)."""
-        return self.potential_of_profiles(profiles)

@@ -380,19 +380,6 @@ class LocalInteractionGame(PotentialGame):
             self._field,
         )
 
-    def neighbors_of(self, player: int) -> np.ndarray:
-        """Neighbor player ids of ``player`` (read-only view)."""
-        self.space._check_player(player)
-        view = self._nbr[self._nbr_offsets[player] : self._nbr_offsets[player + 1]]
-        view = view.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def has_potential(self) -> bool:
-        """Whether the edge payoffs admit an exact potential."""
-        return self._edge_potentials is not None
-
     def _require_potential(self) -> np.ndarray:
         if self._edge_potentials is None:
             raise ValueError(

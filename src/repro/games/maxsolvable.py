@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .base import Game
 
 __all__ = [
@@ -81,13 +79,6 @@ class MaxSolvableResult:
     solvable: bool
     surviving: tuple[tuple[int, ...], ...]
     elimination_order: tuple[tuple[int, int], ...]  # (player, strategy) pairs
-
-    @property
-    def solution_profile(self) -> tuple[int, ...] | None:
-        """The single surviving profile, if the game is max-solvable."""
-        if not self.solvable:
-            return None
-        return tuple(s[0] for s in self.surviving)
 
 
 def max_solve(game: Game, tol: float = 1e-12, max_rounds: int | None = None) -> MaxSolvableResult:

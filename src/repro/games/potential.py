@@ -74,11 +74,6 @@ class PotentialGame(Game):
         """The barrier quantity ``zeta`` of Section 3.4 of the paper."""
         return zeta_barrier(self.potential_vector(), self.space)
 
-    def potential_minimizers(self, tol: float = 1e-12) -> np.ndarray:
-        """Profiles of minimum potential (the maximum-probability profiles)."""
-        phi = self.potential_vector()
-        return np.flatnonzero(phi <= np.min(phi) + tol)
-
     def verify_potential(self, tol: float = 1e-9) -> bool:
         """Check Equation (1) exhaustively; ``True`` iff consistent."""
         phi = self.potential_vector()

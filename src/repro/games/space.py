@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["ProfileSpace", "hamming_distance", "DENSE_PROFILE_CAP"]
+__all__ = ["ProfileSpace", "DENSE_PROFILE_CAP"]
 
 #: Largest profile index representable with int64 vectorised arithmetic.
 _INT64_MAX = np.iinfo(np.int64).max
@@ -30,17 +30,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 #: (``all_profiles``, ``deviation_matrix``, ``hamming_edges``).  Beyond it a
 #: clear error is raised instead of an opaque MemoryError deep inside numpy.
 DENSE_PROFILE_CAP = 1 << 28
-
-
-def hamming_distance(x: Sequence[int], y: Sequence[int]) -> int:
-    """Number of coordinates in which the two profiles differ."""
-    x_arr = np.asarray(x)
-    y_arr = np.asarray(y)
-    if x_arr.shape != y_arr.shape:
-        raise ValueError(
-            f"profiles must have equal length, got {x_arr.shape} and {y_arr.shape}"
-        )
-    return int(np.count_nonzero(x_arr != y_arr))
 
 
 @dataclass(frozen=True)
@@ -145,13 +134,6 @@ class ProfileSpace:
         """
         return self._fits_int64
 
-    @property
-    def radices(self) -> np.ndarray:
-        """Read-only view of the mixed-radix place values."""
-        r = self._radices.view()
-        r.flags.writeable = False
-        return r
-
     # -- encode / decode --------------------------------------------------
 
     def encode(self, profile: Sequence[int]) -> int:
@@ -238,21 +220,12 @@ class ProfileSpace:
         current = self.strategy_of(index, player)
         return int(index + (strategy - current) * self._radices[player])
 
-    def replace_many(self, indices: np.ndarray, player: int, strategy: int) -> np.ndarray:
-        """Vectorised :meth:`replace` over an array of profile indices."""
-        self._check_player(player)
-        self._require_int64("replace_many")
-        idx = np.asarray(indices, dtype=np.int64)
-        current = (idx // self._radices[player]) % self.num_strategies[player]
-        return idx + (strategy - current) * self._radices[player]
-
     def set_strategy_many(
         self, indices: np.ndarray, player: int, strategies: np.ndarray
     ) -> np.ndarray:
         """Per-profile strategy surgery: element ``k`` gets ``strategies[k]``.
 
-        Unlike :meth:`replace_many` (one strategy for the whole batch) this
-        sets a *different* strategy per profile — the inner update of the
+        Sets a *different* strategy per profile — the inner update of the
         batched simulation engine.
         """
         self._check_player(player)
@@ -353,26 +326,6 @@ class ProfileSpace:
         if not edges:
             return np.empty((0, 2), dtype=np.int64)
         return np.concatenate(edges, axis=0)
-
-    def hamming_distance_between(self, index_a: int, index_b: int) -> int:
-        """Hamming distance between two profiles given by index."""
-        return hamming_distance(self.decode(index_a), self.decode(index_b))
-
-    def bit_fixing_path(self, index_a: int, index_b: int) -> list[int]:
-        """The canonical "bit-fixing" Hamming path from ``a`` to ``b``.
-
-        Coordinates are fixed to their target value in increasing player
-        order; this is exactly the path family used in the proofs of
-        Lemma 3.3 and Theorem 5.1 of the paper.
-        """
-        a = list(self.decode(index_a))
-        b = self.decode(index_b)
-        path = [index_a]
-        for player in range(self.num_players):
-            if a[player] != b[player]:
-                a[player] = b[player]
-                path.append(self.encode(a))
-        return path
 
     def weight(self, indices: np.ndarray | int, one_strategy: int = 1) -> np.ndarray | int:
         """Number of players playing ``one_strategy`` in the given profile(s).

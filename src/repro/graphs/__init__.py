@@ -1,12 +1,6 @@
 """Graph substrate: social-network topologies and cutwidth computation."""
 
-from .cutwidth import (
-    clique_cutwidth,
-    cutwidth_exact,
-    cutwidth_greedy,
-    cutwidth_known,
-    cutwidth_of_ordering,
-)
+from .cutwidth import cutwidth_exact, cutwidth_of_ordering
 from .topologies import (
     binary_tree_graph,
     caterpillar_graph,
@@ -25,10 +19,7 @@ from .topologies import (
 )
 
 __all__ = [
-    "clique_cutwidth",
     "cutwidth_exact",
-    "cutwidth_greedy",
-    "cutwidth_known",
     "cutwidth_of_ordering",
     "binary_tree_graph",
     "caterpillar_graph",

@@ -14,10 +14,10 @@ Computing the cutwidth is NP-hard in general; we provide
   over vertex subsets, ``O(2^n * n)`` time / ``O(2^n)`` memory, practical up
   to ~20 vertices (more than enough for the game sizes whose chains we can
   analyse exactly);
-* :func:`cutwidth_of_ordering` — evaluate a specific ordering;
-* :func:`cutwidth_greedy` — a cheap heuristic upper bound for larger graphs;
-* :func:`cutwidth_known` — closed forms for the standard topologies used in
-  Section 5 (path, ring, star, complete graph).
+* :func:`cutwidth_of_ordering` — evaluate a specific ordering.  Any
+  ordering's width is at least ``chi(G)``, and the Theorem 5.1 bound grows
+  with ``chi``, so past the exact DP's size cap the width of any ordering
+  still gives a valid upper bound.
 """
 
 from __future__ import annotations
@@ -27,17 +27,7 @@ from typing import Sequence
 import networkx as nx
 import numpy as np
 
-__all__ = [
-    "cutwidth_of_ordering",
-    "cutwidth_exact",
-    "cutwidth_greedy",
-    "cutwidth_known",
-    "clique_cutwidth",
-]
-
-
-def _normalized_nodes(graph: nx.Graph) -> list:
-    return sorted(graph.nodes())
+__all__ = ["cutwidth_of_ordering", "cutwidth_exact"]
 
 
 def cutwidth_of_ordering(graph: nx.Graph, ordering: Sequence) -> int:
@@ -66,14 +56,14 @@ def cutwidth_exact(graph: nx.Graph) -> int:
     where ``deg_out(v, S)`` counts v's neighbors outside S minus those
     inside ``S \\ {v}``.
     """
-    nodes = _normalized_nodes(graph)
+    nodes = sorted(graph.nodes())
     n = len(nodes)
     if n == 0:
         return 0
     if n > 24:
         raise ValueError(
             f"exact cutwidth DP is exponential in the node count (got {n} > 24); "
-            "use cutwidth_greedy for an upper bound"
+            "use cutwidth_of_ordering on any ordering for an upper bound"
         )
     index = {node: i for i, node in enumerate(nodes)}
     neighbor_masks = np.zeros(n, dtype=np.int64)
@@ -112,70 +102,3 @@ def cutwidth_exact(graph: nx.Graph) -> int:
     return int(cw[size - 1])
 
 
-def cutwidth_greedy(graph: nx.Graph, restarts: int = 8, rng: np.random.Generator | None = None) -> int:
-    """Heuristic cutwidth upper bound: greedy ordering with random restarts.
-
-    At every step append the unplaced vertex that minimises the resulting
-    cut; ties broken randomly.  Returns the best ordering width found across
-    restarts — an upper bound on the true cutwidth, adequate for the bound
-    of Theorem 5.1 (which only needs *some* ordering).
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    nodes = _normalized_nodes(graph)
-    n = len(nodes)
-    if n == 0:
-        return 0
-    best_width = None
-    for _ in range(max(restarts, 1)):
-        remaining = set(nodes)
-        placed: set = set()
-        width = 0
-        current_cut = 0
-        order = []
-        while remaining:
-            candidates = []
-            for v in remaining:
-                inside = sum(1 for u in graph.neighbors(v) if u in placed)
-                outside = graph.degree(v) - inside
-                candidates.append((current_cut + outside - inside, rng.random(), v))
-            candidates.sort()
-            new_cut, _, chosen = candidates[0]
-            placed.add(chosen)
-            remaining.discard(chosen)
-            order.append(chosen)
-            current_cut = new_cut
-            width = max(width, current_cut)
-        if best_width is None or width < best_width:
-            best_width = width
-    return int(best_width)
-
-
-def clique_cutwidth(num_nodes: int) -> int:
-    """Closed form ``floor(n/2) * ceil(n/2)`` for the complete graph."""
-    if num_nodes < 1:
-        raise ValueError("need at least one node")
-    return (num_nodes // 2) * ((num_nodes + 1) // 2)
-
-
-def cutwidth_known(graph: nx.Graph) -> int | None:
-    """Closed-form cutwidth when the graph is a recognised standard topology.
-
-    Recognises: edgeless graphs (0), paths (1), cycles (2), stars
-    (``ceil((n-1)/2)``) and complete graphs (``floor(n/2) * ceil(n/2)``).
-    Returns ``None`` for anything else.
-    """
-    n = graph.number_of_nodes()
-    m = graph.number_of_edges()
-    if n == 0 or m == 0:
-        return 0
-    degrees = sorted(d for _, d in graph.degree())
-    if m == n * (n - 1) // 2:
-        return clique_cutwidth(n)
-    if nx.is_connected(graph):
-        if m == n - 1 and degrees[-1] <= 2:
-            return 1  # path
-        if m == n and all(d == 2 for d in degrees):
-            return 2  # cycle / ring
-        if m == n - 1 and degrees[-1] == n - 1:
-            return (n - 1 + 1) // 2  # star: ceil((n-1)/2)
-    return None

@@ -1,15 +1,13 @@
-"""Finite Markov chains: validation, structure checks, stationary distributions.
+"""Finite Markov chains: validation, reversibility, stationary distributions.
 
 This is the generic substrate beneath the logit dynamics: a
 :class:`MarkovChain` wraps a row-stochastic transition matrix and provides
 
-* structural checks — irreducibility, aperiodicity, ergodicity,
-  reversibility (detailed balance against a given or computed stationary
-  distribution);
+* a reversibility check (detailed balance against a given or computed
+  stationary distribution);
 * the stationary distribution, computed either from a supplied Gibbs
   measure or from the leading left eigenvector;
-* single-step and multi-step evolution of distributions, and sampling of
-  trajectories.
+* multi-step transition matrices and expected hitting times.
 
 It also holds :func:`check_count`, the one validation rule for integer
 knobs, low enough in the package that the markov, engine, stats and core
@@ -22,8 +20,6 @@ import operator
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .tv import is_distribution, normalize_distribution
 
@@ -138,47 +134,6 @@ class MarkovChain:
 
     # -- structure ----------------------------------------------------------
 
-    def is_irreducible(self, tol: float = 0.0) -> bool:
-        """Whether every state can reach every other state."""
-        adjacency = sp.csr_matrix(self._P > tol)
-        n_components, _ = csgraph.connected_components(adjacency, connection="strong")
-        return n_components == 1
-
-    def is_aperiodic(self, tol: float = 0.0) -> bool:
-        """Whether the chain's period is 1.
-
-        A sufficient-and-necessary check on a strongly connected chain: if
-        any state has a self loop the chain is aperiodic; otherwise compute
-        the gcd of cycle lengths via a BFS layering argument.
-        """
-        if np.any(np.diag(self._P) > tol):
-            return True
-        # gcd-of-cycles via BFS distance differences on the directed graph
-        n = self.num_states
-        adjacency = self._P > tol
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[0] = 0
-        frontier = [0]
-        g = 0
-        while frontier:
-            new_frontier = []
-            for u in frontier:
-                for v in np.flatnonzero(adjacency[u]):
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        new_frontier.append(int(v))
-                    else:
-                        g = int(np.gcd(g, dist[u] + 1 - dist[v]))
-            frontier = new_frontier
-        # unreachable states make periodicity ill-defined; treat as periodic
-        if np.any(dist < 0):
-            return False
-        return g == 1
-
-    def is_ergodic(self) -> bool:
-        """Irreducible and aperiodic."""
-        return self.is_irreducible() and self.is_aperiodic()
-
     def is_reversible(self, tol: float = 1e-9) -> bool:
         """Detailed balance: ``pi(x) P(x, y) == pi(y) P(y, x)`` for all x, y."""
         pi = self.stationary
@@ -186,15 +141,6 @@ class MarkovChain:
         return bool(np.allclose(flow, flow.T, atol=tol))
 
     # -- dynamics -----------------------------------------------------------
-
-    def step_distribution(self, distribution: np.ndarray, steps: int = 1) -> np.ndarray:
-        """Evolve a distribution ``mu`` forward: ``mu P^steps``."""
-        mu = np.asarray(distribution, dtype=float)
-        if mu.shape != (self.num_states,):
-            raise ValueError("distribution has wrong length")
-        for _ in range(check_count(steps, "steps", minimum=0)):
-            mu = mu @ self._P
-        return mu
 
     def t_step_matrix(self, steps: int) -> np.ndarray:
         """``P^steps`` computed by repeated squaring."""
@@ -208,25 +154,6 @@ class MarkovChain:
             if steps:
                 base = base @ base
         return result
-
-    def sample_path(
-        self,
-        start: int,
-        length: int,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Sample a trajectory ``X_0 = start, X_1, ..., X_length``."""
-        rng = np.random.default_rng() if rng is None else rng
-        if not 0 <= start < self.num_states:
-            raise ValueError("start state out of range")
-        length = check_count(length, "length", minimum=0)
-        path = np.empty(length + 1, dtype=np.int64)
-        path[0] = start
-        cumulative = np.cumsum(self._P, axis=1)
-        draws = rng.random(length)
-        for t in range(length):
-            path[t + 1] = np.searchsorted(cumulative[path[t]], draws[t], side="right")
-        return path
 
     def expected_hitting_time(self, target: int | Sequence[int]) -> np.ndarray:
         """Expected hitting times ``E_x[tau_target]`` for every start ``x``.

@@ -95,11 +95,6 @@ class CouplingResult:
         """Fraction of runs that met within the horizon."""
         return self.num_coalesced / max(self.num_runs, 1)
 
-    def mean_coalescence_time(self) -> float:
-        """Mean coalescence time over the runs that met (NaN if none did)."""
-        met = self.coalescence_times[self.coalescence_times >= 0]
-        return float(np.mean(met)) if met.size else float("nan")
-
     def quantile(self, q: float) -> float:
         """Quantile of the coalescence time, counting non-met runs as horizon."""
         times = np.where(self.coalescence_times < 0, self.horizon, self.coalescence_times)

@@ -6,8 +6,8 @@ The logit transition matrix, however, is extremely sparse — every profile
 has at most ``sum_i (m_i - 1) + 1`` successors — so all the quantities the
 paper's experiments need remain computable far beyond the dense regime:
 
-* :class:`SparseMarkovChain` — CSR-backed chain with distribution evolution,
-  single-start TV convergence, and power-iteration stationary distributions;
+* :class:`SparseMarkovChain` — CSR-backed chain with power-iteration
+  stationary distributions;
 * :func:`sparse_spectral_gap` — the spectral gap (and hence the relaxation
   time) of a reversible chain via ``scipy.sparse.linalg.eigsh`` on the
   symmetrised matrix, needing only matrix-vector products;
@@ -85,11 +85,6 @@ class SparseMarkovChain:
         return self._P.shape[0]
 
     @property
-    def nnz(self) -> int:
-        """Number of stored (non-zero) transition entries."""
-        return self._P.nnz
-
-    @property
     def transition_matrix(self) -> sp.csr_matrix:
         """The CSR transition matrix (do not mutate)."""
         return self._P
@@ -100,19 +95,6 @@ class SparseMarkovChain:
         if self._pi is None:
             self._pi = sparse_stationary_power_iteration(self._P)
         return self._pi
-
-    def step_distribution(self, distribution: np.ndarray, steps: int = 1) -> np.ndarray:
-        """Evolve a distribution ``mu -> mu P^steps`` with sparse products."""
-        mu = np.asarray(distribution, dtype=float)
-        if mu.shape != (self.num_states,):
-            raise ValueError("distribution has wrong length")
-        for _ in range(check_count(steps, "steps", minimum=0)):
-            mu = mu @ self._P
-        return np.asarray(mu).ravel()
-
-    def to_dense(self) -> np.ndarray:
-        """Densify (only sensible for small chains, e.g. in tests)."""
-        return self._P.toarray()
 
 
 def sparse_stationary_power_iteration(

@@ -284,9 +284,10 @@ class ShardedExecutor:
             blocks from ``(root, absolute offset, count)``.
         start:
             Absolute index of the chunk's first sample in the run's
-            sample stream (the spawn position of its seed child).
+            sample stream (the spawn position of its seed child); a
+            non-negative integer.
         count:
-            Chunk size.
+            Chunk size, a positive integer.
         tracer:
             Telemetry sink (:mod:`repro.obs`).  When enabled, each shard's
             worker wall-clock is emitted as a ``shard.complete`` event and
@@ -300,6 +301,8 @@ class ShardedExecutor:
             the array a single-process evaluation of the whole chunk
             produces, since :meth:`map_tasks` keeps task order.
         """
+        start = check_count(start, "start", minimum=0)
+        count = check_count(count, "count")
         tracer = as_tracer(tracer)
         plan = shard_plan(count, self.num_shards)
         tasks = [(sampler, root, start + off, cnt) for off, cnt in plan]

@@ -8,8 +8,8 @@ shares:
 
 * :class:`StreamingMoments` — Welford-style running mean/variance that
   accepts observation chunks (vectorised over many estimands at once) and
-  merges exactly, so chunked accumulation is bit-for-bit independent of the
-  chunk boundaries;
+  folds them with the exact parallel combine, so chunked accumulation does
+  not depend on the chunk boundaries;
 * :class:`StreamingEstimate` — the result every interval-returning
   estimator hands back: the point estimate together with its anytime-valid
   confidence bounds, the number of samples it took, and whether adaptive
@@ -74,49 +74,12 @@ class StreamingMoments:
         self._m2 = self._m2 + chunk_m2 + delta**2 * (self.count * c / total)
         self.count = total
 
-    def merge(self, other: "StreamingMoments") -> None:
-        """Fold another accumulator in (exact parallel combine).
-
-        Parameters
-        ----------
-        other:
-            A :class:`StreamingMoments` over the *same* estimand axis;
-            not mutated.  The combine is the algebraically exact Chan
-            fold, so splitting a stream into parts of any sizes and
-            merging them produces the same moments as one big update, up
-            to floating-point accumulation order.
-        """
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = np.copy(other.mean)
-            self._m2 = np.copy(other._m2)
-            return
-        total = self.count + other.count
-        delta = np.asarray(other.mean, dtype=float) - self.mean
-        self.mean = self.mean + delta * (other.count / total)
-        self._m2 = (
-            self._m2 + other._m2 + delta**2 * (self.count * other.count / total)
-        )
-        self.count = total
-
     @property
     def variance(self) -> np.ndarray | float:
         """Unbiased sample variance (``nan`` until two observations)."""
         if self.count < 2:
             return np.full_like(np.asarray(self.mean, dtype=float), np.nan)
         return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> np.ndarray | float:
-        """Unbiased-variance standard deviation."""
-        return np.sqrt(self.variance)
-
-    @property
-    def sem(self) -> np.ndarray | float:
-        """Standard error of the running mean."""
-        return np.sqrt(self.variance / max(self.count, 1))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StreamingMoments(count={self.count}, mean={self.mean!r})"

@@ -196,8 +196,7 @@ class NormalMixtureCS:
     subsystem, for observables with no a-priori bound (welfare, utilities).
 
     ``rho2`` tunes where the boundary is tightest: small values favour
-    early times, large values late ones.  :meth:`rho2_for_target` picks the
-    value minimising the boundary at a target intrinsic time.
+    early times, large values late ones.
     """
 
     def __init__(self, alpha: float = 0.05, rho2: float = 1.0):
@@ -210,22 +209,6 @@ class NormalMixtureCS:
         self._moments = StreamingMoments()
         self._lower: np.ndarray | float = -np.inf
         self._upper: np.ndarray | float = np.inf
-
-    @staticmethod
-    def rho2_for_target(v_target: float, alpha: float = 0.05) -> float:
-        """``rho2`` minimising the boundary at intrinsic time ``v_target``.
-
-        Setting the derivative of the squared boundary to zero gives
-        ``rho2 = v / (W) `` with ``W`` solving ``W = log(W) - 2 log(alpha)
-        + 1``; one fixed-point sweep is plenty for a tuning knob.
-        """
-        _validate_alpha(alpha)
-        if v_target <= 0:
-            raise ValueError("v_target must be positive")
-        w = -2.0 * np.log(alpha) + 1.0
-        for _ in range(60):
-            w = -2.0 * np.log(alpha) + 1.0 + np.log(w)
-        return float(v_target / w)
 
     def update(self, chunk: np.ndarray) -> None:
         """Fold a ``(c,)`` or ``(c, K)`` chunk of observations in."""

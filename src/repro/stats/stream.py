@@ -134,16 +134,6 @@ class SampleDriver:
         return consumer
 
     @property
-    def n(self) -> int:
-        """Samples drawn so far."""
-        return self._n
-
-    @property
-    def max_n(self) -> int:
-        """The hard sample budget."""
-        return self._max_n
-
-    @property
     def samples(self) -> np.ndarray | None:
         """Pooled raw samples in sample order (``None`` before the first chunk)."""
         if not self._pooled:

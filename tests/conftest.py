@@ -12,6 +12,8 @@ from typing import Callable, Sequence
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from repro.games import (
     AnonymousDominantGame,
@@ -21,6 +23,7 @@ from repro.games import (
     GraphicalCoordinationGame,
     ProfileSpace,
     Theorem35Game,
+    TableGame,
     TwoWellGame,
     random_game,
 )
@@ -43,6 +46,68 @@ class CallableGame(Game):
 
     def utility(self, player: int, profile_index: int) -> float:
         return float(self._fn(player, self.space.decode(profile_index)))
+
+
+def table_game_from_function(
+    num_strategies: Sequence[int],
+    utility_fn: Callable[[int, tuple[int, ...]], float],
+) -> TableGame:
+    """Tabulate a game from ``utility_fn(player, profile_tuple)``."""
+    space = ProfileSpace(num_strategies)
+    utilities = np.empty((space.num_players, space.size), dtype=float)
+    for x in range(space.size):
+        prof = space.decode(x)
+        for i in range(space.num_players):
+            utilities[i, x] = utility_fn(i, prof)
+    return TableGame(num_strategies, utilities)
+
+
+def hamming_distance(x: Sequence[int], y: Sequence[int]) -> int:
+    """Number of coordinates in which the two profiles differ."""
+    x_arr = np.asarray(x)
+    y_arr = np.asarray(y)
+    if x_arr.shape != y_arr.shape:
+        raise ValueError(
+            f"profiles must have equal length, got {x_arr.shape} and {y_arr.shape}"
+        )
+    return int(np.count_nonzero(x_arr != y_arr))
+
+
+def is_irreducible(chain) -> bool:
+    """Whether every state of a :class:`~repro.markov.MarkovChain` reaches every other."""
+    adjacency = sp.csr_matrix(np.asarray(chain.transition_matrix) > 0)
+    n_components, _ = csgraph.connected_components(adjacency, connection="strong")
+    return n_components == 1
+
+
+def is_aperiodic(chain) -> bool:
+    """Whether a :class:`~repro.markov.MarkovChain` has period 1.
+
+    Any self loop makes the chain aperiodic; otherwise the period is the
+    gcd of cycle lengths, read off BFS distance differences.
+    """
+    P = np.asarray(chain.transition_matrix)
+    if np.any(np.diag(P) > 0):
+        return True
+    adjacency = P > 0
+    dist = np.full(P.shape[0], -1, dtype=np.int64)
+    dist[0] = 0
+    frontier = [0]
+    g = 0
+    while frontier:
+        new_frontier = []
+        for u in frontier:
+            for v in np.flatnonzero(adjacency[u]):
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    new_frontier.append(int(v))
+                else:
+                    g = int(np.gcd(g, dist[u] + 1 - dist[v]))
+        frontier = new_frontier
+    # unreachable states make periodicity ill-defined; treat as periodic
+    if np.any(dist < 0):
+        return False
+    return g == 1
 
 
 def pure_nash_equilibria(game: Game, tol: float = 1e-12) -> list[int]:

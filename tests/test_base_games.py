@@ -7,7 +7,7 @@ import pytest
 
 from repro.games.base import NormalFormGame, TableGame, random_game
 
-from conftest import CallableGame, pure_nash_equilibria
+from conftest import CallableGame, pure_nash_equilibria, table_game_from_function
 
 
 def prisoners_dilemma() -> NormalFormGame:
@@ -51,33 +51,31 @@ class TestTableGame:
             game.utilities[0, 0] = 1.0
 
     def test_from_function(self):
-        game = TableGame.from_function((2, 2), lambda i, prof: float(prof[i]))
+        game = table_game_from_function((2, 2), lambda i, prof: float(prof[i]))
         assert game.utility(0, game.space.encode((1, 0))) == 1.0
         assert game.utility(1, game.space.encode((1, 0))) == 0.0
 
     def test_utility_deviations_ordering(self):
-        game = TableGame.from_function((2, 3), lambda i, prof: float(10 * i + prof[i]))
+        game = table_game_from_function((2, 3), lambda i, prof: float(10 * i + prof[i]))
         idx = game.space.encode((1, 2))
         np.testing.assert_allclose(game.utility_deviations(1, idx), [10.0, 11.0, 12.0])
 
     def test_utility_profile(self):
         game = prisoners_dilemma()
-        utils = game.utility_profile((1, 1))
-        np.testing.assert_allclose(utils, [3.0, 3.0])
+        utils = game.utility_profile_many(np.array([game.space.encode((1, 1))]))
+        np.testing.assert_allclose(utils, [[3.0, 3.0]])
 
     def test_utility_profile_many_matches_scalar(self):
-        game = TableGame.from_function((2, 3), lambda i, prof: float(10 * i + prof[i]))
+        game = table_game_from_function((2, 3), lambda i, prof: float(10 * i + prof[i]))
         idx = np.arange(game.space.size, dtype=np.int64)
         batched = game.utility_profile_many(idx)
         assert batched.shape == (game.space.size, 2)
         for x in idx:
-            np.testing.assert_allclose(
-                batched[x], game.utility_profile(game.space.decode(int(x)))
-            )
+            np.testing.assert_allclose(batched[x], [game.utility(i, int(x)) for i in range(2)])
         assert game.utility_profile_many(np.empty(0, dtype=np.int64)).shape == (0, 2)
 
     def test_utility_profile_many_generic_fallback_agrees(self):
-        table = TableGame.from_function((2, 2), lambda i, prof: float(prof[0] - 2 * prof[1] + i))
+        table = table_game_from_function((2, 2), lambda i, prof: float(prof[0] - 2 * prof[1] + i))
         callable_game = CallableGame((2, 2), lambda i, prof: float(prof[0] - 2 * prof[1] + i))
         idx = np.array([0, 3, 1, 2], dtype=np.int64)
         np.testing.assert_allclose(
@@ -107,7 +105,7 @@ class TestNormalFormGame:
 class TestCallableGame:
     def test_matches_table_game(self):
         fn = lambda i, prof: float(prof[0] * 2 + prof[1] - i)
-        table = TableGame.from_function((2, 2), fn)
+        table = table_game_from_function((2, 2), fn)
         lazy = CallableGame((2, 2), fn)
         for x in range(4):
             for i in range(2):
@@ -130,9 +128,13 @@ class TestEquilibria:
         assert eq == {game.space.encode((0, 0)), game.space.encode((1, 1))}
 
     def test_is_best_response(self):
+        # player 0 best-responds when its own strategy attains the maximum
+        # of its deviation utilities
         game = prisoners_dilemma()
-        assert game.is_best_response(0, game.space.encode((0, 1)))
-        assert not game.is_best_response(0, game.space.encode((1, 1)))
+        defect_vs_coop = game.utility_deviations(0, game.space.encode((0, 1)))
+        coop_vs_coop = game.utility_deviations(0, game.space.encode((1, 1)))
+        assert defect_vs_coop[0] == defect_vs_coop.max()
+        assert coop_vs_coop[1] < coop_vs_coop.max()
 
 
 class TestRandomGame:

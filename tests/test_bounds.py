@@ -10,7 +10,6 @@ import pytest
 from repro.core.bounds import (
     clique_delta_phi,
     clique_potential_barrier,
-    cutwidth_for_bound,
     lemma32_relaxation_upper,
     lemma33_relaxation_upper,
     lemma37_relaxation_upper,
@@ -31,7 +30,8 @@ from repro.core.bounds import (
     theorem57_ring_mixing_lower,
 )
 from repro.games import Theorem35Game
-from repro.graphs.topologies import grid_graph, ring_graph
+from repro.graphs.cutwidth import cutwidth_exact, cutwidth_of_ordering
+from repro.graphs.topologies import ring_graph
 
 
 class TestStructuralQuantities:
@@ -168,6 +168,18 @@ class TestSection5Formulas:
         b = theorem51_mixing_upper(5, 1.0, 1.0, 1.0, 3)
         assert b > a
 
+    def test_theorem51_fed_from_cutwidth_of_the_graph(self):
+        # chi(ring) = 2 reaches the bound exactly; any other ordering's width
+        # is at least chi, so it gives a valid but looser bound
+        ring = ring_graph(10)
+        chi = cutwidth_exact(ring)
+        assert chi == 2
+        exact = theorem51_mixing_upper(10, 0.5, 1.0, 1.0, chi)
+        assert exact == pytest.approx(2 * 10**3 * math.exp(2 * 2.0 * 0.5) * (10 * 0.5 + 1))
+        interleaved = [0, 5, 1, 6, 2, 7, 3, 8, 4, 9]
+        looser = theorem51_mixing_upper(10, 0.5, 1.0, 1.0, cutwidth_of_ordering(ring, interleaved))
+        assert looser > exact
+
     def test_clique_barrier_symmetric_case(self):
         """No risk dominance: Phi_max - Phi(1) = Theta(n^2 delta) as the paper notes."""
         n, delta = 6, 1.0
@@ -208,10 +220,6 @@ class TestSection5Formulas:
             lower = theorem57_ring_mixing_lower(beta, 1.0)
             upper = theorem56_ring_mixing_upper(8, beta, 1.0)
             assert lower <= upper
-
-    def test_cutwidth_for_bound_uses_closed_forms(self):
-        assert cutwidth_for_bound(ring_graph(10)) == 2
-        assert cutwidth_for_bound(grid_graph(2, 3)) == cutwidth_for_bound(grid_graph(2, 3))
 
     def test_validation(self):
         with pytest.raises(ValueError):

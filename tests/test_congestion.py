@@ -37,7 +37,7 @@ class TestSingletonCongestionGame:
     def test_balanced_profiles_minimise_potential(self):
         game = SingletonCongestionGame(num_players=4, num_resources=2)
         phi = game.potential_vector()
-        minimisers = game.potential_minimizers()
+        minimisers = np.flatnonzero(phi <= np.min(phi) + 1e-12)
         w = game.space.weight(np.arange(game.space.size))
         # with linear delays the balanced splits (2-2) minimise the potential
         assert np.all(w[minimisers] == 2)

@@ -23,9 +23,15 @@ class TestCoordinationParams:
         assert p.delta1 == pytest.approx(1.5)
 
     def test_risk_dominance(self):
-        assert CoordinationParams.from_deltas(2.0, 1.0).risk_dominant == 0
-        assert CoordinationParams.from_deltas(1.0, 2.0).risk_dominant == 1
-        assert CoordinationParams.ising(1.0).risk_dominant is None
+        # the risk-dominant consensus is the one with the deeper edge potential
+        zero_dominant = CoordinationParams.from_deltas(2.0, 1.0)
+        assert zero_dominant.delta0 > zero_dominant.delta1
+        assert zero_dominant.edge_potential(0, 0) < zero_dominant.edge_potential(1, 1)
+        one_dominant = CoordinationParams.from_deltas(1.0, 2.0)
+        assert one_dominant.edge_potential(1, 1) < one_dominant.edge_potential(0, 0)
+        ising = CoordinationParams.ising(1.0)
+        assert ising.delta0 == ising.delta1
+        assert ising.edge_potential(0, 0) == ising.edge_potential(1, 1)
 
     def test_rejects_non_coordination(self):
         with pytest.raises(ValueError):
@@ -86,13 +92,13 @@ class TestGraphicalCoordinationGame:
         assert all0 in eq and all1 in eq
 
     def test_risk_dominant_profile_has_min_potential(self, clique4_game):
-        rd = clique4_game.risk_dominant_profile()
+        params = clique4_game.params
+        assert params.delta0 > params.delta1  # all-zeros is risk dominant
         phi = clique4_game.potential_vector()
-        assert rd is not None
-        assert phi[rd] == pytest.approx(np.min(phi))
+        assert phi[clique4_game.consensus_profiles()[0]] == pytest.approx(np.min(phi))
 
     def test_no_risk_dominant_on_ising(self, ring5_ising_game):
-        assert ring5_ising_game.risk_dominant_profile() is None
+        assert ring5_ising_game.params.delta0 == ring5_ising_game.params.delta1
         all0, all1 = ring5_ising_game.consensus_profiles()
         phi = ring5_ising_game.potential_vector()
         assert phi[all0] == pytest.approx(phi[all1])

@@ -61,7 +61,6 @@ class TestGrandCouplingSimulation:
         )
         assert result.quantile(1.0) == 100
         assert result.fraction_coalesced == 0.5
-        assert result.mean_coalescence_time() == pytest.approx(6.0)
 
 
 class TestCouplingAgainstLogitDynamics:

@@ -6,13 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.graphs.cutwidth import (
-    clique_cutwidth,
-    cutwidth_exact,
-    cutwidth_greedy,
-    cutwidth_known,
-    cutwidth_of_ordering,
-)
+from repro.graphs.cutwidth import cutwidth_exact, cutwidth_of_ordering
 from repro.graphs.topologies import (
     binary_tree_graph,
     clique_graph,
@@ -36,6 +30,23 @@ class TestCutwidthOfOrdering:
         # interleaving the endpoints inflates the cut
         assert cutwidth_of_ordering(g, [0, 4, 1, 3, 2]) > 1
 
+    def test_any_ordering_upper_bounds_exact(self):
+        # the documented fallback past the exact DP's cap: any ordering's
+        # width is a valid upper bound on chi(G)
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            g = erdos_renyi_graph(7, 0.4, rng=rng)
+            exact = cutwidth_exact(g)
+            for _ in range(5):
+                ordering = rng.permutation(list(g.nodes())).tolist()
+                assert cutwidth_of_ordering(g, ordering) >= exact
+
+    def test_natural_ordering_is_tight_on_path_and_ring(self):
+        for n in (4, 7, 10):
+            assert cutwidth_of_ordering(nx.path_graph(n), range(n)) == 1
+            ring = nx.cycle_graph(n)
+            assert cutwidth_of_ordering(ring, range(n)) == cutwidth_exact(ring) == 2
+
     def test_rejects_non_permutation(self):
         g = nx.path_graph(3)
         with pytest.raises(ValueError):
@@ -56,8 +67,41 @@ class TestExactCutwidth:
         assert cutwidth_exact(nx.star_graph(4)) == 2
 
     def test_clique(self):
+        # closed form floor(n/2) * ceil(n/2)
         for n in (3, 4, 5, 6):
-            assert cutwidth_exact(nx.complete_graph(n)) == clique_cutwidth(n)
+            assert cutwidth_exact(nx.complete_graph(n)) == (n // 2) * ((n + 1) // 2)
+
+    def test_star_closed_form(self):
+        # K_{1,k}: the centre sits in the middle of the leaves, ceil(k/2)
+        for k in range(1, 8):
+            assert cutwidth_exact(nx.star_graph(k)) == (k + 1) // 2
+
+    def test_path_and_ring_closed_forms(self):
+        for n in range(3, 10):
+            assert cutwidth_exact(nx.path_graph(n)) == 1
+            assert cutwidth_exact(nx.cycle_graph(n)) == 2
+
+    def test_invariant_under_relabelling(self):
+        rng = np.random.default_rng(4)
+        g = erdos_renyi_graph(7, 0.5, rng=rng)
+        labels = rng.permutation(100)[:7]
+        relabelled = nx.relabel_nodes(g, dict(zip(g.nodes(), labels.tolist())))
+        assert cutwidth_exact(relabelled) == cutwidth_exact(g)
+
+    def test_disjoint_union_takes_the_larger_component(self):
+        union = nx.disjoint_union(nx.complete_graph(5), nx.cycle_graph(6))
+        assert cutwidth_exact(union) == max(
+            cutwidth_exact(nx.complete_graph(5)), cutwidth_exact(nx.cycle_graph(6))
+        ) == 6
+
+    def test_monotone_under_edge_addition(self):
+        rng = np.random.default_rng(6)
+        g = erdos_renyi_graph(6, 0.3, rng=rng)
+        width = cutwidth_exact(g)
+        for u, v in list(nx.non_edges(g))[:6]:
+            bigger = g.copy()
+            bigger.add_edge(u, v)
+            assert cutwidth_exact(bigger) >= width
 
     def test_edgeless(self):
         g = nx.empty_graph(4)
@@ -81,38 +125,8 @@ class TestExactCutwidth:
             assert cutwidth_exact(g) == brute
 
     def test_size_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="use cutwidth_of_ordering on any ordering"):
             cutwidth_exact(nx.path_graph(30))
-
-
-class TestGreedyAndKnown:
-    def test_greedy_upper_bounds_exact(self):
-        rng = np.random.default_rng(1)
-        for _ in range(3):
-            g = erdos_renyi_graph(7, 0.4, rng=rng)
-            assert cutwidth_greedy(g, rng=rng) >= cutwidth_exact(g)
-
-    def test_greedy_is_tight_on_path(self):
-        assert cutwidth_greedy(nx.path_graph(10)) == 1
-
-    def test_known_closed_forms(self):
-        assert cutwidth_known(nx.path_graph(7)) == 1
-        assert cutwidth_known(nx.cycle_graph(8)) == 2
-        assert cutwidth_known(nx.star_graph(5)) == 3  # ceil(5/2)
-        assert cutwidth_known(nx.complete_graph(6)) == 9
-        assert cutwidth_known(nx.empty_graph(3)) == 0
-
-    def test_known_returns_none_for_other_graphs(self):
-        assert cutwidth_known(grid_graph(2, 3)) is None
-
-    def test_known_matches_exact_where_defined(self):
-        for g in (nx.path_graph(6), nx.cycle_graph(6), nx.star_graph(4), nx.complete_graph(5)):
-            assert cutwidth_known(g) == cutwidth_exact(g)
-
-    def test_clique_cutwidth_formula(self):
-        assert clique_cutwidth(4) == 4
-        assert clique_cutwidth(5) == 6
-        assert clique_cutwidth(6) == 9
 
 
 class TestTopologies:

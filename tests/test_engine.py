@@ -405,7 +405,7 @@ class TestBatchedCoupling:
         # at beta = 0 both copies make identical uniform choices on every
         # selected coordinate, so coalescence is a coupon-collector event
         assert result.fraction_coalesced == 1.0
-        assert result.mean_coalescence_time() < 100
+        assert result.coalescence_times.mean() < 100
 
     def test_negative_horizon_is_rejected(self, ring5_ising_game):
         # used to come back as a mixing-time estimate of -5.0

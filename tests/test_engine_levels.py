@@ -251,7 +251,7 @@ def test_levels_are_longest_conflict_chains(topology):
     for i in range(game.num_players):
         row = [int(v) for v in members[offsets[i] : offsets[i + 1]]]
         assert row[0] == i
-        assert set(row) == {i} | {int(v) for v in game.neighbors_of(i)}
+        assert set(row) == {i} | set(game.graph.neighbors(i))
         closed.append(set(row))
     steps, replicas = 40, 5
     movers = np.random.default_rng(8).integers(

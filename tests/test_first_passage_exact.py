@@ -40,7 +40,7 @@ def _start_and_target(dynamics, game):
     absorbed at its fixed points, so it runs from the profile slowest to
     reach them."""
     if isinstance(dynamics, BestResponseDynamics):
-        target = dynamics.absorbing_profiles()
+        target = np.flatnonzero(np.isclose(np.diag(dynamics.transition_matrix()), 1.0))
         exact = dynamics.markov_chain().expected_hitting_time(target)
         start = int(np.argmax(np.where(np.isfinite(exact), exact, -1.0)))
         return start, target, exact[start]

@@ -185,6 +185,11 @@ POINT_MASS = np.eye(16)[0]
             ValueError, "max_time",
             id="pseudo_mixing_time-negative",
         ),
+        pytest.param(
+            lambda: pseudo_mixing_time(CHAIN4, [0, 1], max_time=2.5),
+            TypeError, "max_time",
+            id="pseudo_mixing_time-fraction",
+        ),
         # regression: returned -3
         pytest.param(
             lambda: sparse_mixing_time_from_state(RING4.sparse_markov_chain(), 0, max_time=-3),
@@ -207,25 +212,10 @@ POINT_MASS = np.eye(16)[0]
             TypeError, "max_steps must be an integer",
             id="first_times-fraction",
         ),
-        # regression: ran 2 steps
         pytest.param(
-            lambda: CHAIN4.step_distribution(POINT_MASS, 2.5), TypeError, "steps",
-            id="step_distribution-fraction",
-        ),
-        # regression: returned the distribution unchanged
-        pytest.param(
-            lambda: CHAIN4.step_distribution(POINT_MASS, -1), ValueError, "steps",
-            id="step_distribution-negative",
-        ),
-        pytest.param(
-            lambda: RING4.sparse_markov_chain().step_distribution(POINT_MASS, 2.5),
-            TypeError, "steps",
-            id="sparse_step_distribution-fraction",
-        ),
-        pytest.param(
-            lambda: RING4.sparse_markov_chain().step_distribution(POINT_MASS, -1),
-            ValueError, "steps",
-            id="sparse_step_distribution-negative",
+            lambda: RING4.ensemble(4, start=0).hitting_times(15, max_steps=-1),
+            ValueError, "max_steps",
+            id="first_times-negative",
         ),
         # regression: ran 2 annealed steps
         pytest.param(
@@ -239,15 +229,6 @@ POINT_MASS = np.eye(16)[0]
             ValueError, "num_steps",
             id="evolve_distribution-negative",
         ),
-        # regression: numpy's "got '3.5'" and an IndexError
-        pytest.param(
-            lambda: CHAIN4.sample_path(0, 2.5), TypeError, "length",
-            id="sample_path-fraction",
-        ),
-        pytest.param(
-            lambda: CHAIN4.sample_path(0, -1), ValueError, "length",
-            id="sample_path-negative",
-        ),
         # regression: the burn-in ran 2 steps
         pytest.param(
             lambda: estimate_stationary_welfare(RING4.game, 1.0, num_steps=2.5, num_replicas=8, seed=1),
@@ -258,6 +239,10 @@ POINT_MASS = np.eye(16)[0]
         pytest.param(
             lambda: RING4.simulate_loop((0,) * 4, -1), ValueError, "num_steps",
             id="sequential_loop-negative",
+        ),
+        pytest.param(
+            lambda: RING4.simulate_loop((0,) * 4, 2.5), TypeError, "num_steps",
+            id="sequential_loop-fraction",
         ),
         # regression: returned a one-row trajectory
         pytest.param(
@@ -275,6 +260,11 @@ POINT_MASS = np.eye(16)[0]
             lambda: RoundRobinLogitDynamics(RING4.game, 1.0).simulate_loop((0,) * 4, -1),
             ValueError, "num_steps",
             id="round_robin_loop-negative",
+        ),
+        pytest.param(
+            lambda: RoundRobinLogitDynamics(RING4.game, 1.0).simulate_loop((0,) * 4, 2.5),
+            TypeError, "num_steps",
+            id="round_robin_loop-fraction",
         ),
         # regression: numpy's "'float' object cannot be interpreted as an
         # integer" (and "an integer is required" for True) on both states
@@ -296,11 +286,20 @@ POINT_MASS = np.eye(16)[0]
             lambda: RING4.simulate((0,) * 4, 3.0), TypeError, "num_steps",
             id="simulate-integral-float",
         ),
+        pytest.param(
+            lambda: RING4.simulate((0,) * 4, -1), ValueError, "num_steps",
+            id="simulate-negative",
+        ),
         # regression: errors that did not name the knob
         pytest.param(
             lambda: estimate_mixing_time_coupling(RING4.game, 1.0, (0,) * 4, (1,) * 4, 2.5),
             TypeError, "horizon",
             id="coupling_horizon-fraction",
+        ),
+        pytest.param(
+            lambda: estimate_mixing_time_coupling(RING4.game, 1.0, (0,) * 4, (1,) * 4, -1),
+            ValueError, "horizon",
+            id="coupling_horizon-negative",
         ),
         pytest.param(
             lambda: estimate_mixing_time_coupling(

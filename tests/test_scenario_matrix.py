@@ -21,7 +21,6 @@ from repro.analysis import (
 )
 from repro.core import LogitDynamics
 from repro.core.bounds import (
-    cutwidth_for_bound,
     theorem1311_mixing_upper,
     theorem1311_stationary_cost_upper,
 )
@@ -32,7 +31,7 @@ from repro.games import (
     GraphicalCoordinationGame,
     IsingGame,
 )
-from repro.graphs import caterpillar_graph, path_graph, ring_graph, star_graph
+from repro.graphs import caterpillar_graph, cutwidth_exact, path_graph, ring_graph, star_graph
 from repro.obs import JsonlTraceSink, Tracer
 from repro.parallel.sharding import ShardedExecutor
 
@@ -357,7 +356,7 @@ class TestFullGridEndToEnd:
             game = opinion_family(graph)
             cell = result.cell("opinion", topo_name)
             mixing_bound = theorem1311_mixing_upper(
-                game.num_players, BETA, cutwidth_for_bound(graph)
+                game.num_players, BETA, cutwidth_exact(graph)
             )
             cost_bound = theorem1311_stationary_cost_upper(
                 game.optimal_social_cost(), BETA, game.num_players, game.num_opinions

@@ -458,6 +458,24 @@ def test_sharded_executor_validation():
         ShardedExecutor(num_shards=1, max_workers=0)
 
 
+@pytest.mark.parametrize(
+    "start, count, error, message",
+    [
+        # regression: numpy's "need at least one array to concatenate"
+        (0, 0, ValueError, "count must be at least 1, got 0"),
+        # regression: shard_plan's "total must be non-negative"
+        (0, -1, ValueError, "count must be at least 1, got -1"),
+        (-1, 4, ValueError, "start must be non-negative, got -1"),
+        (0, 2.0, TypeError, "count must be an integer"),
+    ],
+    ids=["count-zero", "count-negative", "start-negative", "count-float"],
+)
+def test_map_chunk_checks_start_and_count(start, count, error, message):
+    root = np.random.SeedSequence(1)
+    with pytest.raises(error, match=message):
+        ShardedExecutor(num_shards=2).map_chunk(uniform_sampler, root, start, count)
+
+
 def test_executor_requires_adaptive_mode():
     game = IsingGame(nx.cycle_graph(5), coupling=1.0)
     with pytest.raises(ValueError, match="precision"):

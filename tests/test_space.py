@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.games.space import ProfileSpace, hamming_distance
+from repro.games.space import ProfileSpace
+
+from conftest import hamming_distance
 
 
 class TestConstruction:
@@ -120,7 +122,7 @@ class TestCoordinateSurgery:
     def test_replace_many_matches_scalar(self):
         space = ProfileSpace((2, 3, 2))
         indices = np.arange(space.size)
-        replaced = space.replace_many(indices, 1, 2)
+        replaced = space.set_strategy_many(indices, 1, np.full(space.size, 2))
         expected = np.array([space.replace(i, 1, 2) for i in range(space.size)])
         np.testing.assert_array_equal(replaced, expected)
 
@@ -161,7 +163,7 @@ class TestHammingStructure:
         space = ProfileSpace((2, 2, 2))
         idx = space.encode((0, 1, 0))
         for nb in space.neighbors(idx):
-            assert space.hamming_distance_between(idx, int(nb)) == 1
+            assert hamming_distance(space.decode(idx), space.decode(int(nb))) == 1
 
     def test_neighbor_count_binary(self):
         space = ProfileSpace((2, 2, 2, 2))
@@ -182,21 +184,7 @@ class TestHammingStructure:
     def test_hamming_edges_are_distance_one(self):
         space = ProfileSpace((2, 3))
         for u, v in space.hamming_edges():
-            assert space.hamming_distance_between(int(u), int(v)) == 1
-
-    def test_bit_fixing_path_endpoints_and_steps(self):
-        space = ProfileSpace((2, 2, 2, 2))
-        a = space.encode((0, 0, 0, 0))
-        b = space.encode((1, 0, 1, 1))
-        path = space.bit_fixing_path(a, b)
-        assert path[0] == a and path[-1] == b
-        assert len(path) == 1 + space.hamming_distance_between(a, b)
-        for u, v in zip(path, path[1:]):
-            assert space.hamming_distance_between(u, v) == 1
-
-    def test_bit_fixing_path_same_profile(self):
-        space = ProfileSpace((2, 2))
-        assert space.bit_fixing_path(3, 3) == [3]
+            assert hamming_distance(space.decode(int(u)), space.decode(int(v))) == 1
 
     def test_weight_counts_ones(self):
         space = ProfileSpace((2, 2, 2))
@@ -253,7 +241,6 @@ class TestInt64Boundary:
             lambda: space.set_strategy_many(idx, 0, np.zeros(2, dtype=np.int64)),
             lambda: space.encode_many(np.zeros((2, 63), dtype=np.int64)),
             lambda: space.decode_many(idx),
-            lambda: space.replace_many(idx, 0, 1),
         ):
             with pytest.raises(ValueError, match="matrix"):
                 call()

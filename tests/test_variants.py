@@ -24,6 +24,8 @@ from repro.games import (
 from repro.graphs import ring_graph
 from repro.markov.chain import is_stochastic_matrix
 
+from conftest import is_aperiodic, is_irreducible
+
 
 def prisoners_dilemma() -> NormalFormGame:
     row = np.array([[1.0, 5.0], [0.0, 3.0]])
@@ -131,12 +133,17 @@ class TestBetaValidation:
 class TestBestResponseDynamics:
     def test_high_beta_logit_converges_to_best_response(self):
         game = prisoners_dilemma()
-        assert BestResponseDynamics(game).is_limit_of_logit(beta=300.0, atol=1e-6)
+        np.testing.assert_allclose(
+            LogitDynamics(game, 300.0).transition_matrix(),
+            BestResponseDynamics(game).transition_matrix(),
+            atol=1e-6,
+        )
 
     def test_strict_equilibria_are_absorbing(self):
         game = TwoPlayerCoordinationGame(CoordinationParams.from_deltas(2.0, 1.0))
         dynamics = BestResponseDynamics(game)
-        absorbing = set(int(x) for x in dynamics.absorbing_profiles())
+        P = dynamics.transition_matrix()
+        absorbing = set(int(x) for x in np.flatnonzero(np.isclose(np.diag(P), 1.0)))
         assert game.space.encode((0, 0)) in absorbing
         assert game.space.encode((1, 1)) in absorbing
         assert game.space.encode((0, 1)) not in absorbing
@@ -158,7 +165,7 @@ class TestBestResponseDynamics:
         chain = dynamics.markov_chain()
         # after many best-response rounds from anywhere, all mass is on 0
         mu = np.full(game.space.size, 1.0 / game.space.size)
-        out = chain.step_distribution(mu, steps=200)
+        out = mu @ chain.t_step_matrix(200)
         assert out[game.space.encode((0, 0, 0))] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -219,7 +226,7 @@ class TestRoundRobinLogitDynamics:
         rr = RoundRobinLogitDynamics(clique4_game, 0.8)
         chain = rr.markov_chain()
         assert is_stochastic_matrix(np.asarray(chain.transition_matrix))
-        assert chain.is_ergodic()
+        assert is_irreducible(chain) and is_aperiodic(chain)
 
     def test_gibbs_not_exactly_stationary_but_close_at_low_beta(self):
         """Round-robin scanning preserves the Gibbs measure only approximately;

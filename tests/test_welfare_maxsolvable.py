@@ -69,7 +69,7 @@ class TestMaxSolvable:
     def test_prisoners_dilemma_is_max_solvable(self):
         result = max_solve(prisoners_dilemma())
         assert result.solvable
-        assert result.solution_profile == (0, 0)
+        assert result.surviving == ((0,), (0,))
         assert is_max_solvable(prisoners_dilemma())
 
     def test_strictly_dominant_game_is_max_solvable(self):
@@ -78,7 +78,7 @@ class TestMaxSolvable:
         game = random_dominant_game((2, 3, 2), rng=np.random.default_rng(3))
         result = max_solve(game)
         assert result.solvable
-        assert result.solution_profile == (0, 0, 0)
+        assert result.surviving == ((0,), (0,), (0,))
 
     def test_weakly_dominant_game_with_ties_is_not_reduced(self):
         """The anonymous Theorem 4.3 game has massive payoff ties (every
@@ -94,7 +94,6 @@ class TestMaxSolvable:
         game = TwoPlayerCoordinationGame(CoordinationParams.from_deltas(2.0, 1.0))
         result = max_solve(game)
         assert not result.solvable
-        assert result.solution_profile is None
         # nothing can be eliminated: both strategies are best responses somewhere
         assert result.surviving == ((0, 1), (0, 1))
 
@@ -111,7 +110,7 @@ class TestMaxSolvable:
         game = NormalFormGame(row, col)
         result = max_solve(game)
         assert result.solvable
-        assert result.solution_profile == (0, 0)
+        assert result.surviving == ((0,), (0,))
         eliminated_players = [player for player, _ in result.elimination_order]
         assert 0 in eliminated_players and 1 in eliminated_players
 
