@@ -40,8 +40,11 @@ and ``run_block(sim, draws, start, stop)``
     to ``run_block`` in blocks that end at recording boundaries; the
     default block calls ``run_step`` once per step, while
     :class:`SequentialKernel` runs a block level by level on the row-wise
-    path (:func:`dependency_levels`) and :class:`SeededProbabilisticKernel`
-    draws each replica's rows for the block at once.  ``block_slots(sim)``
+    path (:func:`dependency_levels`), :class:`SeededProbabilisticKernel`
+    draws each replica's rows for the block at once and
+    :class:`SeededSequentialKernel` takes the run's length as its
+    ``draws``, so a step reads its blocks only as far as the run goes.
+    ``block_slots(sim)``
     is one step's share of the block budget, which sizes the blocks.
 
 ``init_state(sim) -> dict``
@@ -461,13 +464,21 @@ class SeededSequentialKernel(UpdateKernel):
     then ``random(block_size)``, which one
     :meth:`~repro.engine.streams.StreamBank.refill` draws for every replica
     due a block); ``block_size`` is part of the stream definition, like
-    the seed.  Every replica carries its own consumption cursor: blocks are
-    refilled lazily, per replica, exactly when that replica has used its
-    current block up, so a replica that hits its target early simply stops
-    consuming its stream — first-passage retirement can neither perturb
-    the other replicas nor desync the retired one.  First passage on the
-    index state to an index target advances the active replicas through the
-    rest of their blocks in one window (:meth:`advance_window`); draws past
+    the seed.  A short :meth:`~repro.engine.ensemble.EnsembleSimulator.run`
+    need not draw the whole block: where numpy's bounded draw cannot
+    reject (``n`` divides ``2**32``) the bank opens the block unread and
+    computes only the columns the run reads
+    (:meth:`~repro.engine.streams.StreamBank.open` /
+    :meth:`~repro.engine.streams.StreamBank.read`), with the same values
+    and stream words as a refill.  A lone :meth:`step` and first-passage
+    windows read whole blocks.  Every replica carries its own consumption
+    cursor: blocks are refilled lazily, per replica, exactly when that
+    replica has used its current block up, so a replica that hits its
+    target early simply stops consuming its stream — first-passage
+    retirement can neither perturb the other replicas nor desync the
+    retired one.  First passage on the index state to an index target
+    advances the active replicas through the rest of their blocks in one
+    window (:meth:`advance_window`); draws past
     a replica's hit are evaluated but not consumed, so cursors, refills and
     streams stay those of one step at a time.  Consecutive
     :meth:`~repro.engine.ensemble.EnsembleSimulator.run` / first-passage
@@ -556,16 +567,38 @@ class SeededSequentialKernel(UpdateKernel):
             "uniforms": np.empty((R, self.block_size), dtype=float),
         }
 
+    def begin_run(self, sim, num_steps: int):
+        """The run's length: a run reads each block only as far as it goes."""
+        return num_steps
+
+    def run_step(self, sim, t: int, draws) -> None:
+        """Step every replica at run step ``t``; ``draws`` is the run's length."""
+        self._advance(sim, None, draws - t)
+
     def step(self, sim, where: np.ndarray | None = None) -> None:
+        self._advance(sim, where, self.block_size)
+
+    def _advance(self, sim, where: np.ndarray | None, ahead: int) -> None:
+        """One step of the replicas in ``where``, which read ``ahead`` more steps.
+
+        ``ahead`` is how far the caller reads on: the rest of a run, or a
+        whole block for a lone :meth:`step`.  Blocks open unread where that
+        is cheaper (:meth:`~repro.engine.streams.StreamBank.open`) and a
+        step reads the columns it and the next ``ahead - 1`` steps need.
+        """
         state = sim.kernel_state
         B = self.block_size
         n = sim.space.num_players
+        bank = state["streams"]
         sel = np.arange(sim.num_replicas) if where is None else where
         exhausted = sel[state["consumed"][sel] - state["block_start"][sel] >= B]
         if exhausted.size:
-            state["streams"].refill(exhausted, n, state["players"], state["uniforms"])
+            rest = bank.open(exhausted, n, B, min(ahead, B))
+            if rest.size:
+                bank.refill(rest, n, state["players"], state["uniforms"])
             state["block_start"][exhausted] = state["consumed"][exhausted]
         off = state["consumed"][sel] - state["block_start"][sel]
+        bank.read(sel, off, ahead, n, state["players"], state["uniforms"])
         players = state["players"][sel, off]
         uniforms = state["uniforms"][sel, off]
         sim._advance_batch(players, uniforms, where=where)
@@ -585,7 +618,8 @@ class SeededSequentialKernel(UpdateKernel):
         Each replica stops at its first profile index inside the boolean
         ``(|S|,)`` mask ``stop``.  The window must fit in every selected
         replica's current block (``steps <= block_room(sim, where)``), so
-        each step reads its mover and uniform from the pre-drawn block.
+        each step reads its mover and uniform from the pre-drawn block;
+        a lone :meth:`step` of the replicas first draws their blocks whole.
 
         Binary tables (last axis 2, single-strategy players included) step
         by flat subscripts: column 1 is ``+inf``, so the mover's one finite
@@ -766,15 +800,14 @@ class SeededProbabilisticKernel(UpdateKernel):
         return sim.num_replicas * sim.space.num_players * self._rows_per_step
 
     def _draw(self, sim, rows, steps: int) -> np.ndarray:
-        """``(len(rows), steps, rows_per_step, n)`` uniforms, one call per replica.
+        """``(len(rows), steps, rows_per_step, n)`` uniforms, one draw per replica.
 
         Replica ``r`` consumes its stream in step order, mask row then move
-        row per step, exactly as ``steps`` single-step draws would.
+        row per step, exactly as ``steps`` single-step draws would
+        (:meth:`~repro.engine.streams.StreamBank.random`).
         """
         n = sim.space.num_players
-        out = np.empty((len(rows), steps * self._rows_per_step * n))
-        for j, (_, g) in enumerate(sim.kernel_state["streams"].streams(rows)):
-            g.random(out=out[j])
+        out = sim.kernel_state["streams"].random(rows, steps * self._rows_per_step * n)
         return out.reshape(len(rows), steps, self._rows_per_step, n)
 
     def _sweep(self, sim, where, draws: np.ndarray) -> None:

@@ -64,6 +64,23 @@ _DEFAULT_POOL_SIZE = 4
 _PCG_MULT_HI = 2549297995355413924
 _PCG_MULT_LO = 4865540595714422341
 
+_M32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_S64 = np.uint64(64)
+_ROT_SHIFT = np.uint64(58)  # XSL-RR rotates by the state's top 6 bits
+_ROT_MASK = np.uint64(63)
+
+# Raw outputs per stream up to which computing them in numpy straight from
+# the words, A_k s + C_k inc for every stream and offset at once, beats
+# loading each stream into the scratch generator.  Per stream, numpy costs
+# about 0.037 us per output plus about 50 us per call shared by all
+# streams, the generator about 3.2 us plus 0.004 us per output.  So at 512
+# streams the two break even at about 90 outputs (1.27 vs 1.77 ms at 64,
+# 2.62 vs 1.94 ms at 128), and below about 16 streams the generator wins at
+# any count (2-core x86, numpy 2.4).
+VECTOR_OUTPUTS = 64
+VECTOR_MIN_ROWS = 16
+
 
 @functools.lru_cache(maxsize=64)
 def _lcg_jump(count: int) -> tuple[int, int]:
@@ -121,22 +138,73 @@ def _pools(entropy: np.ndarray, pool_size: int) -> np.ndarray:
     return np.stack(pool, axis=1)
 
 
-def _mul128(hi, lo, c_hi: int, c_lo: int):
-    """``(hi, lo) * (c_hi, c_lo)`` modulo 2**128, on uint64 columns."""
-    m32 = np.uint64(0xFFFFFFFF)
-    a0, a1 = lo & m32, lo >> np.uint64(32)
-    b0, b1 = np.uint64(c_lo & 0xFFFFFFFF), np.uint64(c_lo >> 32)
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """``(a_hi, a_lo) * (b_hi, b_lo)`` modulo 2**128, on broadcasting uint64 arrays."""
+    a0, a1 = a_lo & _M32, a_lo >> _S32
+    b0, b1 = b_lo & _M32, b_lo >> _S32
     p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> np.uint64(32)) + (p01 & m32) + (p10 & m32)
-    carry = (
-        a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-    )
-    return carry + lo * np.uint64(c_hi) + hi * np.uint64(c_lo), lo * np.uint64(c_lo)
+    mid = (p00 >> _S32) + (p01 & _M32) + (p10 & _M32)
+    carry = a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+    return carry + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo):
     lo = a_lo + b_lo
     return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
+
+
+@functools.lru_cache(maxsize=4)
+def _jump_table(size: int) -> np.ndarray:
+    """``(4, size)`` uint64: ``A`` hi, lo and ``C`` hi, lo of ``_lcg_jump(k)``, ``k < size``.
+
+    ``size`` is a power of two.  Built by doubling: ``k + J`` steps are
+    ``J`` steps then ``k``, so ``A_{k+J} = A_k A_J`` and ``C_{k+J} = A_k
+    C_J + C_k``.
+    """
+    table = np.array(
+        [[0, _PCG_MULT_HI], [1, _PCG_MULT_LO], [0, 0], [0, 1]], dtype=np.uint64
+    )
+    while table.shape[1] < size:
+        a_j, c_j = (
+            np.array([v >> 64, v & _MASK64], dtype=np.uint64)
+            for v in _lcg_jump(table.shape[1])
+        )
+        a_hi, a_lo, c_hi, c_lo = table
+        more = [*_mul128(a_hi, a_lo, *a_j), *_add128(*_mul128(a_hi, a_lo, *c_j), c_hi, c_lo)]
+        table = np.concatenate([table, more], axis=1)
+    return table
+
+
+def _lcg_states(lcg: np.ndarray, offsets: np.ndarray):
+    """``(hi, lo)`` LCG states ``offsets`` steps past each row of ``lcg``.
+
+    ``lcg`` is ``(k, 4)`` uint64 (state hi, lo, inc hi, lo); ``offsets``
+    is ``(m,)``, shared by every row, or ``(k, m)``.  State ``k`` of a
+    stream is ``A_k s + C_k inc`` with ``(A_k, C_k) = _lcg_jump(k)``.
+    """
+    jumps = _jump_table(1 << max(1, int(offsets.max()).bit_length()))[:, offsets]
+    s_hi, s_lo, i_hi, i_lo = (lcg[:, j, None] for j in range(4))
+    return _add128(
+        *_mul128(s_hi, s_lo, jumps[0], jumps[1]),
+        *_mul128(i_hi, i_lo, jumps[2], jumps[3]),
+    )
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's output of the LCG state ``(hi, lo)``: XSL-RR, as numpy computes it."""
+    x = hi ^ lo
+    rot = hi >> _ROT_SHIFT
+    return (x >> rot) | (x << ((_S64 - rot) & _ROT_MASK))
+
+
+def _column_outputs(count: int, n: int) -> int:
+    """Raw outputs per stream :meth:`StreamBank.read` computes for ``count`` columns."""
+    return count if n == 1 else 2 * count
+
+
+def _vectorised(rows: int, outputs: int) -> bool:
+    """Whether ``outputs`` raw outputs from each of ``rows`` streams are cheaper in numpy."""
+    return rows >= VECTOR_MIN_ROWS and outputs <= VECTOR_OUTPUTS
 
 
 def _words_from_pools(pools: np.ndarray) -> np.ndarray:
@@ -161,7 +229,7 @@ def _words_from_pools(pools: np.ndarray) -> np.ndarray:
     inc_lo = (seed[3] << np.uint64(1)) | np.uint64(1)
     # state 0 stepped once is inc; add initstate, step again
     hi, lo = _add128(inc_hi, inc_lo, seed[0], seed[1])
-    hi, lo = _mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO)
+    hi, lo = _mul128(hi, lo, np.uint64(_PCG_MULT_HI), np.uint64(_PCG_MULT_LO))
     hi, lo = _add128(hi, lo, inc_hi, inc_lo)
     words = np.zeros((k, WORDS_PER_STREAM), dtype=np.uint64)
     words[:, 0], words[:, 1], words[:, 2], words[:, 3] = hi, lo, inc_hi, inc_lo
@@ -284,7 +352,8 @@ class StreamBank:
     state back — so ``g`` must not be kept past its iteration.
     :meth:`refill` draws the sequential kernel's blocks of many streams at
     once, bit for bit what ``integers(0, n, size)`` then ``random(size)``
-    draw from each:
+    draw from each; :meth:`open` and :meth:`read` draw only the block
+    columns a short run reads, and :meth:`random` draws doubles:
 
     >>> bank = StreamBank([7])
     >>> players, uniforms = np.empty((1, 256), dtype=np.int64), np.empty((1, 256))
@@ -300,6 +369,11 @@ class StreamBank:
         self.words = stream_words(words)
         self._bits = np.random.PCG64(0)
         self._generator = np.random.Generator(self._bits)
+        # once a block was opened (see open), per row: the LCG words its
+        # current block starts from, and how many of the block's columns
+        # are in the caller's arrays
+        self._base: np.ndarray | None = None
+        self._ready: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.words.shape[0]
@@ -334,11 +408,19 @@ class StreamBank:
 
         Advances each stream's LCG words only: a raw output never touches
         the ``has_uint32`` / ``uinteger`` buffer, so those words are the
-        caller's to set.  The advanced state is the LCG jumped ``count``
-        steps in Python integers, cheaper than reading the generator's
-        state back.
+        caller's to set.  A row listed more than once is drawn once.  Few
+        outputs from many streams are computed in numpy from the words
+        (:data:`VECTOR_OUTPUTS`); otherwise each stream is loaded into the
+        scratch generator, and its advanced state is the LCG jumped
+        ``count`` steps in Python integers, cheaper than reading the
+        generator's state back.
         """
-        bits, words = self._bits, self.words
+        words = self.words
+        if _vectorised(rows.size, count):
+            hi, lo = _lcg_states(words[rows, :4], np.arange(1, count + 1))
+            words[rows, 0], words[rows, 1] = hi[:, -1], lo[:, -1]
+            return _xsl_rr(hi, lo)
+        bits = self._bits
         mult, plus = _lcg_jump(count)
         raw = np.empty((rows.size, count), dtype=np.uint64)
         state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
@@ -353,6 +435,28 @@ class StreamBank:
         words[rows, 1] = [s & _MASK64 for s in advanced]
         return raw
 
+    def random(self, rows, count: int) -> np.ndarray:
+        """``(len(rows), count)`` doubles: ``random(count)`` from each stream.
+
+        ``random()`` spends exactly one raw output per double,
+        ``(w >> 11) * 2**-53``, and leaves the 32-bit buffer alone.
+        """
+        raw = self._raw(np.asarray(rows, dtype=np.int64), count)
+        return (raw >> np.uint64(11)) * 2.0**-53
+
+    def _fixed_halves(self, rows: np.ndarray, n: int, size: int) -> np.ndarray:
+        """Mask of ``rows`` whose ``size``-step block takes fixed 32-bit halves.
+
+        A one-player game draws no players.  Otherwise a buffered 32-bit
+        half (``has_uint32``) or an odd ``size`` shifts the halves, and
+        ``n >= 2**32`` takes numpy's 64-bit draw.
+        """
+        if n == 1:
+            return np.ones(rows.size, dtype=bool)
+        if size % 2 or n >= 2**32:
+            return np.zeros(rows.size, dtype=bool)
+        return self.words[rows, 4] == 0
+
     def refill(self, rows, n: int, players: np.ndarray, uniforms: np.ndarray) -> None:
         """Draw row ``r`` of the ``(R, B)`` block arrays from stream ``r``.
 
@@ -361,30 +465,27 @@ class StreamBank:
         ``r``, and the stream's words advance as those two calls advance
         them.  A row listed more than once is drawn once.
 
-        Each stream makes one raw draw of ``B // 2 + B`` words.  The first
-        ``B // 2`` give the players: each word is two 32-bit draws, low
-        half first, and a player is numpy's 32-bit Lemire draw
+        Each stream makes one draw of ``B // 2 + B`` raw 64-bit outputs.
+        The first ``B // 2`` give the players: each output is two 32-bit
+        draws, low half first, and a player is numpy's 32-bit Lemire draw
         ``(x * n) >> 32``.  The rest give the uniforms,
         ``(w >> 11) * 2**-53``.  ``uinteger`` ends as the high half of the
-        last player word.  A one-player game draws no player words.
+        last player output.  A one-player game draws no player outputs.
 
         Three kinds of stream go through :meth:`streams` and the generator
         calls instead.  A buffered 32-bit half (``has_uint32``) or an odd
         ``B`` shifts the halves.  A Lemire rejection (the low half of
         ``x * n`` below ``2**32 mod n``) redraws an unknown number of
-        words; such a stream's words are restored first.
+        outputs; such a stream's words are restored first.
         """
         rows = np.asarray(rows, dtype=np.int64)
         words = self.words
         size = players.shape[1]
         half = size // 2 if n > 1 else 0
-        if n == 1:
-            bulk, slow = rows, rows[:0]
-        elif size % 2 or n >= 2**32:
-            bulk, slow = rows[:0], rows
-        else:
-            buffered = words[rows, 4] != 0
-            bulk, slow = rows[~buffered], rows[buffered]
+        fixed = self._fixed_halves(rows, n, size)
+        bulk, slow = rows[fixed], rows[~fixed]
+        if self._base is not None:
+            self._ready[rows] = size
         if bulk.size:
             saved = words[bulk]
             raw = self._raw(bulk, half + size)
@@ -410,3 +511,85 @@ class StreamBank:
         for r, g in self.streams(slow):
             players[r] = g.integers(0, n, size=size)
             uniforms[r] = g.random(size)
+
+    def open(self, rows, n: int, size: int, reads: int) -> np.ndarray:
+        """Open each row's next ``size``-step block without drawing it.
+
+        An open block holds what :meth:`refill` would draw, and
+        :meth:`read` puts its columns in the caller's arrays as they are
+        needed.  The words jump past the whole block at once, to where a
+        refill leaves them, so whatever draws next continues the stream
+        exactly as after a refill.  That needs the block's use of the
+        stream fixed without drawing: fixed 32-bit halves and an ``n``
+        dividing ``2**32``, for which numpy's Lemire draw never rejects.
+        A block is opened only when reading ``reads`` columns of every row
+        is cheaper in numpy than a refill (:data:`VECTOR_OUTPUTS`).
+
+        Returns the rows not opened, for the caller to refill.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if n >= 2**32 or 2**32 % n or not _vectorised(rows.size, _column_outputs(reads, n)):
+            return rows
+        fixed = self._fixed_halves(rows, n, size)
+        opened = rows[fixed]
+        if opened.size:
+            if self._base is None:
+                # every block so far was refilled whole
+                self._base = np.zeros((len(self), 4), dtype=np.uint64)
+                self._ready = np.full(len(self), size, dtype=np.int64)
+            words = self.words
+            base = words[opened, :4]
+            self._base[opened] = base
+            self._ready[opened] = 0
+            half = size // 2 if n > 1 else 0
+            hi, lo = _lcg_states(base, np.array([half, half + size]))
+            words[opened, 0], words[opened, 1] = hi[:, 1], lo[:, 1]
+            if half:
+                # uinteger ends as the high half of the last player output
+                words[opened, 5] = _xsl_rr(hi[:, 0], lo[:, 0]) >> _S32
+        return rows[~fixed]
+
+    def read(
+        self,
+        rows: np.ndarray,
+        first: np.ndarray,
+        count: int,
+        n: int,
+        players: np.ndarray,
+        uniforms: np.ndarray,
+    ) -> None:
+        """Put columns ``first .. first + count - 1`` of open blocks in the arrays.
+
+        ``first`` is each row's next column to read.  Only rows whose block
+        was opened (:meth:`open`) and whose column ``first`` is not in the
+        arrays yet are drawn, from the words the block starts from: player
+        ``j`` is half ``j % 2`` of raw output ``j // 2`` and uniform ``j``
+        is raw output ``B // 2 + j`` (``j`` for a one-player game).  When
+        that costs more in numpy than a refill, the rows' whole blocks are
+        refilled from those words instead, which lands the words where they
+        are.  Columns past the block's end are not read.
+        """
+        if self._base is None:
+            return
+        pending = first >= self._ready[rows]
+        if not pending.any():
+            return
+        rows, first = rows[pending], first[pending]
+        size = players.shape[1]
+        count = min(count, size - int(first.min()))
+        if not _vectorised(rows.size, _column_outputs(count, n)):
+            self.words[rows, :4] = self._base[rows]
+            self.refill(rows, n, players, uniforms)
+            return
+        cols = np.minimum(first[:, None] + np.arange(count), size - 1)
+        half = size // 2 if n > 1 else 0
+        offsets = np.concatenate([cols // 2 + 1, half + cols + 1], axis=1) if half else cols + 1
+        raw = _xsl_rr(*_lcg_states(self._base[rows], offsets))
+        target = rows[:, None]
+        uniforms[target, cols] = (raw[:, -count:] >> np.uint64(11)) * 2.0**-53
+        if half:
+            halves = (raw[:, :count] >> (_S32 * (cols & 1).astype(np.uint64))) & _M32
+            players[target, cols] = (halves * np.uint64(n)) >> _S32
+        else:
+            players[target, cols] = 0
+        self._ready[rows] = np.minimum(first + count, size)

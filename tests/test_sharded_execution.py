@@ -284,6 +284,73 @@ def test_tv_convergence_sharded_golden(dynamics_cls):
     assert est.mixing_time_estimate == -1
 
 
+class RecordingExecutor(ShardedExecutor):
+    """Serial executor that keeps the results of its last ``map_tasks`` round."""
+
+    def map_tasks(self, fn, tasks, tracer=None):
+        self.results = super().map_tasks(fn, tasks, tracer=tracer)
+        return self.results
+
+
+# The same contract on a 4-player ring with 4-step rounds: 2**32 % 4 == 0,
+# so numpy's bounded draw never rejects and a round reads 4 columns of each
+# replica's fresh 256-step block.  Pinned are the curve, the final indices
+# and the stream words the last round hands back.
+GOLDEN_TV_RING4 = {
+    LogitDynamics: (
+        [
+            0.7268248200553566,
+            0.48019048070204184,
+            0.3515625,
+            0.29406587794923106,
+            0.234375,
+            0.21302975964897908,
+            0.24719087794923106,
+        ],
+        "0f12b3948d0adc6566ab3d2203f6ff568fc28127eff32beb61075e1e174e63c4",
+        "0e0d0d1b210f3d9180c0754b0457ef93b55a7542457035194dd559ee8ea120b0",
+    ),
+    ParallelLogitDynamics: (
+        [
+            0.7268248200553566,
+            0.3640140616443912,
+            0.42288608094234936,
+            0.33848430199541213,
+            0.35410930199541213,
+            0.36192180199541213,
+            0.38535930199541213,
+        ],
+        "8d86d21c7c98a9fbc6ffc67a13a4cd64651f98c68607c18322e6a96b37bc0958",
+        "1e12e39da340f2db09d1aafc10ea23194fdd78a0e9b72d1c2f227c0453211dbc",
+    ),
+}
+
+
+@pytest.mark.parametrize("dynamics_cls", [LogitDynamics, ParallelLogitDynamics])
+def test_tv_convergence_sharded_golden_ring4(dynamics_cls):
+    tv, digest, words_digest = GOLDEN_TV_RING4[dynamics_cls]
+    game = IsingGame(nx.cycle_graph(4), coupling=1.0)
+    executor = RecordingExecutor(2)
+    est = estimate_tv_convergence(
+        dynamics_cls(game, 0.5),
+        LogitDynamics(game, 0.5).stationary_distribution(),
+        num_replicas=128,
+        epsilon=0.01,
+        start=0,
+        max_time=24,
+        check_every=4,
+        seed=2024,
+        executor=executor,
+    )
+    words = np.concatenate([result[0] for result in executor.results])
+    assert words.shape == (128, 6)
+    expected = np.column_stack([np.arange(0.0, 25.0, 4.0), tv])
+    np.testing.assert_array_equal(est.tv_curve, expected)
+    assert hashlib.sha256(est.final_indices.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(words.tobytes()).hexdigest() == words_digest
+    assert est.mixing_time_estimate == -1
+
+
 def test_tv_convergence_dispatches_once_per_checkpoint_after_t0():
     executor = CountingExecutor(3)
     est = ring6_tv(LogitDynamics, executor)

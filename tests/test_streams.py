@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro.engine.ensemble as ensemble_module
+import repro.engine.streams as streams_module
 from repro.core import (
     ConcurrentLogitDynamics,
     LogitDynamics,
@@ -421,3 +422,221 @@ def test_sharded_tv_counts_array_bytes(ring6_game):
         assert payload["bytes_out"] == (first if j == 0 else words + profile_bytes)
     assert tracer.counters["shard.bytes_in"] == sum(r["bytes_in"] for r in rounds)
     assert tracer.counters["shard.bytes_out"] == sum(r["bytes_out"] for r in rounds)
+
+
+# ---------------------------------------------------------------------------
+# outputs computed in numpy from the words; blocks opened unread
+# ---------------------------------------------------------------------------
+
+
+def generator_of(row: np.ndarray) -> np.random.Generator:
+    """A ``Generator`` positioned at one row of stream words."""
+    bits = np.random.PCG64(0)
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": int(row[0]) << 64 | int(row[1]),
+            "inc": int(row[2]) << 64 | int(row[3]),
+        },
+        "has_uint32": int(row[4]),
+        "uinteger": int(row[5]),
+    }
+    return np.random.Generator(bits)
+
+
+def buffered_words(count: int) -> np.ndarray:
+    """Stream words with every third row carrying a buffered 32-bit half."""
+    words = spawn_words(np.random.SeedSequence(64), 0, count)
+    words[::3, 4], words[::3, 5] = 1, 0xDEADBEEF
+    return words
+
+
+def test_vectorised_outputs_equal_random_raw_at_every_offset():
+    """Offsets 1 .. 3B/2 of a 256-step block, buffered rows included."""
+    words = buffered_words(5)
+    before = words.copy()
+    hi, lo = streams_module._lcg_states(words[:, :4], np.arange(1, 385))
+    raw = streams_module._xsl_rr(hi, lo)
+    for r in range(5):
+        np.testing.assert_array_equal(raw[r], generator_of(words[r]).bit_generator.random_raw(384))
+    np.testing.assert_array_equal(words, before)
+
+
+@pytest.mark.parametrize("count", [1, 7, streams_module.VECTOR_OUTPUTS, 300])
+def test_bank_random_equals_generator_random(count):
+    """Both draw paths: ``random(count)`` per stream, buffer words untouched."""
+    rows = streams_module.VECTOR_MIN_ROWS + 2
+    words = buffered_words(rows)
+    bank = StreamBank(words)
+    doubles = bank.random(range(rows), count)
+    for r in range(rows):
+        g = generator_of(words[r])
+        np.testing.assert_array_equal(doubles[r], g.random(count))
+        np.testing.assert_array_equal(bank.words[r], words_of(g.bit_generator.state))
+    np.testing.assert_array_equal(bank.words[:, 4:], words[:, 4:])
+
+
+def test_bank_random_draws_a_repeated_row_once():
+    rows = list(range(streams_module.VECTOR_MIN_ROWS)) * 2
+    for count in (3, 200):
+        once, twice = StreamBank(buffered_words(16)), StreamBank(buffered_words(16))
+        expected = once.random(range(16), count)
+        got = twice.random(rows, count)
+        np.testing.assert_array_equal(got[:16], expected)
+        np.testing.assert_array_equal(got[16:], expected)
+        np.testing.assert_array_equal(twice.words, once.words)
+
+
+def opened_bank(words, n, size, reads=4):
+    """A bank whose rows' next blocks are open (or refilled where they cannot be)."""
+    bank = StreamBank(words)
+    players, uniforms = np.full((len(words), size), -1, np.int64), np.full((len(words), size), -1.0)
+    rest = bank.open(np.arange(len(words)), n, size, reads)
+    if rest.size:
+        bank.refill(rest, n, players, uniforms)
+    return bank, rest, players, uniforms
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_open_block_read_at_any_column_equals_refill(n):
+    """Columns read in any order of runs equal a refill, as do the words."""
+    size, rows = 256, 20
+    words = spawn_words(np.random.SeedSequence(n), 0, rows)
+    reference = StreamBank(words)
+    players, uniforms = np.empty((rows, size), np.int64), np.empty((rows, size))
+    reference.refill(np.arange(rows), n, players, uniforms)
+    for start in (0, 1, 100, 127, 128, 200, 253):
+        bank, rest, got_players, got_uniforms = opened_bank(words, n, size)
+        assert rest.size == 0
+        # the words jump past the whole block at once, exactly as a refill's
+        np.testing.assert_array_equal(bank.words, reference.words)
+        first = np.full(rows, start)
+        bank.read(np.arange(rows), first, 3, n, got_players, got_uniforms)
+        cols = np.arange(start, min(start + 3, size))
+        np.testing.assert_array_equal(got_players[:, cols], players[:, cols])
+        np.testing.assert_array_equal(got_uniforms[:, cols], uniforms[:, cols])
+        # only those columns were materialised
+        others = np.setdiff1d(np.arange(size), cols)
+        assert (got_players[:, others] == -1).all()
+        # reading on to the block's end (a refill of the block from its
+        # starting words, unless few columns are left) leaves the words be
+        if start + 3 < size:
+            bank.read(np.arange(rows), first + 3, size, n, got_players, got_uniforms)
+        np.testing.assert_array_equal(got_players[:, start:], players[:, start:])
+        np.testing.assert_array_equal(got_uniforms[:, start:], uniforms[:, start:])
+        np.testing.assert_array_equal(bank.words, reference.words)
+
+
+def test_open_blocks_read_at_staggered_columns():
+    """Rows at different columns of their blocks read in one call."""
+    size, rows, n = 256, 20, 4
+    words = spawn_words(np.random.SeedSequence(12), 0, rows)
+    reference = StreamBank(words)
+    players, uniforms = np.empty((rows, size), np.int64), np.empty((rows, size))
+    reference.refill(np.arange(rows), n, players, uniforms)
+    bank, _, got_players, got_uniforms = opened_bank(words, n, size)
+    first = np.arange(rows) * 13
+    bank.read(np.arange(rows), first, 5, n, got_players, got_uniforms)
+    for r in range(rows):
+        cols = np.arange(first[r], min(first[r] + 5, size))
+        np.testing.assert_array_equal(got_players[r, cols], players[r, cols])
+        np.testing.assert_array_equal(got_uniforms[r, cols], uniforms[r, cols])
+        assert (np.delete(got_players[r], cols) == -1).all()
+
+
+@pytest.mark.parametrize("n", [3, 6, 2**32, 2**33])
+def test_blocks_that_can_reject_or_draw_64_bits_keep_the_full_draw(n):
+    words = spawn_words(np.random.SeedSequence(4), 0, 20)
+    bank = StreamBank(words)
+    rest = bank.open(np.arange(20), n, 256, 4)
+    np.testing.assert_array_equal(rest, np.arange(20))
+    np.testing.assert_array_equal(bank.words, words)
+
+
+def test_open_skips_buffered_rows_odd_blocks_and_long_reads():
+    words = buffered_words(20)
+    bank = StreamBank(words)
+    np.testing.assert_array_equal(bank.open(np.arange(20), 4, 256, 4), np.arange(0, 20, 3))
+    for size, reads in ((255, 4), (256, streams_module.VECTOR_OUTPUTS)):
+        fresh = StreamBank(words)
+        np.testing.assert_array_equal(fresh.open(np.arange(20), 4, size, reads), np.arange(20))
+    # too few rows to beat the generator
+    few = StreamBank(words[: streams_module.VECTOR_MIN_ROWS - 1])
+    rows = np.arange(streams_module.VECTOR_MIN_ROWS - 1)
+    np.testing.assert_array_equal(few.open(rows, 4, 256, 4), rows)
+
+
+def test_open_and_read_a_repeated_row_once():
+    rows = np.arange(18)
+    words = spawn_words(np.random.SeedSequence(6), 0, 18)
+    once, _, p1, u1 = opened_bank(words, 4, 256)
+    twice = StreamBank(words)
+    p2, u2 = np.full((18, 256), -1, np.int64), np.full((18, 256), -1.0)
+    assert twice.open(np.concatenate([rows, rows]), 4, 256, 4).size == 0
+    np.testing.assert_array_equal(twice.words, once.words)
+    once.read(rows, np.zeros(18, np.int64), 4, 4, p1, u1)
+    twice.read(np.concatenate([rows, rows]), np.zeros(36, np.int64), 4, 4, p2, u2)
+    np.testing.assert_array_equal(p2, p1)
+    np.testing.assert_array_equal(u2, u1)
+
+
+def test_one_replica_bank_raises_no_overflow_warning(monkeypatch):
+    """uint64 arithmetic on numpy scalars warns on wrap; arrays do not."""
+    import warnings
+
+    monkeypatch.setattr(streams_module, "VECTOR_MIN_ROWS", 1)
+    streams_module._jump_table.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        words = spawn_words(np.random.SeedSequence(9), 0, 1)
+        stream_words([9])
+        bank = StreamBank(words)
+        players, uniforms = np.empty((1, 256), np.int64), np.empty((1, 256))
+        bank.refill([0], 4, players, uniforms)
+        bank.random([0], 5)
+        assert bank.open([0], 4, 256, 4).size == 0
+        bank.read(np.array([0]), np.array([0]), 4, 4, players, uniforms)
+        reference = generator_of(words[0])
+        reference.integers(0, 4, 256)
+        reference.random(256)
+        reference.random(5)
+        expected = reference.integers(0, 4, 256)
+        np.testing.assert_array_equal(players[0, :4], expected[:4])
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_four_step_runs_equal_one_step_at_a_time(n):
+    """run(4), run(300) across a block edge, a first-passage window and a
+    subset step: profiles, hit times and every word equal plain stepping."""
+    game = IsingGame(nx.cycle_graph(n), coupling=1.0)
+    dynamics = LogitDynamics(game, 0.7)
+    seeds = np.random.SeedSequence(40 + n).spawn(24)
+    run = EnsembleSimulator.seeded(dynamics, seeds, start=0)
+    stepped = EnsembleSimulator.seeded(dynamics, seeds, start=0)
+
+    def same():
+        np.testing.assert_array_equal(run.indices, stepped.indices)
+        np.testing.assert_array_equal(
+            run.kernel_state["streams"].words, stepped.kernel_state["streams"].words
+        )
+
+    for steps in (4, 4, 300):
+        run.run(steps)
+        for _ in range(steps):
+            stepped.step()
+        same()
+    target = int(game.space.encode(np.ones(n, dtype=np.int64)))
+    np.testing.assert_array_equal(
+        run.hitting_times(target, 400), stepped.hitting_times(target, 400)
+    )
+    same()
+    run.run(4)
+    for _ in range(4):
+        stepped.step()
+    subset = np.arange(0, 24, 2)
+    run.kernel.step(run, where=subset)
+    stepped.kernel.step(stepped, where=subset)
+    run.run(3)
+    for _ in range(3):
+        stepped.step()
+    same()
