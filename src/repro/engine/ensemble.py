@@ -91,10 +91,13 @@ ProfilePredicate = Callable[[np.ndarray], np.ndarray]
 #: :meth:`EnsembleSimulator.run` spans: a block of ``steps`` steps over ``R``
 #: replicas whose updates touch at most ``w`` players each (mover plus
 #: padded neighbours) has ``steps * R * w`` of them.  The level schedule's
-#: temporaries — about fifteen int64 arrays per closed-neighbourhood entry,
-#: and the row-wise scratch's padded ``(max_degree, k)`` buffers for a level
-#: of ``k`` updates — are linear in the slots, so a block stays within
-#: about 20 MB on any graph
+#: temporaries — three (few keys repeat, as on a large ring) to twelve
+#: (nearly all do, as on a small ring) int64 arrays per closed-neighbourhood
+#: entry, and the row-wise scratch's padded ``(max_degree, k)`` buffers for
+#: a level of ``k`` updates — are linear in the slots, so a block stays
+#: within about 13 MB on any graph.  A levelled block thus has at most
+#: 2**17 updates, so its conflict keys pack into int64 for any
+#: ``R * n`` up to 2**44
 LEVEL_BLOCK_SLOTS = 1 << 17
 
 #: largest profile space ``state="auto"`` serves on the gather route

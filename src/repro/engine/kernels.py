@@ -294,53 +294,92 @@ def _conflict_edges(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Precedence edges ``(src, dst)`` between conflicting updates of a block.
 
-    ``movers`` is the block flattened step-major (update ``u = t * R + r``).
+    ``movers`` is the ``(steps, R)`` block (update ``u = t * R + r``).
     Every update contributes one entry per player of its mover's closed
     neighbourhood, keyed ``replica * n + player``: the mover's own entry
     writes, the others read.  Within one key, in step order, a write must
     come after every earlier entry and before every later read; the edges
     say exactly that, from each entry to the next write of its key and from
     each write to the reads that follow it.
+
+    Each entry is one self-describing int64,
+    ``(key << b) | (2 * u + is_read)`` with ``b = (2 * U).bit_length()``
+    for the block's ``U`` updates, so one in-place sort puts the entries of
+    a key together in update order, hence step order, and the sorted
+    values alone give back key, update and write flag.  The entries are
+    built slot-major: the first ``c`` slots of every update, ``c`` the
+    smallest closed neighbourhood among the block's movers, come from one
+    2-D gather (slot 0 is the mover, the write); only the slots past ``c``
+    (a star's hub, irregular degrees) go through a CSR repeat.  Raises
+    ``ValueError`` when ``R * n`` leaves the keys no room for ``b`` bits,
+    before anything is built; a levelled block has at most
+    ``LEVEL_BLOCK_SLOTS`` entries, so that takes ``R * n`` above ``2**44``.
     """
     offsets, members = neighbourhoods
     n = offsets.size - 1
-    counts = offsets[movers + 1] - offsets[movers]
-    ends = np.cumsum(counts)
-    entries = int(ends[-1])
-    firsts = ends - counts
-    update = np.repeat(np.arange(movers.size), counts)
-    player = members[np.arange(entries) + np.repeat(offsets[movers] - firsts, counts)]
-    keys = (update % num_replicas) * n + player
-    # one sort of (key, position) pairs: entries run step-major, so the
-    # entries of one key come out in step order.  Packing both into one
-    # int64 lets a plain value sort do it, several times faster than a
-    # stable argsort; the argsort is the fallback when the packing overflows.
-    if num_replicas * n * entries < 2**62:
-        packed = np.sort(keys * entries + np.arange(entries))
-        keys, order = np.divmod(packed, entries)
-    else:
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+    size = movers.size
+    bits = (2 * size).bit_length()
+    if int(num_replicas) * n > 1 << (63 - bits):
+        raise ValueError(
+            f"R = {num_replicas} replicas of n = {n} players overflow the "
+            f"int64 conflict keys of a {size}-update block: R * n must be at "
+            f"most 2**{63 - bits}"
+        )
+    starts = offsets.take(movers)
+    counts = offsets.take(movers + 1) - starts
+    slots = int(np.minimum.reduce(counts, axis=None))
+    # 2 * u + (r * n << b) for u = t * R + r, straight from the layout
+    tags = np.arange(0, 2 * size, 2 * num_replicas)[:, None] + np.arange(
+        num_replicas
+    ) * (2 + (n << bits))
+    packed = members.take(starts + np.arange(slots)[:, None, None])
+    packed <<= bits
+    packed += tags
+    packed[1:] |= 1
+    packed = packed.ravel()
+    if np.maximum.reduce(counts, axis=None) > slots:
+        spill = (counts - slots).ravel()
+        rest = np.flatnonzero(spill)
+        spill = spill[rest]
+        ends = np.cumsum(spill)
+        index = np.arange(ends[-1]) + np.repeat(
+            starts.ravel()[rest] + slots - ends + spill, spill
+        )
+        more = members.take(index)
+        more <<= bits
+        more += np.repeat(tags.ravel()[rest] | 1, spill)
+        packed = np.concatenate([packed, more])
+    packed.sort()
+    keys = packed >> bits
     repeated = keys[1:] == keys[:-1]
-    shared = np.zeros(entries, dtype=bool)
+    shared = np.zeros(packed.size, dtype=bool)
     shared[1:] = repeated
     shared[:-1] |= repeated
     # an entry alone under its key conflicts with nothing
-    order, keys = order[shared], keys[shared]
-    update = update[order]
-    writes = order == firsts[update]
+    packed = packed[shared]
+    keys = packed >> bits
+    writes = (packed & 1) == 0
+    # the low bits 2 * u + is_read become the update u, in place
+    packed &= (1 << bits) - 1
+    packed >>= 1
+    update = packed
     m = keys.size
     position = np.arange(m)
-    # latest write at or before each entry, and first write after it
-    last = np.maximum.accumulate(np.where(writes, position, -1))
-    after = np.full(m, m)
-    after[:-1] = np.minimum.accumulate(np.where(writes, position, m)[::-1])[::-1][1:]
-    prior = np.maximum(last, 0)
-    reads = ~writes & (last >= 0) & (keys[prior] == keys)
-    following = np.minimum(after, m - 1)
-    waits = (after < m) & (keys[following] == keys)
-    src = np.concatenate([update[prior[reads]], update[waits]])
-    dst = np.concatenate([update[reads], update[following[waits]]])
+    # latest write at or before each entry, and first write after each
+    # entry but the last (m where there is none)
+    last = np.where(writes, position, -1)
+    np.maximum.accumulate(last, out=last)
+    after = np.where(writes, position, m)[::-1]
+    np.minimum.accumulate(after, out=after)
+    after = after[::-1][1:]
+    reads = ~writes & (last >= 0)
+    np.maximum(last, 0, out=last)
+    reads &= keys[last] == keys
+    waits = after < m
+    np.minimum(after, m - 1, out=after)
+    waits &= keys[after] == keys[:-1]
+    src = np.concatenate([update[last[reads]], update[:-1][waits]])
+    dst = np.concatenate([update[reads], update[after[waits]]])
     return src, dst
 
 
@@ -362,19 +401,24 @@ def dependency_levels(movers: np.ndarray, num_replicas: int, neighbourhoods):
     applying the levels in order, each as one batch, reproduces the
     step-by-step trajectory exactly.
 
-    Yields one ``(k,)`` array of update ids per level, in level order.  One
-    sort of the block's closed-neighbourhood keys finds the conflicts
-    (:func:`_conflict_edges`); the levels are then peeled off the
-    conflict graph one layer at a time (Kahn's algorithm), so a block with
-    hundreds of levels — a star's hub, a small ring — costs one small step
-    per level, not a pass over the whole block per level.
+    Yields one ``(k,)`` array of update ids per level, in level order; a
+    block without updates (no steps or no replicas) yields none.  One
+    in-place sort of the block's self-describing closed-neighbourhood keys
+    finds the conflicts (:func:`_conflict_edges`, which raises
+    ``ValueError`` when ``R * n`` is too large to pack); the levels are
+    then peeled off the conflict graph one layer at a time (Kahn's
+    algorithm), so a block with hundreds of levels — a star's hub, a small
+    ring — costs one small step per level, not a pass over the whole block
+    per level.
     """
     size = movers.size
+    if size == 0:
+        return
     if movers.shape[0] == 1:
         # one step's updates belong to different replicas: no conflicts
         yield np.arange(size)
         return
-    src, dst = _conflict_edges(movers.ravel(), num_replicas, neighbourhoods)
+    src, dst = _conflict_edges(movers, num_replicas, neighbourhoods)
     pending = np.bincount(dst, minlength=size)
     out_degree = np.bincount(src, minlength=size)
     stops = np.cumsum(out_degree)

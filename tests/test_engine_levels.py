@@ -242,10 +242,37 @@ def test_matrix_state_equals_index_state(family, record_every):
         np.testing.assert_array_equal(index_out, matrix_out)
 
 
-@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def ring_with_isolated_players(seed):
+    graph = ring_graph(8)
+    graph.add_nodes_from(range(8, 11))
+    return graph
+
+
+#: ``(graph, steps, replicas, first)``: the topology grid's 40 x 5 blocks,
+#: plus 2-step blocks whose first update moves player ``first``.  The
+#: conflict keys take each update's first ``c`` closed-neighbourhood slots
+#: (``c`` the smallest neighbourhood among the block's movers) in one
+#: gather and the rest per update: with an isolated mover ``c = 1`` and
+#: every read comes from the rest; on a clique nothing is left over; on a
+#: star only the hub (player 0) has slots past ``c = 2``
+CHAIN_CASES = {
+    topology: (TOPOLOGIES[topology], 40, 5, None) for topology in TOPOLOGIES
+}
+for _replicas in (1, 64):
+    CHAIN_CASES.update(
+        {
+            f"ring_isolated-R{_replicas}": (ring_with_isolated_players, 2, _replicas, 9),
+            f"clique-R{_replicas}": (lambda seed: clique_graph(6), 2, _replicas, 0),
+            f"star_hub-R{_replicas}": (lambda seed: star_graph(9), 2, _replicas, 0),
+        }
+    )
+
+
+@pytest.mark.parametrize("topology", sorted(CHAIN_CASES))
 def test_levels_are_longest_conflict_chains(topology):
     """Every update sits one above its highest earlier conflicting update."""
-    game = random_payoff_game(TOPOLOGIES[topology](3), 3)
+    graph, steps, replicas, first = CHAIN_CASES[topology]
+    game = random_payoff_game(graph(3), 3)
     offsets, members = closed_neighbourhoods(game)
     closed = []
     for i in range(game.num_players):
@@ -253,10 +280,11 @@ def test_levels_are_longest_conflict_chains(topology):
         assert row[0] == i
         assert set(row) == {i} | set(game.graph.neighbors(i))
         closed.append(set(row))
-    steps, replicas = 40, 5
     movers = np.random.default_rng(8).integers(
         0, game.num_players, size=(steps, replicas)
     )
+    if first is not None:
+        movers[0, 0] = first
     level_of = np.full(movers.size, -1)
     for depth, level in enumerate(dependency_levels(movers, replicas, (offsets, members))):
         assert np.all(level_of[level] == -1)
@@ -271,6 +299,52 @@ def test_levels_are_longest_conflict_chains(topology):
             ]
             expected[t * replicas + r] = max(below, default=0)
     np.testing.assert_array_equal(level_of, expected)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0), (1, 0), (0, 0)])
+def test_blocks_without_updates_have_no_levels(shape):
+    neighbourhoods = closed_neighbourhoods(IsingGame(ring_graph(5), coupling=1.0))
+    movers = np.zeros(shape, dtype=np.int64)
+    assert list(dependency_levels(movers, shape[1], neighbourhoods)) == []
+
+
+def test_conflict_keys_that_overflow_int64_raise_before_building():
+    """A 4-update block packs ``2 * u + is_read`` into 4 low bits, so the keys
+    ``replica * n + player`` must stay below ``2**59``; a replica count past
+    that raises without an array per replica (which could not be allocated)."""
+    neighbourhoods = closed_neighbourhoods(IsingGame(ring_graph(5), coupling=1.0))
+    movers = np.array([[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match=r"R = 115292150460684698 .* n = 5 "):
+        list(dependency_levels(movers, 2**59 // 5 + 1, neighbourhoods))
+
+
+@pytest.mark.parametrize(
+    "graph,limit_mb",
+    [(lambda: ring_graph(10_000), 6), (lambda: star_graph(50), 20)],
+    ids=["ring", "star"],
+)
+def test_level_assignment_memory_peak(graph, limit_mb):
+    """Deterministic memory gate: one ``dependency_levels`` pass over a
+    682 x 64 block, the ``ring_large`` block shape (tracemalloc peak).
+
+    Keyed by ``(replica * n + player, position)`` with a separate update
+    array and write lookup, the pass peaked at 7.0 MB on ring n = 10^4 and
+    16.0 MB on star 50; self-describing conflict keys need about half on
+    the ring.
+    """
+    neighbourhoods = closed_neighbourhoods(IsingGame(graph(), coupling=1.0))
+    movers = np.random.default_rng(0).integers(
+        0, neighbourhoods[0].size - 1, size=(682, 64)
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        levels = sum(1 for _ in dependency_levels(movers, 64, neighbourhoods))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert levels > 1
+    assert peak <= limit_mb * 2**20, f"peaked at {peak / 2**20:.1f} MB"
 
 
 GENERATORS = {
