@@ -16,7 +16,6 @@ from .constructions import (
     Theorem35Game,
     TwoWellGame,
     theorem35_potential,
-    weight_potential_game,
 )
 from .coordination import (
     CoordinationParams,
@@ -67,7 +66,6 @@ __all__ = [
     "Theorem35Game",
     "TwoWellGame",
     "theorem35_potential",
-    "weight_potential_game",
     "CoordinationParams",
     "GraphicalCoordinationGame",
     "TwoPlayerCoordinationGame",

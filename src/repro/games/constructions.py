@@ -31,7 +31,6 @@ __all__ = [
     "Theorem35Game",
     "TwoWellGame",
     "BirthDeathPotentialGame",
-    "weight_potential_game",
 ]
 
 
@@ -123,48 +122,27 @@ class TwoWellGame(ExplicitPotentialGame):
         self.well_indices = (all0, all1)
 
 
-def weight_potential_game(
-    num_players: int, weight_potential: Sequence[float] | Callable[[int], float]
-) -> ExplicitPotentialGame:
+class BirthDeathPotentialGame(ExplicitPotentialGame):
     """Binary-strategy potential game with ``Phi(x) = f(w(x))``.
 
     ``weight_potential`` is either a sequence of length ``n + 1`` or a
     callable on ``{0, ..., n}``.  All the "anonymous" constructions of the
     paper (Theorem 3.5, the clique coordination game of Section 5.2, the
-    Curie–Weiss / mean-field Ising model) are of this form.
-    """
-    space = ProfileSpace((2,) * num_players)
-    if callable(weight_potential):
-        levels = np.array([weight_potential(k) for k in range(num_players + 1)], dtype=float)
-    else:
-        levels = np.asarray(weight_potential, dtype=float)
-        if levels.shape != (num_players + 1,):
-            raise ValueError(
-                f"weight_potential must have length {num_players + 1}, got {levels.shape}"
-            )
-    w = space.weight(np.arange(space.size))
-    phi = levels[w]
-    return ExplicitPotentialGame((2,) * num_players, np.tile(-phi, (num_players, 1)), phi)
-
-
-class BirthDeathPotentialGame(ExplicitPotentialGame):
-    """Binary potential game whose potential is an arbitrary function of the weight.
-
-    Thin convenience subclass over :func:`weight_potential_game` that also
-    records the weight-level potential, which several benchmarks report.
+    Curie–Weiss / mean-field Ising model) are of this form.  The levels
+    ``f(0), ..., f(n)`` are kept as ``weight_levels``, which several
+    benchmarks report.
     """
 
     def __init__(self, num_players: int, weight_potential: Sequence[float] | Callable[[int], float]):
-        base = weight_potential_game(num_players, weight_potential)
-        super().__init__(
-            base.space.num_strategies,
-            np.stack([base.utility_matrix(i) for i in range(base.num_players)]),
-            base.potential_vector(),
-        )
-        w = self.space.weight(np.arange(self.space.size))
-        levels = np.empty(num_players + 1, dtype=float)
-        phi = self.potential_vector()
-        for k in range(num_players + 1):
-            members = np.flatnonzero(w == k)
-            levels[k] = phi[members[0]]
+        if callable(weight_potential):
+            levels = np.array([weight_potential(k) for k in range(num_players + 1)], dtype=float)
+        else:
+            levels = np.array(weight_potential, dtype=float)
+            if levels.shape != (num_players + 1,):
+                raise ValueError(
+                    f"weight_potential must have length {num_players + 1}, got {levels.shape}"
+                )
+        space = ProfileSpace((2,) * num_players)
+        phi = levels[space.weight(np.arange(space.size))]
+        super().__init__(space.num_strategies, np.tile(-phi, (num_players, 1)), phi)
         self.weight_levels = levels

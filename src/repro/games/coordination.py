@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .potential import ExplicitPotentialGame
-from .space import ProfileSpace
+from .local import LocalInteractionGame
 
 __all__ = [
     "CoordinationParams",
@@ -98,79 +97,42 @@ def basic_coordination_payoffs(params: CoordinationParams) -> tuple[np.ndarray, 
     return row, col
 
 
-class TwoPlayerCoordinationGame(ExplicitPotentialGame):
-    """The basic two-player coordination game of Equation (10).
-
-    Backed by :class:`~repro.games.potential.ExplicitPotentialGame`, so the
-    dense utility storage, the potential accessors and the batched
-    ``utility_deviations_many`` fast path are all inherited.
-    """
-
-    def __init__(self, params: CoordinationParams):
-        self.params = params
-        space = ProfileSpace((2, 2))
-        row, col = basic_coordination_payoffs(params)
-        utilities = np.empty((2, 4), dtype=float)
-        phi = np.empty(4, dtype=float)
-        for x in range(4):
-            s0, s1 = space.decode(x)
-            utilities[0, x] = row[s0, s1]
-            utilities[1, x] = col[s0, s1]
-            phi[x] = params.edge_potential(s0, s1)
-        super().__init__(space, utilities, phi)
-
-
-class GraphicalCoordinationGame(ExplicitPotentialGame):
+class GraphicalCoordinationGame(LocalInteractionGame):
     """Graphical coordination game on an arbitrary social graph.
 
     Parameters
     ----------
     graph:
         The social graph; nodes are relabelled to ``0..n-1`` in sorted order
-        and become the players.
+        and become the players.  Self-loops are refused.
     params:
         Payoffs of the basic coordination game played on every edge.
 
     Notes
     -----
-    Utilities and the potential are computed *vectorised over the whole
-    profile space*: for each edge ``(u, v)`` we extract the two strategy
-    columns from the decoded profile array and accumulate the edge payoff /
-    edge potential, so building a game on ``2^n`` profiles costs
-    ``O(|E| * 2^n)`` numpy work with no per-profile Python loop.
+    A :class:`~repro.games.local.LocalInteractionGame` with the basic
+    game's row payoff on every edge and the paper's edge potential ``phi``
+    as the explicit edge potential.  Utilities and the potential are
+    computed from neighbour strategies only, so the game runs on the
+    engine's matrix state at any ``n``; the dense accessors stay available
+    below the dense cap.
+
+    >>> import networkx as nx
+    >>> from repro import LogitDynamics
+    >>> ring = GraphicalCoordinationGame(nx.cycle_graph(10_000), CoordinationParams.ising(2.0))
+    >>> LogitDynamics(ring, beta=1.0).ensemble(4).state.kind
+    'matrix'
     """
 
     def __init__(self, graph: nx.Graph, params: CoordinationParams):
-        if graph.number_of_nodes() == 0:
-            raise ValueError("the social graph must have at least one node")
-        self.params = params
-        nodes = sorted(graph.nodes())
-        self._node_index = {node: i for i, node in enumerate(nodes)}
-        self.graph = nx.relabel_nodes(graph, self._node_index, copy=True)
-        n = self.graph.number_of_nodes()
-        space = ProfileSpace((2,) * n)
-
-        profiles = space.all_profiles()  # (|S|, n) of 0/1
-        utilities = np.zeros((n, space.size), dtype=float)
-        phi = np.zeros(space.size, dtype=float)
         row, _ = basic_coordination_payoffs(params)
-        for u, v in self.graph.edges():
-            su = profiles[:, u]
-            sv = profiles[:, v]
-            # payoff of the basic game for each endpoint, for every profile
-            utilities[u] += row[su, sv]
-            utilities[v] += row[sv, su]
-            both0 = (su == 0) & (sv == 0)
-            both1 = (su == 1) & (sv == 1)
-            phi -= params.delta0 * both0 + params.delta1 * both1
-        super().__init__(space, utilities, phi)
+        potential = np.array(
+            [[params.edge_potential(s, t) for t in (0, 1)] for s in (0, 1)], dtype=float
+        )
+        super().__init__(graph, row, edge_potentials=potential)
+        self.params = params
 
     # -- paper-specific structure -----------------------------------------
-
-    @property
-    def num_edges(self) -> int:
-        """Number of edges of the social graph."""
-        return self.graph.number_of_edges()
 
     def consensus_profiles(self) -> tuple[int, int]:
         """Indices of the all-0 and all-1 profiles (the two consensus PNE)."""
@@ -186,10 +148,17 @@ class GraphicalCoordinationGame(ExplicitPotentialGame):
         ``None`` for non-complete graphs.
         """
         n = self.num_players
-        if self.graph.number_of_edges() != n * (n - 1) // 2:
+        if self.num_edges != n * (n - 1) // 2:
             return None
         k = np.arange(n + 1, dtype=float)
         return -(
             (n - k) * (n - k - 1) / 2.0 * self.params.delta0
             + k * (k - 1) / 2.0 * self.params.delta1
         )
+
+
+class TwoPlayerCoordinationGame(GraphicalCoordinationGame):
+    """The basic two-player coordination game of Equation (10): one edge."""
+
+    def __init__(self, params: CoordinationParams):
+        super().__init__(nx.path_graph(2), params)

@@ -101,11 +101,6 @@ class IsingGame(LocalInteractionGame):
         params = CoordinationParams.ising(2.0 * coupling)
         return GraphicalCoordinationGame(graph, params)
 
-    def magnetization(self, profile_index: int) -> float:
-        """Average spin ``(1/n) sum_u sigma_u`` of the profile."""
-        prof = np.asarray(self.space.decode(profile_index))
-        return float(np.mean(spins_from_profile(prof)))
-
     def magnetization_of_profiles(self, profiles: np.ndarray) -> np.ndarray:
         """``(k,)`` average spins of ``(k, n)`` profile rows.
 

@@ -31,7 +31,8 @@ update touches ``O(deg)`` numbers no matter how large ``|S|`` is.
   (:meth:`potential_vector`, :meth:`utility_matrix`) stay available below
   the dense cap so every small-space tool keeps working.
 
-:class:`~repro.games.ising.IsingGame` is the canonical subclass.
+The paper's :class:`~repro.games.coordination.GraphicalCoordinationGame`
+and :class:`~repro.games.ising.IsingGame` are subclasses.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from typing import Mapping, Sequence
 import networkx as nx
 import numpy as np
 
-from .coordination import CoordinationParams
 from .potential import PotentialGame
 from .space import ProfileSpace
 
@@ -169,7 +169,7 @@ class LocalInteractionGame(PotentialGame):
     ----------
     graph:
         The social graph; nodes are relabelled to ``0..n-1`` in sorted
-        order and become the players.
+        order and become the players.  Self-loops are refused.
     edge_payoffs:
         Either one ``(m, m)`` payoff matrix shared by every edge, or a
         mapping from edges (either orientation) to per-edge ``(m, m)``
@@ -202,6 +202,12 @@ class LocalInteractionGame(PotentialGame):
     ):
         if graph.number_of_nodes() == 0:
             raise ValueError("the social graph must have at least one node")
+        loop = next(nx.nodes_with_selfloops(graph), None)
+        if loop is not None:
+            raise ValueError(
+                f"node {loop!r} has a self-loop; local-interaction games "
+                "assume simple graphs"
+            )
         m = int(num_strategies)
         if m < 2:
             raise ValueError("local-interaction games need at least two strategies")
@@ -321,33 +327,6 @@ class LocalInteractionGame(PotentialGame):
         if not np.all(np.isfinite(out)):
             raise ValueError(f"{what} must be finite")
         return out
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def coordination(
-        cls, graph: nx.Graph, params: CoordinationParams
-    ) -> "LocalInteractionGame":
-        """Graphical coordination game as a local-interaction game.
-
-        Same utilities and same potential as
-        :class:`~repro.games.coordination.GraphicalCoordinationGame` (which
-        tabulates the whole profile space), but index-free — usable at any
-        ``n``.
-        """
-        payoff = np.array(
-            [[params.a, params.c], [params.d, params.b]], dtype=float
-        )
-        potential = np.array(
-            [
-                [params.edge_potential(0, 0), params.edge_potential(0, 1)],
-                [params.edge_potential(1, 0), params.edge_potential(1, 1)],
-            ],
-            dtype=float,
-        )
-        game = cls(graph, payoff, edge_potentials=potential)
-        game.params = params
-        return game
 
     # -- graph structure ---------------------------------------------------
 

@@ -25,6 +25,7 @@ from repro.games import (
     Theorem35Game,
     TableGame,
     TwoWellGame,
+    basic_coordination_payoffs,
     random_game,
 )
 
@@ -150,6 +151,34 @@ def ising_hamiltonian(
     index = {node: i for i, node in enumerate(sorted(graph.nodes()))}
     pair_sum = sum(spins[index[u]] * spins[index[v]] for u, v in graph.edges())
     return float(-coupling * pair_sum - field * np.sum(spins))
+
+
+def dense_coordination_game(
+    graph: nx.Graph, params: CoordinationParams
+) -> ExplicitPotentialGame:
+    """The graphical coordination game tabulated over every profile.
+
+    Nodes are relabelled to ``0..n-1`` in sorted order.  For each edge
+    ``(u, v)`` the two strategy columns of the decoded profile array add
+    the basic game's payoff to both endpoints and the edge potential to
+    ``Phi``: ``O(|E| * 2^n)`` numpy work.
+    """
+    index = {node: i for i, node in enumerate(sorted(graph.nodes()))}
+    relabelled = nx.relabel_nodes(graph, index, copy=True)
+    space = ProfileSpace((2,) * relabelled.number_of_nodes())
+    profiles = space.all_profiles()
+    utilities = np.zeros((space.num_players, space.size), dtype=float)
+    phi = np.zeros(space.size, dtype=float)
+    row, _ = basic_coordination_payoffs(params)
+    for u, v in relabelled.edges():
+        su = profiles[:, u]
+        sv = profiles[:, v]
+        utilities[u] += row[su, sv]
+        utilities[v] += row[sv, su]
+        both0 = (su == 0) & (sv == 0)
+        both1 = (su == 1) & (sv == 1)
+        phi -= params.delta0 * both0 + params.delta1 * both1
+    return ExplicitPotentialGame(space.num_strategies, utilities, phi)
 
 
 def minimax_barrier_matrix(potential: np.ndarray, space: ProfileSpace) -> np.ndarray:

@@ -10,7 +10,6 @@ from repro.games.constructions import (
     Theorem35Game,
     TwoWellGame,
     theorem35_potential,
-    weight_potential_game,
 )
 
 
@@ -103,20 +102,20 @@ class TestTwoWellGame:
 class TestWeightPotentialGame:
     def test_levels_applied_per_weight(self):
         levels = [0.0, 2.0, 1.0, 5.0]
-        game = weight_potential_game(3, levels)
+        game = BirthDeathPotentialGame(3, levels)
         phi = game.potential_vector()
         w = game.space.weight(np.arange(game.space.size))
         np.testing.assert_allclose(phi, np.asarray(levels)[w])
 
     def test_callable_form(self):
-        game = weight_potential_game(4, lambda k: float(k * k))
+        game = BirthDeathPotentialGame(4, lambda k: float(k * k))
         phi = game.potential_vector()
         w = game.space.weight(np.arange(game.space.size))
         np.testing.assert_allclose(phi, w.astype(float) ** 2)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            weight_potential_game(3, [0.0, 1.0])
+            BirthDeathPotentialGame(3, [0.0, 1.0])
 
     def test_birth_death_records_levels(self):
         levels = [0.0, 3.0, 1.0, 2.0, 0.5]

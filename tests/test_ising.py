@@ -81,9 +81,10 @@ class TestIsingGame:
 
     def test_magnetization(self):
         game = IsingGame(nx.path_graph(3), coupling=1.0)
-        assert game.magnetization(game.space.encode((1, 1, 1))) == pytest.approx(1.0)
-        assert game.magnetization(game.space.encode((0, 0, 0))) == pytest.approx(-1.0)
-        assert game.magnetization(game.space.encode((1, 0, 1))) == pytest.approx(1.0 / 3.0)
+        profiles = np.array([(1, 1, 1), (0, 0, 0), (1, 0, 1)])
+        np.testing.assert_allclose(
+            game.magnetization_of_profiles(profiles), [1.0, -1.0, 1.0 / 3.0]
+        )
 
     def test_rejects_nonpositive_coupling(self):
         with pytest.raises(ValueError):

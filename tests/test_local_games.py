@@ -1,11 +1,12 @@
 """Tests for local-interaction games (repro.games.local).
 
 The load-bearing contract is *agreement with the dense constructions*: on
-small graphs a :class:`LocalInteractionGame` must reproduce the tabulated
-:class:`GraphicalCoordinationGame` / :class:`IsingGame` numbers exactly
-(utilities, potential, logit chain), while computing everything from
-neighbor strategies only — which is then exercised far past the int64
-profile-index ceiling.
+small graphs :class:`GraphicalCoordinationGame`, a local-interaction game,
+must reproduce the tabulated coordination game (``conftest``'s
+``dense_coordination_game``) bit for bit — utilities, potential, logit
+chain and its stationary law — and :class:`IsingGame` the Ising
+Hamiltonian, while computing everything from neighbor strategies only,
+which is then exercised far past the int64 profile-index ceiling.
 """
 
 from __future__ import annotations
@@ -15,37 +16,78 @@ import numpy as np
 import pytest
 
 from repro.core import LogitDynamics
+from repro.core.variants import BestResponseDynamics, ParallelLogitDynamics
 from repro.games import (
     CoordinationParams,
+    FiniteOpinionGame,
     GraphicalCoordinationGame,
     IsingGame,
     LocalInteractionGame,
+    TwoPlayerCoordinationGame,
     derive_edge_potential,
 )
 from repro.games.ising import spins_from_profile
 
-from conftest import ising_hamiltonian
+from conftest import dense_coordination_game, ising_hamiltonian
 
 
 class TestAgainstDenseConstructions:
     @pytest.mark.parametrize(
-        "graph", [nx.cycle_graph(5), nx.path_graph(4), nx.complete_graph(4)]
+        "params",
+        [
+            CoordinationParams.from_deltas(2.0, 1.0),
+            CoordinationParams(a=0.3, b=0.7, c=0.1, d=0.2),  # non-dyadic
+        ],
+        ids=["dyadic", "non-dyadic"],
     )
-    def test_matches_graphical_coordination_game(self, graph):
-        params = CoordinationParams.from_deltas(2.0, 1.0)
-        dense = GraphicalCoordinationGame(graph, params)
-        local = LocalInteractionGame.coordination(graph, params)
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            nx.cycle_graph(5),
+            nx.path_graph(4),
+            nx.complete_graph(4),
+            nx.complete_graph(6),
+            nx.complete_graph(9),  # 36 edges, degree 8
+            nx.star_graph(9),
+        ],
+        ids=["ring5", "path4", "K4", "K6", "K9", "star9"],
+    )
+    def test_matches_graphical_coordination_game(self, graph, params):
+        dense = dense_coordination_game(graph, params)
+        local = GraphicalCoordinationGame(graph, params)
         for player in range(dense.num_players):
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 local.utility_matrix(player), dense.utility_matrix(player)
             )
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             local.potential_vector(), dense.potential_vector()
         )
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             LogitDynamics(local, 0.8).transition_matrix(),
             LogitDynamics(dense, 0.8).transition_matrix(),
         )
+        np.testing.assert_array_equal(
+            LogitDynamics(local, 0.8).stationary_distribution(),
+            LogitDynamics(dense, 0.8).stationary_distribution(),
+        )
+
+    def test_two_player_game_is_the_one_edge_case(self):
+        params = CoordinationParams(a=0.3, b=0.7, c=0.1, d=0.2)
+        game = TwoPlayerCoordinationGame(params)
+        dense = dense_coordination_game(nx.path_graph(2), params)
+        for player in range(2):
+            np.testing.assert_array_equal(
+                game.utility_matrix(player), dense.utility_matrix(player)
+            )
+        np.testing.assert_array_equal(game.potential_vector(), dense.potential_vector())
+        for dynamics in (
+            lambda g: LogitDynamics(g, 0.8),
+            lambda g: ParallelLogitDynamics(g, 0.8),
+            BestResponseDynamics,
+        ):
+            np.testing.assert_array_equal(
+                dynamics(game).transition_matrix(), dynamics(dense).transition_matrix()
+            )
 
     def test_ising_potential_is_hamiltonian(self):
         graph = nx.cycle_graph(4)
@@ -58,7 +100,7 @@ class TestAgainstDenseConstructions:
 
     def test_verify_potential_on_small_graphs(self):
         params = CoordinationParams(a=3.0, b=2.0, c=0.5, d=1.0)
-        game = LocalInteractionGame.coordination(nx.cycle_graph(4), params)
+        game = GraphicalCoordinationGame(nx.cycle_graph(4), params)
         assert game.verify_potential()
 
     def test_derived_potential_defines_same_gibbs_as_explicit(self):
@@ -69,7 +111,7 @@ class TestAgainstDenseConstructions:
         params = CoordinationParams.from_deltas(1.5, 1.0)
         payoff = np.array([[params.a, params.c], [params.d, params.b]])
         derived = LocalInteractionGame(nx.cycle_graph(4), payoff)
-        explicit = LocalInteractionGame.coordination(nx.cycle_graph(4), params)
+        explicit = GraphicalCoordinationGame(nx.cycle_graph(4), params)
         np.testing.assert_allclose(
             gibbs_measure(derived.potential_vector(), 0.7),
             gibbs_measure(explicit.potential_vector(), 0.7),
@@ -257,6 +299,23 @@ class TestEdgeSpecifications:
         with pytest.raises(ValueError, match="node"):
             LocalInteractionGame(nx.Graph(), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g: IsingGame(g, coupling=1.0),
+            lambda g: GraphicalCoordinationGame(g, CoordinationParams.from_deltas(2.0, 1.0)),
+            lambda g: FiniteOpinionGame(g, [0.2, 0.5, 0.8]),
+        ],
+        ids=["ising", "coordination", "opinion"],
+    )
+    def test_self_loop_is_refused(self, build):
+        # a loop would count twice in its node's utility but once in the
+        # potential: no Equation (1), so the Gibbs law would be false
+        graph = nx.path_graph(3)
+        graph.add_edge(1, 1)
+        with pytest.raises(ValueError, match="node 1 has a self-loop"):
+            build(graph)
+
     def test_external_field_shapes(self):
         g = nx.path_graph(3)
         M = np.outer([-1.0, 1.0], [-1.0, 1.0])
@@ -357,7 +416,7 @@ class TestEngineIntegration:
 
     def test_small_local_game_whole_pipeline(self):
         """Dense pipeline agreement: Gibbs stationarity of the logit chain."""
-        game = LocalInteractionGame.coordination(
+        game = GraphicalCoordinationGame(
             nx.cycle_graph(4), CoordinationParams.ising(1.0)
         )
         from repro.core import gibbs_measure
@@ -366,3 +425,20 @@ class TestEngineIntegration:
         pi = gibbs_measure(game.potential_vector(), 0.9)
         P = dynamics.transition_matrix()
         np.testing.assert_allclose(pi @ P, pi, atol=1e-12)
+
+    def test_coordination_game_runs_far_past_the_dense_cap(self):
+        # 2^2000 profiles: the game never tabulates, and its levelled
+        # matrix-state run is the J = 1 Ising ring's, delta = 2J
+        graph = nx.cycle_graph(2000)
+        coordination = GraphicalCoordinationGame(graph, CoordinationParams.ising(2.0))
+        start = np.random.default_rng(4).integers(0, 2, size=2000)
+        resolved = LogitDynamics(coordination, 1.0).ensemble(32, start)
+        assert resolved.state.kind == "matrix" and resolved._levelled
+        runs = []
+        for game in (coordination, IsingGame(graph, coupling=1.0)):
+            sim = LogitDynamics(game, 1.0).ensemble(
+                32, start, rng=np.random.default_rng(5), state="matrix"
+            )
+            sim.run(500)
+            runs.append(sim.profiles)
+        np.testing.assert_array_equal(runs[0], runs[1])

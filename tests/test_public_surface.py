@@ -58,7 +58,6 @@ METHOD_EXCEPTIONS = {
     "GraphicalCoordinationGame.potential_by_ones_count": "the clique's lumped "
     "potential, kept for lumped exact chains",
     "Tracer.flush": "makes the JSONL sink durable before the file is read back",
-    "IsingGame.magnetization": "scalar form of the magnetization projection for TV at scale",
     "FiniteOpinionGame.opinion_values": _OPINION,
     "FiniteOpinionGame.belief_cost_of_profiles": _OPINION,
     "FiniteOpinionGame.social_cost": _OPINION,
