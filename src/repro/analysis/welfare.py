@@ -33,7 +33,7 @@ from ..games.space import DENSE_PROFILE_CAP
 from ..markov.chain import check_count
 from ..stats.accumulators import StreamingEstimate
 from ..stats.adaptive import run_until_width
-from ..stats.knobs import reject_fixed_mode_knobs, reject_quantile_knob_conflicts
+from ..stats.knobs import reject_quantile_knob_conflicts, replica_budget
 from ..stats.quantile import QuantileEstimate
 
 __all__ = [
@@ -151,11 +151,10 @@ def estimate_stationary_welfare(
         raise ValueError(
             "precision_quantile must be positive (absolute welfare units)"
         )
-    adaptive = precision is not None or precision_quantile is not None
-    if adaptive:
-        reject_fixed_mode_knobs(num_replicas)
-    elif num_replicas is None:
-        num_replicas = 256
+    budget = replica_budget(
+        num_replicas, max_replicas,
+        precision is not None or precision_quantile is not None, 256,
+    )
     if num_steps is None:
         num_steps = 100 * game.space.num_players
     num_steps = check_count(num_steps, "num_steps", minimum=0)
@@ -187,7 +186,7 @@ def estimate_stationary_welfare(
         BurnInWelfareSampler(game, dynamics, start, num_steps),
         target_width=float(precision) if precision is not None else 0.0,
         alpha=alpha,
-        max_n=max_replicas if adaptive else num_replicas,
+        max_n=budget,
         chunk_size=chunk_size,
         seed=seed,
         executor=executor,

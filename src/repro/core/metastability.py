@@ -32,24 +32,18 @@ from typing import Sequence
 import numpy as np
 
 from ..engine.kernels import require_sequential_dynamics
-from ..engine.streams import as_seed_sequence
 from ..games.base import Game
 from ..games.potential import PotentialGame
 from ..markov.chain import MarkovChain, check_count
 from ..markov.tv import total_variation
 from ..stats.accumulators import StreamingEstimate
 from ..stats.adaptive import run_until_width
-from ..stats.knobs import (
-    reject_executor_without_precision,
-    reject_fixed_mode_knobs,
-    reject_quantile_knob_conflicts,
-)
+from ..stats.knobs import reject_quantile_knob_conflicts, replica_budget
 from .logit import LogitDynamics
 from .samplers import (
     TruncatedGibbsEscapeSampler,
     TruncatedHittingSampler,
     TruncatedPredicateEscapeSampler,
-    check_start_inside_well,
 )
 
 __all__ = [
@@ -178,32 +172,49 @@ def _conditional_gibbs_weights(game: Game, beta: float, idx: np.ndarray) -> np.n
     return weights
 
 
-def _adaptive_truncated_times(
+def _shared_start(start) -> int | np.ndarray:
+    """The one start (profile index or ``(n,)`` profile) every replica replays."""
+    if isinstance(start, (int, np.integer)):
+        return int(start)
+    profile = np.asarray(start)
+    if profile.ndim != 1:
+        raise ValueError(
+            "the first-passage estimators replay one shared start (a profile "
+            "index or an (n,) profile) in every replica, so each sample is a "
+            "function of its seed alone; for per-replica (R, n) starts use "
+            "the hitting_times / exit_times of a dynamics.ensemble"
+        )
+    return profile
+
+
+def _truncated_times(
     sampler,
+    max_steps: int,
     precision: float | None,
     alpha: float,
-    max_steps: int,
+    num_replicas: int | None,
     chunk_size: int,
     max_replicas: int,
     seed,
-    executor=None,
-    q: float | None = None,
-    precision_quantile: float | None = None,
-    tracer=None,
+    executor,
+    q: float | None,
+    precision_quantile: float | None,
+    tracer,
 ) -> StreamingEstimate:
-    """Adaptive driver shared by the hitting/escape estimators.
+    """Sample-stream driver shared by the hitting/escape estimators.
 
     ``sampler(children)`` maps spawned SeedSequence children to per-replica
-    first-passage times *truncated at the horizon* (``-1`` not-reached
-    entries count as ``max_steps``), so the estimand is the bounded
-    quantity ``min(tau, max_steps)`` and the empirical-Bernstein CS
-    applies with support ``[0, max_steps]``.  ``precision`` (mean target)
-    and ``precision_quantile`` (``q``-quantile target) are relative to
-    that support: the driver stops when every requested interval is at
-    most ``precision * max_steps`` (resp. ``precision_quantile *
-    max_steps``) wide.  ``executor`` shards each chunk across processes
-    without changing any sample (see
-    :func:`repro.stats.adaptive.run_until_width`).
+    first-passage times *truncated at the horizon* (not-reached replicas
+    read ``max_steps``), so the estimand is the bounded quantity
+    ``min(tau, max_steps)`` and the empirical-Bernstein CS applies with
+    support ``[0, max_steps]``.  ``precision`` (mean target) and
+    ``precision_quantile`` (``q``-quantile target) are relative to that
+    support: the driver stops when every requested interval is at most
+    ``precision * max_steps`` (resp. ``precision_quantile * max_steps``)
+    wide, or after ``max_replicas`` samples.  Without ``precision`` or
+    ``q`` exactly ``num_replicas`` (default 128) samples run.
+    ``executor`` shards each chunk across processes without changing any
+    sample (see :func:`repro.stats.adaptive.run_until_width`).
     """
     if precision is not None and not 0 < precision:
         raise ValueError("precision must be positive (fraction of max_steps)")
@@ -211,11 +222,15 @@ def _adaptive_truncated_times(
         raise ValueError(
             "precision_quantile must be positive (fraction of max_steps)"
         )
+    reject_quantile_knob_conflicts(q, precision_quantile, (0.0, float(max_steps)))
+    budget = replica_budget(
+        num_replicas, max_replicas, precision is not None or q is not None, 128
+    )
     return run_until_width(
         sampler,
         target_width=float(precision) * float(max_steps) if precision else 0.0,
         alpha=alpha,
-        max_n=max_replicas,
+        max_n=budget,
         chunk_size=chunk_size,
         support=(0.0, float(max_steps)),
         seed=seed,
@@ -248,15 +263,18 @@ def empirical_escape_times(
     q: float | None = None,
     precision_quantile: float | None = None,
     tracer=None,
-) -> np.ndarray | StreamingEstimate:
-    """Monte-Carlo exit times of the well ``R``, one per replica.
+) -> StreamingEstimate:
+    """Monte-Carlo exit times of the well ``R``, with a confidence interval.
 
     A matrix-free, ensemble-based counterpart of :func:`escape_time_from`:
-    ``num_replicas`` independent copies of the chain start inside ``R``
-    (from the conditional Gibbs measure for potential games, or from the
-    given ``start_distribution`` over ``R``) and all are advanced in bulk by
-    the batched engine until they first leave the set.  Entries equal to
-    ``-1`` mean the replica had not escaped within ``max_steps`` — for a
+    independent copies of the chain start inside ``R`` (from the
+    conditional Gibbs measure for potential games, or from the given
+    ``start_distribution`` over ``R``) and are advanced in bulk by the
+    batched engine until they first leave the set.  The result is a
+    :class:`~repro.stats.accumulators.StreamingEstimate` of the escape time
+    *truncated at the horizon* — the bounded estimand ``E[min(tau,
+    max_steps)]`` — whose ``samples`` hold one time per replica; a replica
+    that had not escaped within ``max_steps`` reads ``max_steps``.  For a
     deep well at large ``beta`` that is the expected outcome and is itself
     evidence of metastability.
 
@@ -264,44 +282,35 @@ def empirical_escape_times(
     *profile predicate* — a callable mapping ``(k, n)`` strategy-profile
     rows to a boolean membership mask.  Predicates are the only well form
     available past the int64 profile-index ceiling (e.g. a magnetization
-    band on a 1000-player local-interaction game); they require explicit
-    ``start_profiles`` (an ``(n,)`` profile or ``(R, n)`` per-replica
-    profiles inside the well), since the conditional-Gibbs start sampler
-    enumerates indices.
+    band on a 1000-player local-interaction game); they require an explicit
+    ``start_profiles`` (one ``(n,)`` profile inside the well, shared by
+    every replica), since the conditional-Gibbs start sampler enumerates
+    indices.
 
-    ``dynamics`` overrides the chain being escaped from: any object with an
-    ``ensemble`` method (the Section 6 variants included) works, so escape
+    ``dynamics`` overrides the chain being escaped from, so escape
     behaviour can be compared across dynamics families; ``game`` and
-    ``beta`` still pick the conditional-Gibbs start inside the well.
+    ``beta`` still pick the conditional-Gibbs start inside the well.  It
+    must have seeded per-replica streams (the sequential and concurrent
+    logit kernels); round-robin and annealed dynamics raise — simulate
+    those with the ``exit_times`` of a ``dynamics.ensemble``, which also
+    takes per-replica ``(R, n)`` starts.
 
-    ``precision`` switches the estimator to *adaptive* mode: replicas run
-    in chunks of ``chunk_size`` (one ``SeedSequence.spawn`` child per
-    replica, so pooled samples are identical for every chunk size), an
-    empirical-Bernstein confidence sequence tracks the mean escape time
-    truncated at the horizon — the bounded estimand ``E[min(tau,
-    max_steps)]``, with ``-1`` never-escaped entries counted as
-    ``max_steps`` — and the run stops as soon as the interval is at most
-    ``precision * max_steps`` wide (or ``max_replicas`` is exhausted).
-    The return type is then a
-    :class:`~repro.stats.accumulators.StreamingEstimate` carrying the
-    interval; with ``precision=None`` (default) the legacy fixed-replica
-    sample array is returned, bit-for-bit unchanged.  Adaptive mode sizes
-    the run itself: it is budgeted by ``max_replicas`` (not
-    ``num_replicas``) — passing ``num_replicas`` together with
-    ``precision`` is an error, not a silent ignore.  It needs sequential
-    dynamics, and for a predicate well accepts only a single shared
-    ``(n,)`` start profile.
+    Replicas run in chunks of ``chunk_size``, one ``SeedSequence.spawn``
+    child of ``seed`` (an int, a ``SeedSequence``, or ``None`` for fresh
+    entropy) per replica, so pooled samples are identical for every chunk
+    size.  Without a target exactly ``num_replicas`` (default 128)
+    replicas run and the interval is whatever they support.
+    ``precision`` makes the run stop as soon as the empirical-Bernstein
+    interval is at most ``precision * max_steps`` wide, or once
+    ``max_replicas`` replicas have run; passing ``num_replicas`` next to a
+    target is an error, not a silent ignore.  A fixed-budget run returns
+    bit for bit the samples of a targeted run at the same seed whose
+    target is never met within ``max_replicas = num_replicas``.
 
-    ``seed`` (an int, a ``SeedSequence``, or ``None`` for fresh entropy)
-    is the one randomness knob of both modes: the fixed-replica path
-    draws its starts and the whole ensemble from
-    ``numpy.random.default_rng(seed)``, and adaptive mode spawns one
-    ``SeedSequence`` child per replica from it.
-
-    ``executor`` (adaptive mode only) shards each replica chunk across
-    processes via :class:`repro.parallel.ShardedExecutor` — pooled samples
-    are bit-for-bit identical to the serial run for any shard count, so it
-    is purely a wall-clock knob; the process backend requires the
+    ``executor`` shards each replica chunk across processes via
+    :class:`repro.parallel.ShardedExecutor` — pooled samples are
+    bit-for-bit identical to the serial run for any shard count, so it is
+    purely a wall-clock knob; the process backend requires the
     game/dynamics and the well description to be picklable (module-level
     predicates, not lambdas).
 
@@ -309,25 +318,13 @@ def empirical_escape_times(
     sample stream (e.g. ``q=0.99`` for the P99), attached to the result's
     ``quantile`` field; ``precision_quantile`` (a fraction of
     ``max_steps``, like ``precision``) additionally makes the tail
-    interval a stopping target.  Passing ``q=`` alone switches to
-    adaptive mode exactly like ``precision=`` does.
+    interval a stopping target.  ``q=`` alone is a target like
+    ``precision=``: the run is budgeted by ``max_replicas``.
     """
-    adaptive = precision is not None or q is not None
-    max_steps = check_count(max_steps, "max_steps", minimum=0)
-    reject_quantile_knob_conflicts(q, precision_quantile, (0.0, float(max_steps)))
-    if adaptive:
-        reject_fixed_mode_knobs(num_replicas)
-    else:
-        reject_executor_without_precision(precision, executor)
-    num_replicas = (
-        128 if num_replicas is None else check_count(num_replicas, "num_replicas")
-    )
+    max_steps = check_count(max_steps, "max_steps")
     if dynamics is None:
         dynamics = LogitDynamics(game, beta)
-    if adaptive:
-        require_sequential_dynamics(dynamics)
-    else:
-        rng = np.random.default_rng(as_seed_sequence(seed))
+    require_sequential_dynamics(dynamics)
     if callable(states):
         if start_distribution is not None:
             raise ValueError(
@@ -337,58 +334,31 @@ def empirical_escape_times(
         if start_profiles is None:
             raise ValueError(
                 "a predicate well has no index set to sample a start from; "
-                "pass start_profiles (an (n,) profile or (R, n) per-replica "
-                "profiles inside the well)"
+                "pass start_profiles (an (n,) profile inside the well)"
             )
-
-        if adaptive:
-            profile = np.asarray(start_profiles)
-            if profile.ndim != 1:
-                raise ValueError(
-                    "adaptive mode replays a single (n,) start profile per "
-                    "chunk; per-replica (R, n) start profiles would tie the "
-                    "samples to one fixed replica count"
-                )
-            return _adaptive_truncated_times(
-                TruncatedPredicateEscapeSampler(
-                    dynamics, profile, states, max_steps
-                ),
-                precision, alpha, max_steps,
-                chunk_size, max_replicas, seed, executor,
-                q, precision_quantile, tracer,
-            )
-        sim = dynamics.ensemble(
-            num_replicas,
-            start=np.asarray(start_profiles),
-            rng=rng,
-            tracer=tracer,
+        sampler = TruncatedPredicateEscapeSampler(
+            dynamics, _shared_start(start_profiles), states, max_steps
         )
-        check_start_inside_well(states, sim, num_replicas)
-        return sim.exit_times(states, max_steps=max_steps)
-    if start_profiles is not None:
-        raise ValueError("start_profiles is only for predicate wells; use "
-                         "start_distribution with an index well")
-    idx = _validate_subset(states, game.space.size)
-    if start_distribution is None:
-        weights = _conditional_gibbs_weights(game, beta, idx)
     else:
-        weights = np.asarray(start_distribution, dtype=float)
-        if weights.shape != (idx.size,):
-            raise ValueError("start_distribution must be indexed within R")
-        total = float(weights.sum())
-        if total <= 0:
-            raise ValueError("start_distribution must have positive mass")
-        weights = weights / total
-    if adaptive:
-        return _adaptive_truncated_times(
-            TruncatedGibbsEscapeSampler(dynamics, idx, weights, max_steps),
-            precision, alpha, max_steps,
-            chunk_size, max_replicas, seed, executor,
-            q, precision_quantile, tracer,
-        )
-    starts = rng.choice(idx, size=num_replicas, p=weights)
-    sim = dynamics.ensemble(num_replicas, start_indices=starts, rng=rng, tracer=tracer)
-    return sim.exit_times(idx, max_steps=max_steps)
+        if start_profiles is not None:
+            raise ValueError("start_profiles is only for predicate wells; use "
+                             "start_distribution with an index well")
+        idx = _validate_subset(states, game.space.size)
+        if start_distribution is None:
+            weights = _conditional_gibbs_weights(game, beta, idx)
+        else:
+            weights = np.asarray(start_distribution, dtype=float)
+            if weights.shape != (idx.size,):
+                raise ValueError("start_distribution must be indexed within R")
+            total = float(weights.sum())
+            if total <= 0:
+                raise ValueError("start_distribution must have positive mass")
+            weights = weights / total
+        sampler = TruncatedGibbsEscapeSampler(dynamics, idx, weights, max_steps)
+    return _truncated_times(
+        sampler, max_steps, precision, alpha, num_replicas, chunk_size,
+        max_replicas, seed, executor, q, precision_quantile, tracer,
+    )
 
 
 def empirical_hitting_times(
@@ -408,87 +378,52 @@ def empirical_hitting_times(
     q: float | None = None,
     precision_quantile: float | None = None,
     tracer=None,
-) -> np.ndarray | StreamingEstimate:
-    """Monte-Carlo first-hitting times of a profile set, one per replica.
+) -> StreamingEstimate:
+    """Monte-Carlo first-hitting times of a profile set, with an interval.
 
     The metastability picture of the paper's slow-mixing regimes (e.g. the
     tunnelling time from one consensus well of a coordination game to the
-    other) is exactly a hitting time of a set; this runs all replicas
+    other) is exactly a hitting time of a set; this runs the replicas
     simultaneously on the batched engine.  ``targets`` is a profile index,
     an array of them, or a *profile predicate* (a callable mapping
     ``(k, n)`` strategy-profile rows to a boolean mask) — with a predicate
     target and a profile-array ``start`` the measurement is fully
     index-free and runs on local-interaction games of any size (e.g. a
-    magnetization threshold at ``n = 1000``).  ``-1`` entries mean the
-    target set was not reached within ``max_steps``.  ``dynamics``
-    overrides the chain (any object with an ``ensemble`` method, variants
-    included); ``game`` and ``beta`` are then only documentation of the
-    default.
+    magnetization threshold at ``n = 1000``).  ``start`` (a profile index
+    or an ``(n,)`` profile) is shared by every replica.  ``dynamics``
+    overrides the chain (any dynamics with seeded per-replica streams);
+    ``game`` and ``beta`` are then only documentation of the default.
 
-    ``precision`` switches to adaptive mode (see
-    :func:`empirical_escape_times` — same chunked ``SeedSequence.spawn``
-    discipline, same truncated-mean estimand ``E[min(tau, max_steps)]``,
-    same stopping rule, same rejection of the fixed-mode ``num_replicas``
-    knob): the return type becomes a
-    :class:`~repro.stats.accumulators.StreamingEstimate` whose interval is
-    at most ``precision * max_steps`` wide when ``stopped_early`` is true.
-    With ``precision=None`` the legacy fixed-replica sample array is
-    returned unchanged.  ``executor`` shards the adaptive chunks across
-    processes without changing any sample, and ``seed`` seeds either mode
-    (both see :func:`empirical_escape_times`): in fixed mode one seed
-    gives one array.
+    The result is a :class:`~repro.stats.accumulators.StreamingEstimate`
+    of the truncated mean ``E[min(tau, max_steps)]``; its ``samples`` hold
+    one time per replica, and a replica that did not reach the target
+    within ``max_steps`` reads ``max_steps``.  The budget, the
+    ``precision`` / ``q`` / ``precision_quantile`` targets, ``seed`` and
+    ``executor`` work as in :func:`empirical_escape_times`: without a
+    target exactly ``num_replicas`` replicas run, and one seed gives one
+    sample stream.
 
     >>> from repro import IsingGame, ring_graph
     >>> game = IsingGame(ring_graph(6), coupling=1.0)
     >>> a = empirical_hitting_times(game, 1.0, 0, 63, num_replicas=8, seed=3)
     >>> b = empirical_hitting_times(game, 1.0, 0, 63, num_replicas=8, seed=3)
-    >>> bool((a == b).all())
-    True
+    >>> bool((a.samples == b.samples).all()), a.n
+    (True, 8)
 
     ``q`` / ``precision_quantile`` certify (and optionally stop on) a
     quantile of the truncated hitting time — e.g. ``q=0.99,
     precision_quantile=0.01`` runs until the P99 time-to-hit is pinned to
-    within ``0.01 * max_steps`` — on the same sample stream as the mean
-    (see :func:`empirical_escape_times`).
+    within ``0.01 * max_steps`` — on the same sample stream as the mean.
     """
-    adaptive = precision is not None or q is not None
-    max_steps = check_count(max_steps, "max_steps", minimum=0)
-    reject_quantile_knob_conflicts(q, precision_quantile, (0.0, float(max_steps)))
-    if adaptive:
-        reject_fixed_mode_knobs(num_replicas)
-    else:
-        reject_executor_without_precision(precision, executor)
-    num_replicas = (
-        128 if num_replicas is None else check_count(num_replicas, "num_replicas")
-    )
+    max_steps = check_count(max_steps, "max_steps")
     if dynamics is None:
         dynamics = LogitDynamics(game, beta)
-    if isinstance(start, (int, np.integer)):
-        start_state: np.ndarray | int = int(start)
-    else:
-        start_state = np.asarray(start, dtype=np.int64)
-    if adaptive:
-        require_sequential_dynamics(dynamics)
-        if isinstance(start_state, np.ndarray) and start_state.ndim != 1:
-            raise ValueError(
-                "adaptive mode replays a single start (profile index or (n,) "
-                "profile) per chunk; per-replica (R, n) start profiles would "
-                "tie the samples to one fixed replica count"
-            )
-
-        return _adaptive_truncated_times(
-            TruncatedHittingSampler(dynamics, start_state, targets, max_steps),
-            precision, alpha, max_steps,
-            chunk_size, max_replicas, seed, executor,
-            q, precision_quantile, tracer,
-        )
-    sim = dynamics.ensemble(
-        num_replicas,
-        start=start_state,
-        rng=np.random.default_rng(as_seed_sequence(seed)),
-        tracer=tracer,
+    require_sequential_dynamics(dynamics)
+    return _truncated_times(
+        TruncatedHittingSampler(dynamics, _shared_start(start), targets, max_steps),
+        max_steps, precision, alpha, num_replicas, chunk_size, max_replicas,
+        seed, executor, q, precision_quantile, tracer,
     )
-    return sim.hitting_times(targets, max_steps=max_steps)
 
 
 def pseudo_mixing_time(

@@ -1,6 +1,6 @@
 """Picklable chunk samplers for the adaptive sample-stream driver.
 
-The adaptive estimators (:func:`~repro.core.metastability.empirical_hitting_times`,
+The sample-stream estimators (:func:`~repro.core.metastability.empirical_hitting_times`,
 :func:`~repro.core.metastability.empirical_escape_times`,
 :func:`~repro.analysis.welfare.estimate_stationary_welfare`) all feed the
 same :class:`~repro.stats.stream.SampleDriver` and therefore share one
@@ -28,20 +28,7 @@ __all__ = [
     "TruncatedGibbsEscapeSampler",
     "TruncatedHittingSampler",
     "TruncatedPredicateEscapeSampler",
-    "check_start_inside_well",
 ]
-
-
-def check_start_inside_well(states, sim, count: int) -> None:
-    """Escape times from outside the set would all read 0 — reject early."""
-    inside0 = np.asarray(states(sim.profiles), dtype=bool)
-    if not np.all(inside0):
-        raise ValueError(
-            "start_profiles must lie inside the well: the predicate is "
-            f"False for {int(np.count_nonzero(~inside0))} of "
-            f"{count} replicas at time 0 (escape times from "
-            f"outside the set would all read 0)"
-        )
 
 
 @dataclass
@@ -94,7 +81,12 @@ class TruncatedPredicateEscapeSampler:
         sim = EnsembleSimulator.seeded(
             self.dynamics, children, start=self.start_profile
         )
-        check_start_inside_well(self.states, sim, len(children))
+        if not np.all(np.asarray(self.states(sim.profiles), dtype=bool)):
+            raise ValueError(
+                "start_profiles must lie inside the well: the predicate is "
+                "False at the start (escape times from outside the set would "
+                "all read 0)"
+            )
         times = sim.exit_times(self.states, max_steps=self.max_steps)
         return np.where(times < 0, self.max_steps, times).astype(float)
 

@@ -121,27 +121,28 @@ REPLICA_MAJOR_WINDOW = 16
 def require_sequential_dynamics(dynamics) -> None:
     """Refuse dynamics the seeded per-replica streams cannot represent.
 
-    Adaptive chunked estimation and the sharded executors rebuild a
+    The sample-stream estimators and the sharded executors rebuild a
     dynamics' kernel as its seeded counterpart (one independent random
     stream per replica, see :func:`seeded_kernel_for`).  That counterpart
     exists for the sequential kernel and for the concurrent schedules —
     :class:`SequentialKernel`, :class:`ParallelKernel` and
-    :class:`ProbabilisticKernel` all support ``precision=`` / ``executor=``
-    estimation — but not for the cyclic or time-inhomogeneous kernels,
-    where a silent substitution would simulate a different Markov chain.
-    Every adaptive entry point calls this before building a seeded
-    ensemble.  (The name predates the concurrent kernels: the requirement
-    is "has a seeded counterpart", no longer strictly "sequential".)
+    :class:`ProbabilisticKernel` — but not for the cyclic or
+    time-inhomogeneous kernels, where a silent substitution would
+    simulate a different Markov chain.  Every such entry point calls this
+    before building a seeded ensemble.  (The name predates the concurrent
+    kernels: the requirement is "has a seeded counterpart", no longer
+    strictly "sequential".)
     """
     kernel = dynamics.kernel() if hasattr(dynamics, "kernel") else None
     if kernel is None or type(kernel) not in _SEEDABLE_KERNELS:
         supported = ", ".join(k.__name__ for k in _SEEDABLE_KERNELS)
         raise ValueError(
-            f"adaptive (precision=) estimation runs on per-replica seeded "
-            f"streams, which exist only for dynamics advancing via one of "
-            f"{supported}; {type(dynamics).__name__} advances via "
+            f"this estimator runs on per-replica seeded streams, which "
+            f"exist only for dynamics advancing via one of {supported}; "
+            f"{type(dynamics).__name__} advances via "
             f"{type(kernel).__name__ if kernel is not None else 'no kernel'} "
-            f"— run it with precision=None and a fixed replica count"
+            f"— simulate it on one shared generator with "
+            f"dynamics.ensemble(R, rng=...).hitting_times / .exit_times"
         )
 
 
@@ -595,7 +596,9 @@ class SeededSequentialKernel(UpdateKernel):
             raise ValueError("start and count must be non-negative")
         base = tuple(root.spawn_key)
         return [
-            np.random.SeedSequence(entropy=root.entropy, spawn_key=base + (i,))
+            np.random.SeedSequence(
+                entropy=root.entropy, spawn_key=base + (i,), pool_size=root.pool_size
+            )
             for i in range(start, start + count)
         ]
 
@@ -813,7 +816,7 @@ class SeededProbabilisticKernel(UpdateKernel):
     row of move uniforms.  Each replica's trajectory is therefore a pure
     function of its own seed — pooled concurrent first-passage and TV
     samples are bit-for-bit invariant to chunk size and shard count, which
-    is what lets ``run_until_width``, ``empirical_hitting_times(precision=)``
+    is what lets ``run_until_width``, ``empirical_hitting_times``
     and ``estimate_tv_convergence(executor=)`` run concurrent dynamics.
     Unlike the sequential seeded kernel no block buffering is part of the
     stream: a replica consumes exactly its steps' rows.  :meth:`run_block`
@@ -965,7 +968,7 @@ class AnnealedKernel(UpdateKernel):
 
 
 #: unseeded kernels that have a seeded per-replica-stream counterpart —
-#: exactly the dynamics the adaptive (precision=) and sharded (executor=)
+#: exactly the dynamics the sample-stream and sharded (executor=)
 #: estimators accept (see require_sequential_dynamics / seeded_kernel_for)
 _SEEDABLE_KERNELS: tuple[type, ...] = (
     SequentialKernel,

@@ -296,6 +296,12 @@ class LocalInteractionGame(PotentialGame):
         self._edge_payoffs_flat = self._edge_payoffs.reshape(-1)
         self._rowwise_scratch: _RowwiseScratch | None = None
         self._potential_cache: np.ndarray | None = None
+        self._utility_cache: np.ndarray | None = None
+
+    def __getstate__(self) -> dict:
+        """The game without its dense utility table, rebuilt on first use,
+        so a process-backend payload never ships it."""
+        return {**self.__dict__, "_utility_cache": None}
 
     @staticmethod
     def _edge_matrix_array(
@@ -543,9 +549,20 @@ class LocalInteractionGame(PotentialGame):
         )
 
     def utility_matrix(self, player: int) -> np.ndarray:
-        # dense accessor for the small-space exact machinery; all_profiles
-        # enforces the dense cap with a clear error
-        return self.utilities_of_profiles(player, self.space.all_profiles())
+        # dense accessor for the small-space exact machinery, tabulated for
+        # every player on the first call (one decode of the space instead of
+        # one per player); all_profiles enforces the dense cap with a clear
+        # error
+        self.space._check_player(player)
+        if self._utility_cache is None:
+            profiles = self.space.all_profiles()
+            self._utility_cache = np.stack(
+                [
+                    self.utilities_of_profiles(i, profiles)
+                    for i in range(self.num_players)
+                ]
+            )
+        return self._utility_cache[player].copy()
 
     # -- potential ---------------------------------------------------------
 

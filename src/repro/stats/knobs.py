@@ -1,56 +1,52 @@
-"""Shared knob validation for the adaptive / fixed estimator modes.
+"""Shared knob validation for the Monte-Carlo estimators.
 
 Every Monte-Carlo estimator in the package takes one randomness knob,
-``seed=`` (an int, a ``SeedSequence``, or ``None`` for fresh entropy),
-and runs in one of two modes: the fixed-replica path (``num_replicas=``
-sized, one ensemble stream drawn from ``default_rng(seed)``) and the
-adaptive path (``precision=`` stopped, one ``SeedSequence`` child of
-``seed`` per sample).  Both share one failure mode: accepting a knob that
-belongs to the *other* mode and silently ignoring it would change what
-the caller asked for.  This module is the single definition site of those
-rejections, with one uniform message per conflict, used by the estimators
-in :mod:`repro.core.metastability`, :mod:`repro.analysis.welfare` and
-:mod:`repro.stats.adaptive`.  The sweep's cell lifecycle
-(:mod:`repro.analysis.sweep`) uses the seed, store and executor checks.
+``seed=`` (an int, a ``SeedSequence``, or ``None`` for fresh entropy).
+The sample-stream estimators of :mod:`repro.core.metastability` and
+:mod:`repro.analysis.welfare` spawn one ``SeedSequence`` child of it per
+sample and run on one driver (:func:`repro.stats.adaptive.run_until_width`)
+whose budget is either self-sized (a ``precision=`` / ``q=`` stopping
+target, at most ``max_replicas`` samples) or fixed (exactly
+``num_replicas`` samples).  Accepting a knob that the chosen budget does
+not read and silently ignoring it would change what the caller asked
+for.  This module is the single definition site of the budget rule and
+of those rejections, with one uniform message per conflict, used by the
+estimators in :mod:`repro.core.metastability`,
+:mod:`repro.analysis.welfare` and :mod:`repro.stats.adaptive`.  The
+sweep's cell lifecycle (:mod:`repro.analysis.sweep`) uses the seed,
+store and executor checks.
 """
 
 from __future__ import annotations
 
+from ..markov.chain import check_count
+
 __all__ = [
-    "reject_fixed_mode_knobs",
-    "reject_executor_without_precision",
+    "replica_budget",
     "reject_quantile_knob_conflicts",
     "require_store_seed",
     "require_executor_seed",
 ]
 
 
-def reject_fixed_mode_knobs(num_replicas) -> None:
-    """Adaptive mode sizes the run itself; accepting-and-ignoring the
-    fixed-mode replica count would silently change what the caller asked
-    for."""
+def replica_budget(num_replicas, max_replicas, targeted: bool, default: int) -> int:
+    """The sample budget of a sample-stream estimator.
+
+    With a stopping target (``targeted``) the run sizes itself, up to
+    ``max_replicas`` samples; without one exactly ``num_replicas``
+    samples run (``default`` when unset).  A replica count next to a
+    target is refused: accepting and ignoring it would silently change
+    what the caller asked for.
+    """
+    if not targeted:
+        return default if num_replicas is None else check_count(num_replicas, "num_replicas")
     if num_replicas is not None:
         raise ValueError(
-            "num_replicas is the fixed-mode replica count; adaptive "
-            "(precision=) mode chooses its own sample size — set the budget "
-            "with max_replicas instead"
+            "num_replicas is the fixed-mode replica count of a run without a "
+            "stopping target; a targeted run chooses its own sample size — "
+            "set the budget with max_replicas instead"
         )
-
-
-def reject_executor_without_precision(precision, executor) -> None:
-    """``executor=`` only shards adaptive chunk samplers; refuse elsewhere.
-
-    The fixed-replica path advances one ensemble from a single stream
-    seeded by ``seed``, which cannot be split across processes without
-    changing the samples — accepting-and-ignoring the knob would silently
-    run serial.
-    """
-    if precision is None and executor is not None:
-        raise ValueError(
-            "executor= shards the adaptive (precision=) chunk sampler; the "
-            "fixed-replica path runs one single-stream ensemble and cannot "
-            "be sharded — pass precision= (and seed=) to use an executor"
-        )
+    return check_count(max_replicas, "max_replicas")
 
 
 def reject_quantile_knob_conflicts(q, precision_quantile, support) -> None:

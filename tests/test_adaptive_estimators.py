@@ -2,9 +2,10 @@
 
 Covers the engine's per-replica seeded streams
 (:class:`repro.engine.SeededSequentialKernel`), the deterministic-chunking
-contract of the adaptive estimators, the ``precision=None`` backward-
-compatibility guarantee, and the ``converged`` / ``-1`` sentinel semantics
-of the ensemble mixing estimators.
+contract of the adaptive estimators, the fixed-budget contract (a run
+without a stopping target is the driver's full-budget run), and the
+``converged`` / ``-1`` sentinel semantics of the ensemble mixing
+estimators.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from repro.core import (
     estimate_mixing_time_ensemble,
     estimate_tv_convergence,
 )
-from repro.core.variants import RoundRobinLogitDynamics
+from repro.core.variants import AnnealedLogitDynamics, RoundRobinLogitDynamics
 from repro.engine import EnsembleSimulator, SeededSequentialKernel
 from repro.games import IsingGame, TwoWellGame
+from repro.parallel import ShardedExecutor
 from repro.stats import StreamingEstimate
 
 
@@ -134,21 +136,6 @@ class TestSeededKernel:
 
 
 class TestAdaptiveHittingTimes:
-    def test_precision_none_is_bit_for_bit_legacy(self, ring6_game):
-        """precision=None must reproduce the fixed-replica engine path
-        exactly — same rng consumption, same samples."""
-        target = consensus_target(ring6_game)
-        got = empirical_hitting_times(
-            ring6_game, 1.0, 0, target, num_replicas=32, max_steps=3000,
-            seed=77,
-        )
-        sim = LogitDynamics(ring6_game, 1.0).ensemble(
-            32, start=0, rng=np.random.default_rng(77)
-        )
-        expected = sim.hitting_times(target, max_steps=3000)
-        assert isinstance(got, np.ndarray)
-        np.testing.assert_array_equal(got, expected)
-
     def test_adaptive_returns_interval_carrying_estimate(self, ring6_game):
         target = consensus_target(ring6_game)
         est = empirical_hitting_times(
@@ -186,7 +173,7 @@ class TestAdaptiveHittingTimes:
             )
 
     def test_per_replica_starts_rejected_in_adaptive_mode(self, ring6_game):
-        with pytest.raises(ValueError, match="single start"):
+        with pytest.raises(ValueError, match="one shared start"):
             empirical_hitting_times(
                 ring6_game, 1.0, np.zeros((8, 6), dtype=np.int64),
                 consensus_target(ring6_game), precision=0.1,
@@ -243,23 +230,6 @@ class TestAdaptiveHittingTimes:
 
 
 class TestAdaptiveEscapeTimes:
-    def test_precision_none_is_bit_for_bit_legacy(self):
-        game = TwoWellGame(num_players=4, barrier=1.5)
-        well = lower_well(game)
-        got = empirical_escape_times(
-            game, 1.2, well, num_replicas=24, max_steps=4000,
-            seed=13,
-        )
-        # the legacy path: conditional-Gibbs starts then a bulk exit-time run
-        rng = np.random.default_rng(13)
-        phi = game.potential_vector()[well]
-        weights = np.exp(-1.2 * (phi - phi.min()))
-        weights /= weights.sum()
-        starts = rng.choice(well, size=24, p=weights)
-        sim = LogitDynamics(game, 1.2).ensemble(24, start_indices=starts, rng=rng)
-        expected = sim.exit_times(well, max_steps=4000)
-        np.testing.assert_array_equal(got, expected)
-
     def test_adaptive_interval_and_chunk_invariance(self):
         game = TwoWellGame(num_players=4, barrier=1.5)
         well = lower_well(game)
@@ -294,7 +264,7 @@ class TestAdaptiveEscapeTimes:
     def test_predicate_well_adaptive_requires_single_profile(self):
         game = TwoWellGame(num_players=4, barrier=1.5)
         inside = lambda p: p.sum(axis=1) < 2  # noqa: E731
-        with pytest.raises(ValueError, match="single"):
+        with pytest.raises(ValueError, match="one shared start"):
             empirical_escape_times(
                 game, 1.0, inside,
                 start_profiles=np.zeros((8, 4), dtype=np.int64),
@@ -306,6 +276,80 @@ class TestAdaptiveEscapeTimes:
             max_replicas=128,
         )
         assert isinstance(est, StreamingEstimate)
+
+
+FIRST_PASSAGE_CASES = {
+    "hitting-index": lambda game, **kw: empirical_hitting_times(
+        game, 1.0, 0, consensus_target(game), max_steps=300, **kw
+    ),
+    "hitting-predicate": lambda game, **kw: empirical_hitting_times(
+        game, 1.0, np.zeros(6, dtype=np.int64),
+        lambda p: p.min(axis=1) == 1, max_steps=300, **kw,
+    ),
+    "escape-index": lambda game, **kw: empirical_escape_times(
+        game, 1.0, np.flatnonzero(game.space.weight(np.arange(64)) < 2),
+        max_steps=300, **kw,
+    ),
+    "escape-predicate": lambda game, **kw: empirical_escape_times(
+        game, 1.0, lambda p: p.sum(axis=1) < 2,
+        start_profiles=np.zeros(6, dtype=np.int64), max_steps=300, **kw,
+    ),
+}
+
+
+class TestFixedBudget:
+    """A run without a stopping target is the driver's full-budget run."""
+
+    @pytest.mark.parametrize("case", list(FIRST_PASSAGE_CASES))
+    def test_fixed_budget_is_the_untargeted_driver_run(self, ring6_game, case):
+        run = FIRST_PASSAGE_CASES[case]
+        reference = run(ring6_game, precision=1e-12, max_replicas=24, seed=19)
+        assert reference.n == 24 and not reference.stopped_early
+        for chunk_size in (1, 7, 64):
+            for executor in (None, ShardedExecutor(1), ShardedExecutor(3)):
+                fixed = run(
+                    ring6_game, num_replicas=24, chunk_size=chunk_size,
+                    executor=executor, seed=19,
+                )
+                assert isinstance(fixed, StreamingEstimate)
+                np.testing.assert_array_equal(fixed.samples, reference.samples)
+
+    def test_unreached_target_reads_the_horizon(self, ring6_game):
+        est = empirical_hitting_times(
+            ring6_game, 3.0, 0, consensus_target(ring6_game), num_replicas=8,
+            max_steps=5, seed=1,
+        )
+        np.testing.assert_array_equal(est.samples, np.full(8, 5.0))
+
+    @pytest.mark.parametrize("case", ["hitting-index", "escape-predicate"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda game: RoundRobinLogitDynamics(game, 1.0),
+            lambda game: AnnealedLogitDynamics(game, np.full(400, 1.0)),
+        ],
+        ids=["round-robin", "annealed"],
+    )
+    def test_unseedable_dynamics_rejected_without_a_target(
+        self, ring6_game, case, make
+    ):
+        with pytest.raises(ValueError, match="seeded streams"):
+            FIRST_PASSAGE_CASES[case](
+                ring6_game, num_replicas=8, dynamics=make(ring6_game), seed=0,
+            )
+
+    def test_per_replica_starts_rejected_without_a_target(self, ring6_game):
+        starts = np.zeros((8, 6), dtype=np.int64)
+        with pytest.raises(ValueError, match="one shared start"):
+            empirical_hitting_times(
+                ring6_game, 1.0, starts, consensus_target(ring6_game),
+                num_replicas=8, seed=0,
+            )
+        with pytest.raises(ValueError, match="one shared start"):
+            empirical_escape_times(
+                ring6_game, 1.0, lambda p: p.sum(axis=1) < 2,
+                start_profiles=starts, num_replicas=8, seed=0,
+            )
 
 
 class TestConvergedSentinel:

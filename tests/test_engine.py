@@ -333,7 +333,7 @@ class TestEnsembleSimulator:
             num_replicas=32,
             max_steps=10_000,
             seed=8,
-        )
+        ).samples
         assert np.all(times > 0)
 
     @pytest.mark.slow
@@ -526,7 +526,7 @@ class TestEnsembleMetastability:
             num_replicas=400,
             max_steps=200_000,
             seed=12,
-        )
+        ).samples
         assert np.all(samples > 0)
         assert samples.mean() == pytest.approx(exact, rel=0.35)
 
@@ -540,7 +540,7 @@ class TestEnsembleMetastability:
             num_replicas=32,
             max_steps=100_000,
             seed=13,
-        )
+        ).samples
         assert np.all(samples > 0)
 
 

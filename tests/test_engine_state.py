@@ -454,7 +454,7 @@ class TestLargeScaleAcceptance:
             start_profiles=np.zeros(BIG_N, dtype=np.int64),
             dynamics=dynamics,
             seed=3,
-        )
+        ).samples
         assert np.all(times > 0)
 
     def test_empirical_hitting_times_predicate_entry_point(self, big_ring_game):
@@ -467,5 +467,5 @@ class TestLargeScaleAcceptance:
             num_replicas=4,
             max_steps=50_000,
             seed=4,
-        )
+        ).samples
         assert np.all(times > 0)

@@ -116,6 +116,9 @@ def first_passage(kind, **knobs):
         # certified it against a 300.7-step support
         ({"max_steps": 300.7, "precision": 0.5, "max_replicas": 64}, TypeError),
         ({"max_steps": -1, "precision": 0.5, "max_replicas": 64}, ValueError),
+        # regression: the confidence sequence refused a (0, 0) support
+        ({"max_steps": 0, "precision": 0.5, "max_replicas": 64}, ValueError),
+        ({"max_steps": 0, "num_replicas": 8}, ValueError),
     ],
 )
 def test_first_passage_knobs_are_validated(kind, knobs, error):
@@ -234,6 +237,17 @@ POINT_MASS = np.eye(16)[0]
             lambda: estimate_stationary_welfare(RING4.game, 1.0, num_steps=2.5, num_replicas=8, seed=1),
             TypeError, "num_steps",
             id="welfare_burn_in-fraction",
+        ),
+        # regression: reported as the driver's "max_n"
+        pytest.param(
+            lambda: estimate_stationary_welfare(RING4.game, 1.0, num_steps=5, num_replicas=2.5, seed=1),
+            TypeError, "num_replicas must be an integer",
+            id="welfare_replicas-fraction",
+        ),
+        pytest.param(
+            lambda: estimate_stationary_welfare(RING4.game, 1.0, num_steps=5, num_replicas=0, seed=1),
+            ValueError, "num_replicas must be at least 1",
+            id="welfare_replicas-zero",
         ),
         # regression: numpy's "negative dimensions are not allowed"
         pytest.param(

@@ -11,6 +11,8 @@ which is then exercised far past the int64 profile-index ceiling.
 
 from __future__ import annotations
 
+import pickle
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.games import (
     GraphicalCoordinationGame,
     IsingGame,
     LocalInteractionGame,
+    ProfileSpace,
     TwoPlayerCoordinationGame,
     derive_edge_potential,
 )
@@ -231,6 +234,26 @@ class TestUtilityPaths:
         np.testing.assert_array_equal(
             ok[0], game.utility_deviations_profiles(0, profiles[1:])[0]
         )
+
+    def test_utility_matrix_decodes_the_space_once(self, game, monkeypatch):
+        expected = [
+            game.utilities_of_profiles(player, game.space.all_profiles())
+            for player in range(game.num_players)
+        ]
+        calls = []
+        decode = ProfileSpace.decode_many
+        monkeypatch.setattr(
+            ProfileSpace, "decode_many",
+            lambda space, idx: calls.append(1) or decode(space, idx),
+        )
+        fresh_size = len(pickle.dumps(game))
+        for player in range(game.num_players):
+            row = game.utility_matrix(player)
+            np.testing.assert_array_equal(row, expected[player])
+            row[:] = np.nan  # a caller's edit must not reach the table
+        assert len(calls) == 1
+        np.testing.assert_array_equal(game.utility_matrix(2), expected[2])
+        assert len(pickle.dumps(game)) == fresh_size
 
     def test_utility_profile_many_matches_scalar(self, game, rng):
         idx = rng.integers(0, game.space.size, size=9)

