@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.logit import LogitDynamics
 from ..core.samplers import BurnInWelfareSampler
-from ..engine.kernels import require_sequential_dynamics
+from ..engine.kernels import check_seedable
 from ..games.base import Game
 from ..games.space import DENSE_PROFILE_CAP
 from ..markov.chain import check_count
@@ -144,7 +144,7 @@ def estimate_stationary_welfare(
     """
     if dynamics is None:
         dynamics = LogitDynamics(game, beta)
-    require_sequential_dynamics(dynamics)
+    check_seedable(dynamics)
     if precision is not None and precision <= 0:
         raise ValueError("precision must be positive (absolute welfare units)")
     if precision_quantile is not None and precision_quantile <= 0:

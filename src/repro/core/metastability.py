@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..engine.kernels import require_sequential_dynamics
+from ..engine.kernels import check_seedable
 from ..games.base import Game
 from ..games.potential import PotentialGame
 from ..markov.chain import MarkovChain, check_count
@@ -324,7 +324,7 @@ def empirical_escape_times(
     max_steps = check_count(max_steps, "max_steps")
     if dynamics is None:
         dynamics = LogitDynamics(game, beta)
-    require_sequential_dynamics(dynamics)
+    check_seedable(dynamics)
     if callable(states):
         if start_distribution is not None:
             raise ValueError(
@@ -418,7 +418,7 @@ def empirical_hitting_times(
     max_steps = check_count(max_steps, "max_steps")
     if dynamics is None:
         dynamics = LogitDynamics(game, beta)
-    require_sequential_dynamics(dynamics)
+    check_seedable(dynamics)
     return _truncated_times(
         TruncatedHittingSampler(dynamics, _shared_start(start), targets, max_steps),
         max_steps, precision, alpha, num_replicas, chunk_size, max_replicas,

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..obs import as_tracer
 from ..engine.ensemble import EnsembleSimulator
-from ..engine.kernels import require_sequential_dynamics
+from ..engine.kernels import check_seedable
 from ..engine.state import IndexState
 from ..engine.streams import as_seed_sequence, spawn_words
 from ..games.base import Game
@@ -242,7 +242,7 @@ def _sharded_tv_stepper(dynamics, num_replicas, start, seed, executor, tracer):
     ``nbytes`` of the arrays each round ships and receives, and puts the
     round's figures on its ``shard.chunk`` event.
     """
-    require_sequential_dynamics(dynamics)
+    check_seedable(dynamics)
     state = IndexState(dynamics.game.space)
     state.init(num_replicas, start, None)
     root = as_seed_sequence(seed)

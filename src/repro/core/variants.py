@@ -213,7 +213,8 @@ class ParallelLogitDynamics(ConcurrentLogitDynamics):
     ``p = 1`` case of :class:`ConcurrentLogitDynamics`, which supplies the
     exact machinery and the scalar reference loop; only the kernel's name
     differs (:class:`~repro.engine.kernels.ParallelKernel`, whose seeded
-    counterpart is :class:`~repro.engine.kernels.SeededParallelKernel`).
+    form is the :class:`~repro.engine.kernels.SeededProbabilisticKernel`
+    at ``p = 1``).
 
     >>> import networkx as nx
     >>> import numpy as np

@@ -19,13 +19,13 @@ for the full contract):
   case), a cyclic cursor
   (:class:`~repro.engine.kernels.RoundRobinKernel`), a sequential mover
   under a time-varying ``beta_t`` schedule
-  (:class:`~repro.engine.kernels.AnnealedKernel`), or any of the seeded
-  per-replica-stream variants
+  (:class:`~repro.engine.kernels.AnnealedKernel`), or a seeded
+  per-replica-stream kernel
   (:class:`~repro.engine.kernels.SeededSequentialKernel`,
-  :class:`~repro.engine.kernels.SeededParallelKernel`,
   :class:`~repro.engine.kernels.SeededProbabilisticKernel` — the
   chunk-size-invariant sampling modes behind the adaptive estimators,
-  dispatched by :func:`~repro.engine.kernels.seeded_kernel_for`; see
+  which the sequential and probabilistic kernels build as their
+  :meth:`~repro.engine.kernels.UpdateKernel.seeded` form; see
   :meth:`EnsembleSimulator.seeded
   <repro.engine.ensemble.EnsembleSimulator.seeded>`);
 * a **rule** (:class:`~repro.core.logit.UtilityRule`) supplies the mover's
@@ -73,12 +73,10 @@ from .kernels import (
     ParallelKernel,
     ProbabilisticKernel,
     RoundRobinKernel,
-    SeededParallelKernel,
     SeededProbabilisticKernel,
     SeededSequentialKernel,
     SequentialKernel,
     UpdateKernel,
-    seeded_kernel_for,
 )
 from .sampling import sample_from_cumulative, sample_inverse_cdf
 from .state import EngineState, IndexState, MatrixState, strategy_dtype
@@ -98,9 +96,7 @@ __all__ = [
     "SeededSequentialKernel",
     "ParallelKernel",
     "ProbabilisticKernel",
-    "SeededParallelKernel",
     "SeededProbabilisticKernel",
-    "seeded_kernel_for",
     "RoundRobinKernel",
     "AnnealedKernel",
     "maximal_coupling_update_many",

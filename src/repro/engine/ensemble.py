@@ -71,12 +71,7 @@ import numpy as np
 from ..games.space import DENSE_PROFILE_CAP
 from ..markov.chain import check_count
 from ..obs import as_tracer
-from .kernels import (
-    SeededSequentialKernel,
-    SequentialKernel,
-    UpdateKernel,
-    seeded_kernel_for,
-)
+from .kernels import SeededSequentialKernel, SequentialKernel, UpdateKernel, kernel_of
 from .sampling import sample_from_cumulative, sample_inverse_cdf
 from .state import EngineState, IndexState, MatrixState, integral_array
 from .streams import stream_words
@@ -278,15 +273,14 @@ class EnsembleSimulator:
     ) -> "EnsembleSimulator":
         """An ensemble with one independent random stream per replica.
 
-        Builds the simulator around the seeded counterpart of the
-        dynamics' own kernel
-        (:func:`~repro.engine.kernels.seeded_kernel_for`): sequential
-        dynamics get a
+        Builds the simulator around the seeded form of the dynamics' own
+        kernel (:meth:`~repro.engine.kernels.UpdateKernel.seeded`; a rule
+        without ``kernel()`` gets the sequential one, as in the
+        constructor): sequential dynamics run a
         :class:`~repro.engine.kernels.SeededSequentialKernel`, concurrent
-        (parallel / probabilistic-schedule) dynamics their
-        :class:`~repro.engine.kernels.SeededParallelKernel` /
-        :class:`~repro.engine.kernels.SeededProbabilisticKernel`; kernels
-        without a seeded counterpart raise.  Replica ``r`` draws all of
+        (parallel / probabilistic-schedule) dynamics a
+        :class:`~repro.engine.kernels.SeededProbabilisticKernel` at their
+        ``p``; kernels without a seeded form raise.  Replica ``r`` draws all of
         its randomness from ``seeds[r]`` (a
         :class:`numpy.random.SeedSequence` child or raw int; or row ``r``
         of an ``(R, 6)`` uint64 stream-word array, see
@@ -304,20 +298,13 @@ class EnsembleSimulator:
         instead.
         """
         seeds = stream_words(seeds)
-        kernel = dynamics.kernel() if hasattr(dynamics, "kernel") else None
-        if kernel is None:
-            seeded_kernel: UpdateKernel = SeededSequentialKernel(
-                dynamics, seeds, block_size=block_size
-            )
-        else:
-            seeded_kernel = seeded_kernel_for(kernel, seeds, block_size=block_size)
         return cls(
             dynamics,
             seeds.shape[0],
             start=start,
             start_indices=start_indices,
             state=state,
-            kernel=seeded_kernel,
+            kernel=kernel_of(dynamics).seeded(seeds, block_size=block_size),
             tracer=tracer,
         )
 

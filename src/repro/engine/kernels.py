@@ -47,6 +47,10 @@ and ``run_block(sim, draws, start, stop)``
     ``block_slots(sim)``
     is one step's share of the block budget, which sizes the blocks.
 
+``seeded(seeds, block_size=256)``
+    The kernel on one random stream per replica (see the end of this
+    docstring); the default refuses.
+
 ``init_state(sim) -> dict``
     Per-simulator mutable state, stored by the simulator and reset together
     with the replicas.  The round-robin kernel keeps its player cursor here
@@ -77,11 +81,16 @@ kernel                         per step consumes
                                (the step's rule is ``rule.rule_at(t)``)
 =============================  ===============================================
 
-The seeded variants (:class:`SeededSequentialKernel`,
-:class:`SeededParallelKernel`, :class:`SeededProbabilisticKernel`) consume
-the same quantities per step, but from one independent PCG64 stream per
-replica instead of the simulator's shared stream — the contract that makes
-pooled adaptive/sharded samples invariant to chunk size and shard count.
+The seeded kernels (:class:`SeededSequentialKernel`,
+:class:`SeededProbabilisticKernel`) consume the same quantities per step,
+but from one independent PCG64 stream per replica instead of the
+simulator's shared stream — the contract that makes pooled
+adaptive/sharded samples invariant to chunk size and shard count.  A
+kernel builds its own seeded form, :meth:`UpdateKernel.seeded`: the
+sequential kernel its seeded twin, the probabilistic kernel (the parallel
+one included) the seeded probabilistic kernel at its ``p``.  Every other
+kernel refuses, since substituting a different schedule would simulate a
+different Markov chain.
 """
 
 from __future__ import annotations
@@ -91,7 +100,7 @@ import abc
 import numpy as np
 
 from ..markov.chain import check_count
-from .streams import StreamBank, stream_words
+from .streams import WORDS_PER_STREAM, StreamBank, _children, stream_words
 
 __all__ = [
     "UpdateKernel",
@@ -99,14 +108,11 @@ __all__ = [
     "SeededSequentialKernel",
     "ParallelKernel",
     "ProbabilisticKernel",
-    "SeededParallelKernel",
     "SeededProbabilisticKernel",
     "RoundRobinKernel",
     "AnnealedKernel",
     "closed_neighbourhoods",
     "dependency_levels",
-    "require_sequential_dynamics",
-    "seeded_kernel_for",
 ]
 
 # Binary first-passage windows with at most this many live replicas step
@@ -116,34 +122,6 @@ __all__ = [
 # the two loops break even at 16-20 replicas (2-core x86, 6-ring); a replica
 # that hits early stops early, which only favours the replica-major loop.
 REPLICA_MAJOR_WINDOW = 16
-
-
-def require_sequential_dynamics(dynamics) -> None:
-    """Refuse dynamics the seeded per-replica streams cannot represent.
-
-    The sample-stream estimators and the sharded executors rebuild a
-    dynamics' kernel as its seeded counterpart (one independent random
-    stream per replica, see :func:`seeded_kernel_for`).  That counterpart
-    exists for the sequential kernel and for the concurrent schedules —
-    :class:`SequentialKernel`, :class:`ParallelKernel` and
-    :class:`ProbabilisticKernel` — but not for the cyclic or
-    time-inhomogeneous kernels, where a silent substitution would
-    simulate a different Markov chain.  Every such entry point calls this
-    before building a seeded ensemble.  (The name predates the concurrent
-    kernels: the requirement is "has a seeded counterpart", no longer
-    strictly "sequential".)
-    """
-    kernel = dynamics.kernel() if hasattr(dynamics, "kernel") else None
-    if kernel is None or type(kernel) not in _SEEDABLE_KERNELS:
-        supported = ", ".join(k.__name__ for k in _SEEDABLE_KERNELS)
-        raise ValueError(
-            f"this estimator runs on per-replica seeded streams, which "
-            f"exist only for dynamics advancing via one of {supported}; "
-            f"{type(dynamics).__name__} advances via "
-            f"{type(kernel).__name__ if kernel is not None else 'no kernel'} "
-            f"— simulate it on one shared generator with "
-            f"dynamics.ensemble(R, rng=...).hitting_times / .exit_times"
-        )
 
 
 class UpdateKernel(abc.ABC):
@@ -208,8 +186,36 @@ class UpdateKernel(abc.ABC):
     def step(self, sim, where: np.ndarray | None = None) -> None:
         """Advance the selected replicas one step, drawing from ``sim.rng``."""
 
+    def seeded(self, seeds, block_size: int = 256) -> "UpdateKernel":
+        """This kernel on one independent random stream per replica.
+
+        ``seeds`` is one ``SeedSequence`` (or int) per replica, or an
+        ``(R, 6)`` uint64 stream-word array (:mod:`repro.engine.streams`);
+        ``block_size`` is part of the sequential form's stream definition.
+        The default refuses: only the kernels that override this have a
+        seeded form, and a subclass that changes how a step moves must
+        override it again.
+        """
+        raise ValueError(
+            "per-replica seeded streams exist only for SequentialKernel and "
+            "ProbabilisticKernel (ParallelKernel is its p = 1 case); simulate "
+            "other kernels on one shared generator with "
+            "dynamics.ensemble(R, rng=...)"
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(rule={self.rule!r})"
+
+
+def kernel_of(dynamics) -> UpdateKernel:
+    """The kernel ``dynamics`` advances by: its own ``kernel()``, else the
+    paper's sequential kernel (a bare rule)."""
+    return dynamics.kernel() if hasattr(dynamics, "kernel") else SequentialKernel(dynamics)
+
+
+def check_seedable(dynamics) -> None:
+    """Refuse, before any sampling, dynamics without a seeded kernel form."""
+    kernel_of(dynamics).seeded(np.zeros((1, WORDS_PER_STREAM), dtype=np.uint64))
 
 
 def _seed_words(seeds) -> np.ndarray:
@@ -487,6 +493,9 @@ class SequentialKernel(UpdateKernel):
         uniforms = sim.rng.random(k)
         sim._advance_batch(players, uniforms, where=where)
 
+    def seeded(self, seeds, block_size: int = 256) -> "SeededSequentialKernel":
+        return SeededSequentialKernel(self.rule, seeds, block_size=block_size)
+
 
 class SeededSequentialKernel(UpdateKernel):
     """Sequential kernel with one independent random stream *per replica*.
@@ -594,13 +603,7 @@ class SeededSequentialKernel(UpdateKernel):
         """
         if start < 0 or count < 0:
             raise ValueError("start and count must be non-negative")
-        base = tuple(root.spawn_key)
-        return [
-            np.random.SeedSequence(
-                entropy=root.entropy, spawn_key=base + (i,), pool_size=root.pool_size
-            )
-            for i in range(start, start + count)
-        ]
+        return _children(root, start, count)
 
     def init_state(self, sim) -> dict:
         R = sim.num_replicas
@@ -789,6 +792,11 @@ class ProbabilisticKernel(UpdateKernel):
         uniforms = sim.rng.random((k, n))
         _concurrent_sweep(sim, where, old, mask, uniforms)
 
+    def seeded(self, seeds, block_size: int = 256) -> "SeededProbabilisticKernel":
+        """The seeded form at this ``p`` (``block_size`` does not apply: a
+        step draws whole rows)."""
+        return SeededProbabilisticKernel(self.rule, seeds, p=self.p)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(rule={self.rule!r}, p={self.p})"
 
@@ -880,18 +888,6 @@ class SeededProbabilisticKernel(UpdateKernel):
         )
 
 
-class SeededParallelKernel(SeededProbabilisticKernel):
-    """Seeded all-players-at-once kernel (the ``p = 1`` schedule).
-
-    Per step each replica consumes one ``(n,)`` row of move uniforms from
-    its own stream — the :class:`ParallelKernel` contract on per-replica
-    streams.
-    """
-
-    def __init__(self, rule, seeds):
-        super().__init__(rule, seeds, p=1.0)
-
-
 class RoundRobinKernel(UpdateKernel):
     """Players revise in the fixed cyclic order 0, 1, ..., n-1, 0, ...
 
@@ -965,44 +961,3 @@ class AnnealedKernel(UpdateKernel):
         uniforms = sim.rng.random(k)
         sim._advance_batch(players, uniforms, where=where, rule=rule)
         state["step"] += 1
-
-
-#: unseeded kernels that have a seeded per-replica-stream counterpart —
-#: exactly the dynamics the sample-stream and sharded (executor=)
-#: estimators accept (see require_sequential_dynamics / seeded_kernel_for)
-_SEEDABLE_KERNELS: tuple[type, ...] = (
-    SequentialKernel,
-    ParallelKernel,
-    ProbabilisticKernel,
-)
-
-
-def seeded_kernel_for(kernel: UpdateKernel, seeds, block_size: int = 256):
-    """The per-replica-stream counterpart of an unseeded kernel.
-
-    This is the dispatch :meth:`EnsembleSimulator.seeded
-    <repro.engine.ensemble.EnsembleSimulator.seeded>` — and through it every
-    adaptive and sharded estimator — uses to rebuild a dynamics' kernel
-    around per-replica streams:
-
-    * :class:`SequentialKernel` -> :class:`SeededSequentialKernel`
-      (``block_size`` is part of that kernel's stream definition);
-    * :class:`ParallelKernel` -> :class:`SeededParallelKernel`;
-    * :class:`ProbabilisticKernel` -> :class:`SeededProbabilisticKernel`
-      at the same update probability ``p``.
-
-    Kernels without a seeded counterpart (round-robin, annealed) raise —
-    silently substituting a different schedule would simulate a different
-    Markov chain.
-    """
-    if type(kernel) is SequentialKernel:
-        return SeededSequentialKernel(kernel.rule, seeds, block_size=block_size)
-    if type(kernel) is ParallelKernel:
-        return SeededParallelKernel(kernel.rule, seeds)
-    if type(kernel) is ProbabilisticKernel:
-        return SeededProbabilisticKernel(kernel.rule, seeds, p=kernel.p)
-    supported = ", ".join(k.__name__ for k in _SEEDABLE_KERNELS)
-    raise ValueError(
-        f"no seeded per-replica-stream counterpart exists for "
-        f"{type(kernel).__name__}; seeded ensembles support {supported}"
-    )

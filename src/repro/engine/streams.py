@@ -269,6 +269,21 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _children(
+    root: np.random.SeedSequence, offset: int, count: int
+) -> list[np.random.SeedSequence]:
+    """Children ``offset .. offset + count - 1`` of ``root``, one object each
+    (the :meth:`~repro.engine.kernels.SeededSequentialKernel.spawn_block`
+    contract)."""
+    key = tuple(root.spawn_key)
+    return [
+        np.random.SeedSequence(
+            entropy=root.entropy, spawn_key=key + (i,), pool_size=root.pool_size
+        )
+        for i in range(offset, offset + count)
+    ]
+
+
 def spawn_words(root: np.random.SeedSequence, offset: int, count: int) -> np.ndarray:
     """Stream words of children ``offset .. offset + count - 1`` of ``root``.
 
@@ -285,14 +300,7 @@ def spawn_words(root: np.random.SeedSequence, offset: int, count: int) -> np.nda
         return np.zeros((0, WORDS_PER_STREAM), dtype=np.uint64)
     if _coerce_to_uint32_array is None or offset + count > 2**32:
         # an index >= 2**32 takes two entropy words: let numpy hash it
-        return stream_words(
-            np.random.SeedSequence(
-                entropy=root.entropy,
-                spawn_key=tuple(root.spawn_key) + (i,),
-                pool_size=root.pool_size,
-            )
-            for i in range(offset, offset + count)
-        )
+        return stream_words(_children(root, offset, count))
     run = _coerce_to_uint32_array(root.entropy)
     if run.size < root.pool_size:
         # numpy zero-pads short run entropy whenever a spawn key follows

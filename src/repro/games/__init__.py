@@ -28,12 +28,10 @@ from .dominant import (
     AnonymousDominantGame,
     dominant_profile,
     dominant_strategies,
-    has_dominant_profile,
     random_dominant_game,
 )
 from .maxsolvable import (
     MaxSolvableResult,
-    is_max_solvable,
     max_solve,
     never_best_response_strategies,
 )
@@ -55,7 +53,6 @@ from .space import ProfileSpace
 
 __all__ = [
     "MaxSolvableResult",
-    "is_max_solvable",
     "max_solve",
     "never_best_response_strategies",
     "Game",
@@ -76,7 +73,6 @@ __all__ = [
     "AnonymousDominantGame",
     "dominant_profile",
     "dominant_strategies",
-    "has_dominant_profile",
     "random_dominant_game",
     "LocalInteractionGame",
     "derive_edge_potential",

@@ -9,7 +9,7 @@ exhibits a matching family whose mixing time is ``Omega(m^{n-1})``.
 
 This module provides:
 
-* :func:`has_dominant_profile` / :func:`dominant_strategies` — detection on
+* :func:`dominant_profile` / :func:`dominant_strategies` — detection on
   arbitrary games;
 * :class:`AnonymousDominantGame` — the Theorem 4.3 construction
   (``u_i(x) = 0`` if ``x = 0`` and ``-1`` otherwise), which is
@@ -30,7 +30,6 @@ from .space import ProfileSpace
 
 __all__ = [
     "dominant_strategies",
-    "has_dominant_profile",
     "dominant_profile",
     "AnonymousDominantGame",
     "random_dominant_game",
@@ -70,11 +69,6 @@ def dominant_profile(game: Game, tol: float = 1e-12) -> tuple[int, ...] | None:
             return None
         choice.append(doms[0])
     return tuple(choice)
-
-
-def has_dominant_profile(game: Game, tol: float = 1e-12) -> bool:
-    """Whether every player has a (weakly) dominant strategy."""
-    return dominant_profile(game, tol=tol) is not None
 
 
 class AnonymousDominantGame(TableGame, PotentialGame):

@@ -12,9 +12,8 @@ This module provides
 * :func:`never_best_response_strategies` — the per-player deletion step;
 * :func:`max_solve` — the full iterated elimination procedure, returning the
   elimination order and the surviving strategy sets;
-* :func:`is_max_solvable` — whether the procedure terminates with a single
-  profile;
-* :class:`MaxSolvableResult` — a record of the elimination run.
+* :class:`MaxSolvableResult` — a record of the elimination run; its
+  ``solvable`` flag says whether a single profile survives.
 
 The elimination procedure used here deletes strategies that are never a
 *weak* best response (never attain the maximum utility against any
@@ -32,7 +31,6 @@ from .base import Game
 __all__ = [
     "never_best_response_strategies",
     "max_solve",
-    "is_max_solvable",
     "MaxSolvableResult",
 ]
 
@@ -105,8 +103,3 @@ def max_solve(game: Game, tol: float = 1e-12, max_rounds: int | None = None) -> 
         surviving=tuple(tuple(s) for s in surviving),
         elimination_order=tuple(eliminated),
     )
-
-
-def is_max_solvable(game: Game, tol: float = 1e-12) -> bool:
-    """Whether iterated elimination reduces the game to a single profile."""
-    return max_solve(game, tol=tol).solvable

@@ -42,7 +42,6 @@ from typing import Callable
 import numpy as np
 
 from ..obs import as_tracer
-from ..stats.accumulators import StreamingEstimate
 
 __all__ = [
     "ExperimentStore",
@@ -194,21 +193,9 @@ def _encode(value, arrays: dict[str, np.ndarray]):
         return {str(k): _encode(v, arrays) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode(v, arrays) for v in value]
-    if isinstance(value, StreamingEstimate):
-        fields = {
-            "estimate": value.estimate,
-            "lower": value.lower,
-            "upper": value.upper,
-            "n": value.n,
-            "stopped_early": value.stopped_early,
-            "alpha": value.alpha,
-            "target_width": value.target_width,
-            "samples": value.samples,
-        }
-        return {"__streaming_estimate__": _encode(fields, arrays)}
     raise TypeError(
         f"cannot store values of type {type(value).__qualname__}; supported: "
-        f"scalars, strings, dicts, lists, numpy arrays, StreamingEstimate"
+        f"scalars, strings, dicts, lists, numpy arrays"
     )
 
 
@@ -223,18 +210,6 @@ def _decode(value, arrays):
             if arrays is None:
                 raise KeyError("record references an NPZ payload that is missing")
             return np.asarray(arrays[value["__npz__"]])
-        if "__streaming_estimate__" in value:
-            fields = _decode(value["__streaming_estimate__"], arrays)
-            return StreamingEstimate(
-                estimate=fields["estimate"],
-                lower=fields["lower"],
-                upper=fields["upper"],
-                n=fields["n"],
-                stopped_early=fields["stopped_early"],
-                alpha=fields["alpha"],
-                target_width=fields["target_width"],
-                samples=fields["samples"],
-            )
         return {k: _decode(v, arrays) for k, v in value.items()}
     return value
 

@@ -42,6 +42,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammainc, gammaln
 
+from .confseq import _validate_alpha
+
 __all__ = [
     "QuantileCS",
     "QuantileEstimate",
@@ -49,12 +51,6 @@ __all__ = [
     "gamma_exponential_boundary",
     "gamma_exponential_log_mixture",
 ]
-
-
-def _validate_alpha(alpha: float) -> float:
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    return float(alpha)
 
 
 def gamma_exponential_log_mixture(

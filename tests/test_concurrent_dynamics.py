@@ -17,6 +17,8 @@ Covers the :class:`~repro.engine.kernels.ProbabilisticKernel` family and
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -34,11 +36,20 @@ from repro.core import (
     theorem1207_mixing_upper,
     theorem1207_stationary_product,
 )
-from repro.engine import EnsembleSimulator, ProbabilisticKernel, seeded_kernel_for
+from repro.core.logit import LogitDynamics, LogitRule
+from repro.core.variants import AnnealedLogitDynamics, RoundRobinLogitDynamics
+from repro.engine import EnsembleSimulator, ProbabilisticKernel
+from repro.engine import kernels as kernels_module
 from repro.engine.kernels import (
-    SeededParallelKernel,
+    AnnealedKernel,
+    ParallelKernel,
+    RoundRobinKernel,
     SeededProbabilisticKernel,
     SeededSequentialKernel,
+    SequentialKernel,
+    UpdateKernel,
+    check_seedable,
+    kernel_of,
 )
 from repro.games import IsingGame, LocalInteractionGame
 from repro.markov.tv import total_variation
@@ -110,16 +121,79 @@ def test_invalid_update_probability_rejected(ring6_game):
             ProbabilisticKernel(ParallelLogitDynamics(ring6_game, 0.5), p=p)
 
 
-def test_seeded_kernel_dispatch(ring6_game):
-    seeds = np.random.SeedSequence(0).spawn(3)
-    conc = ConcurrentLogitDynamics(ring6_game, 0.5, p=0.3)
-    kern = seeded_kernel_for(conc.kernel(), seeds)
-    assert type(kern) is SeededProbabilisticKernel
-    assert kern.p == pytest.approx(0.3)
-    par = ParallelLogitDynamics(ring6_game, 0.5)
-    assert type(seeded_kernel_for(par.kernel(), seeds)) is SeededParallelKernel
-    with pytest.raises(ValueError, match="seeded"):
-        seeded_kernel_for(object(), seeds)
+SEEDS = np.random.SeedSequence(0).spawn(3)
+
+
+def _owning(kernel):
+    """Dynamics whose ``kernel()`` is ``kernel`` (no dynamics class returns a
+    seeded kernel)."""
+    return SimpleNamespace(game=kernel.game, kernel=lambda: kernel)
+
+
+#: one dynamics per UpdateKernel subclass of repro.engine.kernels (keyed by
+#: the kernel its ``kernel()`` returns), plus a bare rule with no ``kernel()``
+DYNAMICS_CASES = {
+    SequentialKernel: lambda game: LogitDynamics(game, 0.5),
+    SeededSequentialKernel: lambda game: _owning(
+        SeededSequentialKernel(LogitDynamics(game, 0.5), SEEDS)
+    ),
+    ProbabilisticKernel: lambda game: ConcurrentLogitDynamics(game, 0.5, p=0.3),
+    ParallelKernel: lambda game: ParallelLogitDynamics(game, 0.5),
+    SeededProbabilisticKernel: lambda game: _owning(
+        SeededProbabilisticKernel(LogitDynamics(game, 0.5), SEEDS, p=0.3)
+    ),
+    RoundRobinKernel: lambda game: RoundRobinLogitDynamics(game, 0.5),
+    AnnealedKernel: lambda game: AnnealedLogitDynamics(game, np.full(50, 0.5)),
+    LogitRule: lambda game: LogitRule(game, 0.5),
+}
+
+#: the seeded form each accepted case runs on, and its update probability
+SEEDED_FORMS = {
+    SequentialKernel: (SeededSequentialKernel, None),
+    ProbabilisticKernel: (SeededProbabilisticKernel, 0.3),
+    ParallelKernel: (SeededProbabilisticKernel, 1.0),
+    LogitRule: (SeededSequentialKernel, None),
+}
+
+
+def _refusal(build):
+    """The ValueError message ``build()`` raises, or ``None`` if it succeeds."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _update_kernels():
+    return [
+        obj
+        for obj in vars(kernels_module).values()
+        if isinstance(obj, type) and issubclass(obj, UpdateKernel) and obj is not UpdateKernel
+    ]
+
+
+@pytest.mark.parametrize(
+    "case", _update_kernels() + [LogitRule], ids=lambda case: case.__name__
+)
+def test_seeded_ensembles_and_estimator_check_share_one_rule(ring6_game, case):
+    """EnsembleSimulator.seeded and the estimators' up-front check accept and
+    refuse the same dynamics, every refusal is the one UpdateKernel.seeded
+    message, and each accepted case runs its kernel's seeded form."""
+    dynamics = DYNAMICS_CASES[case](ring6_game)
+    refusal = _refusal(lambda: EnsembleSimulator.seeded(dynamics, SEEDS))
+    assert refusal == _refusal(lambda: check_seedable(dynamics))
+    if case not in SEEDED_FORMS:
+        assert refusal == _refusal(lambda: UpdateKernel.seeded(kernel_of(dynamics), SEEDS))
+        assert "per-replica seeded streams" in refusal
+        return
+    assert refusal is None
+    sim = EnsembleSimulator.seeded(dynamics, SEEDS)
+    seeded_type, p = SEEDED_FORMS[case]
+    assert type(sim.kernel) is seeded_type
+    assert sim.kernel.rule is dynamics
+    if p is not None:
+        assert sim.kernel.p == p
 
 
 def test_seeded_concurrent_chunk_size_invariance(ring6_game):

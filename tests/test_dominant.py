@@ -10,7 +10,6 @@ from repro.games.dominant import (
     AnonymousDominantGame,
     dominant_profile,
     dominant_strategies,
-    has_dominant_profile,
     random_dominant_game,
 )
 
@@ -25,7 +24,6 @@ def prisoners_dilemma() -> NormalFormGame:
 class TestDetection:
     def test_pd_has_dominant_profile(self):
         game = prisoners_dilemma()
-        assert has_dominant_profile(game)
         assert dominant_profile(game) == (0, 0)
 
     def test_dominant_strategies_per_player(self):
@@ -36,14 +34,13 @@ class TestDetection:
     def test_coordination_game_has_no_dominant_strategy(self):
         row = np.array([[2.0, 0.0], [0.0, 1.0]])
         game = NormalFormGame(row, row.T)
-        assert not has_dominant_profile(game)
         assert dominant_profile(game) is None
 
     def test_random_game_typically_lacks_dominant_profile(self):
         game = random_game((3, 3, 3), rng=np.random.default_rng(1))
         # not guaranteed in general but true for this seed; the point is the
         # detector runs on a 3-player, 27-profile game without errors
-        assert has_dominant_profile(game) in (True, False)
+        assert dominant_profile(game) is None
 
 
 class TestAnonymousDominantGame:
@@ -91,7 +88,6 @@ class TestRandomDominantGame:
     def test_always_has_dominant_profile(self):
         for seed in range(5):
             game = random_dominant_game((2, 3, 2), rng=np.random.default_rng(seed))
-            assert has_dominant_profile(game)
             assert dominant_profile(game) == (0, 0, 0)
 
     def test_strictness_of_dominance(self):

@@ -107,7 +107,28 @@ def test_tabulated_games_are_identified_by_utilities():
 # ---------------------------------------------------------------------------
 
 
-def test_round_trip_preserves_streaming_estimates_and_arrays(tmp_path):
+def test_round_trip_preserves_arrays_and_special_floats(tmp_path):
+    store = ExperimentStore(tmp_path)
+    result = {
+        "samples": np.linspace(0.0, 3.0, 32),
+        "curve": np.arange(6, dtype=float).reshape(3, 2),
+        "nan": float("nan"),
+        "pos_inf": float("inf"),
+        "neg_inf": float("-inf"),
+        "flags": [True, None, "text", 7],
+    }
+    spec = {"cell": 1}
+    store.put(spec, result)
+    loaded = store.get(spec)
+    np.testing.assert_array_equal(loaded["samples"], result["samples"])
+    np.testing.assert_array_equal(loaded["curve"], result["curve"])
+    assert np.isnan(loaded["nan"])
+    assert loaded["pos_inf"] == float("inf")
+    assert loaded["neg_inf"] == float("-inf")
+    assert loaded["flags"] == [True, None, "text", 7]
+
+
+def test_put_refuses_unsupported_result_types(tmp_path):
     store = ExperimentStore(tmp_path)
     estimate = StreamingEstimate(
         estimate=1.5,
@@ -119,23 +140,10 @@ def test_round_trip_preserves_streaming_estimates_and_arrays(tmp_path):
         target_width=0.5,
         samples=np.linspace(0.0, 3.0, 32),
     )
-    result = {
-        "estimate": estimate,
-        "curve": np.arange(6, dtype=float).reshape(3, 2),
-        "nan": float("nan"),
-        "neg_inf": float("-inf"),
-        "flags": [True, None, "text", 7],
-    }
-    spec = {"cell": 1}
-    store.put(spec, result)
-    loaded = store.get(spec)
-    np.testing.assert_array_equal(loaded["estimate"].samples, estimate.samples)
-    assert loaded["estimate"].estimate == estimate.estimate
-    assert loaded["estimate"].stopped_early is True
-    np.testing.assert_array_equal(loaded["curve"], result["curve"])
-    assert np.isnan(loaded["nan"])
-    assert loaded["neg_inf"] == float("-inf")
-    assert loaded["flags"] == [True, None, "text", 7]
+    # the sweeps store plain dicts; a record type that dropped fields on a
+    # round trip would be worse than a refusal
+    with pytest.raises(TypeError, match="cannot store values of type StreamingEstimate"):
+        store.put({"cell": 1}, {"estimate": estimate})
 
 
 def test_get_or_compute_hits_skip_computation(tmp_path):

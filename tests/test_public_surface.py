@@ -43,8 +43,6 @@ EXCEPTIONS = {
     "cutwidth_of_ordering": "the brute-force reference for cutwidth_exact, and "
     "the bound past its size cap, which cutwidth_exact's error points to",
     "BirthDeathPotentialGame": "game zoo: the birth-death chain family",
-    "has_dominant_profile": "dominant-profile detector of Section 4",
-    "is_max_solvable": "max-solvability test; docs/THEOREMS.md names its module",
     "read_trace": "reads back the JSONL traces the tracer writes",
 }
 

@@ -17,7 +17,7 @@ from repro.games import (
     TwoPlayerCoordinationGame,
 )
 from repro.games.base import random_game
-from repro.games.maxsolvable import is_max_solvable, max_solve, never_best_response_strategies
+from repro.games.maxsolvable import max_solve, never_best_response_strategies
 
 
 def prisoners_dilemma() -> NormalFormGame:
@@ -70,7 +70,6 @@ class TestMaxSolvable:
         result = max_solve(prisoners_dilemma())
         assert result.solvable
         assert result.surviving == ((0,), (0,))
-        assert is_max_solvable(prisoners_dilemma())
 
     def test_strictly_dominant_game_is_max_solvable(self):
         from repro.games import random_dominant_game
@@ -98,7 +97,7 @@ class TestMaxSolvable:
         assert result.surviving == ((0, 1), (0, 1))
 
     def test_matching_pennies_not_max_solvable(self):
-        assert not is_max_solvable(matching_pennies())
+        assert not max_solve(matching_pennies()).solvable
 
     def test_iterated_elimination_two_rounds(self):
         """A 2x3 game where one column is eliminated first, which then makes a
